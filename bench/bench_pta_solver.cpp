@@ -2,10 +2,10 @@
 //
 // The pointer analysis dominates end-to-end slicing cost (paper
 // Sec. 6.1 and bench_scalability), so this harness pits the naive
-// full-set FIFO solver against the optimized one (difference
-// propagation + lazy cycle elimination + priority worklist) on a
-// points-to-intensive workload padded to several sizes with
-// padWorkload. SolverStats are exported as benchmark counters so
+// full-set FIFO reference solver against the production one
+// (difference propagation + lazy cycle elimination + topological
+// worklist) on a points-to-intensive workload padded to several sizes
+// with padWorkload. SolverStats are exported as benchmark counters so
 // propagation-count reductions are visible next to the wall-time
 // speedup:
 //
@@ -105,30 +105,6 @@ Program &programForPad(unsigned Pad) {
   return *It->second;
 }
 
-PTAOptions naiveOpts() {
-  PTAOptions O;
-  O.DeltaPropagation = false;
-  O.CycleElimination = false;
-  O.Policy = WorklistPolicy::FIFO;
-  return O;
-}
-
-PTAOptions deltaOnlyOpts() {
-  PTAOptions O;
-  O.DeltaPropagation = true;
-  O.CycleElimination = false;
-  O.Policy = WorklistPolicy::FIFO;
-  return O;
-}
-
-PTAOptions optimizedOpts(WorklistPolicy Policy = WorklistPolicy::Topo) {
-  PTAOptions O;
-  O.DeltaPropagation = true;
-  O.CycleElimination = true;
-  O.Policy = Policy;
-  return O;
-}
-
 void reportCounters(benchmark::State &State, const SolverStats &S) {
   State.counters["nodes"] = static_cast<double>(S.NumNodes);
   State.counters["rep_nodes"] = static_cast<double>(S.NumRepNodes);
@@ -144,11 +120,13 @@ void reportCounters(benchmark::State &State, const SolverStats &S) {
   State.counters["nodes_merged"] = static_cast<double>(S.NodesMerged);
 }
 
-void runSolverBench(benchmark::State &State, const PTAOptions &Opts) {
+/// Runs one solver entry point (runPointsTo or runPointsToReference).
+void runSolverBench(benchmark::State &State,
+                    std::unique_ptr<PointsToResult> (*Solve)(Program &)) {
   Program &P = programForPad(static_cast<unsigned>(State.range(0)));
   SolverStats Last;
   for (auto _ : State) {
-    std::unique_ptr<PointsToResult> R = runPointsTo(P, Opts);
+    std::unique_ptr<PointsToResult> R = Solve(P);
     Last = R->stats();
     benchmark::DoNotOptimize(R);
   }
@@ -156,30 +134,15 @@ void runSolverBench(benchmark::State &State, const PTAOptions &Opts) {
 }
 
 void BM_SolverNaive(benchmark::State &State) {
-  runSolverBench(State, naiveOpts());
+  runSolverBench(State, runPointsToReference);
 }
 BENCHMARK(BM_SolverNaive)->Arg(0)->Arg(8)->Arg(16)->Arg(MAX_PAD)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SolverDeltaOnly(benchmark::State &State) {
-  runSolverBench(State, deltaOnlyOpts());
-}
-BENCHMARK(BM_SolverDeltaOnly)->Arg(0)->Arg(8)->Arg(16)->Arg(MAX_PAD)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SolverOptimized(benchmark::State &State) {
-  runSolverBench(State, optimizedOpts());
+  runSolverBench(State, [](Program &P) { return runPointsTo(P); });
 }
 BENCHMARK(BM_SolverOptimized)->Arg(0)->Arg(8)->Arg(16)->Arg(MAX_PAD)
-    ->Unit(benchmark::kMillisecond);
-
-// Worklist-policy ablation: least-recently-fired degenerates to
-// one-hop-per-pop round-robin on the copy ring and loses badly to the
-// topological order -- kept here so the gap stays measured.
-void BM_SolverOptimizedLRF(benchmark::State &State) {
-  runSolverBench(State, optimizedOpts(WorklistPolicy::LRF));
-}
-BENCHMARK(BM_SolverOptimizedLRF)->Arg(0)->Arg(8)->Arg(16)->Arg(MAX_PAD)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace
@@ -191,15 +154,8 @@ int main(int argc, char **argv) {
   // included (the benchmark timings below are the authoritative wall
   // times; this is the one-glance summary).
   Program &P = programForPad(MAX_PAD);
-  SolverStats Naive, Opt;
-  {
-    std::unique_ptr<PointsToResult> R = runPointsTo(P, naiveOpts());
-    Naive = R->stats();
-  }
-  {
-    std::unique_ptr<PointsToResult> R = runPointsTo(P, optimizedOpts());
-    Opt = R->stats();
-  }
+  const SolverStats Naive = runPointsToReference(P)->stats();
+  const SolverStats Opt = runPointsTo(P)->stats();
   printf("naive (full-set, FIFO):\n%s\n", Naive.str().c_str());
   printf("optimized (delta + LCD + topo worklist):\n%s\n", Opt.str().c_str());
   if (Opt.SolveSeconds > 0 && Opt.Propagations > 0 && Opt.DeltaBitsMoved > 0)

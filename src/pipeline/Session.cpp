@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -107,17 +106,10 @@ std::string digest(const CompileOptions &O) {
   return D;
 }
 
-// ParallelFrontier is part of the PTA digest — its round-granularity
-// visit order assigns different (equivalent) object/context ids than
-// the per-pop loop, so the two modes are distinct artifacts. The Pool
-// pointer and the session thread count are NOT digested: pool size
-// never changes any artifact's bytes.
 std::string digest(const PTAOptions &O) {
   std::ostringstream OS;
   OS << "objsens=" << O.ObjSensContainers << ";depth=" << O.MaxObjSensDepth
-     << ";delta=" << O.DeltaPropagation << ";cyc=" << O.CycleElimination
-     << ";policy=" << static_cast<unsigned>(O.Policy)
-     << ";pf=" << O.ParallelFrontier << ";containers=";
+     << ";containers=";
   for (const std::string &C : O.ContainerClasses)
     OS << C << ',';
   return OS.str();
@@ -842,7 +834,6 @@ PointsToResult *AnalysisSession::pointsTo() {
   auto T0 = std::chrono::steady_clock::now();
   PTAOptions Opts = CurPta;
   Opts.Budget = Budget;
-  Opts.Pool = pool();
   bool Tainted = false;
   auto R = computeStage("pta", Budget, LastErr, StageFailures, StageRetries,
                         Tainted, [&] { return runPointsTo(*P, Opts); });
@@ -1092,61 +1083,7 @@ std::vector<StageReport> AnalysisSession::stageReports() const {
   return Out;
 }
 
-uint64_t AnalysisSession::statsFingerprint() const {
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 1099511628211ull;
-    H ^= H >> 29;
-  };
-  auto MixD = [&](double D) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &D, sizeof(Bits));
-    Mix(Bits);
-  };
-  for (unsigned I = 0; I != NumSessionStages; ++I) {
-    Mix(Counters[I].Hits);
-    Mix(Counters[I].Misses);
-    Mix(Counters[I].Invalidated);
-    MixD(Counters[I].Seconds);
-    Mix(Epochs[I]);
-  }
-  Mix(threadsResolved());
-  Mix(Pools.size());
-  for (const auto &P : Pools) {
-    Mix(P->tasksExecuted());
-    Mix(P->tasksStolen());
-  }
-  Mix(StageFailures);
-  Mix(StageRetries);
-  Mix(IncStats.Attempts);
-  Mix(IncStats.Applied);
-  Mix(IncStats.FunctionsReused);
-  Mix(IncStats.FunctionsRecompiled);
-  Mix(IncStats.PtaUpdates);
-  Mix(IncStats.ModRefUpdates);
-  Mix(IncStats.SdgPatches);
-  Mix(IncStats.ColdFallbacks);
-  Mix(IncStats.StageFallbacks);
-  Mix(fnv1a(IncStats.LastFallbackReason));
-  Mix(SnapStats.Saves);
-  Mix(SnapStats.Loads);
-  Mix(SnapStats.Fallbacks);
-  Mix(SnapStats.CacheHits);
-  Mix(SnapStats.CacheMisses);
-  Mix(SnapStats.CacheEvictions);
-  Mix(fnv1a(SnapStats.LastFallbackReason));
-  return H;
-}
-
 std::string AnalysisSession::statsString() const {
-  // Every counter the rendering reads feeds the fingerprint, so the
-  // memo can never serve a stale string; the common case — tooling
-  // polling stats between queries — skips all the formatting.
-  const uint64_t Fp = statsFingerprint();
-  if (StatsMemoValid && Fp == StatsMemoFp)
-    return StatsMemo;
-
   std::string Out = "session stages (memoization):\n";
   char Buf[160];
   for (const StageReport &R : stageReports()) {
@@ -1208,9 +1145,5 @@ std::string AnalysisSession::statsString() const {
   Out += Buf;
   if (!SnapStats.LastFallbackReason.empty())
     Out += "  last_fallback: " + SnapStats.LastFallbackReason + "\n";
-
-  StatsMemo = Out;
-  StatsMemoFp = Fp;
-  StatsMemoValid = true;
   return Out;
 }

@@ -333,10 +333,7 @@ public:
 
   /// Human-readable rendering of stageReports() plus the parallelism,
   /// incremental, and snapshot telemetry lines — the block `thinslice
-  /// --stats` and the interactive `stats` command print. Memoized on a
-  /// fingerprint of every counter it renders: repeated calls with no
-  /// intervening activity return the cached string without
-  /// re-formatting.
+  /// --stats` and the interactive `stats` command print.
   std::string statsString() const;
 
 private:
@@ -390,10 +387,6 @@ private:
   /// Content-addressed cache file name: source digest + a hash of the
   /// option digests and the snapshot format version.
   std::string snapshotCacheKey() const;
-
-  /// Fold of every counter statsString() renders; cheap enough to
-  /// compute per call, so the memo invalidates itself.
-  uint64_t statsFingerprint() const;
 
   // --- inputs
   std::string Source;
@@ -464,10 +457,6 @@ private:
   IncrementalStats IncStats;
   std::string CacheDir;
   SnapshotStats SnapStats;
-  /// statsString() memo (see statsFingerprint()).
-  mutable std::string StatsMemo;
-  mutable uint64_t StatsMemoFp = 0;
-  mutable bool StatsMemoValid = false;
   /// Scan memo for the incremental differ: the previous source's token
   /// stream, so each edit lexes only its changed lines.
   ScanCache IncScanCache;

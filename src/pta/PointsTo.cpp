@@ -1,7 +1,6 @@
 //===-- PointsTo.cpp - Andersen points-to analysis ----------------------------==//
 //
-// Solver core. Three composable optimizations over the naive
-// full-set FIFO solver, all selectable through PTAOptions:
+// Solver core. One configuration runs in production:
 //
 //  - difference propagation: every node keeps a Delta of objects that
 //    arrived since its last visit; only the delta flows along copy
@@ -16,8 +15,14 @@
 //    collapsed onto a representative through a union-find. Filtered
 //    (cast) edges never collapse: they are not identity flow.
 //
-//  - priority worklists: least-recently-fired and periodically
-//    recomputed topological order (see support/Worklist.h).
+//  - a topological worklist: priorities come from a periodically
+//    recomputed reverse postorder of the copy-edge graph, so each
+//    delta moves down a long copy chain in one sweep.
+//
+// runPointsToReference() runs the same constraint generation through
+// the naive solver instead: a FIFO worklist that pushes each node's
+// full set and never collapses cycles. It is the differential
+// reference for the solver tests and bench_pta_solver.
 //
 // Merging nodes conservatively re-delivers the merged points-to set
 // (Delta := Pts): deferred constraints are idempotent (copy edges,
@@ -29,7 +34,6 @@
 #include "pta/PointsTo.h"
 
 #include "cg/CHA.h"
-#include "support/ThreadPool.h"
 #include "support/Worklist.h"
 
 #include <algorithm>
@@ -65,8 +69,9 @@ namespace {
 /// Worklist-based subset solver with on-the-fly call graph.
 class Solver final : public PointsToResult {
 public:
-  Solver(Program &P, const PTAOptions &Opts)
-      : P(P), Opts(Opts), CH(P) {}
+  /// \p Reference selects the naive full-set FIFO solver.
+  Solver(Program &P, const PTAOptions &Opts, bool Reference)
+      : P(P), Opts(Opts), Reference(Reference), CH(P) {}
 
   void run();
 
@@ -177,34 +182,28 @@ private:
     NA.Succs.insert(NA.Succs.end(), NB.Succs.begin(), NB.Succs.end());
     NA.Cons.insert(NA.Cons.end(), NB.Cons.begin(), NB.Cons.end());
     NB = NodeData(); // Release the merged node's storage.
-    if (Opts.DeltaPropagation)
-      NA.Delta = NA.Pts;
+    NA.Delta = NA.Pts;
     ++Stats.NodesMerged;
     pushNode(A);
     return A;
   }
 
   //===------------------------------------------------------------------===//
-  // Worklist policy dispatch
+  // Worklist: topological priorities, or FIFO for the reference solver
   //===------------------------------------------------------------------===//
 
   void pushNode(unsigned N) {
     N = find(N);
-    if (Opts.Policy == WorklistPolicy::FIFO)
+    if (Reference)
       FifoWL.push(N);
     else
       PrioWL.push(N);
   }
 
-  unsigned popNode() {
-    if (Opts.Policy == WorklistPolicy::FIFO)
-      return FifoWL.pop();
-    return PrioWL.pop();
-  }
+  unsigned popNode() { return Reference ? FifoWL.pop() : PrioWL.pop(); }
 
   bool worklistEmpty() const {
-    return Opts.Policy == WorklistPolicy::FIFO ? FifoWL.empty()
-                                               : PrioWL.empty();
+    return Reference ? FifoWL.empty() : PrioWL.empty();
   }
 
   /// Recomputes topological priorities (reverse postorder over the
@@ -220,7 +219,7 @@ private:
     unsigned Id = static_cast<unsigned>(Nodes.size());
     Nodes.emplace_back();
     Rep.push_back(Id);
-    if (Opts.Policy == WorklistPolicy::Topo)
+    if (!Reference)
       PrioWL.setPriority(Id, TopoPrioBase + Id);
     return Id;
   }
@@ -301,8 +300,7 @@ private:
   void addObject(unsigned Node, unsigned Obj) {
     unsigned N = find(Node);
     if (Nodes[N].Pts.insert(Obj)) {
-      if (Opts.DeltaPropagation)
-        Nodes[N].Delta.insert(Obj);
+      Nodes[N].Delta.insert(Obj);
       pushNode(N);
     }
   }
@@ -316,14 +314,11 @@ private:
       return false; // Self-union is a no-op (and would mutate during forEach).
     bool Changed = false;
     if (!Filter) {
-      Changed = Opts.DeltaPropagation
-                    ? D.Pts.unionWithReturningChanged(From, D.Delta)
-                    : D.Pts.unionWith(From);
+      Changed = D.Pts.unionWithReturningChanged(From, D.Delta);
     } else {
       From.forEach([&](unsigned Obj) {
         if (CH.isSubtype(Objects[Obj].Ty, Filter) && D.Pts.insert(Obj)) {
-          if (Opts.DeltaPropagation)
-            D.Delta.insert(Obj);
+          D.Delta.insert(Obj);
           Changed = true;
         }
       });
@@ -377,7 +372,6 @@ private:
   //===------------------------------------------------------------------===//
 
   void solveLoop(BudgetGate &Gate);
-  void solveLoopParallel(BudgetGate &Gate);
   void degradeToCoarse(const BudgetGate &Gate);
   void processMethodCtx(unsigned MCId);
   void processInstr(const Instr *I, Method *M, unsigned Ctx, unsigned MCId);
@@ -395,6 +389,7 @@ private:
 
   Program &P;
   PTAOptions Opts;
+  const bool Reference;
   ClassHierarchy CH;
   CallGraph CG;
 
@@ -414,7 +409,6 @@ private:
   std::vector<Constraint> Constraints;
   Worklist FifoWL;
   PriorityWorklist PrioWL;
-  uint64_t LRFClock = 0;
   uint64_t TopoPrioBase = 0; ///< Offset for nodes born after a sort.
   unsigned NumCopyEdges = 0;
   unsigned TopoResortAt = 32; ///< Edge count that triggers a re-sort.
@@ -476,10 +470,7 @@ void Solver::run() {
 
   BudgetGate Gate(Opts.Budget, "pta.solve",
                   Opts.Budget ? Opts.Budget->MaxPtaPropagations : 0);
-  if (Opts.ParallelFrontier && Opts.DeltaPropagation)
-    solveLoopParallel(Gate);
-  else
-    solveLoop(Gate);
+  solveLoop(Gate);
 
   auto SolveEnd = std::chrono::steady_clock::now();
 
@@ -577,25 +568,20 @@ void Solver::solveLoop(BudgetGate &Gate) {
   while (!worklistEmpty()) {
     if (Gate.poll(Stats.Propagations))
       return; // Budget exhausted; run() degrades to the coarse result.
-    if (Opts.Policy == WorklistPolicy::Topo && NumCopyEdges >= TopoResortAt)
+    if (!Reference && NumCopyEdges >= TopoResortAt)
       recomputeTopoPriorities();
 
     unsigned N = find(popNode());
     ++Stats.WorklistPops;
-    if (Opts.Policy == WorklistPolicy::LRF)
-      PrioWL.setPriority(N, ++LRFClock);
 
     // What this visit pushes downstream: the delta accumulated since
-    // the node's last visit, or (naive mode) the full set. The swap
-    // recycles the drained delta's storage into the node.
-    if (Opts.DeltaPropagation) {
-      Moved.clear();
-      std::swap(Moved, Nodes[N].Delta);
-      if (Moved.empty())
-        continue; // Stale entry (merged away or already drained).
-    }
-    unsigned MovedCount =
-        Opts.DeltaPropagation ? Moved.count() : Nodes[N].Pts.count();
+    // the node's last visit, or (reference solver) the full set. The
+    // swap recycles the drained delta's storage into the node.
+    Moved.clear();
+    std::swap(Moved, Nodes[N].Delta);
+    if (Moved.empty())
+      continue; // Stale entry (merged away or already drained).
+    unsigned MovedCount = Reference ? Nodes[N].Pts.count() : Moved.count();
 
     // Copy-edge propagation. Copy the edge list: constraint application
     // and cycle collapsing below can mutate node storage.
@@ -607,10 +593,10 @@ void Solver::solveLoop(BudgetGate &Gate) {
         continue;
       // Re-fetch the source set each iteration: a cycle collapse can
       // move N's data to another representative mid-loop.
-      const BitSet &Src = Opts.DeltaPropagation ? Moved : Nodes[Self].Pts;
+      const BitSet &Src = Reference ? Nodes[Self].Pts : Moved;
       bool Changed = flowInto(Dst, Src, Filter);
       Stats.DeltaBitsMoved += MovedCount;
-      if (!Changed && Opts.CycleElimination && !Filter)
+      if (!Changed && !Reference && !Filter)
         maybeDetectCycle(Self, Dst);
     }
 
@@ -619,123 +605,7 @@ void Solver::solveLoop(BudgetGate &Gate) {
     // re-delivery, which covers these constraints too.
     Cons = Nodes[find(N)].Cons;
     for (unsigned ConsIdx : Cons)
-      applyConstraint(ConsIdx,
-                      Opts.DeltaPropagation ? Moved : Nodes[find(N)].Pts);
-  }
-}
-
-/// Bulk-synchronous variant of solveLoop (PTAOptions::ParallelFrontier;
-/// requires DeltaPropagation). Each round has three phases:
-///
-///  1. Drain (sequential): pop the whole worklist, swapping each live
-///     node's delta and snapshotting its edge list.
-///  2. Precompute (parallel): for every cast edge of every frontier
-///     entry, compute the type-filtered delta. This reads only frozen
-///     state — the drained Moved sets, the edge snapshots, the object
-///     table, and the class hierarchy (isSubtype is pure) — through
-///     findConst, so it is safe across workers and its outputs are
-///     pure values independent of scheduling.
-///  3. Merge (sequential, drain order): every flowInto, constraint
-///     application, and cycle collapse, exactly as the sequential
-///     loop body would run them for this frontier.
-///
-/// All mutation happens in phases 1 and 3 on the calling thread, in an
-/// order fixed by the drain, so the full mutation trace — points-to
-/// sets, merge decisions, visit-order object/context ids, and every
-/// Stats counter — is byte-identical for every pool size, including no
-/// pool at all. Deltas that arrive for an already-drained node during
-/// the merge stay in the node's Delta and are re-queued for the next
-/// round rather than joining the in-flight frontier (the one ordering
-/// difference from the per-pop sequential loop; both reach the same
-/// least fixpoint).
-void Solver::solveLoopParallel(BudgetGate &Gate) {
-  struct FrontierEntry {
-    unsigned N;     ///< Representative at drain time.
-    BitSet Moved;   ///< Delta drained from N.
-    /// Edge-list snapshot (merge-phase collapsing mutates the live
-    /// lists, and workers must not chase them).
-    std::vector<std::pair<unsigned, const Type *>> Succs;
-    /// Type-filtered Moved per cast edge, parallel to Succs (empty
-    /// for unfiltered edges).
-    std::vector<BitSet> Filtered;
-  };
-  std::vector<FrontierEntry> Frontier;
-  std::vector<unsigned> Cons;
-
-  while (!worklistEmpty()) {
-    // Phase 1: drain.
-    Frontier.clear();
-    while (!worklistEmpty()) {
-      if (Gate.poll(Stats.Propagations))
-        return; // Budget exhausted; run() degrades to the coarse result.
-      if (Opts.Policy == WorklistPolicy::Topo && NumCopyEdges >= TopoResortAt)
-        recomputeTopoPriorities();
-      unsigned N = find(popNode());
-      ++Stats.WorklistPops;
-      if (Opts.Policy == WorklistPolicy::LRF)
-        PrioWL.setPriority(N, ++LRFClock);
-      FrontierEntry E;
-      E.N = N;
-      std::swap(E.Moved, Nodes[N].Delta);
-      if (E.Moved.empty())
-        continue; // Stale entry (merged away or already drained).
-      E.Succs = Nodes[N].Succs;
-      Frontier.push_back(std::move(E));
-    }
-
-    // Phase 2: precompute cast-edge filters against frozen state.
-    auto Precompute = [&](std::size_t I) {
-      FrontierEntry &E = Frontier[I];
-      E.Filtered.resize(E.Succs.size());
-      for (std::size_t K = 0; K != E.Succs.size(); ++K) {
-        const Type *Filter = E.Succs[K].second;
-        if (!Filter)
-          continue;
-        BitSet &Out = E.Filtered[K];
-        E.Moved.forEach([&](unsigned Obj) {
-          if (CH.isSubtype(Objects[Obj].Ty, Filter))
-            Out.insert(Obj);
-        });
-      }
-    };
-    if (Opts.Pool && Opts.Pool->numWorkers())
-      Opts.Pool->parallelFor(Frontier.size(), Precompute);
-    else
-      for (std::size_t I = 0; I != Frontier.size(); ++I)
-        Precompute(I);
-
-    // Phase 3: merge in drain order. Mirrors the sequential loop body;
-    // Stats accounting matches flowInto's filtered path (the filter
-    // work was merely hoisted, not skipped).
-    for (FrontierEntry &E : Frontier) {
-      unsigned MovedCount = E.Moved.count();
-      for (std::size_t K = 0; K != E.Succs.size(); ++K) {
-        unsigned Self = find(E.N);
-        unsigned Dst = find(E.Succs[K].first);
-        const Type *Filter = E.Succs[K].second;
-        if (Dst == Self && !Filter)
-          continue;
-        bool Changed;
-        if (!Filter) {
-          Changed = flowInto(Dst, E.Moved, nullptr);
-        } else {
-          NodeData &D = Nodes[Dst];
-          Changed = D.Pts.unionWithReturningChanged(E.Filtered[K], D.Delta);
-          if (Changed) {
-            ++Stats.Propagations;
-            pushNode(Dst);
-          } else {
-            ++Stats.NoChangePropagations;
-          }
-        }
-        Stats.DeltaBitsMoved += MovedCount;
-        if (!Changed && Opts.CycleElimination && !Filter)
-          maybeDetectCycle(Self, Dst);
-      }
-      Cons = Nodes[find(E.N)].Cons;
-      for (unsigned ConsIdx : Cons)
-        applyConstraint(ConsIdx, E.Moved);
-    }
+      applyConstraint(ConsIdx, Reference ? Nodes[find(N)].Pts : Moved);
   }
 }
 
@@ -1081,8 +951,8 @@ void Solver::applyCall(const CallInstr *Call, unsigned CallerCtx,
 }
 
 void Solver::applyConstraint(unsigned ConsIdx, const BitSet &Pts) {
-  // With difference propagation Pts is the delta since the node's
-  // last visit; otherwise the node's full set. Either way the
+  // Pts is the delta since the node's last visit, or the node's full
+  // set in the reference solver. Either way the
   // handlers below are idempotent (edge/object insertion all dedups),
   // so over-delivery — e.g. the full re-delivery after a cycle
   // collapse — is safe, and no per-constraint Done set is needed.
@@ -1599,7 +1469,13 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
 
 std::unique_ptr<PointsToResult> tsl::runPointsTo(Program &P,
                                                  const PTAOptions &Options) {
-  auto S = std::make_unique<Solver>(P, Options);
+  auto S = std::make_unique<Solver>(P, Options, /*Reference=*/false);
+  S->run();
+  return S;
+}
+
+std::unique_ptr<PointsToResult> tsl::runPointsToReference(Program &P) {
+  auto S = std::make_unique<Solver>(P, PTAOptions(), /*Reference=*/true);
   S->run();
   return S;
 }

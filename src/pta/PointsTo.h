@@ -29,7 +29,6 @@
 #include "ir/Program.h"
 #include "support/BitSet.h"
 #include "support/Budget.h"
-#include "support/Worklist.h"
 
 #include <cstdint>
 #include <memory>
@@ -39,8 +38,6 @@
 #include <vector>
 
 namespace tsl {
-
-class ThreadPool;
 
 /// Configuration of the pointer analysis.
 struct PTAOptions {
@@ -62,52 +59,6 @@ struct PTAOptions {
   /// Maximum depth of nested allocation contexts (bounds recursion
   /// through containers-of-containers).
   unsigned MaxObjSensDepth = 3;
-
-  //===--------------------------------------------------------------===//
-  // Solver configuration. The defaults are the optimized solver; turn
-  // everything off (and use WorklistPolicy::FIFO) for the naive
-  // full-set propagation solver, kept as a differential-testing
-  // oracle. All settings produce identical analysis results — only
-  // the amount of work to reach the fixed point differs.
-  //===--------------------------------------------------------------===//
-
-  /// Difference propagation: each constraint-graph node tracks the
-  /// objects added since its last visit, and only that delta flows
-  /// along copy edges and into deferred load/store/call constraints.
-  bool DeltaPropagation = true;
-
-  /// Online (lazy) cycle elimination à la Hardekopf–Lin: when a
-  /// propagation along an unfiltered copy edge changes nothing, run a
-  /// cycle check once for that edge and collapse any copy-edge SCC
-  /// found onto a single representative node.
-  bool CycleElimination = true;
-
-  /// Visit order of the solver worklist. Topological order is the
-  /// default: it moves each delta bit down long copy chains in one
-  /// sweep, where FIFO and LRF degenerate to one-hop-per-pop
-  /// round-robin on ring- and chain-shaped flow (see
-  /// bench_pta_solver for the measured gap).
-  WorklistPolicy Policy = WorklistPolicy::Topo;
-
-  /// Bulk-synchronous parallel frontier processing: each solver round
-  /// drains the whole worklist at once, computes the type-filtered
-  /// prospective deltas of the drained nodes' cast edges across Pool's
-  /// workers — pure reads of the frozen constraint graph — and then
-  /// applies every propagation, constraint, and cycle collapse on the
-  /// calling thread in drain order. The parallel phase computes pure
-  /// functions of frozen state, so the mutation trace (and with it
-  /// every artifact and telemetry counter) is byte-identical for every
-  /// pool size, including a null pool. The round granularity visits
-  /// nodes in a different order than the per-pop sequential solver, so
-  /// visit-order-assigned object/context ids may differ from
-  /// ParallelFrontier=false — the two modes reach the same fixpoint
-  /// (the differential solver tests canonicalize ids), but they are
-  /// distinct cache keys. Requires DeltaPropagation; with it off the
-  /// solve falls back to the sequential loop.
-  bool ParallelFrontier = false;
-
-  /// Shared pool for ParallelFrontier. Not owned; may be null.
-  ThreadPool *Pool = nullptr;
 
   /// Optional resource budget. When the solver exhausts it (deadline
   /// or MaxPtaPropagations), the analysis degrades to a sound coarse
@@ -256,6 +207,13 @@ public:
 /// Runs the analysis from \p P's main method. \p P must be in SSA form.
 std::unique_ptr<PointsToResult> runPointsTo(Program &P,
                                             const PTAOptions &Options = {});
+
+/// Runs the naive full-set solver (FIFO worklist, no difference
+/// propagation, no cycle elimination) with default options. It reaches
+/// the same fixed point as runPointsTo, but object and context ids may
+/// differ because they are assigned in visit order. Kept only as the
+/// differential reference for the solver tests and bench_pta_solver.
+std::unique_ptr<PointsToResult> runPointsToReference(Program &P);
 
 } // namespace tsl
 

@@ -297,6 +297,22 @@ bool entryUsable(const WarmSession &E, ServiceResponse &Resp) {
   return true;
 }
 
+/// The seed statement at requested user line \p UserLine, or null with
+/// the BadRequest answer in \p Resp. Caller must hold the entry's lock.
+const Instr *seedFor(const WarmSession &E, uint32_t UserLine,
+                     ServiceResponse &Resp) {
+  unsigned AbsLine = absoluteUserLine(UserLine, E.LineOffset);
+  if (!AbsLine) {
+    Resp = {ServiceStatus::BadRequest, "", lineOutOfRangeMessage(UserLine)};
+    return nullptr;
+  }
+  const Instr *Seed = seedAtLine(*E.Prog, AbsLine);
+  if (!Seed)
+    Resp = {ServiceStatus::BadRequest, "",
+            noStatementMessage(*E.Prog, UserLine, E.LineOffset)};
+  return Seed;
+}
+
 } // namespace
 
 ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
@@ -313,10 +329,9 @@ ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
     return Bad;
 
   unsigned UserLine = Req.Lines.empty() ? 0 : Req.Lines.front();
-  const Instr *Seed = seedAtLine(*E->Prog, UserLine + E->LineOffset);
+  const Instr *Seed = seedFor(*E, UserLine, Bad);
   if (!Seed)
-    return {ServiceStatus::BadRequest, "",
-            noStatementMessage(*E->Prog, UserLine, E->LineOffset)};
+    return Bad;
 
   RequestBudget RB(O.RequestBudgetMs);
   SliceResult Slice(nullptr, BitSet());
@@ -354,10 +369,9 @@ ServiceResponse SliceServer::handleBatchSlice(const ServiceRequest &Req) {
   std::vector<const Instr *> Seeds;
   Seeds.reserve(Req.Lines.size());
   for (uint32_t UserLine : Req.Lines) {
-    const Instr *Seed = seedAtLine(*E->Prog, UserLine + E->LineOffset);
+    const Instr *Seed = seedFor(*E, UserLine, Bad);
     if (!Seed)
-      return {ServiceStatus::BadRequest, "",
-              noStatementMessage(*E->Prog, UserLine, E->LineOffset)};
+      return Bad;
     Seeds.push_back(Seed);
   }
 
@@ -422,8 +436,8 @@ ServiceResponse SliceServer::handleStats(const ServiceRequest &Req) {
   // holding the entry lock across size() would invert that order.
   const std::size_t WarmSessions = Registry.size();
 
-  // statsString() memoizes into the session (mutable members), so
-  // stats is a writer despite being read-only in spirit.
+  // Like every request that calls into the session (rather than only
+  // reading its warm pointers), stats holds the entry exclusively.
   std::unique_lock<std::shared_mutex> L(E->Mu);
   std::string Body = E->S ? E->S->statsString() : "";
   Body += "server: " +

@@ -108,6 +108,16 @@ const Instr *tsl::seedAtLine(const Program &P, unsigned Line) {
   return Last;
 }
 
+unsigned tsl::absoluteUserLine(unsigned UserLine, unsigned LineOffset) {
+  if (UserLine == 0 || UserLine > ~0u - LineOffset)
+    return 0;
+  return UserLine + LineOffset;
+}
+
+std::string tsl::lineOutOfRangeMessage(unsigned UserLine) {
+  return "line " + std::to_string(UserLine) + " is out of range";
+}
+
 std::string tsl::renderSliceReport(const SliceResult &Slice,
                                    const std::string &What, unsigned UserLine,
                                    unsigned LineOffset) {

@@ -69,6 +69,15 @@ SliceNarration narrateSlice(const SDG &G, const Instr *Seed, SliceMode Mode);
 /// convention every tool entry point uses.
 const Instr *seedAtLine(const Program &P, unsigned Line);
 
+/// The absolute line of user-file line \p UserLine below a
+/// \p LineOffset-line runtime prefix, or 0 when \p UserLine is 0 or
+/// the sum would wrap around 32 bits (into the runtime prefix). Every
+/// "slice from line N" entry point checks this before seedAtLine.
+unsigned absoluteUserLine(unsigned UserLine, unsigned LineOffset);
+
+/// "line N is out of range": why absoluteUserLine rejected \p UserLine.
+std::string lineOutOfRangeMessage(unsigned UserLine);
+
 /// The standard report of one backward slice: a "<What> from line
 /// <UserLine>: S statements, L source lines" header plus one indented
 /// "Class.method:line" entry per source line, lines at or below

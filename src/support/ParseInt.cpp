@@ -36,6 +36,18 @@ bool tsl::parsePositiveInt(const std::string &V, uint64_t &Out) {
   return parsePositiveInt(V.c_str(), Out);
 }
 
+bool tsl::parsePositiveInt(const char *V, uint32_t &Out) {
+  uint64_t N = 0;
+  if (!parsePositiveInt(V, N) || N > UINT32_MAX)
+    return false;
+  Out = static_cast<uint32_t>(N);
+  return true;
+}
+
+bool tsl::parsePositiveInt(const std::string &V, uint32_t &Out) {
+  return parsePositiveInt(V.c_str(), Out);
+}
+
 bool tsl::parseNonZeroInt(const char *V, int64_t &Out) {
   const char *Body = V && *V == '-' ? V + 1 : V;
   if (!allDigits(Body))

@@ -26,6 +26,11 @@ namespace tsl {
 bool parsePositiveInt(const char *V, uint64_t &Out);
 bool parsePositiveInt(const std::string &V, uint64_t &Out);
 
+/// The same parse for 32-bit counts (line numbers, thread counts):
+/// values above UINT32_MAX fail instead of being truncated.
+bool parsePositiveInt(const char *V, uint32_t &Out);
+bool parsePositiveInt(const std::string &V, uint32_t &Out);
+
 /// Strict base-10 parse of a nonzero signed integer: an optional
 /// leading '-' followed by digits only, nonzero, in range. \p Out is
 /// written only on success. A null \p V fails.

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// FIFO worklist over densely numbered ids that never holds the same id
-/// twice. The points-to solver and the slicers are all fixed-point
+/// FIFO and priority worklists over densely numbered ids that never
+/// hold the same id twice. The points-to solver and CHA are fixed-point
 /// worklist algorithms over dense id spaces.
 ///
 //===----------------------------------------------------------------------===//
@@ -23,18 +23,6 @@
 #include <vector>
 
 namespace tsl {
-
-/// Visit-order policy of a fixed-point solver's worklist.
-enum class WorklistPolicy {
-  FIFO, ///< Plain breadth-first queue (the naive baseline).
-  LRF,  ///< Least recently fired: nodes that have not propagated for
-        ///< the longest come first, which batches the changes a hot
-        ///< node accumulates between visits.
-  Topo, ///< Periodically recomputed topological order of the copy
-        ///< edge graph: upstream nodes drain before downstream ones,
-        ///< so each edge tends to carry one big delta instead of many
-        ///< small ones.
-};
 
 /// FIFO queue of unsigned ids; enqueueing an id already in the queue is
 /// a no-op. Ids may be re-enqueued after being popped.

@@ -150,6 +150,11 @@ TEST_F(CliTest, BadUsageExitsNonZero) {
   int Status = runCapture(std::string(ToolPath), Out);
   EXPECT_NE(Status, 0);
   EXPECT_NE(Out.find("usage:"), std::string::npos);
+  // An unknown option is a usage error, whatever else is valid.
+  Out = run("--line 15 --jobs 4", &Status);
+  ASSERT_TRUE(WIFEXITED(Status)) << Out;
+  EXPECT_EQ(WEXITSTATUS(Status), 2) << Out;
+  EXPECT_NE(Out.find("unknown option --jobs"), std::string::npos) << Out;
 }
 
 TEST_F(CliTest, ContextSensitiveMode) {
@@ -169,9 +174,28 @@ TEST_F(CliTest, ChopMode) {
 //===----------------------------------------------------------------------===//
 
 namespace {
+
 int exitCode(int PcloseStatus) {
   return WIFEXITED(PcloseStatus) ? WEXITSTATUS(PcloseStatus) : -1;
 }
+
+/// Pipes \p Input into `thinslice <program> <args>` on stdin.
+int runInteractive(const std::string &Program, const std::string &Input,
+                   const std::string &Args, std::string &Out) {
+  return runCapture("printf '" + Input + "' | " + ToolPath + " " + Program +
+                        " " + Args,
+                    Out);
+}
+
+size_t countOccurrences(const std::string &Haystack,
+                        const std::string &Needle) {
+  size_t Count = 0;
+  for (size_t Pos = Haystack.find(Needle); Pos != std::string::npos;
+       Pos = Haystack.find(Needle, Pos + Needle.size()))
+    ++Count;
+  return Count;
+}
+
 } // namespace
 
 TEST_F(CliTest, NonNumericLineIsUsageError) {
@@ -196,6 +220,46 @@ TEST_F(CliTest, ZeroAndTrailingGarbageRejected) {
   EXPECT_EQ(exitCode(Status), 2) << Out;
   EXPECT_NE(Out.find("--int expects a nonzero integer"), std::string::npos)
       << Out;
+
+  // 32-bit values are not truncated: 4294967311 = 2^32 + 15 would
+  // otherwise slice line 15.
+  for (const char *Args :
+       {"--line 4294967311", "--line 15 --chop 4294967311",
+        "--line 15 --alias-depth 4294967311",
+        "--line 15 --threads 4294967311"}) {
+    Out = run(Args, &Status);
+    EXPECT_EQ(exitCode(Status), 2) << Args << "\n" << Out;
+    EXPECT_EQ(Out.find("slice from line"), std::string::npos) << Args;
+  }
+  // A line that fits in 32 bits but wraps past the runtime prefix.
+  Out = run("--line 4294967295", &Status);
+  EXPECT_EQ(exitCode(Status), 2) << Out;
+  EXPECT_NE(Out.find("line 4294967295 is out of range"), std::string::npos)
+      << Out;
+
+  const std::string Seeds = Program + ".seeds";
+  for (const char *Line : {"4294967311", "4294967295"}) {
+    std::ofstream(Seeds) << "15\n" << Line << "\n";
+    Out = run("--seeds " + Seeds, &Status);
+    EXPECT_EQ(exitCode(Status), 2) << Line << "\n" << Out;
+    EXPECT_EQ(Out.find("=== seed line"), std::string::npos) << Out;
+  }
+  remove(Seeds.c_str());
+
+  // The REPL reports the bad line and keeps answering.
+  Status = runInteractive(Program,
+                          "slice 4294967311\\nslice 4294967295\\nslice 15\\n",
+                          "--interactive", Out);
+  EXPECT_EQ(exitCode(Status), 0) << Out;
+  EXPECT_NE(Out.find("error: slice expects a positive line number, got "
+                     "'4294967311'"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("error: line 4294967295 is out of range"),
+            std::string::npos)
+      << Out;
+  EXPECT_EQ(countOccurrences(Out, "slice from line"), 1u) << Out;
+  EXPECT_NE(Out.find("thin slice from line 15"), std::string::npos) << Out;
 }
 
 TEST_F(CliTest, NegativeIntInputAccepted) {
@@ -277,27 +341,6 @@ TEST_F(CliTest, RunStepsTerminatesInfiniteLoop) {
 //===----------------------------------------------------------------------===//
 // Interactive mode: one warm session answering repeated queries
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Pipes \p Input into `thinslice <program> <args>` on stdin.
-int runInteractive(const std::string &Program, const std::string &Input,
-                   const std::string &Args, std::string &Out) {
-  return runCapture("printf '" + Input + "' | " + ToolPath + " " + Program +
-                        " " + Args,
-                    Out);
-}
-
-size_t countOccurrences(const std::string &Haystack,
-                        const std::string &Needle) {
-  size_t Count = 0;
-  for (size_t Pos = Haystack.find(Needle); Pos != std::string::npos;
-       Pos = Haystack.find(Needle, Pos + Needle.size()))
-    ++Count;
-  return Count;
-}
-
-} // namespace
 
 TEST_F(CliTest, InteractiveRepeatQueryIsAFullCacheHit) {
   std::string Out;

@@ -21,11 +21,9 @@
 #include "sdg/SDGDot.h"
 #include "slicer/Engine.h"
 #include "slicer/Slicer.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -152,70 +150,6 @@ TEST(ParallelDeterminism, ContextSensitiveSdgIsByteIdentical) {
     else
       EXPECT_EQ(Base, Dot) << "threads=" << Threads;
   }
-}
-
-// The parallel-frontier points-to mode: byte-identical for every pool
-// size (none, 2, 8). Its round-granularity visit order is a different
-// (equivalent) id assignment than the sequential per-pop loop, which
-// is why PTAOptions::ParallelFrontier participates in the session
-// digest — here we assert the pool size does NOT matter.
-TEST(ParallelDeterminism, ParallelFrontierSolverIsPoolSizeInvariant) {
-  DiagnosticEngine Diag;
-  const std::string Source = generateRandomProgram(5);
-  std::unique_ptr<Program> P = compileThinJ(Source, Diag);
-  ASSERT_NE(P, nullptr) << Diag.str();
-
-  std::string Base;
-  for (unsigned Threads : ThreadCounts) {
-    std::unique_ptr<ThreadPool> Pool;
-    if (Threads > 1)
-      Pool = std::make_unique<ThreadPool>(Threads);
-    PTAOptions Opts;
-    Opts.ParallelFrontier = true;
-    Opts.Pool = Pool.get();
-    std::unique_ptr<PointsToResult> PTA = runPointsTo(*P, Opts);
-    std::ostringstream OS;
-    OS << ptaSignature(*P, *PTA);
-    const SolverStats &St = PTA->stats();
-    OS << "pops=" << St.WorklistPops << ";props=" << St.Propagations
-       << ";nochange=" << St.NoChangePropagations
-       << ";cycles=" << St.CyclesCollapsed << ";merged=" << St.NodesMerged;
-    if (Base.empty())
-      Base = OS.str();
-    else
-      EXPECT_EQ(Base, OS.str()) << "threads=" << Threads;
-  }
-}
-
-// Both solver modes must agree on everything observable at the source
-// level: slices do not mention visit-order ids, so the thin slices of
-// every print statement must match line-for-line.
-TEST(ParallelDeterminism, ParallelFrontierSlicesMatchSequentialSolver) {
-  const std::string Source = generateRandomProgram(13);
-  std::string Sigs[2];
-  for (int PF = 0; PF != 2; ++PF) {
-    AnalysisSession S(Source);
-    ASSERT_NE(S.program(), nullptr);
-    PTAOptions PO;
-    PO.ParallelFrontier = PF != 0;
-    S.setPTAOptions(PO);
-    std::ostringstream OS;
-    for (const Instr *Seed : printSeeds(*S.program())) {
-      const SliceResult *R = S.sliceBackwardCached(Seed, SliceMode::Thin);
-      ASSERT_NE(R, nullptr);
-      // Sorted: sourceLines() follows node-id order, and the two
-      // solver modes assign different (equivalent) ids.
-      std::vector<unsigned> Lines;
-      for (const SourceLine &L : R->sourceLines())
-        Lines.push_back(L.Line);
-      std::sort(Lines.begin(), Lines.end());
-      for (unsigned L : Lines)
-        OS << L << " ";
-      OS << "\n";
-    }
-    Sigs[PF] = OS.str();
-  }
-  EXPECT_EQ(Sigs[0], Sigs[1]);
 }
 
 // Eval tables: the paper-table drivers run their whole pipeline under

@@ -1,5 +1,6 @@
 //===-- pta_test.cpp - Points-to analysis unit tests ----------------------------==//
 
+#include "eval/Generator.h"
 #include "eval/Workload.h"
 #include "lang/Lower.h"
 #include "pta/PointsTo.h"
@@ -324,15 +325,15 @@ TEST(PointsTo, ConstraintNodeCountIsPositive) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential solver testing: every optimization combination must
-// produce results identical to the naive full-set FIFO solver.
+// Differential solver testing: the production solver must produce
+// results identical to the naive full-set FIFO reference solver.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Stable per-program instruction names (object/context ids are
 /// assigned in solver-visit order, so raw ids cannot be compared
-/// across solver configurations).
+/// across solvers).
 std::unordered_map<const Instr *, std::string> nameSites(const Program &P) {
   std::unordered_map<const Instr *, std::string> Names;
   for (const auto &M : P.methods()) {
@@ -400,70 +401,35 @@ CanonicalResult canonicalize(const Program &P, const PointsToResult &R) {
   return Out;
 }
 
-struct SolverConfig {
-  bool Delta;
-  bool CycleElim;
-  WorklistPolicy Policy;
-  std::string name() const {
-    std::string N = Delta ? "delta" : "full";
-    N += CycleElim ? "+lcd" : "";
-    N += Policy == WorklistPolicy::FIFO ? "+fifo"
-         : Policy == WorklistPolicy::LRF ? "+lrf"
-                                         : "+topo";
-    return N;
-  }
-};
-
-std::vector<SolverConfig> allSolverConfigs() {
-  std::vector<SolverConfig> Out;
-  for (bool Delta : {false, true})
-    for (bool CE : {false, true})
-      for (WorklistPolicy Pol :
-           {WorklistPolicy::FIFO, WorklistPolicy::LRF, WorklistPolicy::Topo})
-        Out.push_back({Delta, CE, Pol});
-  return Out;
-}
-
-void expectAllConfigsAgree(const std::string &CaseId,
-                           const std::string &Source) {
+void expectSolverMatchesReference(const std::string &CaseId,
+                                  const std::string &Source) {
   DiagnosticEngine Diag;
   std::unique_ptr<Program> P = compileThinJ(Source, Diag);
   ASSERT_NE(P, nullptr) << CaseId << ": " << Diag.str();
 
-  PTAOptions NaiveOpts;
-  NaiveOpts.DeltaPropagation = false;
-  NaiveOpts.CycleElimination = false;
-  NaiveOpts.Policy = WorklistPolicy::FIFO;
-  std::unique_ptr<PointsToResult> Naive = runPointsTo(*P, NaiveOpts);
-  CanonicalResult Base = canonicalize(*P, *Naive);
-
-  for (const SolverConfig &C : allSolverConfigs()) {
-    PTAOptions Opts;
-    Opts.DeltaPropagation = C.Delta;
-    Opts.CycleElimination = C.CycleElim;
-    Opts.Policy = C.Policy;
-    std::unique_ptr<PointsToResult> R = runPointsTo(*P, Opts);
-    CanonicalResult Got = canonicalize(*P, *R);
-
-    EXPECT_EQ(Base.Pts, Got.Pts)
-        << CaseId << " [" << C.name() << "]: merged points-to sets differ";
-    EXPECT_EQ(Base.CGEdges, Got.CGEdges)
-        << CaseId << " [" << C.name() << "]: call graph edges differ";
-    EXPECT_EQ(Base.Casts, Got.Casts)
-        << CaseId << " [" << C.name() << "]: cast verdicts differ";
-  }
+  CanonicalResult Base = canonicalize(*P, *runPointsToReference(*P));
+  CanonicalResult Got = canonicalize(*P, *runPointsTo(*P));
+  EXPECT_EQ(Base.Pts, Got.Pts) << CaseId << ": merged points-to sets differ";
+  EXPECT_EQ(Base.CGEdges, Got.CGEdges) << CaseId << ": call graph edges differ";
+  EXPECT_EQ(Base.Casts, Got.Casts) << CaseId << ": cast verdicts differ";
 }
 
 } // namespace
 
 TEST(PointsToDifferential, DebuggingWorkloads) {
   for (const BugCase &Case : debuggingCases())
-    expectAllConfigsAgree(Case.Id, Case.Prog.Source);
+    expectSolverMatchesReference(Case.Id, Case.Prog.Source);
 }
 
 TEST(PointsToDifferential, ToughCastWorkloads) {
   for (const CastCase &Case : toughCastCases())
-    expectAllConfigsAgree(Case.Id, Case.Prog.Source);
+    expectSolverMatchesReference(Case.Id, Case.Prog.Source);
+}
+
+TEST(PointsToDifferential, GeneratedPrograms) {
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed)
+    expectSolverMatchesReference("seed " + std::to_string(Seed),
+                                 generateRandomProgram(Seed));
 }
 
 TEST(PointsToDifferential, StatsAreCoherent) {

@@ -258,6 +258,19 @@ TEST_F(ServiceTest, UnknownSessionAndMissingSeedAreBadRequests) {
   ASSERT_TRUE(C.slice(Id, 9999, SliceMode::Thin, Resp).isOk());
   EXPECT_EQ(Resp.Code, ServiceStatus::BadRequest);
   EXPECT_NE(Resp.Detail.find("no statement at line 9999"), std::string::npos);
+
+  // Line 0 and lines whose absolute line would wrap around 32 bits
+  // (into the runtime prefix) never seed a statement.
+  for (uint32_t Line : {0u, 0xFFFFFFFFu}) {
+    const std::string Want =
+        "line " + std::to_string(Line) + " is out of range";
+    ASSERT_TRUE(C.slice(Id, Line, SliceMode::Thin, Resp).isOk());
+    EXPECT_EQ(Resp.Code, ServiceStatus::BadRequest) << Line;
+    EXPECT_NE(Resp.Detail.find(Want), std::string::npos) << Resp.Detail;
+    ASSERT_TRUE(C.batchSlice(Id, {6, Line}, SliceMode::Thin, Resp).isOk());
+    EXPECT_EQ(Resp.Code, ServiceStatus::BadRequest) << Line;
+    EXPECT_NE(Resp.Detail.find(Want), std::string::npos) << Resp.Detail;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -84,19 +84,14 @@ struct CliOptions {
   /// Analysis concurrency for every parallel stage (PDG construction,
   /// mod-ref waves, batched slicing): total threads including the
   /// main one. 0 = hardware_concurrency; 1 = fully sequential, no
-  /// pool. Set by --threads, or by its deprecated alias --jobs.
+  /// pool.
   unsigned Threads = 0;
-  bool JobsAliasUsed = false;
   /// Warm-session REPL: answer repeated `slice <line>` queries against
   /// one AnalysisSession.
   bool Interactive = false;
   bool DumpIR = false;
   bool Stats = false;
   bool PtaStats = false;
-  bool PtaNaive = false;
-  bool PtaNoDelta = false;
-  bool PtaNoCycleElim = false;
-  WorklistPolicy PtaPolicy = PTAOptions().Policy;
   bool Why = false;
   bool NoRuntime = false;
   std::string DotFile;
@@ -142,9 +137,7 @@ void usage() {
           "                 [--expand] [--context-sensitive] [--no-objsens]\n"
           "                 [--run] [--in STR]... [--int N]...\n"
           "                 [--dot FILE] [--dump-ir] [--stats] [--why]\n"
-          "                 [--no-runtime] [--pta-stats] [--pta-naive]\n"
-          "                 [--pta-no-delta] [--pta-no-cycle-elim]\n"
-          "                 [--pta-worklist fifo|lrf|topo]\n"
+          "                 [--no-runtime] [--pta-stats]\n"
           "                 [--budget-ms N] [--max-sdg-nodes N]\n"
           "                 [--max-slice-stmts N] [--strict-budget]\n"
           "                 [--fault POINT[:N][:throw|:stall][:once],...\n"
@@ -168,6 +161,16 @@ bool parsePositive(const char *Flag, const char *V, uint64_t &Out) {
   return false;
 }
 
+bool parsePositive(const char *Flag, const char *V, unsigned &Out) {
+  if (V && parsePositiveInt(V, Out))
+    return true;
+  fprintf(stderr,
+          "error: %s expects a positive integer no larger than %u, got "
+          "'%s'\n",
+          Flag, UINT32_MAX, V ? V : "");
+  return false;
+}
+
 bool parseNonZero(const char *Flag, const char *V, int64_t &Out) {
   if (V && parseNonZeroInt(V, Out))
     return true;
@@ -183,10 +186,8 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
     if (Arg == "--line") {
-      uint64_t N;
-      if (!parsePositive("--line", Next(), N))
+      if (!parsePositive("--line", Next(), Opts.Line))
         return false;
-      Opts.Line = static_cast<unsigned>(N);
     } else if (Arg == "--seeds") {
       const char *V = Next();
       if (!V)
@@ -194,17 +195,12 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       Opts.SeedsFile = V;
     } else if (Arg == "--interactive") {
       Opts.Interactive = true;
-    } else if (Arg == "--threads" || Arg == "--jobs") {
-      uint64_t N;
-      if (!parsePositive(Arg.c_str(), Next(), N))
+    } else if (Arg == "--threads") {
+      if (!parsePositive("--threads", Next(), Opts.Threads))
         return false;
-      Opts.Threads = static_cast<unsigned>(N);
-      Opts.JobsAliasUsed = Arg == "--jobs";
     } else if (Arg == "--chop") {
-      uint64_t N;
-      if (!parsePositive("--chop", Next(), N))
+      if (!parsePositive("--chop", Next(), Opts.ChopSink))
         return false;
-      Opts.ChopSink = static_cast<unsigned>(N);
     } else if (Arg == "--mode") {
       const char *V = Next();
       if (!V)
@@ -216,10 +212,8 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       else
         return false;
     } else if (Arg == "--alias-depth") {
-      uint64_t N;
-      if (!parsePositive("--alias-depth", Next(), N))
+      if (!parsePositive("--alias-depth", Next(), Opts.AliasDepth))
         return false;
-      Opts.AliasDepth = static_cast<unsigned>(N);
     } else if (Arg == "--expand") {
       Opts.Expand = true;
     } else if (Arg == "--forward") {
@@ -251,24 +245,6 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       Opts.Stats = true;
     } else if (Arg == "--pta-stats") {
       Opts.PtaStats = true;
-    } else if (Arg == "--pta-naive") {
-      Opts.PtaNaive = true;
-    } else if (Arg == "--pta-no-delta") {
-      Opts.PtaNoDelta = true;
-    } else if (Arg == "--pta-no-cycle-elim") {
-      Opts.PtaNoCycleElim = true;
-    } else if (Arg == "--pta-worklist") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (strcmp(V, "fifo") == 0)
-        Opts.PtaPolicy = WorklistPolicy::FIFO;
-      else if (strcmp(V, "lrf") == 0)
-        Opts.PtaPolicy = WorklistPolicy::LRF;
-      else if (strcmp(V, "topo") == 0)
-        Opts.PtaPolicy = WorklistPolicy::Topo;
-      else
-        return false;
     } else if (Arg == "--why") {
       Opts.Why = true;
     } else if (Arg == "--no-runtime") {
@@ -335,14 +311,27 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
   return !Opts.File.empty();
 }
 
-/// Reports the missing seed and suggests the nearest user-file lines
-/// (relative to \p LineOffset) that do carry statements. The message
-/// itself is the shared noStatementMessage (slicer/Report.h), so the
-/// CLI, REPL, and daemon agree on it.
-void reportNoStatement(const Program &P, unsigned UserLine,
-                       unsigned LineOffset) {
-  fprintf(stderr, "error: %s\n",
-          noStatementMessage(P, UserLine, LineOffset).c_str());
+/// Resolves user-file line \p UserLine (relative to \p LineOffset) to
+/// its seed statement. Returns 0 with \p Seed set, or reports why there
+/// is none and returns the exit code: 2 for a line out of range, 1 for
+/// a line without statements (the message suggests the nearest lines
+/// that carry one). The messages are the shared ones in
+/// slicer/Report.h, so the CLI, REPL, and daemon agree on them.
+int resolveSeed(const Program &P, unsigned UserLine, unsigned LineOffset,
+                const Instr *&Seed) {
+  Seed = nullptr;
+  unsigned AbsLine = absoluteUserLine(UserLine, LineOffset);
+  if (!AbsLine) {
+    fprintf(stderr, "error: %s\n", lineOutOfRangeMessage(UserLine).c_str());
+    return 2;
+  }
+  Seed = seedAtLine(P, AbsLine);
+  if (!Seed) {
+    fprintf(stderr, "error: %s\n",
+            noStatementMessage(P, UserLine, LineOffset).c_str());
+    return 1;
+  }
+  return 0;
 }
 
 /// Reads a seeds file: one user-file line number per line, blank lines
@@ -363,14 +352,14 @@ int readSeedsFile(const std::string &Path, std::vector<unsigned> &Out) {
       continue;
     std::size_t End = Raw.find_last_not_of(" \t\r");
     std::string Tok = Raw.substr(Begin, End - Begin + 1);
-    uint64_t N = 0;
+    unsigned N = 0;
     if (!parsePositiveInt(Tok, N)) {
       fprintf(stderr,
               "error: %s:%u: expected a positive line number, got '%s'\n",
               Path.c_str(), FileLine, Tok.c_str());
       return 2;
     }
-    Out.push_back(static_cast<unsigned>(N));
+    Out.push_back(N);
   }
   if (Out.empty()) {
     fprintf(stderr, "error: %s contains no seeds\n", Path.c_str());
@@ -481,8 +470,8 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
         continue;
       }
       if (Cmd == "slice") {
-        uint64_t N = 0;
-        if (!parsePositiveInt(Arg, N)) {
+        unsigned UserLine = 0;
+        if (!parsePositiveInt(Arg, UserLine)) {
           fprintf(stderr,
                   "error: slice expects a positive line number, got '%s'\n",
                   Arg.c_str());
@@ -495,12 +484,9 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
                   Session.lastError().str().c_str());
           continue;
         }
-        unsigned UserLine = static_cast<unsigned>(N);
-        const Instr *Seed = seedAtLine(*P, UserLine + LineOffset);
-        if (!Seed) {
-          reportNoStatement(*P, UserLine, LineOffset);
+        const Instr *Seed = nullptr;
+        if (resolveSeed(*P, UserLine, LineOffset, Seed))
           continue;
-        }
         const SliceResult *Slice = Session.sliceBackwardCached(Seed, Mode);
         if (!Slice) {
           // A stage crashed and exhausted its retries (or an upstream
@@ -592,14 +578,14 @@ int runConnectInteractive(ServiceClient &C, const std::string &SessionId,
     ServiceResponse Resp;
     Status S = Status::ok();
     if (Cmd == "slice") {
-      uint64_t N = 0;
-      if (!parsePositiveInt(Arg, N)) {
+      uint32_t UserLine = 0;
+      if (!parsePositiveInt(Arg, UserLine)) {
         fprintf(stderr,
                 "error: slice expects a positive line number, got '%s'\n",
                 Arg.c_str());
         continue;
       }
-      S = C.slice(SessionId, static_cast<uint32_t>(N), Mode, Resp);
+      S = C.slice(SessionId, UserLine, Mode, Resp);
       if (S.isOk() && (Resp.Code == ServiceStatus::Ok ||
                        Resp.Code == ServiceStatus::Degraded)) {
         fputs(Resp.Body.c_str(), stdout);
@@ -807,9 +793,6 @@ int runTool(int argc, char **argv) {
   AnalysisSession Session(std::move(Source));
   Session.setBudget(B);
   Session.setIncremental(Opts.Incremental);
-  if (Opts.JobsAliasUsed)
-    fprintf(stderr,
-            "warning: --jobs is deprecated, use --threads (same meaning)\n");
   Session.setThreads(Opts.Threads);
   Program *P = Session.program();
   if (!P) {
@@ -854,12 +837,6 @@ int runTool(int argc, char **argv) {
 
   PTAOptions PtaOpts;
   PtaOpts.ObjSensContainers = !Opts.NoObjSens;
-  PtaOpts.DeltaPropagation = !Opts.PtaNoDelta && !Opts.PtaNaive;
-  PtaOpts.CycleElimination = !Opts.PtaNoCycleElim && !Opts.PtaNaive;
-  if (Opts.PtaNaive)
-    PtaOpts.Policy = WorklistPolicy::FIFO;
-  else
-    PtaOpts.Policy = Opts.PtaPolicy;
   Session.setPTAOptions(PtaOpts);
 
   SDGOptions SdgOpts;
@@ -967,18 +944,17 @@ int runTool(int argc, char **argv) {
     if (int Rc = readSeedsFile(Opts.SeedsFile, SeedUserLines))
       return Rc;
 
+    // Report every bad seed before exiting; a line out of range (2)
+    // outranks a line without statements (1).
     std::vector<const Instr *> Seeds;
-    bool Missing = false;
+    int Rc = 0;
     for (unsigned UserLine : SeedUserLines) {
-      const Instr *Seed = seedAtLine(*P, UserLine + LineOffset);
-      if (!Seed) {
-        reportNoStatement(*P, UserLine, LineOffset);
-        Missing = true;
-      }
+      const Instr *Seed = nullptr;
+      Rc = std::max(Rc, resolveSeed(*P, UserLine, LineOffset, Seed));
       Seeds.push_back(Seed);
     }
-    if (Missing)
-      return 1;
+    if (Rc)
+      return Rc;
 
     SummaryCache Cache;
     SliceEngine Engine(*G, Session.pool());
@@ -1025,21 +1001,16 @@ int runTool(int argc, char **argv) {
   }
 
   // User line numbers are relative to the user's file.
-  unsigned AbsLine = Opts.Line + LineOffset;
-  const Instr *Seed = seedAtLine(*P, AbsLine);
-  if (!Seed) {
-    reportNoStatement(*P, Opts.Line, LineOffset);
-    return 1;
-  }
+  const Instr *Seed = nullptr;
+  if (int Rc = resolveSeed(*P, Opts.Line, LineOffset, Seed))
+    return Rc;
 
   SliceResult Slice(nullptr, BitSet());
   std::string What;
   if (Opts.ChopSink) {
-    const Instr *Sink = seedAtLine(*P, Opts.ChopSink + LineOffset);
-    if (!Sink) {
-      reportNoStatement(*P, Opts.ChopSink, LineOffset);
-      return 1;
-    }
+    const Instr *Sink = nullptr;
+    if (int Rc = resolveSeed(*P, Opts.ChopSink, LineOffset, Sink))
+      return Rc;
     Slice = chop(*G, Seed, Sink, Opts.Mode, B);
     What = "chop";
   } else if (Opts.Forward) {
