@@ -5,7 +5,7 @@
 // query >= 5x faster than a cold rebuild of the same pad-12 workload.
 // The incremental path diffs the source at function granularity,
 // relowers only the edited body, retracts and replays its points-to
-// constraints, and patches the SDG in place — the benchmark measures
+// constraints, and rebuilds the SDG from them — the benchmark measures
 // the full edit-to-slice latency either way, so artifact reuse is the
 // only difference between the two configurations.
 //

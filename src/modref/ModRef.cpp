@@ -3,7 +3,6 @@
 #include "modref/ModRef.h"
 
 #include "ir/ProgramIO.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <map>
@@ -126,7 +125,7 @@ void ModRefResult::collectDirect(const Method *M, const PointsToResult &PTA,
 }
 
 ModRefResult::ModRefResult(const Program &P, const PointsToResult &PTAIn,
-                           const AnalysisBudget *Budget, ThreadPool *Pool)
+                           const AnalysisBudget *Budget)
     : PTA(PTAIn) {
   (void)P;
   auto T0 = std::chrono::steady_clock::now();
@@ -147,7 +146,7 @@ ModRefResult::ModRefResult(const Program &P, const PointsToResult &PTAIn,
 
   BudgetGate Gate(Budget, "modref.closure",
                   Budget ? Budget->MaxModRefSteps : 0);
-  closeOverCallGraph(Reachable, DirectMod, DirectRef, Gate, Pool);
+  closeOverCallGraph(Reachable, DirectMod, DirectRef, Gate);
 
   if (Gate.exhausted()) {
     // Sound fallback: every reachable method may read and write every
@@ -208,7 +207,7 @@ bool ModRefResult::updateIncremental(
     }
   }
 
-  closeOverCallGraph(Reachable, DirectMod, DirectRef, Gate, nullptr);
+  closeOverCallGraph(Reachable, DirectMod, DirectRef, Gate);
   if (Gate.exhausted())
     return false; // Injected fault: caller rebuilds cold.
 
@@ -222,7 +221,7 @@ bool ModRefResult::updateIncremental(
 void ModRefResult::closeOverCallGraph(const std::vector<Method *> &Reachable,
                                       const std::vector<BitSet> &DirectMod,
                                       const std::vector<BitSet> &DirectRef,
-                                      BudgetGate &Gate, ThreadPool *Pool) {
+                                      BudgetGate &Gate) {
   const CallGraph &CG = PTA.callGraph();
   const unsigned NumM = static_cast<unsigned>(Reachable.size());
   std::unordered_map<const Method *, unsigned> Idx;
@@ -324,53 +323,25 @@ void ModRefResult::closeOverCallGraph(const std::vector<Method *> &Reachable,
     C.erase(std::unique(C.begin(), C.end()), C.end());
   }
 
-  // Bottom-up waves: an SCC's wave is one past the deepest callee
-  // SCC's, so every SCC it reads from lies in an earlier wave. All
-  // SCCs of one wave are independent — the pool fans them out, and
-  // the per-SCC unions read only frozen earlier-wave results.
-  std::vector<unsigned> Depth(NumComps, 0);
-  unsigned MaxDepth = 0;
-  for (unsigned S = 0; S != NumComps; ++S) {
-    for (unsigned C : SccCallees[S]) // C < S: already assigned.
-      Depth[S] = std::max(Depth[S], Depth[C] + 1);
-    MaxDepth = std::max(MaxDepth, Depth[S]);
-  }
-  std::vector<std::vector<unsigned>> Waves(NumComps ? MaxDepth + 1 : 0);
-  for (unsigned S = 0; S != NumComps; ++S)
-    Waves[Depth[S]].push_back(S);
-
   // All members of an SCC call each other transitively, so they share
   // one transitive mod/ref set: the union of the members' direct
-  // effects and the callee SCCs' sets. This is the same least
-  // fixpoint the old per-method worklist converged to, computed with
-  // each union performed exactly once.
+  // effects and the callee SCCs' sets. Callee SCCs have smaller ids,
+  // so one pass in increasing id order computes the least fixpoint,
+  // with each union performed exactly once. Each SCC spends one gate
+  // step before its unions.
   std::vector<BitSet> SccMod(NumComps), SccRef(NumComps);
-  for (const std::vector<unsigned> &Wave : Waves) {
-    // Pay for the wave up front on this thread, in SCC id order, so
-    // budget accounting (and any armed fault) is identical for every
-    // pool size.
-    bool Stop = false;
-    for (std::size_t I = 0; I != Wave.size() && !Stop; ++I)
-      Stop = Gate.spend();
-    if (Stop)
+  for (unsigned S = 0; S != NumComps; ++S) {
+    if (Gate.spend())
       break; // Budget exhausted; degrade below.
-    auto RunScc = [&](std::size_t WI) {
-      const unsigned S = Wave[WI];
-      BitSet &WMod = SccMod[S], &WRef = SccRef[S];
-      for (unsigned I = MemberOff[S]; I != MemberOff[S + 1]; ++I) {
-        WMod.unionWith(DirectMod[Members[I]]);
-        WRef.unionWith(DirectRef[Members[I]]);
-      }
-      for (unsigned C : SccCallees[S]) {
-        WMod.unionWith(SccMod[C]);
-        WRef.unionWith(SccRef[C]);
-      }
-    };
-    if (Pool)
-      Pool->parallelFor(Wave.size(), RunScc);
-    else
-      for (std::size_t I = 0; I != Wave.size(); ++I)
-        RunScc(I);
+    BitSet &SMod = SccMod[S], &SRef = SccRef[S];
+    for (unsigned I = MemberOff[S]; I != MemberOff[S + 1]; ++I) {
+      SMod.unionWith(DirectMod[Members[I]]);
+      SRef.unionWith(DirectRef[Members[I]]);
+    }
+    for (unsigned C : SccCallees[S]) {
+      SMod.unionWith(SccMod[C]);
+      SRef.unionWith(SccRef[C]);
+    }
   }
 
   if (!Gate.exhausted()) {

@@ -33,8 +33,6 @@
 
 namespace tsl {
 
-class ThreadPool;
-
 /// One heap partition.
 struct HeapPartition {
   enum class Kind { Field, ArrayElem, Static } K;
@@ -50,17 +48,13 @@ public:
   /// result degrades soundly: every reachable method's mod and ref
   /// sets become the set of all interned partitions.
   ///
-  /// The transitive closure runs as bottom-up waves over the SCC
-  /// condensation of the method-level call graph: all members of an
-  /// SCC call each other transitively, so they share one transitive
-  /// mod/ref set — the union of the members' direct effects and the
-  /// callee SCCs' sets. SCCs of equal condensation depth are
-  /// independent; \p Pool, when non-null, fans each wave across its
-  /// workers. The result is the unique least fixpoint either way, so
-  /// it is byte-identical for every pool size including none.
+  /// The transitive closure runs bottom-up over the SCC condensation
+  /// of the method-level call graph: all members of an SCC call each
+  /// other transitively, so they share one transitive mod/ref set —
+  /// the union of the members' direct effects and the callee SCCs'
+  /// sets — computed in one sequential pass, callees first.
   ModRefResult(const Program &P, const PointsToResult &PTA,
-               const AnalysisBudget *Budget = nullptr,
-               ThreadPool *Pool = nullptr);
+               const AnalysisBudget *Budget = nullptr);
 
   unsigned numPartitions() const {
     return static_cast<unsigned>(Partitions.size());
@@ -121,7 +115,7 @@ private:
   void closeOverCallGraph(const std::vector<Method *> &Reachable,
                           const std::vector<BitSet> &DirectMod,
                           const std::vector<BitSet> &DirectRef,
-                          BudgetGate &Gate, ThreadPool *Pool);
+                          BudgetGate &Gate);
 
   std::vector<HeapPartition> Partitions;
   std::unordered_map<uint64_t, unsigned> PartIndex;

@@ -336,11 +336,9 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   // Keys straddle the digest change: extract under the old, re-insert
   // under the new.
   const std::string OldPtaKey = ptaKey();
-  const std::string OldSdgKey = sdgKey();
   Source = NewSource;
   SourceDigest = fnv1a(Source);
   const std::string NewPtaKey = ptaKey();
-  const std::string NewSdgKey = sdgKey();
 
   // Keep the dead IR alive: retained artifacts still reference the
   // retired instructions (the PTA object table's allocation sites) as
@@ -365,7 +363,6 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   // guarantee).
   std::unique_ptr<PointsToResult> Pta;
   std::unique_ptr<ModRefResult> MR;
-  std::unique_ptr<SDG> Graph;
   if (auto It = PtaCache.find(OldPtaKey);
       It != PtaCache.end() && !TaintedPta.count(OldPtaKey)) {
     Pta = std::move(It->second);
@@ -376,14 +373,10 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
     MR = std::move(It->second);
     ModRefCache.erase(It);
   }
-  if (auto It = SdgCache.find(OldSdgKey);
-      It != SdgCache.end() && !TaintedSdg.count(OldSdgKey)) {
-    Graph = std::move(It->second);
-    SdgCache.erase(It);
-  }
-
-  // Everything else — other option variants, engines, slices,
-  // summaries — is stale against the new source.
+  // Everything else — other option variants, every SDG, engines,
+  // slices, summaries — is stale against the new source. The SDG is
+  // never updated in place: the next sdg() builds it cold from the
+  // updated points-to (and mod-ref).
   counters(SessionStage::Slice).Invalidated += SliceCache.size();
   SliceCache.clear();
   TaintedSlices.clear();
@@ -403,7 +396,7 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   // Stage updates, each with transparent per-stage cold fallback: a
   // declined/faulted update drops that artifact and its dependents,
   // and the next accessor recomputes them cold. No-edit reloads
-  // (zero dirty bodies) re-key everything verbatim.
+  // (zero dirty bodies) re-key points-to and mod-ref verbatim.
   const bool NeedUpdates = !CR.DirtyMethods.empty();
   std::vector<Method *> Affected;
   PointsToResult *LivePta = nullptr;
@@ -486,47 +479,6 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
       MR.reset();
     }
   }
-  if (Graph) {
-    // A context-sensitive graph references the mod-ref artifact and
-    // the patcher only supports the context-insensitive form; it
-    // rebuilds cold. Same for any dependency that fell back above.
-    bool Keep = LivePta && !CurSdg.ContextSensitive &&
-                (!CurSdg.ContextSensitive || ModRefCache.count(NewPtaKey));
-    if (!Keep) {
-      StageFallback("sdg",
-                    CurSdg.ContextSensitive ? "context-sensitive graph"
-                                            : "points-to fell back cold",
-                    SessionStage::SDGBuild);
-    } else if (NeedUpdates) {
-      StageCounters &SC = counters(SessionStage::SDGBuild);
-      auto TS = std::chrono::steady_clock::now();
-      try {
-        SDGPatchRequest SReq;
-        SReq.AffectedMethods = Affected;
-        SReq.DeadInstrs = Req.DeadInstrs;
-        SDGOptions Opts = CurSdg;
-        Opts.Budget = nullptr;
-        Opts.Pool = nullptr;
-        if (!patchSDGIncremental(*Graph, *LivePta, SReq, Opts)) {
-          StageFallback("sdg", "patch declined", SessionStage::SDGBuild);
-          Keep = false;
-        }
-        SC.Seconds += secondsSince(TS);
-      } catch (const std::exception &E) {
-        SC.Seconds += secondsSince(TS);
-        StageFallback("sdg", E.what(), SessionStage::SDGBuild);
-        Keep = false;
-      }
-    }
-    if (Keep) {
-      ++IncStats.SdgPatches;
-      ++counters(SessionStage::SDGBuild).Hits;
-      SdgCache.emplace(NewSdgKey, std::move(Graph));
-    } else {
-      Graph.reset();
-    }
-  }
-
   bumpFrom(SessionStage::Compile);
   return true;
 }
@@ -883,7 +835,7 @@ ModRefResult *AnalysisSession::modRef() {
   auto R = computeStage("modref", Budget, LastErr, StageFailures,
                         StageRetries, Tainted, [&] {
                           return std::make_unique<ModRefResult>(
-                              *Prog, *PTA, Budget, pool());
+                              *Prog, *PTA, Budget);
                         });
   C.Seconds += secondsSince(T0);
   if (!R)
@@ -922,7 +874,6 @@ SDG *AnalysisSession::sdg() {
   auto T0 = std::chrono::steady_clock::now();
   SDGOptions Opts = CurSdg;
   Opts.Budget = Budget;
-  Opts.Pool = pool();
   bool Tainted = false;
   auto R = computeStage("sdg", Budget, LastErr, StageFailures, StageRetries,
                         Tainted, [&] { return buildSDG(*Prog, *PTA, MR, Opts); });
@@ -1119,14 +1070,13 @@ std::string AnalysisSession::statsString() const {
     snprintf(IBuf, sizeof(IBuf),
              "incremental: attempts=%llu applied=%llu fn_reused=%llu "
              "fn_recompiled=%llu pta_updates=%llu modref_updates=%llu "
-             "sdg_patches=%llu cold_fallbacks=%llu stage_fallbacks=%llu\n",
+             "cold_fallbacks=%llu stage_fallbacks=%llu\n",
              static_cast<unsigned long long>(IncStats.Attempts),
              static_cast<unsigned long long>(IncStats.Applied),
              static_cast<unsigned long long>(IncStats.FunctionsReused),
              static_cast<unsigned long long>(IncStats.FunctionsRecompiled),
              static_cast<unsigned long long>(IncStats.PtaUpdates),
              static_cast<unsigned long long>(IncStats.ModRefUpdates),
-             static_cast<unsigned long long>(IncStats.SdgPatches),
              static_cast<unsigned long long>(IncStats.ColdFallbacks),
              static_cast<unsigned long long>(IncStats.StageFallbacks));
     Out += IBuf;

@@ -105,9 +105,10 @@ public:
   /// destroyed and every stage epoch bumps. With setIncremental(true)
   /// the session first attempts the function-granular fast path: diff
   /// the sources, relower only changed bodies, retract-and-replay the
-  /// points-to facts, re-scan mod-ref for affected methods, and patch
-  /// the SDG in place — falling back to the cold path (per stage or
-  /// entirely) whenever an update declines. Either way the resulting
+  /// points-to facts, and re-scan mod-ref for affected methods —
+  /// falling back to the cold path (per stage or entirely) whenever an
+  /// update declines. The SDG is never patched: the next sdg() builds
+  /// it cold from the updated points-to. Either way the resulting
   /// artifacts answer every query as a cold rebuild of the new source
   /// would (see DESIGN.md section 13).
   void setSource(std::string Source);
@@ -127,7 +128,6 @@ public:
     uint64_t FunctionsRecompiled = 0;  ///< Bodies relowered.
     uint64_t PtaUpdates = 0;    ///< Points-to artifacts updated in place.
     uint64_t ModRefUpdates = 0; ///< Mod-ref artifacts updated in place.
-    uint64_t SdgPatches = 0;    ///< SDGs patched in place.
     uint64_t ColdFallbacks = 0; ///< Attempts that fell back entirely.
     uint64_t StageFallbacks = 0; ///< Stage updates that declined mid-chain.
     std::string LastFallbackReason;
@@ -153,15 +153,15 @@ public:
   /// (the compiled program survives: compilation is ungoverned).
   void setBudget(const AnalysisBudget *B);
 
-  /// Sets the analysis concurrency: the total number of threads
+  /// Sets the slice-batch concurrency: the total number of threads
   /// (including the calling one) the shared pool offers to the
-  /// parallel stages. 0 means hardware concurrency; 1 runs every
-  /// stage inline with no pool at all. Unlike the option setters this
-  /// re-keys NOTHING — every parallel stage produces byte-identical
-  /// artifacts for every thread count, so a cached artifact stays
-  /// valid across setThreads calls (asserted by the determinism
-  /// tests). Pools already handed to cached engines stay alive until
-  /// the session dies.
+  /// SliceEngine's batch fan-out. Points-to, mod-ref and the SDG build
+  /// sequentially. 0 means hardware concurrency; 1 runs batches inline
+  /// with no pool at all. Unlike the option setters this re-keys
+  /// NOTHING — batch answers are byte-identical for every thread
+  /// count, so a cached artifact stays valid across setThreads calls
+  /// (asserted by the determinism tests). Pools already handed to
+  /// cached engines stay alive until the session dies.
   void setThreads(unsigned N) { Threads = N; }
   unsigned threads() const { return Threads; }
 

@@ -6,7 +6,6 @@
 #include "support/Casting.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 using namespace tsl;
@@ -37,11 +36,7 @@ unsigned SDG::addStmtNode(const Instr *I, const Method *M, unsigned Ctx) {
   ++Epoch;
   unsigned Id = static_cast<unsigned>(Nodes.size());
   Nodes.push_back({SDGNodeKind::Stmt, I, M, 0, Ctx, Id});
-  const uint64_t Key = denseInstrKey(I);
-  auto [It, NewKey] = StmtIndex.try_emplace(Key);
-  It->second.push_back(Id);
-  if (NewKey)
-    AddedStmtKeys.push_back(Key);
+  StmtIndex[denseInstrKey(I)].push_back(Id);
   ++NumStmts;
   return Id;
 }
@@ -115,14 +110,11 @@ void SDG::ensureEdgeDedup() {
 void SDG::ensureIndexes() const {
   if (IndexesValid)
     return;
-  // Only decode() invalidates, and a decoded graph has no tombstones,
-  // but skip dead nodes anyway so the rebuild matches compact()'s.
+  // Only decode() invalidates.
   auto *Self = const_cast<SDG *>(this);
   Self->StmtIndex.clear();
   Self->HeapIndex.clear();
   for (const SDGNode &N : Nodes) {
-    if (N.Dead)
-      continue;
     if (N.K == SDGNodeKind::Stmt)
       Self->StmtIndex[denseInstrKey(N.I)].push_back(N.Id);
     else
@@ -141,101 +133,6 @@ bool SDG::addEdge(unsigned From, unsigned To, SDGEdgeKind K,
   ++Epoch;
   Edges.push_back({From, To, K, Site});
   return true;
-}
-
-void SDG::killNode(unsigned Id) {
-  SDGNode &N = Nodes[Id];
-  if (N.Dead)
-    return;
-  unfinalize();
-  ++Epoch;
-  N.Dead = true;
-  ++NumDead;
-  if (N.K == SDGNodeKind::Stmt) {
-    --NumStmts;
-    const uint64_t Key = denseInstrKey(N.I);
-    auto It = StmtIndex.find(Key);
-    if (It != StmtIndex.end()) {
-      auto &Clones = It->second;
-      Clones.erase(std::remove(Clones.begin(), Clones.end(), Id),
-                   Clones.end());
-      if (Clones.empty()) {
-        RemovedStmtKeys.push_back(Key);
-        StmtIndex.erase(It);
-      }
-    }
-  } else {
-    if (N.K == SDGNodeKind::ScalarActualIn)
-      --NumStmts;
-    HeapIndex.erase(
-        std::make_tuple(N.K, heapAnchorKey(N.I, N.M), N.Part, N.Ctx));
-  }
-}
-
-unsigned SDG::removeEdgesIf(const std::function<bool(const SDGEdge &)> &Pred) {
-  unfinalize();
-  std::vector<SDGEdge> Kept;
-  Kept.reserve(Edges.size());
-  unsigned Removed = 0;
-  for (const SDGEdge &E : Edges) {
-    if (Pred(E)) {
-      if (DedupValid)
-        EdgeDedup.erase({E.From, E.To, E.K, siteKey(E.Site)});
-      ++Removed;
-    } else {
-      Kept.push_back(E);
-    }
-  }
-  if (Removed) {
-    Edges.swap(Kept);
-    ++Epoch;
-  }
-  return Removed;
-}
-
-void SDG::compact() {
-  if (!NumDead)
-    return;
-  unfinalize();
-  ++Epoch;
-  std::vector<unsigned> NewId(Nodes.size(), ~0u);
-  std::vector<SDGNode> Live;
-  Live.reserve(Nodes.size() - NumDead);
-  for (SDGNode &N : Nodes) {
-    if (N.Dead)
-      continue;
-    NewId[N.Id] = static_cast<unsigned>(Live.size());
-    N.Id = NewId[N.Id];
-    Live.push_back(N);
-  }
-  Nodes.swap(Live);
-  NumDead = 0;
-  std::vector<SDGEdge> Kept;
-  Kept.reserve(Edges.size());
-  for (SDGEdge &E : Edges) {
-    if (NewId[E.From] == ~0u || NewId[E.To] == ~0u)
-      continue; // Edge at a tombstone: dropped with its node.
-    E.From = NewId[E.From];
-    E.To = NewId[E.To];
-    Kept.push_back(E);
-  }
-  Edges.swap(Kept);
-  EdgeDedup.clear();
-  for (const SDGEdge &E : Edges)
-    EdgeDedup.insert({E.From, E.To, E.K, siteKey(E.Site)});
-  DedupValid = true;
-  keyChurnReset(); // Wholesale rebuild: the churn log is meaningless.
-  StmtIndex.clear();
-  HeapIndex.clear();
-  for (const SDGNode &N : Nodes) {
-    if (N.K == SDGNodeKind::Stmt) {
-      StmtIndex[denseInstrKey(N.I)].push_back(N.Id);
-    } else {
-      HeapIndex[std::make_tuple(N.K, heapAnchorKey(N.I, N.M), N.Part,
-                                N.Ctx)] = N.Id;
-    }
-  }
-  IndexesValid = true;
 }
 
 unsigned SDG::numEdgesOfKind(SDGEdgeKind K) const {
@@ -293,76 +190,24 @@ void SDG::finalize() {
   buildCSR();
 
   // Compact the statement index into sorted arrays. The hash map
-  // stays live alongside them: incremental patches flip the graph
-  // back to construction form, and rebuilding the map there costs
-  // more than the map's footprint is worth. Clone order within one
-  // instruction is preserved (insertion order = context order;
-  // nodeFor() returns the first clone).
-  //
-  // The sorted key view itself is maintained incrementally: a patch
-  // touches a handful of keys, so the previous SortedStmt plus the
-  // churn log replays in one linear merge instead of a full gather
-  // and sort. The mapped clone vectors are referenced by pointer —
-  // stable across unordered_map insert/erase of other keys — so an
-  // entry whose clone list merely changed needs no fixup at all.
-  auto PairLess = [](const auto &A, const auto &B) {
-    return A.first < B.first;
-  };
-  if (SortedStmt.empty()) {
-    SortedStmt.reserve(StmtIndex.size());
-    for (const auto &KV : StmtIndex)
-      SortedStmt.emplace_back(KV.first, &KV.second);
-    std::sort(SortedStmt.begin(), SortedStmt.end(), PairLess);
-  } else if (!AddedStmtKeys.empty() || !RemovedStmtKeys.empty()) {
-    std::sort(AddedStmtKeys.begin(), AddedStmtKeys.end());
-    AddedStmtKeys.erase(
-        std::unique(AddedStmtKeys.begin(), AddedStmtKeys.end()),
-        AddedStmtKeys.end());
-    std::sort(RemovedStmtKeys.begin(), RemovedStmtKeys.end());
-    RemovedStmtKeys.erase(
-        std::unique(RemovedStmtKeys.begin(), RemovedStmtKeys.end()),
-        RemovedStmtKeys.end());
-    // Final membership decides keys that churned both ways: a key
-    // killed and re-created is skipped from the old view (it is in
-    // the removed log) and re-enters through the add list with its
-    // fresh clone-vector address; an added key that died again is
-    // simply dropped here.
-    std::vector<std::pair<uint64_t, const std::vector<unsigned> *>> Adds;
-    Adds.reserve(AddedStmtKeys.size());
-    for (uint64_t K : AddedStmtKeys) {
-      auto It = StmtIndex.find(K);
-      if (It != StmtIndex.end())
-        Adds.emplace_back(K, &It->second);
-    }
-    std::vector<std::pair<uint64_t, const std::vector<unsigned> *>> NewSorted;
-    NewSorted.reserve(SortedStmt.size() + Adds.size());
-    auto AI = Adds.begin();
-    auto RI = RemovedStmtKeys.begin();
-    for (const auto &KV : SortedStmt) {
-      while (AI != Adds.end() && AI->first < KV.first)
-        NewSorted.push_back(*AI++);
-      while (RI != RemovedStmtKeys.end() && *RI < KV.first)
-        ++RI;
-      if (RI != RemovedStmtKeys.end() && *RI == KV.first)
-        continue;
-      NewSorted.push_back(KV);
-    }
-    while (AI != Adds.end())
-      NewSorted.push_back(*AI++);
-    SortedStmt.swap(NewSorted);
-  }
-  AddedStmtKeys.clear();
-  RemovedStmtKeys.clear();
-  assert(SortedStmt.size() == StmtIndex.size() &&
-         "sorted statement view out of sync with the index");
+  // stays live alongside them, so a later mutation reopens the graph
+  // without rebuilding it. Clone order within one instruction is
+  // preserved (insertion order = context order; nodeFor() returns the
+  // first clone).
+  std::vector<std::pair<uint64_t, const std::vector<unsigned> *>> Sorted;
+  Sorted.reserve(StmtIndex.size());
+  for (const auto &KV : StmtIndex)
+    Sorted.emplace_back(KV.first, &KV.second);
+  std::sort(Sorted.begin(), Sorted.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
   StmtKeys.clear();
-  StmtKeys.reserve(SortedStmt.size());
-  StmtCloneOff.assign(SortedStmt.size() + 1, 0);
+  StmtKeys.reserve(Sorted.size());
+  StmtCloneOff.assign(Sorted.size() + 1, 0);
   StmtClones.clear();
-  for (std::size_t I = 0; I != SortedStmt.size(); ++I) {
-    StmtKeys.push_back(SortedStmt[I].first);
-    StmtClones.insert(StmtClones.end(), SortedStmt[I].second->begin(),
-                      SortedStmt[I].second->end());
+  for (std::size_t I = 0; I != Sorted.size(); ++I) {
+    StmtKeys.push_back(Sorted[I].first);
+    StmtClones.insert(StmtClones.end(), Sorted[I].second->begin(),
+                      Sorted[I].second->end());
     StmtCloneOff[I + 1] = static_cast<unsigned>(StmtClones.size());
   }
 
@@ -377,9 +222,7 @@ void SDG::unfinalize() {
   ensureIndexes();
   Finalized = false;
   // The construction-time statement index stayed live through
-  // finalize(), so only the query-form arrays are dropped. clear()
-  // keeps their capacity: a patched graph refinalizes to (almost)
-  // the same sizes, so the buffers recycle.
+  // finalize(), so only the query-form arrays are dropped.
   StmtKeys.clear();
   StmtCloneOff.clear();
   StmtClones.clear();
@@ -398,17 +241,8 @@ void SDG::unfinalize() {
 void SDG::encode(ByteWriter &W) const {
   putReport(W, Report);
 
-  // Live nodes, remapped to sequential ids so a post-patch graph with
-  // tombstones encodes as its compacted equivalent.
-  std::vector<unsigned> NewId(Nodes.size(), ~0u);
-  unsigned NumLive = 0;
-  for (const SDGNode &N : Nodes)
-    if (!N.Dead)
-      NewId[N.Id] = NumLive++;
-  W.vu64(NumLive);
+  W.vu64(Nodes.size());
   for (const SDGNode &N : Nodes) {
-    if (N.Dead)
-      continue;
     W.u8(static_cast<uint8_t>(N.K));
     W.vu64(N.I ? denseInstrKey(N.I) + 1 : 0);
     W.vu32(N.M ? N.M->id() + 1 : 0);
@@ -416,21 +250,18 @@ void SDG::encode(ByteWriter &W) const {
     W.vu32(N.Ctx);
   }
 
-  // Non-Summary edges with live endpoints. Summary edges are the
-  // tabulation slicer's lazily re-derived cache, absent from a cold
-  // build, so dropping them keeps decode byte-identical to cold.
+  // Non-Summary edges. Summary edges are the tabulation slicer's
+  // lazily re-derived cache, absent from a cold build, so dropping
+  // them keeps decode byte-identical to cold.
   uint64_t NumKept = 0;
   for (const SDGEdge &E : Edges)
-    if (E.K != SDGEdgeKind::Summary && NewId[E.From] != ~0u &&
-        NewId[E.To] != ~0u)
-      ++NumKept;
+    NumKept += E.K != SDGEdgeKind::Summary;
   W.vu64(NumKept);
   for (const SDGEdge &E : Edges) {
-    if (E.K == SDGEdgeKind::Summary || NewId[E.From] == ~0u ||
-        NewId[E.To] == ~0u)
+    if (E.K == SDGEdgeKind::Summary)
       continue;
-    W.vu32(NewId[E.From]);
-    W.vu32(NewId[E.To]);
+    W.vu32(E.From);
+    W.vu32(E.To);
     W.u8(static_cast<uint8_t>(E.K));
     W.vu64(E.Site ? denseInstrKey(E.Site) + 1 : 0);
   }

@@ -47,13 +47,11 @@
 #include "support/Serialize.h"
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace tsl {
@@ -160,11 +158,6 @@ struct SDGNode {
   /// Analysis context of the owning method's clone.
   unsigned Ctx;
   unsigned Id;
-  /// Tombstone flag set by SDG::killNode(). A dead node keeps its id
-  /// (ids are embedded in edges and the CSR arrays) but is absent
-  /// from every index, has no incident edges, and is skipped by
-  /// statement lookups. compact() renumbers them away.
-  bool Dead = false;
 
   bool isStmt() const { return K == SDGNodeKind::Stmt; }
 
@@ -235,38 +228,14 @@ public:
                const CallInstr *Site = nullptr);
 
   //===------------------------------------------------------------------===//
-  // Incremental maintenance (used by patchSDGIncremental)
-  //===------------------------------------------------------------------===//
-
-  /// Tombstones a node: the id survives (edges and CSR embed ids) but
-  /// the node leaves every index, so statement seeds and heap-node
-  /// lookups no longer find it, and re-adding the same identity later
-  /// creates a fresh node. The caller must also remove its incident
-  /// edges (removeEdgesIf) — a surviving edge at a dead node would
-  /// corrupt slices.
-  void killNode(unsigned Id);
-
-  /// Removes every edge matching \p Pred, with its dedup entry, so an
-  /// identical edge can be re-added. Returns the number removed.
-  unsigned removeEdgesIf(const std::function<bool(const SDGEdge &)> &Pred);
-
-  /// Tombstoned nodes still occupying id slots.
-  unsigned numDeadNodes() const { return NumDead; }
-
-  /// Renumbers nodes and edges to drop tombstones (the garbage bound
-  /// for long incremental sessions). Every id changes; any remaining
-  /// edge at a dead node is dropped.
-  void compact();
-
-  //===------------------------------------------------------------------===//
   // Finalization (CSR compaction)
   //===------------------------------------------------------------------===//
 
   /// Compacts the graph into the immutable query form: edge-kind-
   /// partitioned CSR in/out adjacency and a sorted-array statement
-  /// index. The construction-time hash index stays live so patches
-  /// can reopen the graph without a rebuild. Idempotent; buildSDG()
-  /// calls it before returning.
+  /// index. The construction-time indexes stay live, so a later
+  /// mutation reopens the graph without rebuilding them. Idempotent;
+  /// buildSDG() calls it before returning.
   void finalize();
 
   bool finalized() const { return Finalized; }
@@ -380,13 +349,11 @@ public:
                   unsigned Ctx = 0) const;
 
   /// Statement count excluding parameter-passing machinery, matching
-  /// the paper's Table 1 "SDG Statements" metric. Live nodes only.
+  /// the paper's Table 1 "SDG Statements" metric.
   unsigned numStmtNodes() const { return NumStmts; }
 
-  /// Number of live heap parameter nodes (the CS blowup statistic).
-  unsigned numHeapParamNodes() const {
-    return numNodes() - NumDead - NumStmts;
-  }
+  /// Number of heap parameter nodes (the CS blowup statistic).
+  unsigned numHeapParamNodes() const { return numNodes() - NumStmts; }
 
   unsigned numEdgesOfKind(SDGEdgeKind K) const;
 
@@ -399,8 +366,7 @@ public:
   // Snapshot codec (DESIGN.md section 14)
   //===------------------------------------------------------------------===//
 
-  /// Writes the SDG section payload: live nodes (compacted to
-  /// sequential ids when tombstones exist) and their non-Summary
+  /// Writes the SDG section payload: nodes and their non-Summary
   /// edges, everything identified by dense ids. Summary edges are
   /// deliberately dropped — a cold build has none at build time and
   /// the tabulation slicer re-derives them — so a decoded graph is
@@ -425,8 +391,7 @@ private:
   void unfinalize();
 
   /// Rebuilds EdgeDedup from the edge list when a decode left it
-  /// unpopulated. Every mutation-path user of the set (addEdge,
-  /// removeEdgesIf) calls this first; pure query paths never do.
+  /// unpopulated. addEdge calls this first; pure query paths never do.
   void ensureEdgeDedup();
 
   /// Rebuilds StmtIndex/HeapIndex from the node list when a decode
@@ -518,7 +483,6 @@ private:
   std::set<std::tuple<unsigned, unsigned, SDGEdgeKind, uint64_t>> EdgeDedup;
   bool DedupValid = true;
   unsigned NumStmts = 0;
-  unsigned NumDead = 0;
   StageReport Report{"sdg", StageStatus::Complete, "", "", 0, 0};
 
   //===------------------------------------------------------------------===//
@@ -542,22 +506,7 @@ private:
   std::vector<uint64_t> StmtKeys;
   std::vector<unsigned> StmtCloneOff;
   std::vector<unsigned> StmtClones;
-  /// The previous finalize()'s sorted (key, clone-list) view, kept
-  /// across unfinalize() together with the key churn since then
-  /// (AddedStmtKeys/RemovedStmtKeys, filled by addStmtNode/killNode).
-  /// The next finalize() merges the churn into this instead of
-  /// re-sorting all keys; compact() invalidates it (see keyChurnReset).
-  std::vector<std::pair<uint64_t, const std::vector<unsigned> *>> SortedStmt;
-  std::vector<uint64_t> AddedStmtKeys, RemovedStmtKeys;
-
-  void keyChurnReset() {
-    SortedStmt.clear();
-    AddedStmtKeys.clear();
-    RemovedStmtKeys.clear();
-  }
 };
-
-class ThreadPool;
 
 /// SDG construction options.
 struct SDGOptions {
@@ -574,14 +523,6 @@ struct SDGOptions {
   /// and the heap-edge cap / deadline replaces the remaining precise
   /// pairwise heap wiring with coarse per-field hub nodes.
   const AnalysisBudget *Budget = nullptr;
-  /// Optional worker pool (not owned). Per-procedure PDG work —
-  /// control dependences and intraprocedural edge lists — is computed
-  /// in parallel over read-only state; node and edge *insertion* (the
-  /// id-assigning steps) and all interprocedural/heap wiring stay
-  /// sequential on the calling thread, so the graph — ids, CSR
-  /// layout, everything — is byte-identical for every pool size
-  /// including none.
-  ThreadPool *Pool = nullptr;
 };
 
 /// Builds the dependence graph, finalized into the CSR query form.
@@ -589,35 +530,6 @@ struct SDGOptions {
 std::unique_ptr<SDG> buildSDG(const Program &P, const PointsToResult &PTA,
                               const ModRefResult *ModRef,
                               const SDGOptions &Options = {});
-
-/// Input to patchSDGIncremental(): the affected-method set reported
-/// by the points-to update (every method whose per-context points-to
-/// facts or call edges may differ from the pre-edit run, dirty
-/// methods included) and the retired bodies' instructions.
-struct SDGPatchRequest {
-  std::vector<Method *> AffectedMethods;
-  std::unordered_set<const Instr *> DeadInstrs;
-};
-
-/// Patches a context-insensitive SDG in place after an incremental
-/// recompile + points-to update, to the graph a cold buildSDG() would
-/// produce on the patched program — identical as a set of logical
-/// nodes and edges; node/edge *ids* may be permuted relative to cold
-/// (clients canonicalize, as they already must across solver modes).
-/// Tombstones every node of an affected method and every node at a
-/// retired instruction, drops their incident edges plus all Summary
-/// edges (the tabulation re-derives them), rebuilds the affected
-/// clones' statements and intraprocedural edges, re-wires call edges
-/// and heap dependences with an affected endpoint, compacts when
-/// tombstones exceed a quarter of the id space, and re-finalizes.
-///
-/// Returns false when the patch declined (context-sensitive graph,
-/// degraded build) or aborted on an injected "sdg.patch" fault; the
-/// graph may then hold a partial patch and must be discarded for a
-/// cold rebuild.
-bool patchSDGIncremental(SDG &G, const PointsToResult &PTA,
-                         const SDGPatchRequest &Req,
-                         const SDGOptions &Options = {});
 
 } // namespace tsl
 

@@ -22,7 +22,6 @@
 #include "modref/ModRef.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <chrono>
@@ -38,13 +37,6 @@ namespace {
 struct Clone {
   const Method *M;
   unsigned Ctx;
-};
-
-/// One intraprocedural edge computed by the parallel phase, inserted
-/// by the sequential phase.
-struct PendingEdge {
-  unsigned From, To;
-  SDGEdgeKind K;
 };
 
 /// One heap access of a clone (see buildHeapCI / buildHeapCoarse).
@@ -78,24 +70,13 @@ class Builder {
 public:
   Builder(const Program &P, const PointsToResult &PTA,
           const ModRefResult *MR, const SDGOptions &Opts)
-      : PTA(PTA), MR(MR), Opts(Opts), Pool(Opts.Pool),
-        Owned(std::make_unique<SDG>(P)), G(Owned.get()) {
-    (void)P;
-  }
-
-  /// Patch mode: adopts an existing graph instead of building one.
-  Builder(SDG &Existing, const PointsToResult &PTA, const SDGOptions &Opts)
-      : PTA(PTA), MR(nullptr), Opts(Opts), Pool(nullptr), G(&Existing) {}
+      : PTA(PTA), MR(MR), Opts(Opts), G(std::make_unique<SDG>(P)) {}
 
   std::unique_ptr<SDG> run(const Program &P);
-  bool patch(const Program &P, const SDGPatchRequest &Req);
 
 private:
   void collectClones(const Program &P, BudgetGate &Gate);
-  void addIntraNodes(const Clone &C);
-  void computeIntraEdges(const Clone &C, const ControlDeps &CD,
-                         std::vector<PendingEdge> &Out) const;
-  void buildIntra();
+  void buildIntra(const Clone &C);
   void buildScalarCallsCI();
   void buildHeapCI(BudgetGate &Gate);
   void buildScalarCallsCS(const Clone &C);
@@ -113,10 +94,7 @@ private:
   const PointsToResult &PTA;
   const ModRefResult *MR;
   SDGOptions Opts;
-  ThreadPool *Pool = nullptr;
-  /// Owning handle in build mode; null in patch mode.
-  std::unique_ptr<SDG> Owned;
-  SDG *G;
+  std::unique_ptr<SDG> G;
   std::vector<Clone> Clones;
   std::unordered_map<const Method *, std::unique_ptr<ControlDeps>> CDCache;
   /// Node-cap degradation: one clone per method instead of one per
@@ -189,20 +167,19 @@ void Builder::collectClones(const Program &P, BudgetGate &Gate) {
   }
 }
 
-void Builder::addIntraNodes(const Clone &C) {
-  for (const auto &BB : C.M->blocks())
-    for (const auto &I : BB->instrs())
-      G->addStmtNode(I.get(), C.M, C.Ctx);
-}
-
-/// Pure per-clone edge computation: resolves every intraprocedural
-/// dependence of clone \p C against the completed statement-node
-/// index (read-only) into \p Out, in the exact order the sequential
-/// builder inserted them. Safe to run concurrently across clones.
-void Builder::computeIntraEdges(const Clone &C, const ControlDeps &CD,
-                                std::vector<PendingEdge> &Out) const {
+/// Statement nodes and intraprocedural edges of clone \p C. Node and
+/// edge ids are independent id spaces and a clone's edges only name
+/// its own nodes, so building clone by clone assigns the same ids as
+/// inserting every clone's nodes before any edge.
+void Builder::buildIntra(const Clone &C) {
   const Method *M = C.M;
   unsigned Ctx = C.Ctx;
+  for (const auto &BB : M->blocks())
+    for (const auto &I : BB->instrs())
+      G->addStmtNode(I.get(), M, Ctx);
+  auto Node = [&](const Instr *I) {
+    return static_cast<unsigned>(G->nodeFor(I, Ctx));
+  };
 
   // SSA flow dependences, classified by operand role. Call operands
   // are wired through parameter edges instead (paper Sec. 5.1), with
@@ -210,13 +187,12 @@ void Builder::computeIntraEdges(const Clone &C, const ControlDeps &CD,
   // dependence.
   for (const auto &BB : M->blocks()) {
     for (const auto &I : BB->instrs()) {
-      unsigned To = static_cast<unsigned>(G->nodeFor(I.get(), Ctx));
+      unsigned To = Node(I.get());
       if (const auto *Call = dyn_cast<CallInstr>(I.get())) {
         if (Call->isVirtual()) {
           const Instr *RecvDef = Call->receiver()->def();
           if (RecvDef)
-            Out.push_back({static_cast<unsigned>(G->nodeFor(RecvDef, Ctx)),
-                           To, SDGEdgeKind::Control});
+            G->addEdge(Node(RecvDef), To, SDGEdgeKind::Control);
         }
         continue;
       }
@@ -227,13 +203,14 @@ void Builder::computeIntraEdges(const Clone &C, const ControlDeps &CD,
         SDGEdgeKind K = I->operandRole(OpIdx) == OperandRole::Value
                             ? SDGEdgeKind::Flow
                             : SDGEdgeKind::BaseFlow;
-        Out.push_back({static_cast<unsigned>(G->nodeFor(Def, Ctx)), To, K});
+        G->addEdge(Node(Def), To, K);
       }
     }
   }
 
   // Control dependences: every statement depends on the terminators of
   // its controlling blocks.
+  const ControlDeps &CD = controlDeps(M);
   for (const auto &BB : M->blocks()) {
     std::vector<const Instr *> Branches;
     for (unsigned Controller : CD.controllers(BB->id()))
@@ -242,57 +219,11 @@ void Builder::computeIntraEdges(const Clone &C, const ControlDeps &CD,
     if (Branches.empty())
       continue;
     for (const auto &I : BB->instrs()) {
-      unsigned To = static_cast<unsigned>(G->nodeFor(I.get(), Ctx));
+      unsigned To = Node(I.get());
       for (const Instr *Br : Branches)
-        Out.push_back({static_cast<unsigned>(G->nodeFor(Br, Ctx)), To,
-                       SDGEdgeKind::Control});
+        G->addEdge(Node(Br), To, SDGEdgeKind::Control);
     }
   }
-}
-
-/// Statement nodes and intraprocedural edges for every clone, in
-/// three phases: sequential node insertion in clone order (fixes node
-/// ids), parallel per-method control dependences and per-clone edge
-/// lists (pure reads of the node index), sequential edge insertion in
-/// clone order (fixes edge ids). Interleaving node and edge insertion
-/// per clone — what the old one-pass builder did — assigns the same
-/// ids, because node and edge id spaces are independent; the graph is
-/// byte-identical either way, for every pool size.
-void Builder::buildIntra() {
-  for (const Clone &C : Clones)
-    addIntraNodes(C);
-
-  // Unique methods in first-clone order; dominator trees are per
-  // method, not per clone.
-  std::vector<const Method *> Methods;
-  for (const Clone &C : Clones)
-    if (CDCache.emplace(C.M, nullptr).second)
-      Methods.push_back(C.M);
-  std::vector<std::unique_ptr<ControlDeps>> CDs(Methods.size());
-  auto ComputeCD = [&](std::size_t I) {
-    CDs[I] = std::make_unique<ControlDeps>(*Methods[I]);
-  };
-  std::vector<std::vector<PendingEdge>> PerClone(Clones.size());
-  auto ComputeEdges = [&](std::size_t I) {
-    computeIntraEdges(Clones[I], controlDeps(Clones[I].M), PerClone[I]);
-  };
-  if (Pool && Pool->numWorkers()) {
-    Pool->parallelFor(Methods.size(), ComputeCD);
-    for (std::size_t I = 0; I != Methods.size(); ++I)
-      CDCache[Methods[I]] = std::move(CDs[I]);
-    Pool->parallelFor(Clones.size(), ComputeEdges);
-  } else {
-    for (std::size_t I = 0; I != Methods.size(); ++I)
-      ComputeCD(I);
-    for (std::size_t I = 0; I != Methods.size(); ++I)
-      CDCache[Methods[I]] = std::move(CDs[I]);
-    for (std::size_t I = 0; I != Clones.size(); ++I)
-      ComputeEdges(I);
-  }
-
-  for (const std::vector<PendingEdge> &Edges : PerClone)
-    for (const PendingEdge &E : Edges)
-      G->addEdge(E.From, E.To, E.K);
 }
 
 void Builder::wireCallEdge(const CallInstr *Call, unsigned CallerCtx,
@@ -643,7 +574,8 @@ std::unique_ptr<SDG> Builder::run(const Program &P) {
   BudgetGate HeapGate(B, "sdg.heap", B ? B->MaxSdgEdges : 0);
 
   collectClones(P, CloneGate);
-  buildIntra();
+  for (const Clone &C : Clones)
+    buildIntra(C);
   if (Opts.ContextSensitive) {
     for (const Clone &C : Clones)
       buildScalarCallsCS(C);
@@ -692,163 +624,7 @@ std::unique_ptr<SDG> Builder::run(const Program &P) {
     R.Fallback = std::move(Fallback);
   }
   G->setReport(std::move(R));
-  return std::move(Owned);
-}
-
-/// Incremental patch of a complete context-insensitive graph — see
-/// patchSDGIncremental() for the contract. The plan: tombstone
-/// everything an affected method owns, drop the dangling half of the
-/// edge set, then re-run exactly the cold construction steps
-/// restricted to affected clones / call edges / heap pairs. Every
-/// add*() call is idempotent against the surviving graph, so the
-/// result is the cold graph as a set of logical nodes and edges.
-bool Builder::patch(const Program &P, const SDGPatchRequest &Req) {
-  auto T0 = std::chrono::steady_clock::now();
-  if (Opts.ContextSensitive || G->report().degraded())
-    return false;
-  const CallGraph &CG = PTA.callGraph();
-  std::unordered_set<const Method *> AM(Req.AffectedMethods.begin(),
-                                        Req.AffectedMethods.end());
-  BudgetGate Gate(nullptr, "sdg.patch", 0);
-
-  // 1. Tombstone every node of an affected method (statement clones
-  // and scalar actual-in nodes alike) and every node at a retired
-  // instruction. Affected-but-structurally-unchanged methods get
-  // their statements rebuilt below; that is redundant work but keeps
-  // one uniform invariant: no node of an affected method survives
-  // with stale wiring.
-  std::vector<unsigned> Kill;
-  for (const SDGNode &N : G->nodes()) {
-    if (N.Dead)
-      continue;
-    if ((N.I && Req.DeadInstrs.count(N.I)) || (N.M && AM.count(N.M)))
-      Kill.push_back(N.Id);
-  }
-  for (unsigned Id : Kill)
-    G->killNode(Id);
-
-  // 2. Drop every edge at a tombstone and every Summary edge (the
-  // tabulation slicer re-derives summaries lazily; a cold graph has
-  // none at build time).
-  G->removeEdgesIf([&](const SDGEdge &E) {
-    return E.K == SDGEdgeKind::Summary || G->node(E.From).Dead ||
-           G->node(E.To).Dead;
-  });
-  if (Gate.spend())
-    return false;
-
-  // 3. Affected clones, in cold collectClones order: per current
-  // call-graph node, then unreachable bodies at context 0. A method
-  // that gained a context shows up as a new clone here; one that
-  // became unreachable gets exactly its context-0 clone back.
-  Clones.clear();
-  for (const MethodCtx &MC : CG.nodes())
-    if (MC.M->entry() && AM.count(MC.M))
-      Clones.push_back({MC.M, MC.Ctx});
-  if (Opts.IncludeUnreachable)
-    for (const auto &M : P.methods())
-      if (M->entry() && !CG.isReachable(M.get()) && AM.count(M.get()))
-        Clones.push_back({M.get(), 0});
-
-  // 4. Statements and intraprocedural edges of the affected clones.
-  for (const Clone &C : Clones)
-    addIntraNodes(C);
-  for (const Clone &C : Clones) {
-    if (Gate.spend())
-      return false;
-    std::vector<PendingEdge> Pending;
-    computeIntraEdges(C, controlDeps(C.M), Pending);
-    for (const PendingEdge &E : Pending)
-      G->addEdge(E.From, E.To, E.K);
-  }
-
-  // 5. Scalar call wiring for every call edge with an affected
-  // endpoint. Wiring between two unaffected methods survived step 2
-  // untouched; a call edge that disappeared implies a call-graph
-  // delta, which put its caller in the affected set — so no stale
-  // actual-in machinery can survive either.
-  for (const CallEdge &E : CG.edges()) {
-    const MethodCtx &Caller = CG.node(E.CallerNode);
-    const MethodCtx &Callee = CG.node(E.CalleeNode);
-    if (!AM.count(Caller.M) && !AM.count(Callee.M))
-      continue;
-    if (Gate.spend())
-      return false;
-    wireCallEdge(E.Site, Caller.Ctx, Callee.M, Callee.Ctx);
-  }
-
-  // 6. Heap wiring for pairs with an affected side. The affected set
-  // covers every method whose per-context points-to facts changed, so
-  // an unaffected-unaffected pair's alias verdict — and its edge — is
-  // unchanged from the pre-edit graph.
-  Clones.clear();
-  for (const MethodCtx &MC : CG.nodes())
-    if (MC.M->entry())
-      Clones.push_back({MC.M, MC.Ctx});
-  if (Opts.IncludeUnreachable)
-    for (const auto &M : P.methods())
-      if (M->entry() && !CG.isReachable(M.get()))
-        Clones.push_back({M.get(), 0});
-  HeapAccesses A = collectHeapAccesses();
-  auto InAM = [&](const Access &X) {
-    return AM.count(X.I->parent()->parent()) != 0;
-  };
-  auto MayAlias = [&](const Access &S, const Access &L) {
-    return S.BasePts->intersects(*L.BasePts);
-  };
-  auto Connect = [&](const Access &S, const Access &L) {
-    G->addEdge(static_cast<unsigned>(G->nodeFor(S.I, S.Ctx)),
-               static_cast<unsigned>(G->nodeFor(L.I, L.Ctx)),
-               SDGEdgeKind::Flow);
-  };
-  for (const auto &[F, Loads] : A.FieldLoads) {
-    auto It = A.FieldStores.find(F);
-    if (It == A.FieldStores.end())
-      continue;
-    for (const Access &L : Loads)
-      for (const Access &S : It->second) {
-        if (!InAM(S) && !InAM(L))
-          continue;
-        if (Gate.spend())
-          return false;
-        if (MayAlias(S, L))
-          Connect(S, L);
-      }
-  }
-  for (const auto &[F, Loads] : A.StaticLoads) {
-    auto It = A.StaticStores.find(F);
-    if (It == A.StaticStores.end())
-      continue;
-    for (const Access &L : Loads)
-      for (const Access &S : It->second) {
-        if (!InAM(S) && !InAM(L))
-          continue;
-        if (Gate.spend())
-          return false;
-        Connect(S, L);
-      }
-  }
-  for (const Access &L : A.ArrLoads)
-    for (const Access &S : A.ArrStores) {
-      if (!InAM(S) && !InAM(L))
-        continue;
-      if (Gate.spend())
-        return false;
-      if (MayAlias(S, L))
-        Connect(S, L);
-    }
-
-  // 7. Bound tombstone garbage, then re-compact into the query form.
-  if (G->numDeadNodes() * 4 > G->numNodes())
-    G->compact();
-  G->finalize();
-  StageReport R = G->report();
-  R.StepsUsed += Gate.used();
-  R.Seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-          .count();
-  G->setReport(std::move(R));
-  return true;
+  return std::move(G);
 }
 
 std::unique_ptr<SDG> tsl::buildSDG(const Program &P,
@@ -863,13 +639,4 @@ std::unique_ptr<SDG> tsl::buildSDG(const Program &P,
   // keeps the finalization cost out of the first slice's timing).
   G->finalize();
   return G;
-}
-
-bool tsl::patchSDGIncremental(SDG &G, const PointsToResult &PTA,
-                              const SDGPatchRequest &Req,
-                              const SDGOptions &Options) {
-  if (Options.ContextSensitive || G.report().degraded())
-    return false;
-  Builder B(G, PTA, Options);
-  return B.patch(G.program(), Req);
 }

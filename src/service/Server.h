@@ -58,7 +58,7 @@ struct ServerOptions {
   /// Request-execution concurrency of the shared pool (0 = hardware).
   unsigned Threads = 0;
 
-  /// Analysis concurrency inside each warm session (passed to
+  /// Slice-batch concurrency inside each warm session (passed to
   /// AnalysisSession::setThreads; 1 keeps sessions pool-free).
   unsigned AnalysisThreads = 1;
 

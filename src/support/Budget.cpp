@@ -97,8 +97,7 @@ const std::vector<std::string> &FaultInjector::knownPoints() {
       "pta.solve",     "modref.closure",     "sdg.clones",
       "sdg.heap",      "slice.pop",          "tabulation.summary",
       "expand.round",  "interp.step",        "interp.output",
-      "pta.update",    "modref.update",      "sdg.patch",
-      "snapshot.load",
+      "pta.update",    "modref.update",      "snapshot.load",
   };
   return Points;
 }

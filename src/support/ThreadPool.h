@@ -5,20 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One work-stealing thread pool shared by every parallel analysis
-/// stage (SDG intraprocedural construction, the mod-ref SCC waves,
-/// the parallel-frontier points-to rounds, and the batched slice
-/// engine). The pool follows the Chase-Lev deque discipline: each
+/// The work-stealing thread pool behind the batched slice engine (one
+/// per analysis session) and the slice daemon's request execution.
+/// The analyses themselves — points-to, mod-ref, SDG construction —
+/// run sequentially. The pool follows the Chase-Lev deque discipline: each
 /// worker owns a deque it pushes and pops at the bottom (LIFO, cache
 /// warm), while idle workers steal from the top (FIFO, oldest — and
 /// typically largest — subtask first). Tasks submitted from outside
 /// the pool land in a shared injection queue.
 ///
 /// Determinism contract: the pool itself makes no ordering promises —
-/// parallel stages stay byte-identical across thread counts because
-/// every stage splits into a pure read-only parallel phase over
-/// frozen state plus a sequential merge phase on the calling thread
-/// (see DESIGN.md section 11). The pool only runs the pure phases.
+/// batch answers stay byte-identical across thread counts because
+/// each item computes over the frozen graph into its own pre-sized
+/// result slot (see DESIGN.md section 11).
 ///
 /// Budget governance is cooperative: parallelFor() takes an optional
 /// SharedBudgetGate and stops handing out new indices once the gate

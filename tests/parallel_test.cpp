@@ -1,6 +1,6 @@
 //===-- parallel_test.cpp - Cross-thread-count determinism tests ----------------==//
 //
-// The hard requirement of the parallel pipeline (DESIGN.md section
+// The hard requirement of the threaded session (DESIGN.md section
 // 11): every artifact — points-to sets, mod-ref sets, the SDG, batch
 // slices, and the eval tables — is byte-identical for every thread
 // count. Each fixture computes full signatures at threads ∈ {1, 2, 8}
@@ -133,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism,
                          ::testing::Values(3u, 7u, 23u));
 
 // The context-sensitive cone too: heap formal/actual wiring consumes
-// the mod-ref sets the parallel SCC waves computed.
+// the mod-ref sets.
 TEST(ParallelDeterminism, ContextSensitiveSdgIsByteIdentical) {
   const std::string Source = generateRandomProgram(11);
   std::string Base;

@@ -246,8 +246,8 @@ std::set<std::pair<unsigned, unsigned>> stmtPositions(const SliceResult &S) {
 
 /// Warm/edited source pair for the mid-incremental fault cases. The
 /// edit rewrites put()'s body through a fresh alias so the points-to
-/// retraction, mod-ref re-scan, and SDG patch all have real work —
-/// an armed update fault is guaranteed a poll to fire at.
+/// retraction and the mod-ref re-scan both have real work — an armed
+/// update fault is guaranteed a poll to fire at.
 const char *kIncFaultWarmSrc = R"(
 class Cell {
   var v: int;
@@ -541,8 +541,7 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
       BitSet Extra = S.nodeSet();
       Extra.subtract(FullExpand.nodeSet());
       EXPECT_EQ(Extra.count(), 0u);
-    } else if (Point == "pta.update" || Point == "modref.update" ||
-               Point == "sdg.patch") {
+    } else if (Point == "pta.update" || Point == "modref.update") {
       // Mid-incremental faults: the point fires inside the session's
       // function-granular setSource() update, the stage declines and
       // is rebuilt cold on the next request, and the post-edit slice

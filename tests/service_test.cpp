@@ -711,4 +711,24 @@ TEST(ServiceBinaryTest, ConnectModeMatchesInProcessAndSigtermDrains) {
   ::unlink(Program.c_str());
 }
 
+TEST(ServiceBinaryTest, ThreadCountsAbove32BitsAreUsageErrorsBeforeBind) {
+  // 2^32 + 1 and 2^32 used to truncate to 1 request thread and to 0
+  // ("auto") analysis threads. Both must now be rejected with exit 2
+  // before the socket is bound. `timeout` turns a daemon that wrongly
+  // starts serving into a failure instead of a hang.
+  const char *Daemon = "../tools/thinsliced";
+  for (const char *Flag :
+       {"--threads 4294967297", "--analysis-threads 4294967296"}) {
+    std::string SockPath = uniqueSockPath();
+    int Rc = -1;
+    runCapture(std::string("timeout 10 ") + Daemon + " --socket " + SockPath +
+                   " " + Flag,
+               &Rc);
+    EXPECT_EQ(Rc, 2) << Flag;
+    struct stat St;
+    EXPECT_NE(::stat(SockPath.c_str(), &St), 0) << Flag;
+    ::unlink(SockPath.c_str());
+  }
+}
+
 } // namespace

@@ -4,15 +4,17 @@
 Usage: check_bench.py --baseline BENCH_foo.json --run run.json [--tolerance 3.0]
 
 Matches benchmarks by name and compares real_time (normalized to ns).
-A benchmark regresses when run_time > tolerance * baseline_time. New or
-vanished benchmarks are reported but are not regressions — baselines
-were recorded on different hardware, which is also why the default
-tolerance is a generous 3x: this check catches order-of-magnitude
-accidents (a disabled cache, an accidental O(n^2)), not percent-level
-noise. The CI job that runs this is report-only and never blocks a
-merge.
+A benchmark regresses when run_time > tolerance * baseline_time. A
+baseline row the run lacks fails the check too: deleting or renaming a
+benchmark must delete its stale baseline row in the same change. New
+benchmarks are reported but do not fail. Baselines were recorded on
+different hardware, which is why the default tolerance is a generous
+3x: this check catches order-of-magnitude accidents (a disabled cache,
+an accidental O(n^2)), not percent-level noise. The CI job that runs
+this is report-only and never blocks a merge.
 
-Exit codes: 0 no regression, 1 regression(s), 2 bad invocation.
+Exit codes: 0 no regression, 1 regression(s) or missing row(s),
+2 bad invocation.
 """
 
 import argparse
@@ -63,9 +65,11 @@ def main():
         return 2
 
     regressions = []
+    missing = []
     for name in sorted(base):
         if name not in run:
             print("  MISSING  %-40s (in baseline, not in run)" % name)
+            missing.append(name)
             continue
         ratio = run[name] / base[name] if base[name] else float("inf")
         verdict = "REGRESSED" if ratio > args.tolerance else "ok"
@@ -77,9 +81,13 @@ def main():
     for name in sorted(set(run) - set(base)):
         print("  NEW      %-40s %s (no baseline)" % (name, fmt_ns(run[name])))
 
+    if missing:
+        print("check_bench: %d baseline row(s) missing from %s; delete "
+              "stale rows from %s" % (len(missing), args.run, args.baseline))
     if regressions:
         print("check_bench: %d regression(s) beyond %.1fx in %s"
               % (len(regressions), args.tolerance, args.run))
+    if missing or regressions:
         return 1
     print("check_bench: %d benchmark(s) within %.1fx of %s"
           % (len(base), args.tolerance, args.baseline))

@@ -81,10 +81,9 @@ struct CliOptions {
   /// Batched slicing: a file of seed line numbers, fanned out over a
   /// worker pool.
   std::string SeedsFile;
-  /// Analysis concurrency for every parallel stage (PDG construction,
-  /// mod-ref waves, batched slicing): total threads including the
-  /// main one. 0 = hardware_concurrency; 1 = fully sequential, no
-  /// pool.
+  /// Batched-slicing concurrency (the analyses themselves run
+  /// sequentially): total threads including the main one.
+  /// 0 = hardware_concurrency; 1 = fully sequential, no pool.
   unsigned Threads = 0;
   /// Warm-session REPL: answer repeated `slice <line>` queries against
   /// one AnalysisSession.

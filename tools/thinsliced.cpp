@@ -55,7 +55,8 @@ void usage() {
           "            5 internal failure\n");
 }
 
-bool parsePositive(const char *Flag, const char *V, uint64_t &Out) {
+template <typename T>
+bool parsePositive(const char *Flag, const char *V, T &Out) {
   if (V && parsePositiveInt(V, Out))
     return true;
   fprintf(stderr, "error: %s expects a positive integer, got '%s'\n", Flag,
@@ -71,6 +72,7 @@ int runDaemon(int argc, char **argv) {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
     uint64_t N;
+    uint32_t N32;
     if (Arg == "--socket") {
       const char *V = Next();
       if (!V) {
@@ -79,13 +81,13 @@ int runDaemon(int argc, char **argv) {
       }
       Opts.SocketPath = V;
     } else if (Arg == "--threads") {
-      if (!parsePositive("--threads", Next(), N))
+      if (!parsePositive("--threads", Next(), N32))
         return 2;
-      Opts.Threads = static_cast<unsigned>(N);
+      Opts.Threads = N32;
     } else if (Arg == "--analysis-threads") {
-      if (!parsePositive("--analysis-threads", Next(), N))
+      if (!parsePositive("--analysis-threads", Next(), N32))
         return 2;
-      Opts.AnalysisThreads = static_cast<unsigned>(N);
+      Opts.AnalysisThreads = N32;
     } else if (Arg == "--max-queue") {
       if (!parsePositive("--max-queue", Next(), N))
         return 2;
