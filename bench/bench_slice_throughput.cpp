@@ -5,7 +5,7 @@
 // queries/sec on the largest scalability workload. Three effects are
 // measured separately so the breakdown stays visible:
 //
-//  - the CSR traversal (sliceBackward on the finalized graph) vs the
+//  - the CSR traversal (sliceBackward on the CSR graph) vs the
 //    legacy adjacency walk that touches an edge record per step;
 //  - the batch engine itself: seed dedup + one shared budget gate
 //    (worker counts 1 and 4 -- on a single-core host the 4-worker
@@ -60,7 +60,6 @@ Built &builtOnce() {
     WorkloadProgram W = padWorkload(debuggingCases().front().Prog, "TP", PAD, 6);
     Out.S = std::make_unique<AnalysisSession>(W.Source);
     Out.G = Out.S->sdg();
-    Out.G->finalize();
     Out.Seeds = collectSliceSeeds(*Out.S->program(), NUM_SEEDS);
     return Out;
   }();

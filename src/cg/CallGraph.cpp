@@ -29,8 +29,7 @@ int CallGraph::findNode(const Method *M, unsigned Ctx) const {
 
 bool CallGraph::addEdge(unsigned CallerNode, const CallInstr *Site,
                         unsigned CalleeNode) {
-  if (!EdgeDedup.insert({CallerNode, denseInstrKey(Site), CalleeNode})
-           .second)
+  if (!EdgeKeys.insert({CallerNode, denseInstrKey(Site), CalleeNode}).second)
     return false;
   Edges.push_back({CallerNode, Site, CalleeNode});
   SiteEdges[denseInstrKey(Site)].push_back(
@@ -105,11 +104,11 @@ void CallGraph::removeEdgesAtSites(
     return;
   Edges = std::move(Kept);
   SiteEdges.clear();
-  EdgeDedup.clear();
+  EdgeKeys.clear();
   for (unsigned I = 0, N = static_cast<unsigned>(Edges.size()); I != N; ++I) {
     const CallEdge &E = Edges[I];
     SiteEdges[denseInstrKey(E.Site)].push_back(I);
-    EdgeDedup.insert({E.CallerNode, denseInstrKey(E.Site), E.CalleeNode});
+    EdgeKeys.insert({E.CallerNode, denseInstrKey(E.Site), E.CalleeNode});
   }
 }
 

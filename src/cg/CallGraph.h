@@ -102,7 +102,7 @@ private:
   std::unordered_map<uint64_t, std::vector<unsigned>> SiteEdges;
   /// Exact edge identity (no hash folding: a dropped edge would be a
   /// soundness bug).
-  std::set<std::tuple<unsigned, uint64_t, unsigned>> EdgeDedup;
+  std::set<std::tuple<unsigned, uint64_t, unsigned>> EdgeKeys;
 };
 
 } // namespace tsl

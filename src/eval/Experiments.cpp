@@ -448,7 +448,7 @@ std::vector<AblationRow> tsl::runContextAblation() {
   std::vector<AblationRow> Rows;
   // Both graph variants, both engines, and the tabulation summaries
   // come from the per-workload session: the summary cache keys by
-  // (graph epoch, mode), so the second and third nanoxml case reuse
+  // (graph, mode), so the second and third nanoxml case reuse
   // the first one's tabulation — and a Tables 2/3 run earlier in the
   // process already paid for the compile, points-to, and CI graph.
   for (const BugCase &Case : debuggingCases()) {
@@ -532,7 +532,6 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
                                       SliceMode Mode, unsigned Jobs) {
   ThroughputRow Row;
   Row.Seeds = static_cast<unsigned>(Seeds.size());
-  G.ensureFinalized();
 
   SliceEngine Engine(G);
   BatchOptions Opts;

@@ -189,6 +189,9 @@ void AnalysisSession::purgeAnalyses() {
   SliceCache.clear();
   EngineCache.clear();
   SdgCache.clear();
+  // Summaries are keyed by SDG identity and a later graph may reuse a
+  // freed one's address.
+  Summaries.clear();
   ModRefCache.clear();
   PtaCache.clear();
   TaintedPta.clear();

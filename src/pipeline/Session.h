@@ -39,7 +39,7 @@
 ///
 /// Threading: a session is confined to one thread. The SliceEngine it
 /// hands out fans batches across its own worker pool over the
-/// immutable finalized SDG; that reuse is exercised under TSan by the
+/// immutable SDG; that reuse is exercised under TSan by the
 /// `pipeline` ctest label.
 ///
 //===----------------------------------------------------------------------===//
@@ -231,7 +231,8 @@ public:
   const DiagnosticEngine &diagnostics() const { return *Diag; }
 
   /// The session-owned cross-batch summary cache for context-
-  /// sensitive slicing (keyed internally by graph epoch and mode).
+  /// sensitive slicing (keyed internally by graph and mode; cleared
+  /// whenever the session drops an SDG).
   SummaryCache &summaries() { return Summaries; }
 
   //===------------------------------------------------------------------===//

@@ -18,23 +18,19 @@
 ///              dependence of a call on its receiver (explainer);
 ///  - ParamIn / ParamOut: interprocedural parameter/return linkage,
 ///              annotated with the call site for context-sensitive
-///              matching;
-///  - Summary:  actual-in -> actual-out shortcuts added by the
-///              tabulation slicer.
+///              matching.
 ///
 /// Edges are stored in dependence direction: an edge From -> To means
 /// "To depends on From"; backward slicing walks inEdges.
 ///
-/// The graph has two phases. During construction it is mutable and
-/// keeps hash-map indexes. finalize() compacts it into an immutable,
-/// query-optimized form: CSR (compressed sparse row) in/out adjacency
-/// *partitioned by edge kind*, so a slicer following a set of kinds
-/// iterates contiguous neighbor runs with no per-edge branch or
-/// edge-record load, plus a sorted-array statement index replacing the
-/// unordered_map. buildSDG() returns finalized graphs; a mutation
-/// after finalize() transparently reopens the graph (and bumps the
-/// epoch that keys cross-query caches such as the tabulation
-/// SummaryCache).
+/// An SDG is immutable and always in its query form: CSR (compressed
+/// sparse row) in/out adjacency *partitioned by edge kind*, so a slicer
+/// following a set of kinds iterates contiguous neighbor runs with no
+/// per-edge branch or edge-record load, plus a sorted-array statement
+/// index. Only buildSDG() (through SDGBuilder, which owns every
+/// construction-time index) and decode() create one; both end in the
+/// same private seal() routine. Tabulation summaries are not graph
+/// edges: they live in the SummaryCache (slicer/Tabulation.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,17 +43,14 @@
 #include "support/Serialize.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
-#include <tuple>
-#include <unordered_map>
 #include <vector>
 
 namespace tsl {
 
 class ModRefResult;
 class PointsToResult;
+class SDGBuilder;
 
 enum class SDGNodeKind {
   Stmt,
@@ -82,11 +75,10 @@ enum class SDGEdgeKind {
   Control,
   ParamIn,
   ParamOut,
-  Summary,
 };
 
 /// Number of edge kinds — the CSR adjacency partition count.
-constexpr unsigned NumSDGEdgeKinds = 6;
+constexpr unsigned NumSDGEdgeKinds = 5;
 
 /// Bit mask over SDGEdgeKind values; the unit slicers select their
 /// followed-edge set with.
@@ -99,11 +91,11 @@ constexpr EdgeKindMask edgeKindMask(SDGEdgeKind K) {
 /// CSR partition slot of each edge kind. Slots order the kinds so the
 /// unit slicers' masks select one contiguous run per node: Flow,
 /// ParamIn, ParamOut first (the thin mask is slots [0,3)), then
-/// BaseFlow, Control (traditional is [0,5)), then Summary.
+/// BaseFlow, Control (traditional is [0,5)).
 constexpr unsigned sdgKindSlot(SDGEdgeKind K) {
   constexpr unsigned Slot[NumSDGEdgeKinds] = {
       /*Flow*/ 0, /*BaseFlow*/ 3, /*Control*/ 4,
-      /*ParamIn*/ 1, /*ParamOut*/ 2, /*Summary*/ 5};
+      /*ParamIn*/ 1, /*ParamOut*/ 2};
   return Slot[static_cast<unsigned>(K)];
 }
 
@@ -184,13 +176,13 @@ struct SDGEdge {
   unsigned From;
   unsigned To;
   SDGEdgeKind K;
-  /// Call site for ParamIn/ParamOut/Summary edges; null otherwise.
+  /// Call site for ParamIn/ParamOut edges; null otherwise.
   const CallInstr *Site;
 };
 
 /// Lightweight view of a contiguous run of unsigned ids (node ids,
-/// edge ids, statement-clone ids). Valid as long as the graph is not
-/// mutated.
+/// edge ids, statement-clone ids). Valid as long as the graph lives:
+/// a sealed SDG never changes.
 class IdRange {
 public:
   IdRange() = default;
@@ -208,50 +200,13 @@ private:
   const unsigned *E = nullptr;
 };
 
-/// The dependence graph plus node/edge indexes.
+/// The dependence graph in its immutable query form. Read-only for
+/// every caller; SDGBuilder fills it and decode() restores it.
 class SDG {
+  friend class SDGBuilder;
+
 public:
-  explicit SDG(const Program &P) : P(P) {}
-
   const Program &program() const { return P; }
-
-  //===------------------------------------------------------------------===//
-  // Construction (used by SDGBuilder and the tabulation slicer)
-  //===------------------------------------------------------------------===//
-
-  unsigned addStmtNode(const Instr *I, const Method *M, unsigned Ctx = 0);
-  unsigned addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
-                       const Method *M, unsigned Part, unsigned Ctx = 0);
-
-  /// Adds an edge if not already present; returns true when new.
-  bool addEdge(unsigned From, unsigned To, SDGEdgeKind K,
-               const CallInstr *Site = nullptr);
-
-  //===------------------------------------------------------------------===//
-  // Finalization (CSR compaction)
-  //===------------------------------------------------------------------===//
-
-  /// Compacts the graph into the immutable query form: edge-kind-
-  /// partitioned CSR in/out adjacency and a sorted-array statement
-  /// index. The construction-time indexes stay live, so a later
-  /// mutation reopens the graph without rebuilding them. Idempotent;
-  /// buildSDG() calls it before returning.
-  void finalize();
-
-  bool finalized() const { return Finalized; }
-
-  /// Const-callable finalization trigger, so read paths on a graph
-  /// someone forgot to finalize heal themselves instead of crashing.
-  /// Call once before fanning queries out across threads.
-  void ensureFinalized() const {
-    if (!Finalized)
-      const_cast<SDG *>(this)->finalize();
-  }
-
-  /// Mutation counter. Bumped by every node/edge addition; caches
-  /// derived from the graph (e.g. tabulation summary edges) key on
-  /// (graph, epoch) and are invalidated by any mutation.
-  uint64_t epoch() const { return Epoch; }
 
   //===------------------------------------------------------------------===//
   // Queries
@@ -267,23 +222,19 @@ public:
   /// Edge ids whose To is \p Node (the node's dependences), grouped by
   /// edge kind in sdgKindSlot order.
   IdRange inEdges(unsigned Node) const {
-    ensureFinalized();
     return rowEdges(InOff, InEdgeId, Node);
   }
   /// Edge ids whose From is \p Node (the node's dependents).
   IdRange outEdges(unsigned Node) const {
-    ensureFinalized();
     return rowEdges(OutOff, OutEdgeId, Node);
   }
 
   /// In-edge ids of \p Node of exactly kind \p K (a contiguous CSR
   /// segment).
   IdRange inEdgesOfKind(unsigned Node, SDGEdgeKind K) const {
-    ensureFinalized();
     return kindEdges(InOff, InEdgeId, Node, K);
   }
   IdRange outEdgesOfKind(unsigned Node, SDGEdgeKind K) const {
-    ensureFinalized();
     return kindEdges(OutOff, OutEdgeId, Node, K);
   }
 
@@ -318,12 +269,10 @@ public:
   /// subgraph), which a callback can't provide.
   IdRange inNeighborRun(unsigned Node, unsigned SlotBegin,
                         unsigned SlotEnd) const {
-    ensureFinalized();
     return neighborRun(InOff, InNbr, Node, SlotBegin, SlotEnd);
   }
   IdRange outNeighborRun(unsigned Node, unsigned SlotBegin,
                          unsigned SlotEnd) const {
-    ensureFinalized();
     return neighborRun(OutOff, OutNbr, Node, SlotBegin, SlotEnd);
   }
 
@@ -341,13 +290,6 @@ public:
   /// The clone of \p I in context \p Ctx, or -1.
   int nodeFor(const Instr *I, unsigned Ctx) const;
 
-  /// Heap parameter node lookup; returns -1 when absent. Formal
-  /// nodes anchor at their method, actual nodes at their call site.
-  int heapNodeFor(SDGNodeKind K, const Method *M, unsigned Part,
-                  unsigned Ctx = 0) const;
-  int heapNodeFor(SDGNodeKind K, const Instr *Call, unsigned Part,
-                  unsigned Ctx = 0) const;
-
   /// Statement count excluding parameter-passing machinery, matching
   /// the paper's Table 1 "SDG Statements" metric.
   unsigned numStmtNodes() const { return NumStmts; }
@@ -355,55 +297,38 @@ public:
   /// Number of heap parameter nodes (the CS blowup statistic).
   unsigned numHeapParamNodes() const { return numNodes() - NumStmts; }
 
-  unsigned numEdgesOfKind(SDGEdgeKind K) const;
-
   /// Budget status of construction: Complete, or Degraded with the
   /// merged-clone / coarse-heap fallback.
   const StageReport &report() const { return Report; }
-  void setReport(StageReport R) { Report = std::move(R); }
 
   //===------------------------------------------------------------------===//
   // Snapshot codec (DESIGN.md section 14)
   //===------------------------------------------------------------------===//
 
-  /// Writes the SDG section payload: nodes and their non-Summary
-  /// edges, everything identified by dense ids. Summary edges are
-  /// deliberately dropped — a cold build has none at build time and
-  /// the tabulation slicer re-derives them — so a decoded graph is
-  /// the cold graph.
+  /// Writes the SDG section payload: nodes and edges, everything
+  /// identified by dense ids.
   void encode(ByteWriter &W) const;
 
   /// Rebuilds a graph from an encode() payload against \p P with the
-  /// validation the mutation API performs (anchor resolution, bounds,
-  /// duplicate node identities) but filling the node/edge tables and
-  /// the CSR query form directly — node and edge ids reproduce
-  /// exactly as a replay would assign them, and the sorted statement
-  /// arrays and adjacency come from the same deterministic sorts a
-  /// cold finalize() uses. The construction-form indexes (EdgeDedup,
-  /// StmtIndex, HeapIndex) are left lazy (see ensureEdgeDedup /
-  /// ensureIndexes): a decoded graph that is only queried never pays
-  /// for them. Throws SerializeError on malformed input.
+  /// validation a cold build guarantees (anchor resolution, bounds, no
+  /// repeated node identity or edge). Nodes and edges are filled in
+  /// stream order and sealed like a cold build, so ids, CSR order and
+  /// the statement index reproduce exactly. Throws SerializeError on
+  /// malformed input.
   static std::unique_ptr<SDG> decode(ByteReader &R, const Program &P);
 
 private:
-  /// Reopens a finalized graph for mutation: drops the CSR arrays
-  /// (keeping their capacity for the refinalize that follows).
-  void unfinalize();
+  explicit SDG(const Program &P) : P(P) {}
 
-  /// Rebuilds EdgeDedup from the edge list when a decode left it
-  /// unpopulated. addEdge calls this first; pure query paths never do.
-  void ensureEdgeDedup();
-
-  /// Rebuilds StmtIndex/HeapIndex from the node list when a decode
-  /// left them unpopulated (IndexesValid below). Every construction-
-  /// form user (unfinalize, addHeapNode, heapNodeFor) calls this
-  /// first; the finalized query path never does. Like
-  /// ensureFinalized(), not safe to race from multiple threads —
-  /// mutation and identity lookups are single-threaded by contract.
-  void ensureIndexes() const;
+  /// Turns the filled node and edge lists into the query form: drops
+  /// repeated edges (keeping each one's first occurrence, so edge ids
+  /// are the insertion ranks of the distinct edges), then builds the
+  /// CSR adjacency and the sorted statement index. Runs exactly once
+  /// per graph. Returns the number of edges dropped.
+  std::size_t seal();
 
   /// Counting sort of the edge list into the kind-partitioned CSR
-  /// in/out adjacency — the shared half of finalize() and decode().
+  /// in/out adjacency.
   void buildCSR();
 
   IdRange rowEdges(const std::vector<unsigned> &Off,
@@ -429,7 +354,6 @@ private:
   void forEachNeighborRow(const std::vector<unsigned> &Off,
                           const std::vector<unsigned> &Nbr, unsigned Node,
                           const EdgeKindRuns &Runs, Fn F) const {
-    ensureFinalized();
     // Raw pointers hoisted into locals: F's stores (visited words,
     // worklist pushes) could alias vector-element loads, so indexing
     // through the vectors re-reads their data pointers every
@@ -443,54 +367,16 @@ private:
     }
   }
 
-  /// Dense anchor of one heap node identity: the call site's
-  /// denseInstrKey, or a method sentinel key for formal nodes (the
-  /// low word 0xFFFFFFFF is never a renumbered instruction id), or 0
-  /// for the anchorless global HeapHub. Per node kind exactly one of
-  /// the three shapes occurs, so the encodings cannot collide within
-  /// a HeapIndex key.
-  static uint64_t heapAnchorKey(const Instr *I, const Method *M) {
-    if (I)
-      return denseInstrKey(I);
-    if (M)
-      return (static_cast<uint64_t>(M->id()) << 32) | 0xFFFFFFFFull;
-    return 0;
-  }
-  /// Dense key of a ParamIn/ParamOut/Summary edge's call site (0 when
-  /// the edge has none).
-  static uint64_t siteKey(const CallInstr *Site) {
-    return Site ? denseInstrKey(Site) : 0;
-  }
-
   const Program &P;
   std::vector<SDGNode> Nodes;
   std::vector<SDGEdge> Edges;
-  /// Statement index keyed by denseInstrKey, maintained in both
-  /// forms: the query path reads the sorted arrays below, mutation
-  /// reads and updates this map. Dense keys (not Instr*) so a decoded
-  /// graph rebuilds identical index state — see ir/Program.h.
-  /// Unpopulated after decode() until a mutation or identity lookup
-  /// needs it (IndexesValid below).
-  std::unordered_map<uint64_t, std::vector<unsigned>> StmtIndex;
-  /// Exact node identity: (kind, dense anchor, partition/operand,
-  /// ctx). Lazy after decode(), like StmtIndex.
-  std::map<std::tuple<SDGNodeKind, uint64_t, unsigned, unsigned>, unsigned>
-      HeapIndex;
-  bool IndexesValid = true;
-  /// Exact edge identity: a silently merged or dropped edge would
-  /// corrupt slices. Unpopulated after decode() until the first
-  /// mutation needs it (DedupValid below).
-  std::set<std::tuple<unsigned, unsigned, SDGEdgeKind, uint64_t>> EdgeDedup;
-  bool DedupValid = true;
   unsigned NumStmts = 0;
   StageReport Report{"sdg", StageStatus::Complete, "", "", 0, 0};
 
   //===------------------------------------------------------------------===//
-  // CSR query form (built by finalize())
+  // Query form (built by seal())
   //===------------------------------------------------------------------===//
 
-  bool Finalized = false;
-  uint64_t Epoch = 0;
   /// Per-(node, kind) offset tables, numNodes * NumSDGEdgeKinds + 1
   /// entries: the in-edges of node n with kind k occupy
   /// [InOff[n*NK+k], InOff[n*NK+k+1]) of InNbr/InEdgeId.
@@ -525,7 +411,8 @@ struct SDGOptions {
   const AnalysisBudget *Budget = nullptr;
 };
 
-/// Builds the dependence graph, finalized into the CSR query form.
+/// Builds the dependence graph (SDGBuilder.cpp), sealed into the CSR
+/// query form.
 /// \p ModRef may be null unless \p Options.ContextSensitive is set.
 std::unique_ptr<SDG> buildSDG(const Program &P, const PointsToResult &PTA,
                               const ModRefResult *ModRef,

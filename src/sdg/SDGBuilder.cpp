@@ -27,6 +27,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <unordered_map>
 
 using namespace tsl;
@@ -66,15 +67,42 @@ struct HeapAccesses {
   std::vector<Access> ArrStores, ArrLoads;
 };
 
-class Builder {
+} // namespace
+
+/// One SDG construction. Owns the graph until run() seals it, plus the
+/// construction-time indexes the wiring passes look nodes up by; none
+/// of them outlives the build.
+class tsl::SDGBuilder {
 public:
-  Builder(const Program &P, const PointsToResult &PTA,
-          const ModRefResult *MR, const SDGOptions &Opts)
-      : PTA(PTA), MR(MR), Opts(Opts), G(std::make_unique<SDG>(P)) {}
+  SDGBuilder(const Program &P, const PointsToResult &PTA,
+             const ModRefResult *MR, const SDGOptions &Opts)
+      : PTA(PTA), MR(MR), Opts(Opts), G(new SDG(P)) {}
 
   std::unique_ptr<SDG> run(const Program &P);
 
 private:
+  /// The statement node of \p I in context \p Ctx, added on first use.
+  unsigned addStmtNode(const Instr *I, const Method *M, unsigned Ctx);
+  /// The parameter/hub node of one identity, added on first use.
+  unsigned addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
+                       const Method *M, unsigned Part, unsigned Ctx = 0);
+  /// Appends an edge. Repeats are kept until seal() drops them.
+  void addEdge(unsigned From, unsigned To, SDGEdgeKind K,
+               const CallInstr *Site = nullptr) {
+    G->Edges.push_back({From, To, K, Site});
+  }
+
+  /// The clone of \p I in context \p Ctx, or -1.
+  int nodeFor(const Instr *I, unsigned Ctx) const;
+  /// Context-0 heap parameter node lookup; returns -1 when absent.
+  /// Formal nodes anchor at their method, actual nodes at their call
+  /// site.
+  int heapNodeFor(SDGNodeKind K, const Instr *Call, const Method *M,
+                  unsigned Part) const;
+  static const void *heapAnchor(const Instr *Call, const Method *M) {
+    return Call ? static_cast<const void *>(Call) : M;
+  }
+
   void collectClones(const Program &P, BudgetGate &Gate);
   void buildIntra(const Clone &C);
   void buildScalarCallsCI();
@@ -95,6 +123,15 @@ private:
   const ModRefResult *MR;
   SDGOptions Opts;
   std::unique_ptr<SDG> G;
+  /// Statement clones per instruction, in context insertion order.
+  std::unordered_map<const Instr *, std::vector<unsigned>> StmtIndex;
+  /// Non-statement node identity: (kind, anchor, partition or operand
+  /// index, ctx). The anchor is the call site when there is one, else
+  /// the method, else null (the global hub). Lookup only, never
+  /// iterated, so pointer keys cannot perturb any id.
+  std::map<std::tuple<SDGNodeKind, const void *, unsigned, unsigned>,
+           unsigned>
+      HeapIndex;
   std::vector<Clone> Clones;
   std::unordered_map<const Method *, std::unique_ptr<ControlDeps>> CDCache;
   /// Node-cap degradation: one clone per method instead of one per
@@ -103,9 +140,47 @@ private:
   bool MergedClones = false;
 };
 
-} // namespace
+unsigned SDGBuilder::addStmtNode(const Instr *I, const Method *M,
+                                 unsigned Ctx) {
+  std::vector<unsigned> &Ids = StmtIndex[I];
+  for (unsigned Id : Ids)
+    if (G->Nodes[Id].Ctx == Ctx)
+      return Id;
+  unsigned Id = static_cast<unsigned>(G->Nodes.size());
+  G->Nodes.push_back({SDGNodeKind::Stmt, I, M, 0, Ctx, Id});
+  Ids.push_back(Id);
+  return Id;
+}
 
-const Instr *Builder::formalInstr(const Method *M, unsigned Idx) const {
+unsigned SDGBuilder::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
+                                 const Method *M, unsigned Part,
+                                 unsigned Ctx) {
+  auto [It, New] = HeapIndex.emplace(
+      std::make_tuple(K, heapAnchor(CallOrNull, M), Part, Ctx), 0);
+  if (!New)
+    return It->second;
+  unsigned Id = static_cast<unsigned>(G->Nodes.size());
+  G->Nodes.push_back({K, CallOrNull, M, Part, Ctx, Id});
+  It->second = Id;
+  return Id;
+}
+
+int SDGBuilder::nodeFor(const Instr *I, unsigned Ctx) const {
+  auto It = StmtIndex.find(I);
+  if (It != StmtIndex.end())
+    for (unsigned Id : It->second)
+      if (G->Nodes[Id].Ctx == Ctx)
+        return static_cast<int>(Id);
+  return -1;
+}
+
+int SDGBuilder::heapNodeFor(SDGNodeKind K, const Instr *Call,
+                            const Method *M, unsigned Part) const {
+  auto It = HeapIndex.find(std::make_tuple(K, heapAnchor(Call, M), Part, 0u));
+  return It == HeapIndex.end() ? -1 : static_cast<int>(It->second);
+}
+
+const Instr *SDGBuilder::formalInstr(const Method *M, unsigned Idx) const {
   if (!M->entry())
     return nullptr;
   for (const auto &I : M->entry()->instrs())
@@ -115,7 +190,7 @@ const Instr *Builder::formalInstr(const Method *M, unsigned Idx) const {
   return nullptr;
 }
 
-std::vector<const Instr *> Builder::returnInstrs(const Method *M) const {
+std::vector<const Instr *> SDGBuilder::returnInstrs(const Method *M) const {
   std::vector<const Instr *> Out;
   for (const auto &BB : M->blocks())
     if (Instr *Term = BB->terminator())
@@ -124,14 +199,14 @@ std::vector<const Instr *> Builder::returnInstrs(const Method *M) const {
   return Out;
 }
 
-const ControlDeps &Builder::controlDeps(const Method *M) {
+const ControlDeps &SDGBuilder::controlDeps(const Method *M) {
   auto It = CDCache.find(M);
   if (It == CDCache.end())
     It = CDCache.emplace(M, std::make_unique<ControlDeps>(*M)).first;
   return *It->second;
 }
 
-void Builder::collectClones(const Program &P, BudgetGate &Gate) {
+void SDGBuilder::collectClones(const Program &P, BudgetGate &Gate) {
   const CallGraph &CG = PTA.callGraph();
   if (Opts.ContextSensitive) {
     // One clone per reachable method; the tabulation models contexts.
@@ -171,14 +246,14 @@ void Builder::collectClones(const Program &P, BudgetGate &Gate) {
 /// edge ids are independent id spaces and a clone's edges only name
 /// its own nodes, so building clone by clone assigns the same ids as
 /// inserting every clone's nodes before any edge.
-void Builder::buildIntra(const Clone &C) {
+void SDGBuilder::buildIntra(const Clone &C) {
   const Method *M = C.M;
   unsigned Ctx = C.Ctx;
   for (const auto &BB : M->blocks())
     for (const auto &I : BB->instrs())
-      G->addStmtNode(I.get(), M, Ctx);
+      addStmtNode(I.get(), M, Ctx);
   auto Node = [&](const Instr *I) {
-    return static_cast<unsigned>(G->nodeFor(I, Ctx));
+    return static_cast<unsigned>(nodeFor(I, Ctx));
   };
 
   // SSA flow dependences, classified by operand role. Call operands
@@ -191,8 +266,7 @@ void Builder::buildIntra(const Clone &C) {
       if (const auto *Call = dyn_cast<CallInstr>(I.get())) {
         if (Call->isVirtual()) {
           const Instr *RecvDef = Call->receiver()->def();
-          if (RecvDef)
-            G->addEdge(Node(RecvDef), To, SDGEdgeKind::Control);
+          if (RecvDef) addEdge(Node(RecvDef), To, SDGEdgeKind::Control);
         }
         continue;
       }
@@ -203,7 +277,7 @@ void Builder::buildIntra(const Clone &C) {
         SDGEdgeKind K = I->operandRole(OpIdx) == OperandRole::Value
                             ? SDGEdgeKind::Flow
                             : SDGEdgeKind::BaseFlow;
-        G->addEdge(Node(Def), To, K);
+        addEdge(Node(Def), To, K);
       }
     }
   }
@@ -221,16 +295,15 @@ void Builder::buildIntra(const Clone &C) {
     for (const auto &I : BB->instrs()) {
       unsigned To = Node(I.get());
       for (const Instr *Br : Branches)
-        G->addEdge(Node(Br), To, SDGEdgeKind::Control);
+        addEdge(Node(Br), To, SDGEdgeKind::Control);
     }
   }
 }
 
-void Builder::wireCallEdge(const CallInstr *Call, unsigned CallerCtx,
+void SDGBuilder::wireCallEdge(const CallInstr *Call, unsigned CallerCtx,
                            const Method *Target, unsigned CalleeCtx) {
   const Method *Caller = Call->parent()->parent();
-  unsigned CallNode =
-      static_cast<unsigned>(G->nodeFor(Call, CallerCtx));
+  unsigned CallNode = static_cast<unsigned>(nodeFor(Call, CallerCtx));
 
   // Actual -> actual-in node (at the call's line) -> formal.
   for (unsigned OpIdx = 0; OpIdx != Call->numOperands(); ++OpIdx) {
@@ -239,28 +312,27 @@ void Builder::wireCallEdge(const CallInstr *Call, unsigned CallerCtx,
     const Instr *ActualDef = Call->operand(OpIdx)->def();
     if (!Formal || !ActualDef)
       continue;
-    int FormalNode = G->nodeFor(Formal, CalleeCtx);
-    int ActualNode = G->nodeFor(ActualDef, CallerCtx);
+    int FormalNode = nodeFor(Formal, CalleeCtx);
+    int ActualNode = nodeFor(ActualDef, CallerCtx);
     if (FormalNode < 0 || ActualNode < 0)
       continue;
-    unsigned AI = G->addHeapNode(SDGNodeKind::ScalarActualIn, Call, Caller,
-                                 OpIdx, CallerCtx);
-    G->addEdge(static_cast<unsigned>(ActualNode), AI, SDGEdgeKind::Flow);
-    G->addEdge(AI, static_cast<unsigned>(FormalNode), SDGEdgeKind::ParamIn,
-               Call);
+    unsigned AI = addHeapNode(SDGNodeKind::ScalarActualIn, Call, Caller,
+                              OpIdx, CallerCtx);
+    addEdge(static_cast<unsigned>(ActualNode), AI, SDGEdgeKind::Flow);
+    addEdge(AI, static_cast<unsigned>(FormalNode), SDGEdgeKind::ParamIn, Call);
   }
   // Return -> call result.
   if (Call->dest() && !Target->returnType()->isVoid()) {
     for (const Instr *Ret : returnInstrs(Target)) {
-      int RetNode = G->nodeFor(Ret, CalleeCtx);
+      int RetNode = nodeFor(Ret, CalleeCtx);
       if (RetNode >= 0)
-        G->addEdge(static_cast<unsigned>(RetNode), CallNode,
-                   SDGEdgeKind::ParamOut, Call);
+        addEdge(static_cast<unsigned>(RetNode), CallNode,
+                SDGEdgeKind::ParamOut, Call);
     }
   }
 }
 
-void Builder::buildScalarCallsCI() {
+void SDGBuilder::buildScalarCallsCI() {
   // Context-level call edges from the on-the-fly call graph.
   const CallGraph &CG = PTA.callGraph();
   for (const CallEdge &E : CG.edges()) {
@@ -270,7 +342,7 @@ void Builder::buildScalarCallsCI() {
   }
 }
 
-void Builder::buildScalarCallsCS(const Clone &C) {
+void SDGBuilder::buildScalarCallsCS(const Clone &C) {
   const CallGraph &CG = PTA.callGraph();
   for (const auto &BB : C.M->blocks()) {
     for (const auto &I : BB->instrs()) {
@@ -284,7 +356,7 @@ void Builder::buildScalarCallsCS(const Clone &C) {
   }
 }
 
-HeapAccesses Builder::collectHeapAccesses() const {
+HeapAccesses SDGBuilder::collectHeapAccesses() const {
   HeapAccesses A;
   // In merged-clone degradation mode the per-context sets of the
   // unanalyzed context-0 clones would be empty (unsound), so aliasing
@@ -320,7 +392,7 @@ HeapAccesses Builder::collectHeapAccesses() const {
   return A;
 }
 
-void Builder::buildHeapCI(BudgetGate &Gate) {
+void SDGBuilder::buildHeapCI(BudgetGate &Gate) {
   // Direct write -> read edges keyed by field / array / static field,
   // guarded by may-alias of the base pointers *in the respective
   // contexts* (paper Sec. 5.2 with the object-sensitive points-to of
@@ -336,9 +408,9 @@ void Builder::buildHeapCI(BudgetGate &Gate) {
     return S.BasePts->intersects(*L.BasePts);
   };
   auto Connect = [&](const Access &S, const Access &L) {
-    G->addEdge(static_cast<unsigned>(G->nodeFor(S.I, S.Ctx)),
-               static_cast<unsigned>(G->nodeFor(L.I, L.Ctx)),
-               SDGEdgeKind::Flow);
+    addEdge(static_cast<unsigned>(nodeFor(S.I, S.Ctx)),
+            static_cast<unsigned>(nodeFor(L.I, L.Ctx)),
+            SDGEdgeKind::Flow);
   };
 
   // Each pairwise check spends one budget step; on exhaustion run()
@@ -381,21 +453,20 @@ void Builder::buildHeapCI(BudgetGate &Gate) {
 /// load. Any precise write-read edge (same bucket) is subsumed by the
 /// two-hop hub path, so slices over the hub graph over-approximate
 /// slices over the precise graph. O(stores + loads) edges total.
-void Builder::buildHeapCoarse() {
+void SDGBuilder::buildHeapCoarse() {
   HeapAccesses A = collectHeapAccesses();
 
   auto Wire = [&](unsigned Part, const std::vector<Access> &Stores,
                   const std::vector<Access> &Loads) {
     if (Stores.empty() || Loads.empty())
       return;
-    unsigned Hub =
-        G->addHeapNode(SDGNodeKind::HeapHub, nullptr, nullptr, Part);
+    unsigned Hub = addHeapNode(SDGNodeKind::HeapHub, nullptr, nullptr, Part);
     for (const Access &S : Stores)
-      G->addEdge(static_cast<unsigned>(G->nodeFor(S.I, S.Ctx)), Hub,
-                 SDGEdgeKind::Flow);
+      addEdge(static_cast<unsigned>(nodeFor(S.I, S.Ctx)), Hub,
+              SDGEdgeKind::Flow);
     for (const Access &L : Loads)
-      G->addEdge(Hub, static_cast<unsigned>(G->nodeFor(L.I, L.Ctx)),
-                 SDGEdgeKind::Flow);
+      addEdge(Hub, static_cast<unsigned>(nodeFor(L.I, L.Ctx)),
+              SDGEdgeKind::Flow);
   };
 
   for (const auto &[F, Loads] : A.FieldLoads) {
@@ -411,7 +482,7 @@ void Builder::buildHeapCoarse() {
   Wire(~0u, A.ArrStores, A.ArrLoads);
 }
 
-void Builder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
+void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
   assert(MR && "context-sensitive SDG requires mod-ref");
   if (Gate.exhausted())
     return;
@@ -422,10 +493,10 @@ void Builder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
   const BitSet &Ref = MR->refOf(M);
   const BitSet &Mod = MR->modOf(M);
   Ref.forEach([&](unsigned Part) {
-    G->addHeapNode(SDGNodeKind::HeapFormalIn, nullptr, M, Part);
+    addHeapNode(SDGNodeKind::HeapFormalIn, nullptr, M, Part);
   });
   Mod.forEach([&](unsigned Part) {
-    G->addHeapNode(SDGNodeKind::HeapFormalOut, nullptr, M, Part);
+    addHeapNode(SDGNodeKind::HeapFormalOut, nullptr, M, Part);
   });
 
   // Group this method's heap accesses and calls by partition.
@@ -456,10 +527,10 @@ void Builder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
   }
 
   auto FormalIn = [&](unsigned Part) {
-    return G->heapNodeFor(SDGNodeKind::HeapFormalIn, M, Part);
+    return heapNodeFor(SDGNodeKind::HeapFormalIn, nullptr, M, Part);
   };
   auto FormalOut = [&](unsigned Part) {
-    return G->heapNodeFor(SDGNodeKind::HeapFormalOut, M, Part);
+    return heapNodeFor(SDGNodeKind::HeapFormalOut, nullptr, M, Part);
   };
 
   // Loads draw from the incoming heap state and intraprocedural
@@ -470,14 +541,13 @@ void Builder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
     for (const Instr *L : Loads) {
       if (Gate.spend())
         return;
-      unsigned LN = static_cast<unsigned>(G->nodeFor(L, 0));
+      unsigned LN = static_cast<unsigned>(nodeFor(L, 0));
       if (FI >= 0)
-        G->addEdge(static_cast<unsigned>(FI), LN, SDGEdgeKind::Flow);
+        addEdge(static_cast<unsigned>(FI), LN, SDGEdgeKind::Flow);
       auto It = StoresByPart.find(Part);
       if (It != StoresByPart.end())
         for (const Instr *S : It->second)
-          G->addEdge(static_cast<unsigned>(G->nodeFor(S, 0)), LN,
-                     SDGEdgeKind::Flow);
+          addEdge(static_cast<unsigned>(nodeFor(S, 0)), LN, SDGEdgeKind::Flow);
     }
   }
   for (const auto &[Part, Stores] : StoresByPart) {
@@ -487,8 +557,8 @@ void Builder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
     for (const Instr *S : Stores) {
       if (Gate.spend())
         return;
-      G->addEdge(static_cast<unsigned>(G->nodeFor(S, 0)),
-                 static_cast<unsigned>(FO), SDGEdgeKind::Flow);
+      addEdge(static_cast<unsigned>(nodeFor(S, 0)),
+              static_cast<unsigned>(FO), SDGEdgeKind::Flow);
     }
   }
 
@@ -504,46 +574,41 @@ void Builder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
     }
 
     RefUnion.forEach([&](unsigned Part) {
-      unsigned AI = G->addHeapNode(SDGNodeKind::HeapActualIn, Call, M, Part);
+      unsigned AI = addHeapNode(SDGNodeKind::HeapActualIn, Call, M, Part);
       int FI = FormalIn(Part);
       if (FI >= 0)
-        G->addEdge(static_cast<unsigned>(FI), AI, SDGEdgeKind::Flow);
+        addEdge(static_cast<unsigned>(FI), AI, SDGEdgeKind::Flow);
       auto It = StoresByPart.find(Part);
       if (It != StoresByPart.end())
         for (const Instr *S : It->second)
-          G->addEdge(static_cast<unsigned>(G->nodeFor(S, 0)), AI,
-                     SDGEdgeKind::Flow);
+          addEdge(static_cast<unsigned>(nodeFor(S, 0)), AI, SDGEdgeKind::Flow);
       for (const Method *T : Targets) {
         if (!MR->refOf(T).test(Part))
           continue;
-        int TFI = G->heapNodeFor(SDGNodeKind::HeapFormalIn, T, Part);
+        int TFI = heapNodeFor(SDGNodeKind::HeapFormalIn, nullptr, T, Part);
         if (TFI >= 0)
-          G->addEdge(AI, static_cast<unsigned>(TFI), SDGEdgeKind::ParamIn,
-                     Call);
+          addEdge(AI, static_cast<unsigned>(TFI), SDGEdgeKind::ParamIn, Call);
       }
     });
 
     ModUnion.forEach([&](unsigned Part) {
-      unsigned AO =
-          G->addHeapNode(SDGNodeKind::HeapActualOut, Call, M, Part);
+      unsigned AO = addHeapNode(SDGNodeKind::HeapActualOut, Call, M, Part);
       for (const Method *T : Targets) {
         if (!MR->modOf(T).test(Part))
           continue;
-        int TFO = G->heapNodeFor(SDGNodeKind::HeapFormalOut, T, Part);
+        int TFO = heapNodeFor(SDGNodeKind::HeapFormalOut, nullptr, T, Part);
         if (TFO >= 0)
-          G->addEdge(static_cast<unsigned>(TFO), AO, SDGEdgeKind::ParamOut,
-                     Call);
+          addEdge(static_cast<unsigned>(TFO), AO, SDGEdgeKind::ParamOut, Call);
       }
       // The modified state reaches this method's loads and outgoing
       // heap state.
       auto It = LoadsByPart.find(Part);
       if (It != LoadsByPart.end())
         for (const Instr *L : It->second)
-          G->addEdge(AO, static_cast<unsigned>(G->nodeFor(L, 0)),
-                     SDGEdgeKind::Flow);
+          addEdge(AO, static_cast<unsigned>(nodeFor(L, 0)), SDGEdgeKind::Flow);
       int FO = FormalOut(Part);
       if (FO >= 0)
-        G->addEdge(AO, static_cast<unsigned>(FO), SDGEdgeKind::Flow);
+        addEdge(AO, static_cast<unsigned>(FO), SDGEdgeKind::Flow);
     });
   }
 
@@ -556,18 +621,18 @@ void Builder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
         return;
       for (Method *T1 : CG.calleesOf(C1)) {
         MR->modOf(T1).forEach([&](unsigned Part) {
-          int AO = G->heapNodeFor(SDGNodeKind::HeapActualOut, C1, Part);
-          int AI = G->heapNodeFor(SDGNodeKind::HeapActualIn, C2, Part);
+          int AO = heapNodeFor(SDGNodeKind::HeapActualOut, C1, nullptr, Part);
+          int AI = heapNodeFor(SDGNodeKind::HeapActualIn, C2, nullptr, Part);
           if (AO >= 0 && AI >= 0)
-            G->addEdge(static_cast<unsigned>(AO), static_cast<unsigned>(AI),
-                       SDGEdgeKind::Flow);
+            addEdge(static_cast<unsigned>(AO), static_cast<unsigned>(AI),
+                    SDGEdgeKind::Flow);
         });
       }
     }
   }
 }
 
-std::unique_ptr<SDG> Builder::run(const Program &P) {
+std::unique_ptr<SDG> SDGBuilder::run(const Program &P) {
   auto T0 = std::chrono::steady_clock::now();
   const AnalysisBudget *B = Opts.Budget;
   BudgetGate CloneGate(B, "sdg.clones", B ? B->MaxSdgNodes : 0);
@@ -600,6 +665,7 @@ std::unique_ptr<SDG> Builder::run(const Program &P) {
     if (HeapGate.exhausted())
       buildHeapCoarse();
   }
+  G->seal();
 
   StageReport R{"sdg", StageStatus::Complete, "", "", HeapGate.used(),
                 std::chrono::duration<double>(
@@ -623,7 +689,7 @@ std::unique_ptr<SDG> Builder::run(const Program &P) {
     R.Reason = std::move(Reason);
     R.Fallback = std::move(Fallback);
   }
-  G->setReport(std::move(R));
+  G->Report = std::move(R);
   return std::move(G);
 }
 
@@ -633,10 +699,5 @@ std::unique_ptr<SDG> tsl::buildSDG(const Program &P,
                                    const SDGOptions &Options) {
   assert((!Options.ContextSensitive || ModRef) &&
          "context-sensitive SDG requires mod-ref results");
-  std::unique_ptr<SDG> G = Builder(P, PTA, ModRef, Options).run(P);
-  // Compact into the CSR query form before handing the graph to
-  // slicers (queries self-heal via ensureFinalized, but doing it here
-  // keeps the finalization cost out of the first slice's timing).
-  G->finalize();
-  return G;
+  return SDGBuilder(P, PTA, ModRef, Options).run(P);
 }

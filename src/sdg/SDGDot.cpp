@@ -28,8 +28,6 @@ const char *edgeStyle(SDGEdgeKind K) {
   case SDGEdgeKind::ParamIn:
   case SDGEdgeKind::ParamOut:
     return "solid";
-  case SDGEdgeKind::Summary:
-    return "bold";
   }
   return "solid";
 }
@@ -46,8 +44,6 @@ const char *edgeColor(SDGEdgeKind K) {
     return "blue4";
   case SDGEdgeKind::ParamOut:
     return "darkgreen";
-  case SDGEdgeKind::Summary:
-    return "purple";
   }
   return "black";
 }

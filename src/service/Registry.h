@@ -21,7 +21,7 @@
 ///    exclusively.
 ///  - Slice requests hold it shared and never call into the session:
 ///    they read the warm pointers and run the slicers directly over
-///    the finalized SDG, which is immutable and safe for concurrent
+///    the SDG, which is immutable and safe for concurrent
 ///    traversal (the batch engine's workers rely on the same
 ///    guarantee). Context-sensitive queries go through the session's
 ///    SummaryCache, which is itself thread-safe.

@@ -322,7 +322,7 @@ ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
             "unknown session '" + Req.SessionId + "' (load-source first)"};
 
   // Readers share the session: concurrent slices run in parallel over
-  // the immutable finalized SDG while an edit waits for exclusivity.
+  // the immutable SDG while an edit waits for exclusivity.
   std::shared_lock<std::shared_mutex> L(E->Mu);
   ServiceResponse Bad;
   if (!entryUsable(*E, Bad))
@@ -338,8 +338,8 @@ ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
   if (E->ContextSensitive) {
     // The session's SummaryCache is thread-safe, so shared-lock
     // readers may consult (and populate) it concurrently; summaries
-    // depend only on (graph epoch, mode), which the exclusive edit
-    // path bumps.
+    // depend only on (graph, mode), and the exclusive edit path clears
+    // the cache whenever it drops a graph.
     TabulationSlicer Tab(*E->Graph, Req.Mode, RB.B, &E->S->summaries());
     Slice = Tab.slice(Seed);
   } else {

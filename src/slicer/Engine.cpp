@@ -135,34 +135,27 @@ constexpr unsigned LanesPerChunk = 64;
 // SliceEngine
 //===----------------------------------------------------------------------===//
 
-SliceEngine::SliceEngine(const SDG &G, ThreadPool *Pool) : G(G), Pool(Pool) {
-  G.ensureFinalized();
-}
+SliceEngine::SliceEngine(const SDG &G, ThreadPool *Pool) : G(G), Pool(Pool) {}
 
 SliceEngine::~SliceEngine() = default;
 
 std::shared_ptr<const BatchCondensation>
 SliceEngine::condensationFor(EdgeKindMask Mask) {
-  const std::pair<uint64_t, EdgeKindMask> Key{G.epoch(), Mask};
   std::lock_guard<std::mutex> L(CondMu);
-  auto It = CondCache.find(Key);
+  auto It = CondCache.find(Mask);
   if (It != CondCache.end()) {
     Stats.CondensationReused = true;
     return It->second;
   }
-  // Evict condensations of stale epochs before inserting.
-  for (auto I = CondCache.begin(); I != CondCache.end();)
-    I = I->first.first != G.epoch() ? CondCache.erase(I) : std::next(I);
   auto C = std::make_shared<const BatchCondensation>(
       condense(G, edgeKindRuns(Mask)));
-  CondCache.emplace(Key, C);
+  CondCache.emplace(Mask, C);
   return C;
 }
 
 std::vector<SliceResult>
 SliceEngine::sliceBackwardBatch(const std::vector<const Instr *> &Seeds,
                                 const BatchOptions &Opts) {
-  G.ensureFinalized();
   Stats = BatchStats();
   Stats.Queries = static_cast<unsigned>(Seeds.size());
 

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batched slicing over one finalized SDG: N seeds in, N SliceResults
+/// Batched slicing over one SDG: N seeds in, N SliceResults
 /// out, in seed order. The engine deduplicates seeds that expand to
 /// the same SDG node set (each unique query runs once and the result
 /// is copied to every duplicate position) and fans work out across a
@@ -13,9 +13,10 @@
 ///
 /// Context-insensitive batches run as SCC-condensed bit-parallel
 /// label propagation: the mode-masked subgraph is condensed once
-/// (cached per graph epoch and edge mask, so repeated batches reuse
-/// it), queries are packed 64 per machine word, and one linear sweep
-/// over the components in topological order answers a whole chunk —
+/// (cached per edge mask: the SDG is immutable, so repeated batches
+/// reuse it and it never goes stale), queries are packed 64 per
+/// machine word, and one linear sweep over the components in
+/// topological order answers a whole chunk —
 /// all members of a strongly connected component provably belong to
 /// exactly the same slices. Workers fan out across chunks.
 ///
@@ -24,7 +25,7 @@
 /// once per batch and optionally reusing it across batches through a
 /// SummaryCache.
 ///
-/// Threading model: the finalized SDG is immutable and read
+/// Threading model: the SDG is immutable and read
 /// concurrently without locking. Everything that touches process
 /// globals (TabulationSlicer construction, SharedBudgetGate
 /// construction — both reach the FaultInjector) and the condensation
@@ -83,11 +84,11 @@ struct BatchStats {
 };
 
 /// The SCC condensation of one mode-masked SDG subgraph (defined in
-/// Engine.cpp); cached per (epoch, mask) inside the engine.
+/// Engine.cpp); cached per edge mask inside the engine.
 struct BatchCondensation;
 
-/// Batched slice-query engine over one SDG. Construction finalizes
-/// the graph if needed; sliceBackwardBatch() may be called repeatedly
+/// Batched slice-query engine over one SDG. sliceBackwardBatch() may
+/// be called repeatedly
 /// (stats describe the most recent batch; the condensation cache
 /// carries over).
 class SliceEngine {
@@ -116,8 +117,7 @@ public:
   const BatchStats &stats() const { return Stats; }
 
 private:
-  /// Condensation for \p Mask at the graph's current epoch, building
-  /// and caching it on a miss. Stale-epoch entries are evicted.
+  /// Condensation for \p Mask, building and caching it on a miss.
   std::shared_ptr<const BatchCondensation> condensationFor(EdgeKindMask Mask);
 
   const SDG &G;
@@ -125,9 +125,7 @@ private:
   std::unique_ptr<ThreadPool> OwnedPool;
   BatchStats Stats;
   std::mutex CondMu;
-  std::map<std::pair<uint64_t, EdgeKindMask>,
-           std::shared_ptr<const BatchCondensation>>
-      CondCache;
+  std::map<EdgeKindMask, std::shared_ptr<const BatchCondensation>> CondCache;
 };
 
 } // namespace tsl

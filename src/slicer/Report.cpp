@@ -25,8 +25,6 @@ const char *reasonFor(SDGEdgeKind K) {
     return "passes an argument into";
   case SDGEdgeKind::ParamOut:
     return "returns the value to";
-  case SDGEdgeKind::Summary:
-    return "summarizes a call used by";
   }
   return "?";
 }

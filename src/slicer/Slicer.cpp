@@ -18,8 +18,6 @@ bool tsl::sliceFollowsEdge(SliceMode Mode, SDGEdgeKind K) {
   case SDGEdgeKind::BaseFlow:
   case SDGEdgeKind::Control:
     return Mode == SliceMode::Traditional;
-  case SDGEdgeKind::Summary:
-    return false; // Summary edges belong to the tabulation slicer.
   }
   return false;
 }
@@ -101,7 +99,7 @@ std::string SliceResult::str() const {
 namespace {
 
 /// Shared reachability engine for both directions, running on the
-/// finalized graph's kind-partitioned CSR adjacency. A budget caps
+/// graph's kind-partitioned CSR adjacency. A budget caps
 /// the number of worklist pops; stopping early only under-visits, so
 /// the partial result is a subset of the full slice (marked
 /// Degraded). With \p Shared set, the pops are charged to the
@@ -110,7 +108,6 @@ SliceResult reachNodes(const SDG &G, const std::vector<unsigned> &SeedNodes,
                        SliceMode Mode, bool Backward,
                        const AnalysisBudget *Budget,
                        SharedBudgetGate *Shared = nullptr) {
-  G.ensureFinalized();
   std::optional<BudgetGate> Local;
   if (!Shared)
     Local.emplace(Budget, "slice.pop", Budget ? Budget->MaxSlicePops : 0);

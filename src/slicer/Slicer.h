@@ -12,7 +12,7 @@
 /// linkage; traditional slices additionally follow base-pointer flow
 /// and control dependence.
 ///
-/// The BFS runs on the finalized graph's kind-partitioned CSR
+/// The BFS runs on the graph's kind-partitioned CSR
 /// adjacency (see SDG.h): the mode is compiled into an EdgeKindMask
 /// once per slice and each visited node scans contiguous neighbor
 /// runs, with no per-edge kind branch or edge-record load.
@@ -42,8 +42,7 @@ enum class SliceMode {
 /// True when a slice in \p Mode follows edges of kind \p K.
 bool sliceFollowsEdge(SliceMode Mode, SDGEdgeKind K);
 
-/// The CSR edge-kind mask a slice in \p Mode follows (Summary edges
-/// are excluded; they belong to the tabulation slicer).
+/// The CSR edge-kind mask a slice in \p Mode follows.
 EdgeKindMask sliceEdgeMask(SliceMode Mode);
 
 /// A (method, line) pair — the unit a human inspects.

@@ -16,7 +16,7 @@ using namespace tsl;
 std::shared_ptr<const SummaryCache::Entry>
 SummaryCache::lookup(const SDG &G, SliceMode Mode) {
   std::lock_guard<std::mutex> L(Mu);
-  auto It = Map.find(Key{&G, G.epoch(), Mode});
+  auto It = Map.find(Key{&G, Mode});
   if (It == Map.end()) {
     ++Misses;
     return nullptr;
@@ -30,15 +30,7 @@ void SummaryCache::store(const SDG &G, SliceMode Mode,
   if (!E || E->Partial)
     return; // A partial set reflects one query's budget, not the graph.
   std::lock_guard<std::mutex> L(Mu);
-  // Evict entries of older epochs of the same graph: they can never be
-  // served again (epochs only grow).
-  for (auto It = Map.begin(); It != Map.end();) {
-    if (std::get<0>(It->first) == &G && std::get<1>(It->first) != G.epoch())
-      It = Map.erase(It);
-    else
-      ++It;
-  }
-  Map[Key{&G, G.epoch(), Mode}] = std::move(E);
+  Map[Key{&G, Mode}] = std::move(E);
 }
 
 uint64_t SummaryCache::hits() const {
@@ -70,7 +62,6 @@ TabulationSlicer::TabulationSlicer(const SDG &G, SliceMode Mode,
                                    const AnalysisBudget *Budget,
                                    SummaryCache *Cache)
     : G(G), Mode(Mode), B(Budget) {
-  G.ensureFinalized();
   if (Cache)
     if ((S = Cache->lookup(G, Mode))) {
       FromCache = true;

@@ -18,8 +18,8 @@
 ///
 /// Summary computation is the dominant cost and depends only on
 /// (graph, mode) — not on the seed — so a SummaryCache can share one
-/// summary set across every query of a batch (and across batches,
-/// until the graph mutates: entries are keyed by the SDG's epoch).
+/// summary set across every query of a batch and across batches (an
+/// SDG never changes once built).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,18 +31,19 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 namespace tsl {
 
-/// Cross-query cache of tabulation summary sets, keyed by
-/// (graph identity, graph epoch, slice mode). A mutation of the graph
-/// bumps its epoch, so stale entries can never be served; they are
-/// evicted when a fresh entry for the same graph is stored. Only
-/// complete (non-degraded) summary sets are cached — a partial set is
-/// an artifact of one query's budget, not of the graph. Thread-safe.
+/// Cross-query cache of tabulation summary sets, keyed by (graph
+/// identity, slice mode). An SDG is immutable, so an entry stays valid
+/// for the graph's lifetime; whoever frees a graph clears the cache,
+/// so a later graph at the same address is never served stale
+/// summaries (AnalysisSession does this whenever it drops an SDG).
+/// Only complete (non-degraded) summary sets are cached — a partial
+/// set is an artifact of one query's budget, not of the graph.
+/// Thread-safe.
 class SummaryCache {
 public:
   /// One cached summary set: the summary adjacency (for each
@@ -54,13 +55,10 @@ public:
     std::string PartialReason;
   };
 
-  /// Returns the cached entry for (\p G at its current epoch, \p Mode)
-  /// or null on a miss.
+  /// Returns the cached entry for (\p G, \p Mode) or null on a miss.
   std::shared_ptr<const Entry> lookup(const SDG &G, SliceMode Mode);
 
-  /// Publishes \p E for (\p G at its current epoch, \p Mode), evicting
-  /// entries of older epochs of the same graph. Partial entries are
-  /// ignored.
+  /// Publishes \p E for (\p G, \p Mode). Partial entries are ignored.
   void store(const SDG &G, SliceMode Mode, std::shared_ptr<const Entry> E);
 
   uint64_t hits() const;
@@ -69,7 +67,7 @@ public:
   void clear();
 
 private:
-  using Key = std::tuple<const SDG *, uint64_t, SliceMode>;
+  using Key = std::pair<const SDG *, SliceMode>;
 
   mutable std::mutex Mu;
   std::map<Key, std::shared_ptr<const Entry>> Map;

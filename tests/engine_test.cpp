@@ -5,8 +5,8 @@
 // summary cache cold and warm, both slice modes) must produce
 // statement-identical results to the single-seed reference slicers —
 // sliceBackwardLegacy for CI, TabulationSlicer::slice for CS — plus
-// unit coverage of dedup, the condensation cache, epoch invalidation,
-// and batch-wide budget degradation. These tests carry the "engine"
+// unit coverage of dedup, the per-mode condensation cache, and
+// batch-wide budget degradation. These tests carry the "engine"
 // ctest label and are the set the TSan tree runs.
 
 #include "eval/Experiments.h"
@@ -244,7 +244,7 @@ TEST(Engine, EmptyBatch) {
 // Condensation cache
 //===----------------------------------------------------------------------===//
 
-TEST(Engine, CondensationCachedPerModeAndEpoch) {
+TEST(Engine, CondensationCachedPerMode) {
   Compiled C = compile(R"(
 def main() {
   var a = readInt();
@@ -272,20 +272,13 @@ def main() {
   Engine.sliceBackwardBatch({Seed}, Trad);
   EXPECT_TRUE(Engine.stats().CondensationReused);
 
-  // Any graph mutation bumps the epoch and invalidates every cached
-  // condensation. A Flow self-edge is semantically inert, so the
-  // post-mutation batch must still match the reference slicer.
-  bool Added = false;
-  for (unsigned N = 0; N != C.CI->numNodes() && !Added; ++N)
-    Added = C.CI->addEdge(N, N, SDGEdgeKind::Flow);
-  ASSERT_TRUE(Added);
+  // Switching back reuses the first mode's condensation: one engine
+  // keeps one per mask.
   std::vector<SliceResult> Got = Engine.sliceBackwardBatch({Seed}, Thin);
-  EXPECT_FALSE(Engine.stats().CondensationReused);
+  EXPECT_TRUE(Engine.stats().CondensationReused);
   expectIdentical(Got.front(),
                   sliceBackwardLegacy(*C.CI, Seed, SliceMode::Thin),
-                  "post-epoch-bump");
-  Engine.sliceBackwardBatch({Seed}, Thin);
-  EXPECT_TRUE(Engine.stats().CondensationReused);
+                  "reused-condensation");
 }
 
 //===----------------------------------------------------------------------===//

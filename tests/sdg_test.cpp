@@ -47,6 +47,15 @@ struct Fixture {
     return nullptr;
   }
 
+  /// True when a heap parameter node of kind K for method M and
+  /// partition Part exists.
+  bool hasHeapNode(SDGNodeKind K, const Method *M, unsigned Part) {
+    for (const SDGNode &N : G->nodes())
+      if (N.K == K && N.M == M && N.Part == Part)
+        return true;
+    return false;
+  }
+
   /// True when an edge From -> To with kind K exists (any clones).
   bool hasEdge(const Instr *From, const Instr *To, SDGEdgeKind K) {
     for (unsigned FromNode : G->nodesFor(From))
@@ -267,8 +276,8 @@ def main() {
   BitSet WriteMod = F.MR->modOf(Write);
   ASSERT_EQ(WriteMod.count(), 1u);
   unsigned Part = WriteMod.toVector().front();
-  EXPECT_GE(F.G->heapNodeFor(SDGNodeKind::HeapFormalOut, Write, Part), 0);
-  EXPECT_GE(F.G->heapNodeFor(SDGNodeKind::HeapFormalIn, Read, Part), 0);
+  EXPECT_TRUE(F.hasHeapNode(SDGNodeKind::HeapFormalOut, Write, Part));
+  EXPECT_TRUE(F.hasHeapNode(SDGNodeKind::HeapFormalIn, Read, Part));
   // No direct interprocedural heap edge store -> load in CS mode.
   const Instr *Store = F.find(InstrKind::Store);
   const Instr *Load = F.find(InstrKind::Load);

@@ -311,6 +311,70 @@ TEST(SnapshotBudget, BudgetedSessionsRefuseToSerialize) {
 }
 
 //===----------------------------------------------------------------------===//
+// SDG section decode: a payload no cold build produces is rejected
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// An SDG section payload holding one statement node (the first
+/// instruction of a method of \p P) and \p NumEdges copies of its
+/// Flow self-edge.
+std::vector<uint8_t> oneNodeSdgPayload(const Program &P, unsigned NumEdges) {
+  const Method *M = nullptr;
+  for (const auto &Cand : P.methods())
+    if (Cand->entry() && !Cand->entry()->instrs().empty()) {
+      M = Cand.get();
+      break;
+    }
+  EXPECT_NE(M, nullptr);
+  if (!M)
+    return {};
+  const Instr *I = M->entry()->instrs().front().get();
+  ByteWriter W;
+  putReport(W, StageReport{"sdg", StageStatus::Complete, "", "", 0, 0});
+  W.vu64(1);
+  W.u8(static_cast<uint8_t>(SDGNodeKind::Stmt));
+  W.vu64(denseInstrKey(I) + 1);
+  W.vu32(M->id() + 1);
+  W.vu32(0); // Partition.
+  W.vu32(0); // Context.
+  W.vu64(NumEdges);
+  for (unsigned E = 0; E != NumEdges; ++E) {
+    W.vu32(0);
+    W.vu32(0);
+    W.u8(static_cast<uint8_t>(SDGEdgeKind::Flow));
+    W.vu64(0); // No call site.
+  }
+  return W.buffer();
+}
+
+} // namespace
+
+TEST(SnapshotDecode, RepeatedSdgEdgeIsRejected) {
+  AnalysisSession S{"def main() { print(1); }\n"};
+  const Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+
+  // The same payload with the edge once is well formed.
+  std::vector<uint8_t> Once = oneNodeSdgPayload(*P, 1);
+  ByteReader OnceR(Once);
+  std::unique_ptr<SDG> G = SDG::decode(OnceR, *P);
+  EXPECT_EQ(G->numNodes(), 1u);
+  EXPECT_EQ(G->numEdges(), 1u);
+
+  std::vector<uint8_t> Twice = oneNodeSdgPayload(*P, 2);
+  ByteReader TwiceR(Twice);
+  try {
+    SDG::decode(TwiceR, *P);
+    ADD_FAILURE() << "a repeated edge decoded";
+  } catch (const SerializeError &E) {
+    EXPECT_NE(std::string(E.what()).find("duplicate SDG edge"),
+              std::string::npos)
+        << E.what();
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Content-addressed cache directory: miss, hit, evict
 //===----------------------------------------------------------------------===//
 
