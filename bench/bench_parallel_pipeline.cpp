@@ -3,10 +3,11 @@
 // The whole analysis pipeline — compile, points-to, mod-ref, SDG
 // construction, and a 100-seed slice batch — at `--threads 1` versus
 // `--threads 4`. Only the engine's batch fan-out uses the pool; the
-// analyses and the SDG build run sequentially, so BM_SdgBuild is
-// measured at one thread count. Every artifact is byte-identical
-// across thread counts (tests/parallel_test.cpp), so the
-// configurations do the same work.
+// analyses and the SDG build run sequentially, so BM_SdgBuild is keyed
+// on workload size (pad 100 / 400 / 1600) instead, with an
+// ns_per_edge counter that shows its scaling. Every artifact is
+// byte-identical across thread counts (tests/parallel_test.cpp), so
+// the configurations do the same work.
 //
 //   ./bench/bench_parallel_pipeline
 //   ./bench/bench_parallel_pipeline --benchmark_out=BENCH_parallel_pipeline.json
@@ -33,6 +34,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,20 +86,36 @@ void BM_PipelineEndToEnd(benchmark::State &State) {
 BENCHMARK(BM_PipelineEndToEnd)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// The SDG-build share alone (points-to and mod-ref held warm).
+/// The SDG-build share alone (points-to and mod-ref held warm), keyed
+/// on pad size: the build is sequential, so threads do not matter
+/// here, but its scaling does. ns_per_edge stays flat when the build
+/// is linear in its output.
 void BM_SdgBuild(benchmark::State &State) {
-  const unsigned Threads = static_cast<unsigned>(State.range(0));
+  const unsigned Pad = static_cast<unsigned>(State.range(0));
+  const std::string Source =
+      padWorkload(debuggingCases().front().Prog, "BS", Pad, 6).Source;
+  double BuildNs = 0;
+  unsigned Edges = 0;
+  std::unique_ptr<AnalysisSession> S;
   for (auto _ : State) {
     State.PauseTiming();
-    AnalysisSession S(workloadSource());
-    S.setThreads(Threads);
-    benchmark::DoNotOptimize(S.modRef()); // warm everything up to the SDG
+    S.reset(); // the previous session is torn down untimed
+    S = std::make_unique<AnalysisSession>(Source);
+    benchmark::DoNotOptimize(S->modRef()); // warm everything up to the SDG
     State.ResumeTiming();
-    benchmark::DoNotOptimize(S.sdg());
+    auto T0 = std::chrono::steady_clock::now();
+    Edges = S->sdg()->numEdges();
+    BuildNs += std::chrono::duration<double, std::nano>(
+                   std::chrono::steady_clock::now() - T0)
+                   .count();
   }
-  State.counters["req_threads"] = Threads;
+  State.counters["pad"] = Pad;
+  State.counters["edges"] = Edges;
+  State.counters["ns_per_edge"] =
+      BuildNs / (static_cast<double>(State.iterations()) * Edges);
 }
-BENCHMARK(BM_SdgBuild)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SdgBuild)->Arg(100)->Arg(400)->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -23,6 +23,7 @@
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <map>
@@ -40,32 +41,33 @@ struct Clone {
   unsigned Ctx;
 };
 
-/// One heap access of a clone (see buildHeapCI / buildHeapCoarse).
+/// One heap access of a clone, resolved once at collection time so
+/// the wiring does no per-edge hash lookups.
 struct Access {
-  const Instr *I;
-  unsigned Ctx;
-  const Local *Base; ///< Null for statics.
-  const Local *Src;  ///< Stores only.
-  /// Points-to set of Base under the clone's aliasing regime (merged
-  /// sets when clones were context-merged), resolved once here so the
-  /// pairwise wiring loops do no per-pair hash lookups. Null for
-  /// statics.
+  unsigned Node; ///< The access's statement node.
+  /// Points-to set of the base pointer under the clone's aliasing
+  /// regime (merged sets when clones were context-merged). Static
+  /// accesses share a one-object pseudo set, so a static bucket wires
+  /// every store to every load.
   const BitSet *BasePts;
 };
 
-/// All heap accesses of the collected clones, bucketed the way the
-/// heap-edge wiring consumes them. Keyed by dense Field::id() in an
-/// ordered map: the wiring loops iterate these, and their iteration
-/// order decides edge insertion order AND — under a budget gate that
-/// can trip mid-loop — which pairs get precise edges before the
-/// coarse fallback takes over. Pointer-keyed unordered iteration
-/// would make both depend on allocator state, breaking the
-/// byte-identical-artifacts guarantee.
-struct HeapAccesses {
-  std::map<unsigned, std::vector<Access>> FieldStores, FieldLoads,
-      StaticStores, StaticLoads;
-  std::vector<Access> ArrStores, ArrLoads;
+/// The stores and loads of one heap bucket: one instance field, one
+/// static field, or the array-element class. Accesses keep collection
+/// order (clone, block, instruction).
+struct HeapBucket {
+  std::vector<Access> Stores, Loads;
 };
+
+/// Buckets keyed by (class, id): class 0 is an instance field and 1
+/// a static field, both with the dense Field::id(); class 2 is the
+/// array-element class with id ~0u. Ordered by key: the wiring
+/// iterates the buckets in this order, and the order decides edge
+/// insertion order AND — under a budget gate that can trip mid-loop —
+/// which accesses get precise edges before the coarse fallback takes
+/// over. Pointer-keyed unordered iteration would make both depend on
+/// allocator state, breaking the byte-identical-artifacts guarantee.
+using HeapBuckets = std::map<std::pair<unsigned, unsigned>, HeapBucket>;
 
 } // namespace
 
@@ -76,7 +78,9 @@ class tsl::SDGBuilder {
 public:
   SDGBuilder(const Program &P, const PointsToResult &PTA,
              const ModRefResult *MR, const SDGOptions &Opts)
-      : PTA(PTA), MR(MR), Opts(Opts), G(new SDG(P)) {}
+      : PTA(PTA), MR(MR), Opts(Opts), G(new SDG(P)) {
+    StaticPseudoObject.insert(0);
+  }
 
   std::unique_ptr<SDG> run(const Program &P);
 
@@ -109,7 +113,14 @@ private:
   void buildHeapCI(BudgetGate &Gate);
   void buildScalarCallsCS(const Clone &C);
   void buildHeapCS(const Clone &C, BudgetGate &Gate);
-  HeapAccesses collectHeapAccesses() const;
+  HeapBuckets collectHeapAccesses() const;
+  /// The one heap-bucket enumeration: calls \p Wire(Part, Bucket) on
+  /// every bucket with both stores and loads, in key order, until it
+  /// returns false. Part is the field id, or ~0u for array elements.
+  template <typename WireFn> void forEachHeapBucket(WireFn Wire) const;
+  /// Precise write -> read edges of one bucket; false once \p Gate
+  /// trips.
+  bool wireBucket(const HeapBucket &B, BudgetGate &Gate);
   void buildHeapCoarse();
 
   void wireCallEdge(const CallInstr *Call, unsigned CallerCtx,
@@ -123,8 +134,19 @@ private:
   const ModRefResult *MR;
   SDGOptions Opts;
   std::unique_ptr<SDG> G;
-  /// Statement clones per instruction, in context insertion order.
-  std::unordered_map<const Instr *, std::vector<unsigned>> StmtIndex;
+  /// Statement node of each (instruction, context) clone. Keyed by the
+  /// pair, not by the instruction alone: a container method can have a
+  /// clone per receiver allocation site, and a per-instruction list of
+  /// clones would make each lookup linear in that count. Lookup only,
+  /// never iterated, so pointer keys cannot perturb any id.
+  struct StmtKeyHash {
+    std::size_t operator()(const std::pair<const Instr *, unsigned> &K) const {
+      return std::hash<const Instr *>()(K.first) ^
+             (std::size_t(K.second) * 0x9E3779B97F4A7C15ull);
+    }
+  };
+  std::unordered_map<std::pair<const Instr *, unsigned>, unsigned, StmtKeyHash>
+      StmtIndex;
   /// Non-statement node identity: (kind, anchor, partition or operand
   /// index, ctx). The anchor is the call site when there is one, else
   /// the method, else null (the global hub). Lookup only, never
@@ -138,18 +160,24 @@ private:
   /// call-graph context; aliasing then uses context-merged points-to
   /// sets (a superset of every per-context set, so still sound).
   bool MergedClones = false;
+  /// The base "points-to set" of every static access: object 0.
+  BitSet StaticPseudoObject;
+  /// Heap-wiring scratch, reused across buckets. StoresByObj maps an
+  /// abstract object to the bucket's stores (by index) whose base may
+  /// point to it; Touched lists the objects with a non-empty entry, so
+  /// the next bucket clears only those. Stamp[S] is the last load that
+  /// collected store S, and Candidates the current load's stores.
+  std::vector<std::vector<unsigned>> StoresByObj;
+  std::vector<unsigned> Touched, Stamp, Candidates;
 };
 
 unsigned SDGBuilder::addStmtNode(const Instr *I, const Method *M,
                                  unsigned Ctx) {
-  std::vector<unsigned> &Ids = StmtIndex[I];
-  for (unsigned Id : Ids)
-    if (G->Nodes[Id].Ctx == Ctx)
-      return Id;
   unsigned Id = static_cast<unsigned>(G->Nodes.size());
-  G->Nodes.push_back({SDGNodeKind::Stmt, I, M, 0, Ctx, Id});
-  Ids.push_back(Id);
-  return Id;
+  auto [It, New] = StmtIndex.emplace(std::make_pair(I, Ctx), Id);
+  if (New)
+    G->Nodes.push_back({SDGNodeKind::Stmt, I, M, 0, Ctx, Id});
+  return It->second;
 }
 
 unsigned SDGBuilder::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
@@ -166,12 +194,8 @@ unsigned SDGBuilder::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
 }
 
 int SDGBuilder::nodeFor(const Instr *I, unsigned Ctx) const {
-  auto It = StmtIndex.find(I);
-  if (It != StmtIndex.end())
-    for (unsigned Id : It->second)
-      if (G->Nodes[Id].Ctx == Ctx)
-        return static_cast<int>(Id);
-  return -1;
+  auto It = StmtIndex.find(std::make_pair(I, Ctx));
+  return It == StmtIndex.end() ? -1 : static_cast<int>(It->second);
 }
 
 int SDGBuilder::heapNodeFor(SDGNodeKind K, const Instr *Call,
@@ -356,96 +380,103 @@ void SDGBuilder::buildScalarCallsCS(const Clone &C) {
   }
 }
 
-HeapAccesses SDGBuilder::collectHeapAccesses() const {
-  HeapAccesses A;
+HeapBuckets SDGBuilder::collectHeapAccesses() const {
+  HeapBuckets Buckets;
   // In merged-clone degradation mode the per-context sets of the
   // unanalyzed context-0 clones would be empty (unsound), so aliasing
   // uses the context-merged supersets instead.
   auto Pts = [&](const Local *Base, unsigned Ctx) -> const BitSet * {
     if (!Base)
-      return nullptr;
+      return &StaticPseudoObject;
     return MergedClones ? &PTA.pointsTo(Base) : &PTA.pointsTo(Base, Ctx);
   };
   for (const Clone &C : Clones) {
     for (const auto &BB : C.M->blocks()) {
       for (const auto &I : BB->instrs()) {
-        if (const auto *S = dyn_cast<StoreInstr>(I.get())) {
-          auto &Bucket = (S->isStaticAccess() ? A.StaticStores
-                                              : A.FieldStores)[S->field()->id()];
-          Bucket.push_back(
-              {S, C.Ctx, S->base(), S->src(), Pts(S->base(), C.Ctx)});
-        } else if (const auto *L = dyn_cast<LoadInstr>(I.get())) {
-          auto &Bucket = (L->isStaticAccess() ? A.StaticLoads
-                                              : A.FieldLoads)[L->field()->id()];
-          Bucket.push_back(
-              {L, C.Ctx, L->base(), nullptr, Pts(L->base(), C.Ctx)});
-        } else if (const auto *AS = dyn_cast<ArrayStoreInstr>(I.get())) {
-          A.ArrStores.push_back(
-              {AS, C.Ctx, AS->array(), AS->src(), Pts(AS->array(), C.Ctx)});
-        } else if (const auto *AL = dyn_cast<ArrayLoadInstr>(I.get())) {
-          A.ArrLoads.push_back(
-              {AL, C.Ctx, AL->array(), nullptr, Pts(AL->array(), C.Ctx)});
-        }
+        auto Add = [&](std::pair<unsigned, unsigned> Key, bool Store,
+                       const Local *Base) {
+          HeapBucket &B = Buckets[Key];
+          (Store ? B.Stores : B.Loads)
+              .push_back({static_cast<unsigned>(nodeFor(I.get(), C.Ctx)),
+                          Pts(Base, C.Ctx)});
+        };
+        if (const auto *S = dyn_cast<StoreInstr>(I.get()))
+          Add({S->isStaticAccess() ? 1u : 0u, S->field()->id()}, true,
+              S->base());
+        else if (const auto *L = dyn_cast<LoadInstr>(I.get()))
+          Add({L->isStaticAccess() ? 1u : 0u, L->field()->id()}, false,
+              L->base());
+        else if (const auto *AS = dyn_cast<ArrayStoreInstr>(I.get()))
+          Add({2u, ~0u}, true, AS->array());
+        else if (const auto *AL = dyn_cast<ArrayLoadInstr>(I.get()))
+          Add({2u, ~0u}, false, AL->array());
       }
     }
   }
-  return A;
+  return Buckets;
+}
+
+template <typename WireFn>
+void SDGBuilder::forEachHeapBucket(WireFn Wire) const {
+  for (const auto &[Key, B] : collectHeapAccesses())
+    if (!B.Stores.empty() && !B.Loads.empty() && !Wire(Key.second, B))
+      return;
+}
+
+/// Direct write -> read edges of one bucket, guarded by may-alias of
+/// the base pointers *in the respective contexts* (paper Sec. 5.2 with
+/// the object-sensitive points-to of Sec. 6.1). Output-linear: the
+/// stores' base sets are inverted into an object -> stores index, and
+/// each load collects the stores indexed under its own objects, so no
+/// non-aliasing pair is ever examined. Sorting each load's candidates
+/// by store index emits the edges in the order of a loads-outer,
+/// stores-inner pairwise loop, which keeps edge ids (and so snapshots
+/// and slices) independent of the index. One budget step per index
+/// entry and per emitted edge; on exhaustion run() falls back to
+/// coarse hub wiring, which subsumes any pair not yet connected.
+bool SDGBuilder::wireBucket(const HeapBucket &B, BudgetGate &Gate) {
+  for (unsigned Obj : Touched)
+    StoresByObj[Obj].clear();
+  Touched.clear();
+  for (unsigned S = 0; S != B.Stores.size(); ++S) {
+    uint64_t Entries = 0;
+    B.Stores[S].BasePts->forEach([&](unsigned Obj) {
+      if (Obj >= StoresByObj.size())
+        StoresByObj.resize(Obj + 1);
+      if (StoresByObj[Obj].empty())
+        Touched.push_back(Obj);
+      StoresByObj[Obj].push_back(S);
+      ++Entries;
+    });
+    if (Gate.spend(Entries))
+      return false;
+  }
+
+  Stamp.assign(B.Stores.size(), ~0u);
+  for (unsigned L = 0; L != B.Loads.size(); ++L) {
+    Candidates.clear();
+    B.Loads[L].BasePts->forEach([&](unsigned Obj) {
+      if (Obj < StoresByObj.size())
+        for (unsigned S : StoresByObj[Obj])
+          if (Stamp[S] != L) {
+            Stamp[S] = L;
+            Candidates.push_back(S);
+          }
+    });
+    std::sort(Candidates.begin(), Candidates.end());
+    for (unsigned S : Candidates) {
+      if (Gate.spend())
+        return false;
+      addEdge(B.Stores[S].Node, B.Loads[L].Node, SDGEdgeKind::Flow);
+    }
+  }
+  return true;
 }
 
 void SDGBuilder::buildHeapCI(BudgetGate &Gate) {
-  // Direct write -> read edges keyed by field / array / static field,
-  // guarded by may-alias of the base pointers *in the respective
-  // contexts* (paper Sec. 5.2 with the object-sensitive points-to of
-  // Sec. 6.1). In merged-clone degradation mode the per-context sets
-  // of the unanalyzed context-0 clones would be empty (unsound), so
-  // aliasing uses the context-merged supersets instead.
-  HeapAccesses A = collectHeapAccesses();
-
-  // Base points-to sets were resolved once per access at collection
-  // time; the quadratic pairwise loops below are pure BitSet
-  // intersections with no hash lookups.
-  auto MayAlias = [&](const Access &S, const Access &L) {
-    return S.BasePts->intersects(*L.BasePts);
-  };
-  auto Connect = [&](const Access &S, const Access &L) {
-    addEdge(static_cast<unsigned>(nodeFor(S.I, S.Ctx)),
-            static_cast<unsigned>(nodeFor(L.I, L.Ctx)),
-            SDGEdgeKind::Flow);
-  };
-
-  // Each pairwise check spends one budget step; on exhaustion run()
-  // falls back to coarse hub wiring, which subsumes any pair not yet
-  // connected.
-  for (const auto &[F, Loads] : A.FieldLoads) {
-    auto It = A.FieldStores.find(F);
-    if (It == A.FieldStores.end())
-      continue;
-    for (const Access &L : Loads)
-      for (const Access &S : It->second) {
-        if (Gate.spend())
-          return;
-        if (MayAlias(S, L))
-          Connect(S, L);
-      }
-  }
-  for (const auto &[F, Loads] : A.StaticLoads) {
-    auto It = A.StaticStores.find(F);
-    if (It == A.StaticStores.end())
-      continue;
-    for (const Access &L : Loads)
-      for (const Access &S : It->second) {
-        if (Gate.spend())
-          return;
-        Connect(S, L);
-      }
-  }
-  for (const Access &L : A.ArrLoads)
-    for (const Access &S : A.ArrStores) {
-      if (Gate.spend())
-        return;
-      if (MayAlias(S, L))
-        Connect(S, L);
-    }
+  forEachHeapBucket([&](unsigned, const HeapBucket &B) {
+    return wireBucket(B, Gate);
+  });
 }
 
 /// Coarse heap fallback for both variants: one HeapHub node per field
@@ -454,32 +485,14 @@ void SDGBuilder::buildHeapCI(BudgetGate &Gate) {
 /// two-hop hub path, so slices over the hub graph over-approximate
 /// slices over the precise graph. O(stores + loads) edges total.
 void SDGBuilder::buildHeapCoarse() {
-  HeapAccesses A = collectHeapAccesses();
-
-  auto Wire = [&](unsigned Part, const std::vector<Access> &Stores,
-                  const std::vector<Access> &Loads) {
-    if (Stores.empty() || Loads.empty())
-      return;
+  forEachHeapBucket([&](unsigned Part, const HeapBucket &B) {
     unsigned Hub = addHeapNode(SDGNodeKind::HeapHub, nullptr, nullptr, Part);
-    for (const Access &S : Stores)
-      addEdge(static_cast<unsigned>(nodeFor(S.I, S.Ctx)), Hub,
-              SDGEdgeKind::Flow);
-    for (const Access &L : Loads)
-      addEdge(Hub, static_cast<unsigned>(nodeFor(L.I, L.Ctx)),
-              SDGEdgeKind::Flow);
-  };
-
-  for (const auto &[F, Loads] : A.FieldLoads) {
-    auto It = A.FieldStores.find(F);
-    if (It != A.FieldStores.end())
-      Wire(F, It->second, Loads);
-  }
-  for (const auto &[F, Loads] : A.StaticLoads) {
-    auto It = A.StaticStores.find(F);
-    if (It != A.StaticStores.end())
-      Wire(F, It->second, Loads);
-  }
-  Wire(~0u, A.ArrStores, A.ArrLoads);
+    for (const Access &S : B.Stores)
+      addEdge(S.Node, Hub, SDGEdgeKind::Flow);
+    for (const Access &L : B.Loads)
+      addEdge(Hub, L.Node, SDGEdgeKind::Flow);
+    return true;
+  });
 }
 
 void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
@@ -639,6 +652,13 @@ std::unique_ptr<SDG> SDGBuilder::run(const Program &P) {
   BudgetGate HeapGate(B, "sdg.heap", B ? B->MaxSdgEdges : 0);
 
   collectClones(P, CloneGate);
+  // Every clone instruction gets one statement node: size the node
+  // list and the statement map once rather than growing them.
+  std::size_t NumStmts = 0;
+  for (const Clone &C : Clones)
+    NumStmts += C.M->instrs().size();
+  G->Nodes.reserve(NumStmts);
+  StmtIndex.reserve(NumStmts);
   for (const Clone &C : Clones)
     buildIntra(C);
   if (Opts.ContextSensitive) {

@@ -62,7 +62,10 @@ struct AnalysisBudget {
   uint64_t MaxPtaPropagations = 0; ///< Andersen propagation cap.
   uint64_t MaxModRefSteps = 0;     ///< ModRef closure worklist pops.
   uint64_t MaxSdgNodes = 0;        ///< SDG statement-node cap.
-  uint64_t MaxSdgEdges = 0;        ///< Precise heap-edge work cap.
+  /// Precise heap-wiring work cap (fault point sdg.heap). The CI SDG
+  /// spends one step per object-index entry plus one per candidate
+  /// store -> load edge; the CS SDG one per heap access and call pair.
+  uint64_t MaxSdgEdges = 0;
   uint64_t MaxSlicePops = 0;       ///< Slice/tabulation worklist pops.
   uint64_t MaxExpansionRounds = 0; ///< Thin-expansion fixpoint rounds.
   uint64_t MaxInterpSteps = 0;     ///< Interpreter step cap.

@@ -26,129 +26,15 @@
 #include "slicer/Slicer.h"
 #include "support/Budget.h"
 
+#include "GenProgram.h"
+
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 using namespace tsl;
-
-namespace {
-
-/// splitmix64: deterministic across platforms (no libc rand).
-struct Rng {
-  uint64_t State;
-  uint64_t next() {
-    State += 0x9E3779B97F4A7C15ull;
-    uint64_t Z = State;
-    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
-    return Z ^ (Z >> 31);
-  }
-  uint64_t operator()(uint64_t N) { return next() % N; }
-};
-
-/// A random expression over the in-scope int variables in \p Scope.
-std::string genExpr(Rng &R, const std::vector<unsigned> &Scope,
-                    unsigned Depth) {
-  if (Depth == 0 || R(3) == 0) {
-    if (!Scope.empty() && R(2))
-      return "v" + std::to_string(Scope[R(Scope.size())]);
-    return std::to_string(R(100));
-  }
-  const char *Ops[] = {" + ", " - ", " * "};
-  return "(" + genExpr(R, Scope, Depth - 1) + Ops[R(3)] +
-         genExpr(R, Scope, Depth - 1) + ")";
-}
-
-/// A random statement list. \p Scope is the list of variable names
-/// visible here (nested blocks get a copy, so names declared inside a
-/// block are never referenced after it closes); \p NextName is the
-/// program-wide name counter (shared, so no name is declared twice).
-std::string genStmts(Rng &R, std::vector<unsigned> &Scope, unsigned &NextName,
-                     unsigned Budget, unsigned Indent) {
-  std::string Pad(Indent, ' ');
-  std::string Out;
-  for (unsigned I = 0; I != Budget; ++I) {
-    switch (R(6)) {
-    case 0:
-    case 1:
-      Out += Pad + "var v" + std::to_string(NextName) + " = " +
-             genExpr(R, Scope, 2) + ";\n";
-      Scope.push_back(NextName++);
-      break;
-    case 2:
-      if (!Scope.empty()) {
-        Out += Pad + "v" + std::to_string(Scope[R(Scope.size())]) + " = " +
-               genExpr(R, Scope, 2) + ";\n";
-        break;
-      }
-      [[fallthrough]];
-    case 3:
-      Out += Pad + "print(\"s" + std::to_string(R(10)) + "\");\n";
-      break;
-    case 4:
-      if (!Scope.empty()) {
-        Out += Pad + "if (v" + std::to_string(Scope[R(Scope.size())]) +
-               " < " + std::to_string(R(50)) + ") {\n";
-        std::vector<unsigned> Inner = Scope;
-        Out += genStmts(R, Inner, NextName, 1 + R(2), Indent + 2);
-        Out += Pad + "}\n";
-        break;
-      }
-      [[fallthrough]];
-    default: {
-      unsigned Loop = NextName++;
-      Out += Pad + "var v" + std::to_string(Loop) + " = 0;\n";
-      Scope.push_back(Loop);
-      Out += Pad + "while (v" + std::to_string(Loop) + " < " +
-             std::to_string(1 + R(4)) + ") {\n";
-      std::vector<unsigned> Inner = Scope;
-      Out += genStmts(R, Inner, NextName, 1 + R(2), Indent + 2);
-      Out += Pad + "  v" + std::to_string(Loop) + " = v" +
-             std::to_string(Loop) + " + 1;\n";
-      Out += Pad + "}\n";
-      break;
-    }
-    }
-  }
-  return Out;
-}
-
-/// One whole program: a class with an int field, a helper that stores
-/// through it, and a main built from the random statement grammar.
-std::string genProgram(Rng &R) {
-  std::string Out;
-  Out += "class Box { var f: int; }\n";
-  Out += "def poke(b: Box, x: int) {\n  b.f = x;\n}\n";
-  Out += "def main() {\n";
-  Out += "  var b = new Box();\n";
-  std::vector<unsigned> Scope;
-  unsigned NextName = 0;
-  Out += genStmts(R, Scope, NextName, 3 + R(5), 2);
-  if (!Scope.empty())
-    Out += "  poke(b, v" + std::to_string(Scope[R(Scope.size())]) + ");\n";
-  Out += "  print(\"end\");\n";
-  Out += "}\n";
-
-  // A fraction of the corpus is mutated to exercise the recovering
-  // parser: truncation or a spliced-in junk byte.
-  switch (R(5)) {
-  case 0:
-    Out = Out.substr(0, R(Out.size()) + 1);
-    break;
-  case 1: {
-    std::size_t Pos = R(Out.size());
-    Out[Pos] = static_cast<char>(32 + R(95));
-    break;
-  }
-  default:
-    break;
-  }
-  return Out;
-}
-
-} // namespace
+using namespace tsl::testgen;
 
 TEST(Fuzz, SeededSourcesDriveTheFullPipelineWithoutCrashing) {
   FaultInjector::instance().reset();
@@ -208,6 +94,7 @@ TEST(Fuzz, RejectedSourcesCarryLocatedDiagnostics) {
       if (D.Loc.Line)
         ++Located;
   }
-  if (Rejected)
+  if (Rejected) {
     EXPECT_GT(Located, 0u);
+  }
 }

@@ -1,12 +1,21 @@
 //===-- sdg_test.cpp - SDG construction unit tests ------------------------------==//
 
+#include "eval/Experiments.h"
+#include "eval/Workload.h"
 #include "lang/Lower.h"
 #include "pipeline/Session.h"
 #include "modref/ModRef.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 
+#include "GenProgram.h"
+
 #include <gtest/gtest.h>
+
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
 
 using namespace tsl;
 
@@ -301,4 +310,130 @@ TEST(SDG, EdgeDeduplication) {
     for (unsigned EdgeId : F.G->inEdges(Node))
       FlowIn += F.G->edge(EdgeId).K == SDGEdgeKind::Flow;
   EXPECT_EQ(FlowIn, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// CI heap wiring against the pairwise oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using EdgeList = std::vector<std::pair<unsigned, unsigned>>;
+
+/// (class, id) bucket of a heap access, as the builder keys it
+/// (0 instance field, 1 static field, 2 array elements), and its base
+/// pointer (null for statics); {~0u, ~0u} for any other statement.
+std::pair<std::pair<unsigned, unsigned>, const Local *>
+heapKey(const Instr *I) {
+  if (const auto *S = dyn_cast<StoreInstr>(I))
+    return {{S->isStaticAccess(), S->field()->id()}, S->base()};
+  if (const auto *L = dyn_cast<LoadInstr>(I))
+    return {{L->isStaticAccess(), L->field()->id()}, L->base()};
+  if (const auto *AS = dyn_cast<ArrayStoreInstr>(I))
+    return {{2u, ~0u}, AS->array()};
+  if (const auto *AL = dyn_cast<ArrayLoadInstr>(I))
+    return {{2u, ~0u}, AL->array()};
+  return {{~0u, ~0u}, nullptr};
+}
+
+bool isStore(const Instr *I) {
+  return isa<StoreInstr>(I) || isa<ArrayStoreInstr>(I);
+}
+bool isLoad(const Instr *I) {
+  return isa<LoadInstr>(I) || isa<ArrayLoadInstr>(I);
+}
+
+/// Test-only reference for the CI heap wiring: the pairwise loop the
+/// builder ran before it indexed stores by abstract object. A store
+/// reaches a load in its bucket when their base points-to sets,
+/// looked up in the nodes' own contexts, intersect (always, for a
+/// static field). Node-id order is the builder's collection order, so
+/// loads-outer / stores-inner over buckets in key order is also the
+/// builder's emission order.
+EdgeList pairwiseHeapEdges(const SDG &G, const PointsToResult &PTA) {
+  std::map<std::pair<unsigned, unsigned>,
+           std::pair<std::vector<unsigned>, std::vector<unsigned>>>
+      Buckets;
+  for (const SDGNode &N : G.nodes())
+    if (N.isStmt() && (isStore(N.I) || isLoad(N.I)))
+      (isStore(N.I) ? Buckets[heapKey(N.I).first].first
+                    : Buckets[heapKey(N.I).first].second)
+          .push_back(N.Id);
+  auto Pts = [&](unsigned Node) -> const BitSet & {
+    return PTA.pointsTo(heapKey(G.node(Node).I).second, G.node(Node).Ctx);
+  };
+  EdgeList Out;
+  for (const auto &[Key, Accesses] : Buckets)
+    for (unsigned L : Accesses.second)
+      for (unsigned S : Accesses.first)
+        if (Key.first == 1 || Pts(S).intersects(Pts(L)))
+          Out.push_back({S, L});
+  return Out;
+}
+
+/// The built graph's store -> load Flow edges, in edge-id order.
+EdgeList builtHeapEdges(const SDG &G) {
+  EdgeList Out;
+  for (unsigned Id = 0; Id != G.numEdges(); ++Id) {
+    const SDGEdge &E = G.edge(Id);
+    const SDGNode &From = G.node(E.From), &To = G.node(E.To);
+    if (E.K == SDGEdgeKind::Flow && From.isStmt() && To.isStmt() &&
+        isStore(From.I) && isLoad(To.I))
+      Out.push_back({E.From, E.To});
+  }
+  return Out;
+}
+
+/// Builds the CI SDG of \p Source and checks its heap edges against
+/// the oracle, edge for edge and in order. Returns the edge count, or
+/// nothing when \p Source does not compile.
+std::optional<std::size_t> checkHeapWiring(const std::string &Source,
+                                           const std::string &Label) {
+  DiagnosticEngine Diag;
+  std::unique_ptr<Program> P = compileThinJ(Source, Diag);
+  if (!P)
+    return std::nullopt;
+  std::unique_ptr<PointsToResult> PTA = runPointsTo(*P);
+  std::unique_ptr<SDG> G = buildSDG(*P, *PTA, nullptr);
+  EXPECT_FALSE(G->report().degraded()) << Label;
+  EdgeList Built = builtHeapEdges(*G);
+  EXPECT_EQ(Built, pairwiseHeapEdges(*G, *PTA)) << Label;
+  return Built.size();
+}
+
+} // namespace
+
+TEST(SDGHeapWiring, MatchesPairwiseOracleOnEvalWorkloads) {
+  std::size_t Edges = 0;
+  for (const BugCase &C : debuggingCases())
+    Edges += checkHeapWiring(C.Prog.Source, C.Id).value_or(0);
+  for (const CastCase &C : toughCastCases())
+    Edges += checkHeapWiring(C.Prog.Source, C.Id).value_or(0);
+  EXPECT_GT(Edges, 0u);
+}
+
+TEST(SDGHeapWiring, MatchesPairwiseOracleAtPad100) {
+  WorkloadProgram W =
+      padWorkload(debuggingCases().front().Prog, "BS", 100, 6);
+  EXPECT_GT(checkHeapWiring(W.Source, W.Name).value_or(0), 0u);
+}
+
+TEST(SDGHeapWiring, MatchesPairwiseOracleOnGeneratedPrograms) {
+  std::size_t Compiled = 0, HeapEdges = 0;
+  for (uint64_t Seed = 0; Seed != 200; ++Seed) {
+    // fuzz_test's corpus: mostly one store and no load, plus
+    // mutated sources that do not compile.
+    testgen::Rng R{Seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull};
+    Compiled += checkHeapWiring(testgen::genProgram(R),
+                                "fuzz seed " + std::to_string(Seed))
+                    .has_value();
+    // Heap-dense programs over a random alias graph; all compile.
+    testgen::Rng H{Seed + 1};
+    std::optional<std::size_t> N = checkHeapWiring(
+        testgen::genHeapProgram(H), "heap seed " + std::to_string(Seed));
+    ASSERT_TRUE(N.has_value()) << "heap seed " << Seed;
+    HeapEdges += *N;
+  }
+  EXPECT_GT(Compiled, 50u);
+  EXPECT_GT(HeapEdges, 1000u);
 }
