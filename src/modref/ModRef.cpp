@@ -25,11 +25,11 @@ unsigned ModRefResult::getPartition(HeapPartition::Kind K, unsigned Obj,
   return It->second;
 }
 
-BitSet ModRefResult::partitionsOf(const Instr *I) const {
+SparseBitSet ModRefResult::partitionsOf(const Instr *I) const {
   // Note: const_cast-free requires partitions to exist already; this
   // query is used after construction, when every reachable access has
   // been interned.
-  BitSet Out;
+  SparseBitSet Out;
   auto Lookup = [&](HeapPartition::Kind K, unsigned Obj, const Field *F) {
     auto It = PartIndex.find(partKey(K, Obj, F));
     if (It != PartIndex.end())
@@ -73,7 +73,7 @@ BitSet ModRefResult::partitionsOf(const Instr *I) const {
 }
 
 void ModRefResult::collectDirect(const Method *M, const PointsToResult &PTA,
-                                 BitSet &Mod, BitSet &Ref) {
+                                 SparseBitSet &Mod, SparseBitSet &Ref) {
   if (!M->entry())
     return;
   for (const auto &BB : M->blocks()) {
@@ -137,7 +137,7 @@ ModRefResult::ModRefResult(const Program &P, const PointsToResult &PTAIn,
   // partition ids in first-seen order, so this scan fixes the id
   // space every downstream consumer (and every serialized artifact)
   // depends on. The per-method copies feed the incremental path.
-  std::vector<BitSet> DirectMod(NumM), DirectRef(NumM);
+  std::vector<SparseBitSet> DirectMod(NumM), DirectRef(NumM);
   for (unsigned I = 0; I != NumM; ++I) {
     collectDirect(Reachable[I], PTA, DirectMod[I], DirectRef[I]);
     DirectModM[Reachable[I]->id()] = DirectMod[I];
@@ -152,7 +152,7 @@ ModRefResult::ModRefResult(const Program &P, const PointsToResult &PTAIn,
     // Sound fallback: every reachable method may read and write every
     // partition interned by the direct-effect scan (the closure never
     // creates new partitions, it only unions existing ones).
-    BitSet AllParts;
+    SparseBitSet AllParts;
     for (unsigned Id = 0, E = numPartitions(); Id != E; ++Id)
       AllParts.insert(Id);
     for (Method *M : Reachable) {
@@ -188,14 +188,14 @@ bool ModRefResult::updateIncremental(
   // Re-scan direct effects for affected and newly reachable methods;
   // everything else reuses its cached set. The scan stays in method
   // order so newly interned partition ids are deterministic.
-  std::vector<BitSet> DirectMod(NumM), DirectRef(NumM);
+  std::vector<SparseBitSet> DirectMod(NumM), DirectRef(NumM);
   for (unsigned I = 0; I != NumM; ++I) {
     Method *M = Reachable[I];
     auto HaveMod = DirectModM.find(M->id());
     if (HaveMod == DirectModM.end() || Dirty.count(M)) {
       if (Gate.spend())
         return false; // Injected fault: caller rebuilds cold.
-      BitSet DM, DR;
+      SparseBitSet DM, DR;
       collectDirect(M, PTA, DM, DR);
       DirectModM[M->id()] = DM;
       DirectRefM[M->id()] = DR;
@@ -218,10 +218,10 @@ bool ModRefResult::updateIncremental(
   return true;
 }
 
-void ModRefResult::closeOverCallGraph(const std::vector<Method *> &Reachable,
-                                      const std::vector<BitSet> &DirectMod,
-                                      const std::vector<BitSet> &DirectRef,
-                                      BudgetGate &Gate) {
+void ModRefResult::closeOverCallGraph(
+    const std::vector<Method *> &Reachable,
+    const std::vector<SparseBitSet> &DirectMod,
+    const std::vector<SparseBitSet> &DirectRef, BudgetGate &Gate) {
   const CallGraph &CG = PTA.callGraph();
   const unsigned NumM = static_cast<unsigned>(Reachable.size());
   std::unordered_map<const Method *, unsigned> Idx;
@@ -329,11 +329,11 @@ void ModRefResult::closeOverCallGraph(const std::vector<Method *> &Reachable,
   // so one pass in increasing id order computes the least fixpoint,
   // with each union performed exactly once. Each SCC spends one gate
   // step before its unions.
-  std::vector<BitSet> SccMod(NumComps), SccRef(NumComps);
+  std::vector<SparseBitSet> SccMod(NumComps), SccRef(NumComps);
   for (unsigned S = 0; S != NumComps; ++S) {
     if (Gate.spend())
       break; // Budget exhausted; degrade below.
-    BitSet &SMod = SccMod[S], &SRef = SccRef[S];
+    SparseBitSet &SMod = SccMod[S], &SRef = SccRef[S];
     for (unsigned I = MemberOff[S]; I != MemberOff[S + 1]; ++I) {
       SMod.unionWith(DirectMod[Members[I]]);
       SRef.unionWith(DirectRef[Members[I]]);
@@ -354,12 +354,12 @@ void ModRefResult::closeOverCallGraph(const std::vector<Method *> &Reachable,
   }
 }
 
-const BitSet &ModRefResult::modOf(const Method *M) const {
+const SparseBitSet &ModRefResult::modOf(const Method *M) const {
   auto It = Mod.find(M->id());
   return It == Mod.end() ? EmptySet : It->second;
 }
 
-const BitSet &ModRefResult::refOf(const Method *M) const {
+const SparseBitSet &ModRefResult::refOf(const Method *M) const {
   auto It = Ref.find(M->id());
   return It == Ref.end() ? EmptySet : It->second;
 }
@@ -373,8 +373,8 @@ namespace {
 /// Per-method rows in ascending method-id order so the encoding is
 /// canonical regardless of unordered_map iteration order.
 void putRows(tsl::ByteWriter &W,
-             const std::unordered_map<uint32_t, tsl::BitSet> &Rows) {
-  std::map<uint32_t, const tsl::BitSet *> Sorted;
+             const std::unordered_map<uint32_t, tsl::SparseBitSet> &Rows) {
+  std::map<uint32_t, const tsl::SparseBitSet *> Sorted;
   for (const auto &[MId, Bits] : Rows)
     Sorted.emplace(MId, &Bits);
   W.vu64(Sorted.size());
@@ -385,7 +385,7 @@ void putRows(tsl::ByteWriter &W,
 }
 
 void getRows(tsl::ByteReader &R, const tsl::Program &P,
-             std::unordered_map<uint32_t, tsl::BitSet> &Rows) {
+             std::unordered_map<uint32_t, tsl::SparseBitSet> &Rows) {
   const uint64_t N = R.vu64();
   for (uint64_t I = 0; I != N; ++I) {
     const uint32_t MId = R.vu32();

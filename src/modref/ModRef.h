@@ -22,9 +22,9 @@
 #include "ir/Instr.h"
 #include "ir/Program.h"
 #include "pta/PointsTo.h"
-#include "support/BitSet.h"
 #include "support/Budget.h"
 #include "support/Serialize.h"
+#include "support/SparseBitSet.h"
 
 #include <memory>
 #include <string>
@@ -62,13 +62,13 @@ public:
   const HeapPartition &partition(unsigned Id) const { return Partitions[Id]; }
 
   /// Heap partitions the method or its transitive callees may write.
-  const BitSet &modOf(const Method *M) const;
+  const SparseBitSet &modOf(const Method *M) const;
   /// Heap partitions the method or its transitive callees may read.
-  const BitSet &refOf(const Method *M) const;
+  const SparseBitSet &refOf(const Method *M) const;
 
   /// Partitions a single heap access (Load/Store/ArrayLoad/ArrayStore)
   /// may touch, per the points-to sets of its base.
-  BitSet partitionsOf(const Instr *I) const;
+  SparseBitSet partitionsOf(const Instr *I) const;
 
   /// Human-readable partition label for debugging and tests.
   std::string partitionName(unsigned Id, const Program &P) const;
@@ -109,12 +109,12 @@ private:
 
   unsigned getPartition(HeapPartition::Kind K, unsigned Obj, const Field *F);
   void collectDirect(const Method *M, const PointsToResult &PTA,
-                     BitSet &Mod, BitSet &Ref);
+                     SparseBitSet &Mod, SparseBitSet &Ref);
   /// SCC-condensation closure over the current call graph: fills
   /// Mod/Ref from the per-method direct sets unless \p Gate trips.
   void closeOverCallGraph(const std::vector<Method *> &Reachable,
-                          const std::vector<BitSet> &DirectMod,
-                          const std::vector<BitSet> &DirectRef,
+                          const std::vector<SparseBitSet> &DirectMod,
+                          const std::vector<SparseBitSet> &DirectRef,
                           BudgetGate &Gate);
 
   std::vector<HeapPartition> Partitions;
@@ -122,13 +122,13 @@ private:
   // Rows are keyed by dense method id, not Method*: a decoded result
   // replays into identical map state, and no raw pointer is part of
   // any serialized layer's identity (see ir/Program.h).
-  std::unordered_map<uint32_t, BitSet> Mod, Ref;
+  std::unordered_map<uint32_t, SparseBitSet> Mod, Ref;
   /// Per-method direct (non-transitive) effects, kept so the
   /// incremental path can re-scan only affected methods.
-  std::unordered_map<uint32_t, BitSet> DirectModM, DirectRefM;
+  std::unordered_map<uint32_t, SparseBitSet> DirectModM, DirectRefM;
   const PointsToResult &PTA;
   StageReport Report{"modref", StageStatus::Complete, "", "", 0, 0};
-  BitSet EmptySet;
+  SparseBitSet EmptySet;
 };
 
 } // namespace tsl

@@ -24,6 +24,12 @@
 // full set and never collapses cycles. It is the differential
 // reference for the solver tests and bench_pta_solver.
 //
+// Every set of abstract objects here (points-to sets, deltas, the
+// merged per-local sets) is a SparseBitSet: it stores only non-zero
+// words, so set operations cost what the set holds, not the width of
+// the object table. Iteration is ascending, as with a dense BitSet, so
+// the representation fixes no visit order.
+//
 // Merging nodes conservatively re-delivers the merged points-to set
 // (Delta := Pts): deferred constraints are idempotent (copy edges,
 // call graph edges and object insertion all dedup), so re-delivery
@@ -53,14 +59,16 @@ std::string SolverStats::str() const {
            "pta: %llu pops, %llu propagations (%llu no-change), "
            "%llu delta bits moved, %llu constraint evals\n"
            "pta: %u cycles collapsed, %u nodes merged\n"
-           "pta: solve %.6fs, finalize %.6fs\n",
+           "pta: solve %.6fs, finalize %.6fs\n"
+           "pta: %llu set words touched\n",
            NumNodes, NumRepNodes, NumCopyEdges, NumConstraints, NumObjects,
            static_cast<unsigned long long>(WorklistPops),
            static_cast<unsigned long long>(Propagations),
            static_cast<unsigned long long>(NoChangePropagations),
            static_cast<unsigned long long>(DeltaBitsMoved),
            static_cast<unsigned long long>(ConstraintEvals), CyclesCollapsed,
-           NodesMerged, SolveSeconds, FinalizeSeconds);
+           NodesMerged, SolveSeconds, FinalizeSeconds,
+           static_cast<unsigned long long>(SetWordsTouched));
   return Buf;
 }
 
@@ -87,14 +95,14 @@ public:
     return Ctx < CtxObject.size() ? CtxObject[Ctx] : ~0u;
   }
 
-  const BitSet &pointsTo(const Local *L) const override {
+  const SparseBitSet &pointsTo(const Local *L) const override {
     if (Coarse)
       return isPointer(L) ? AllObjects : EmptySet;
     auto It = Merged.find(L);
-    return It == Merged.end() ? EmptySet : It->second;
+    return It == Merged.end() ? EmptySet : *It->second;
   }
 
-  const BitSet &pointsTo(const Local *L, unsigned Ctx) const override {
+  const SparseBitSet &pointsTo(const Local *L, unsigned Ctx) const override {
     if (Coarse)
       return isPointer(L) ? AllObjects : EmptySet;
     auto ByCtx = LocalNodes.find(L);
@@ -111,7 +119,7 @@ public:
   const ClassHierarchy &hierarchy() const override { return CH; }
 
   bool castCannotFail(const CastInstr *Cast) const override {
-    const BitSet &Pts = pointsTo(Cast->src());
+    const SparseBitSet &Pts = pointsTo(Cast->src());
     bool Safe = true;
     Pts.forEach([&](unsigned ObjId) {
       if (!CH.isSubtype(Objects[ObjId].Ty, Cast->targetType()))
@@ -132,10 +140,10 @@ public:
 
 private:
   struct NodeData {
-    BitSet Pts;
+    SparseBitSet Pts;
     /// Objects added since this node last propagated (difference
     /// propagation only).
-    BitSet Delta;
+    SparseBitSet Delta;
     /// Copy edges: (target node, optional type filter for casts).
     /// Targets may be stale after cycle collapsing; resolve through
     /// find() before use.
@@ -308,7 +316,7 @@ private:
   /// Unions \p From (filtered by \p Filter) into \p Dst's set;
   /// returns true when \p Dst changed. \p Dst must be a
   /// representative.
-  bool flowInto(unsigned Dst, const BitSet &From, const Type *Filter) {
+  bool flowInto(unsigned Dst, const SparseBitSet &From, const Type *Filter) {
     NodeData &D = Nodes[Dst];
     if (&From == &D.Pts)
       return false; // Self-union is a no-op (and would mutate during forEach).
@@ -357,7 +365,7 @@ private:
     applyConstraint(Idx, Nodes[Node].Pts);
   }
 
-  void applyConstraint(unsigned ConsIdx, const BitSet &Pts);
+  void applyConstraint(unsigned ConsIdx, const SparseBitSet &Pts);
   void applyCall(const CallInstr *Call, unsigned CallerCtx, unsigned Obj);
 
   //===------------------------------------------------------------------===//
@@ -372,6 +380,7 @@ private:
   //===------------------------------------------------------------------===//
 
   void solveLoop(BudgetGate &Gate);
+  void finalizeMerged();
   void degradeToCoarse(const BudgetGate &Gate);
   void processMethodCtx(unsigned MCId);
   void processInstr(const Instr *I, Method *M, unsigned Ctx, unsigned MCId);
@@ -420,17 +429,21 @@ private:
   std::vector<bool> IsContainer;
 
   std::unordered_map<const Method *, std::vector<Local *>> ParamCache;
-  std::unordered_map<const Local *, BitSet> Merged;
+  /// Context-merged per-local sets for pointsTo(L). A local with one
+  /// context points at its node's set; only a local with several
+  /// contexts points into MergedOwned, which holds the union.
+  std::unordered_map<const Local *, const SparseBitSet *> Merged;
+  std::unordered_map<const Local *, SparseBitSet> MergedOwned;
   SolverStats Stats;
   StageReport Report{"pta", StageStatus::Complete, "", "", 0, 0};
-  BitSet EmptySet;
+  SparseBitSet EmptySet;
 
   /// Coarse-fallback state (budget exhaustion): every reference local
   /// points to every allocation site, and dispatch comes from the
   /// budget-independent CHA call graph.
   bool Coarse = false;
   std::unique_ptr<CallGraph> CoarseCG;
-  BitSet AllObjects;
+  SparseBitSet AllObjects;
 };
 
 } // namespace
@@ -449,6 +462,7 @@ const std::vector<Local *> &Solver::paramLocals(const Method *M) {
 
 void Solver::run() {
   auto SolveStart = std::chrono::steady_clock::now();
+  const uint64_t WordsAtStart = SparseBitSet::wordsTouched();
 
   // Mark container classes by name.
   IsContainer.assign(P.classes().size(), false);
@@ -477,19 +491,11 @@ void Solver::run() {
   if (Gate.exhausted()) {
     degradeToCoarse(Gate);
   } else {
-    // Fully compress the union-find so post-solve queries are O(depth 1).
-    for (unsigned I = 0, E = static_cast<unsigned>(Rep.size()); I != E; ++I)
-      Rep[I] = find(I);
-
-    // Finalize context-merged per-local sets for client queries.
-    for (const auto &[L, ByCtx] : LocalNodes)
-      for (const auto &[Ctx, Node] : ByCtx) {
-        (void)Ctx;
-        Merged[L].unionWith(Nodes[find(Node)].Pts);
-      }
+    finalizeMerged();
   }
 
   auto FinalizeEnd = std::chrono::steady_clock::now();
+  Stats.SetWordsTouched = SparseBitSet::wordsTouched() - WordsAtStart;
 
   Stats.NumNodes = static_cast<unsigned>(Nodes.size());
   Stats.NumRepNodes = 0;
@@ -558,10 +564,44 @@ void Solver::degradeToCoarse(const BudgetGate &Gate) {
   Report.Fallback = "CHA call graph + all-heap points-to";
 }
 
+/// Publishes the context-merged per-local sets that pointsTo(L)
+/// answers, after fully compressing the union-find so post-solve
+/// queries are O(depth 1). A local seen in one context shares its
+/// node's set; only a local with several contexts gets a merged copy,
+/// whose storage recycles across incremental updates. The copy is
+/// built from the sorted ids of all its contexts' sets: a container
+/// method's `this` has one context per receiver, each holding one
+/// object, and unioning those one at a time in context order would
+/// insert words mid-set, quadratic in the number of receivers.
+void Solver::finalizeMerged() {
+  for (unsigned I = 0, E = static_cast<unsigned>(Rep.size()); I != E; ++I)
+    Rep[I] = find(I);
+  Merged.clear();
+  Merged.reserve(LocalNodes.size());
+  for (auto &KV : MergedOwned)
+    KV.second.clear();
+  std::vector<unsigned> Ids;
+  for (const auto &[L, ByCtx] : LocalNodes) {
+    if (ByCtx.size() == 1) {
+      Merged.emplace(L, &Nodes[Rep[ByCtx.begin()->second]].Pts);
+      continue;
+    }
+    Ids.clear();
+    for (const auto &KV : ByCtx)
+      Nodes[Rep[KV.second]].Pts.forEach(
+          [&](unsigned Obj) { Ids.push_back(Obj); });
+    std::sort(Ids.begin(), Ids.end());
+    SparseBitSet &Union = MergedOwned[L];
+    for (unsigned Obj : Ids)
+      Union.insert(Obj);
+    Merged.emplace(L, &Union);
+  }
+}
+
 void Solver::solveLoop(BudgetGate &Gate) {
   // Hoisted scratch buffers: the loop body runs once per worklist pop
   // and must not allocate on the happy path.
-  BitSet Moved;
+  SparseBitSet Moved;
   std::vector<std::pair<unsigned, const Type *>> Succs;
   std::vector<unsigned> Cons;
 
@@ -593,7 +633,7 @@ void Solver::solveLoop(BudgetGate &Gate) {
         continue;
       // Re-fetch the source set each iteration: a cycle collapse can
       // move N's data to another representative mid-loop.
-      const BitSet &Src = Reference ? Nodes[Self].Pts : Moved;
+      const SparseBitSet &Src = Reference ? Nodes[Self].Pts : Moved;
       bool Changed = flowInto(Dst, Src, Filter);
       Stats.DeltaBitsMoved += MovedCount;
       if (!Changed && !Reference && !Filter)
@@ -950,7 +990,7 @@ void Solver::applyCall(const CallInstr *Call, unsigned CallerCtx,
            CalleeCtx, Obj, /*BindReceiverObject=*/true);
 }
 
-void Solver::applyConstraint(unsigned ConsIdx, const BitSet &Pts) {
+void Solver::applyConstraint(unsigned ConsIdx, const SparseBitSet &Pts) {
   // Pts is the delta since the node's last visit, or the node's full
   // set in the reference solver. Either way the
   // handlers below are idempotent (edge/object insertion all dedups),
@@ -1027,6 +1067,8 @@ void Solver::applyConstraint(unsigned ConsIdx, const BitSet &Pts) {
 // derived edges could then be stale in a way edge-closure cannot see).
 
 PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
+  auto UpdateStart = std::chrono::steady_clock::now();
+  const uint64_t WordsAtStart = SparseBitSet::wordsTouched();
   PTAUpdateResult Out;
   auto Fallback = [&](const char *Why) {
     Out.Applied = false;
@@ -1130,7 +1172,7 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   // per-context sets (the context-insensitive SDG aliases clones with
   // pointsTo(L, Ctx)), so change detection must be per-context, not
   // merged.
-  std::unordered_map<unsigned, BitSet> OldRPts;
+  std::unordered_map<unsigned, SparseBitSet> OldRPts;
   std::unordered_set<unsigned> RHadCons;
   for (unsigned N : RSet) {
     OldRPts.emplace(N, Nodes[N].Pts);
@@ -1172,8 +1214,12 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
     OldCGEdges.emplace_back(E.CallerNode, E.Site, E.CalleeNode);
   std::sort(OldCGEdges.begin(), OldCGEdges.end());
 
-  // Retraction. Edges into zombies are owned by live sources and must
-  // be removed edge-wise; edges out of zombies die with their node.
+  // Retraction. The published merged sets point into node storage
+  // that retraction and replay rewrite, so unpublish them until the
+  // finalize below. Edges into zombies are owned by live sources and
+  // must be removed edge-wise; edges out of zombies die with their
+  // node.
+  Merged.clear();
   unsigned EdgesRemoved = 0;
   if (!Z.empty())
     for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size()); N != E;
@@ -1197,6 +1243,7 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   for (const Local *L : Req.DeadLocals) {
     LocalNodes.erase(L);
     Merged.erase(L);
+    MergedOwned.erase(L);
   }
   for (auto It = FieldNodes.begin(); It != FieldNodes.end();)
     It = DirtyObjs.count(static_cast<unsigned>(It->first >> 32))
@@ -1343,7 +1390,7 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   for (const auto &[N, Old] : OldRPts) {
     if (!RHadCons.count(N))
       continue;
-    const BitSet &New = Nodes[find(N)].Pts;
+    const SparseBitSet &New = Nodes[find(N)].Pts;
     bool Lost = false;
     Old.forEach([&](unsigned Obj) {
       if (!New.test(Obj))
@@ -1361,18 +1408,10 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
       !CG.allReachableFrom(static_cast<unsigned>(Entry)))
     return Fallback("edit left stale unreachable call-graph nodes");
 
-  // Finalize exactly as run() does. Merged entries are zeroed in place
-  // rather than dropped: the keys barely change between updates, so
-  // the buckets and bit buffers recycle.
-  for (unsigned I = 0, E = static_cast<unsigned>(Rep.size()); I != E; ++I)
-    Rep[I] = find(I);
-  for (auto &KV : Merged)
-    KV.second.clear();
-  for (const auto &[L, ByCtx] : LocalNodes)
-    for (const auto &[Ctx, Node] : ByCtx) {
-      (void)Ctx;
-      Merged[L].unionWith(Nodes[find(Node)].Pts);
-    }
+  // Finalize exactly as run() does.
+  auto FinalizeStart = std::chrono::steady_clock::now();
+  finalizeMerged();
+  auto FinalizeEnd = std::chrono::steady_clock::now();
 
   // Affected methods: the dirty ones, the owner of every local whose
   // points-to set changed in ANY context, and both endpoints of every
@@ -1388,7 +1427,7 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   std::unordered_set<const Local *> ChangedLocals;
   for (const auto &[L, ByCtx] : LocalNodes) {
     for (const auto &[Ctx, Node] : ByCtx) {
-      const BitSet &Final = Nodes[find(Node)].Pts;
+      const SparseBitSet &Final = Nodes[find(Node)].Pts;
       LocalSnap Probe{L, Ctx, 0, 0, false};
       auto SIt =
           std::lower_bound(OldLocal.begin(), OldLocal.end(), Probe, SnapLess);
@@ -1450,7 +1489,9 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   }
   Out.AffectedMethods.assign(Affected.begin(), Affected.end());
 
-  // Refresh the public counters; solve-time totals accumulate.
+  // Refresh the public counters; time and work totals accumulate.
+  // Report.Seconds covers the whole update, retraction and replays
+  // included, not only the fixed-point loop and finalize.
   Stats.NumNodes = static_cast<unsigned>(Nodes.size());
   Stats.NumRepNodes = 0;
   for (unsigned I = 0, E = static_cast<unsigned>(Rep.size()); I != E; ++I)
@@ -1460,8 +1501,13 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   Stats.NumObjects = static_cast<unsigned>(Objects.size());
   Stats.SolveSeconds +=
       std::chrono::duration<double>(SolveEnd - SolveStart).count();
+  Stats.FinalizeSeconds +=
+      std::chrono::duration<double>(FinalizeEnd - FinalizeStart).count();
+  Stats.SetWordsTouched += SparseBitSet::wordsTouched() - WordsAtStart;
   Report.StepsUsed = Stats.Propagations;
-  Report.Seconds = Stats.SolveSeconds + Stats.FinalizeSeconds;
+  Report.Seconds += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - UpdateStart)
+                        .count();
 
   Out.Applied = true;
   return Out;

@@ -27,8 +27,8 @@
 #include "cg/ClassHierarchy.h"
 #include "ir/Instr.h"
 #include "ir/Program.h"
-#include "support/BitSet.h"
 #include "support/Budget.h"
+#include "support/SparseBitSet.h"
 
 #include <cstdint>
 #include <memory>
@@ -84,9 +84,15 @@ struct SolverStats {
   uint64_t ConstraintEvals = 0; ///< applyConstraint re-evaluations.
   unsigned CyclesCollapsed = 0; ///< SCC collapse events.
   unsigned NodesMerged = 0;   ///< Nodes folded into a representative.
+  /// Words that points-to set operations read or wrote during solve
+  /// and finalize (an incremental update adds all of its set work).
+  /// Deterministic; not serialized.
+  uint64_t SetWordsTouched = 0;
   double SolveSeconds = 0;    ///< Wall time of the fixed-point loop.
   double FinalizeSeconds = 0; ///< Wall time of result finalization.
 
+  /// The `--pta-stats` text: four lines, plus a fifth with
+  /// SetWordsTouched.
   std::string str() const;
 };
 
@@ -143,13 +149,16 @@ public:
   virtual unsigned contextObject(unsigned Ctx) const = 0;
 
   /// Points-to set of \p L merged over all contexts of its method.
-  virtual const BitSet &pointsTo(const Local *L) const = 0;
+  /// Like the per-context sets, the reference may share the solver's
+  /// own storage: it stays valid until applyIncrementalUpdate().
+  virtual const SparseBitSet &pointsTo(const Local *L) const = 0;
 
   /// Points-to set of \p L in one cloning context of its method
   /// (empty when the clone was never analyzed). The clone-level SDG
   /// uses this to keep the object-sensitive container precision that
   /// context-merged sets would erase.
-  virtual const BitSet &pointsTo(const Local *L, unsigned Ctx) const = 0;
+  virtual const SparseBitSet &pointsTo(const Local *L,
+                                      unsigned Ctx) const = 0;
 
   /// Per-context may-alias.
   bool mayAlias(const Local *A, unsigned CtxA, const Local *B,
@@ -164,8 +173,8 @@ public:
 
   /// Objects in both points-to sets (used by thin-slice aliasing
   /// explanations, paper Section 4.1).
-  BitSet commonObjects(const Local *A, const Local *B) const {
-    BitSet Out = pointsTo(A);
+  SparseBitSet commonObjects(const Local *A, const Local *B) const {
+    SparseBitSet Out = pointsTo(A);
     Out.intersectWith(pointsTo(B));
     return Out;
   }

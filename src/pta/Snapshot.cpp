@@ -33,12 +33,12 @@ public:
     return Ctx < CtxObj.size() ? CtxObj[Ctx] : ~0u;
   }
 
-  const BitSet &pointsTo(const Local *L) const override {
+  const SparseBitSet &pointsTo(const Local *L) const override {
     auto It = Merged.find(denseLocalKey(L));
     return It == Merged.end() ? Empty : It->second;
   }
 
-  const BitSet &pointsTo(const Local *L, unsigned Ctx) const override {
+  const SparseBitSet &pointsTo(const Local *L, unsigned Ctx) const override {
     auto It = PerCtx.find({denseLocalKey(L), Ctx});
     return It == PerCtx.end() ? Empty : It->second;
   }
@@ -56,15 +56,15 @@ public:
 
   std::vector<AbstractObject> Objects;
   std::vector<unsigned> CtxObj; ///< Defining object per context id.
-  std::unordered_map<uint64_t, BitSet> Merged;
-  std::map<std::pair<uint64_t, unsigned>, BitSet> PerCtx;
+  std::unordered_map<uint64_t, SparseBitSet> Merged;
+  std::map<std::pair<uint64_t, unsigned>, SparseBitSet> PerCtx;
   CallGraph CG;
   std::unique_ptr<ClassHierarchy> CH;
   std::unordered_set<uint64_t> CastOK;
   SolverStats Stats;
   StageReport Report{"pta", StageStatus::Complete, "", "", 0, 0};
   unsigned NumConstraintNodes = 0;
-  BitSet Empty;
+  SparseBitSet Empty;
 };
 
 void putStats(ByteWriter &W, const SolverStats &S) {
@@ -105,7 +105,7 @@ SolverStats getStats(ByteReader &R) {
 
 /// Bits in a decoded points-to row are abstract object ids; reject
 /// any id past the decoded object table.
-void checkRow(const BitSet &Row, std::size_t NumObjects) {
+void checkRow(const SparseBitSet &Row, std::size_t NumObjects) {
   unsigned Max = 0;
   Row.forEach([&](unsigned Id) { Max = Id; }); // Ascending: last wins.
   if (Row.count() && Max >= NumObjects)
@@ -162,8 +162,8 @@ void tsl::encodePointsTo(const PointsToResult &PTA, const Program &P,
   // Points-to rows, enumerated in method-id/local-id order (canonical
   // regardless of the solver's internal table layout). Empty rows are
   // elided: absent keys already answer with the empty set.
-  std::vector<std::pair<uint64_t, const BitSet *>> MergedRows;
-  std::vector<std::pair<std::pair<uint64_t, unsigned>, const BitSet *>>
+  std::vector<std::pair<uint64_t, const SparseBitSet *>> MergedRows;
+  std::vector<std::pair<std::pair<uint64_t, unsigned>, const SparseBitSet *>>
       CtxRows;
   for (const auto &M : P.methods()) {
     const std::vector<unsigned> &Nodes = CG.nodesOf(M.get());
@@ -174,11 +174,11 @@ void tsl::encodePointsTo(const PointsToResult &PTA, const Program &P,
     std::sort(Ctxs.begin(), Ctxs.end());
     Ctxs.erase(std::unique(Ctxs.begin(), Ctxs.end()), Ctxs.end());
     for (const auto &L : M->locals()) {
-      const BitSet &Row = PTA.pointsTo(L.get());
+      const SparseBitSet &Row = PTA.pointsTo(L.get());
       if (Row.count())
         MergedRows.emplace_back(denseLocalKey(L.get()), &Row);
       for (unsigned Ctx : Ctxs) {
-        const BitSet &CtxRow = PTA.pointsTo(L.get(), Ctx);
+        const SparseBitSet &CtxRow = PTA.pointsTo(L.get(), Ctx);
         if (CtxRow.count())
           CtxRows.push_back({{denseLocalKey(L.get()), Ctx}, &CtxRow});
       }
@@ -270,7 +270,7 @@ std::unique_ptr<PointsToResult> tsl::decodePointsTo(ByteReader &R,
   for (uint64_t I = 0; I != NumMerged; ++I) {
     const uint64_t Key = R.vu64();
     (void)localForKey(P, Key); // Range check.
-    BitSet Row = R.bitset();
+    SparseBitSet Row = R.bitset();
     checkRow(Row, NumObjects);
     if (!Res->Merged.emplace(Key, std::move(Row)).second)
       throw SerializeError("duplicate points-to row");
@@ -282,7 +282,7 @@ std::unique_ptr<PointsToResult> tsl::decodePointsTo(ByteReader &R,
     const unsigned Ctx = R.vu32();
     if (Ctx >= NumCtx)
       throw SerializeError("points-to row in unknown context");
-    BitSet Row = R.bitset();
+    SparseBitSet Row = R.bitset();
     checkRow(Row, NumObjects);
     if (!Res->PerCtx.emplace(std::make_pair(Key, Ctx), std::move(Row))
              .second)

@@ -49,7 +49,7 @@ struct Access {
   /// regime (merged sets when clones were context-merged). Static
   /// accesses share a one-object pseudo set, so a static bucket wires
   /// every store to every load.
-  const BitSet *BasePts;
+  const SparseBitSet *BasePts;
 };
 
 /// The stores and loads of one heap bucket: one instance field, one
@@ -161,7 +161,7 @@ private:
   /// sets (a superset of every per-context set, so still sound).
   bool MergedClones = false;
   /// The base "points-to set" of every static access: object 0.
-  BitSet StaticPseudoObject;
+  SparseBitSet StaticPseudoObject;
   /// Heap-wiring scratch, reused across buckets. StoresByObj maps an
   /// abstract object to the bucket's stores (by index) whose base may
   /// point to it; Touched lists the objects with a non-empty entry, so
@@ -385,7 +385,7 @@ HeapBuckets SDGBuilder::collectHeapAccesses() const {
   // In merged-clone degradation mode the per-context sets of the
   // unanalyzed context-0 clones would be empty (unsound), so aliasing
   // uses the context-merged supersets instead.
-  auto Pts = [&](const Local *Base, unsigned Ctx) -> const BitSet * {
+  auto Pts = [&](const Local *Base, unsigned Ctx) -> const SparseBitSet * {
     if (!Base)
       return &StaticPseudoObject;
     return MergedClones ? &PTA.pointsTo(Base) : &PTA.pointsTo(Base, Ctx);
@@ -503,8 +503,8 @@ void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
   const CallGraph &CG = PTA.callGraph();
 
   // Formal heap parameters for this method.
-  const BitSet &Ref = MR->refOf(M);
-  const BitSet &Mod = MR->modOf(M);
+  const SparseBitSet &Ref = MR->refOf(M);
+  const SparseBitSet &Mod = MR->modOf(M);
   Ref.forEach([&](unsigned Part) {
     addHeapNode(SDGNodeKind::HeapFormalIn, nullptr, M, Part);
   });
@@ -580,7 +580,7 @@ void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
     if (Gate.spend())
       return;
     std::vector<Method *> Targets = CG.calleesOf(Call);
-    BitSet RefUnion, ModUnion;
+    SparseBitSet RefUnion, ModUnion;
     for (const Method *T : Targets) {
       RefUnion.unionWith(MR->refOf(T));
       ModUnion.unionWith(MR->modOf(T));

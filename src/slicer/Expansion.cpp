@@ -33,7 +33,7 @@ const Local *ThinExpansion::indexOf(const Instr *I) {
 }
 
 SliceResult ThinExpansion::filteredThinSlice(const Local *L,
-                                             const BitSet &Common) const {
+                                             const SparseBitSet &Common) const {
   const Instr *Def = L->def();
   if (!Def)
     return SliceResult(&G, BitSet());
@@ -72,7 +72,7 @@ SliceResult ThinExpansion::explainAliasing(const Instr *Write,
   const Local *RBase = basePointerOf(Read);
   if (!WBase || !RBase)
     return SliceResult(&G, BitSet());
-  BitSet Common = PTA.commonObjects(WBase, RBase);
+  SparseBitSet Common = PTA.commonObjects(WBase, RBase);
   SliceResult Out = filteredThinSlice(WBase, Common);
   Out.unionWith(filteredThinSlice(RBase, Common));
   return Out;

@@ -75,7 +75,7 @@ private:
   /// Thin slice from the definition of \p L, filtered to statements
   /// whose value may be one of \p CommonObjects.
   SliceResult filteredThinSlice(const Local *L,
-                                const BitSet &CommonObjects) const;
+                                const SparseBitSet &CommonObjects) const;
 
   const SDG &G;
   const PointsToResult &PTA;

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dense, growable bit set keyed by small unsigned ids. Points-to
-/// sets, slice membership, and reachability marks are all sets of
-/// densely numbered entities (abstract objects, SDG nodes), so a word
-/// packed representation with fast union is the workhorse container of
-/// the analyses.
+/// A dense, growable bit set keyed by small unsigned ids. Slice
+/// membership, reachability marks, batch-engine lanes, SSA liveness
+/// and worklist dedup are sets over densely used domains (SDG nodes,
+/// locals, blocks), so a word-packed representation with fast union
+/// is the right container there. Sets of abstract objects and heap
+/// partitions are sparse in a wide domain and use SparseBitSet.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,29 +70,6 @@ public:
       uint64_t Old = Words[I];
       Words[I] |= RHS.Words[I];
       Changed |= Words[I] != Old;
-    }
-    return Changed;
-  }
-
-  /// Word-level union that also records which bits were newly set:
-  /// every id added to this set is inserted into \p NewBits as well.
-  /// Returns true if this set changed. This is the difference-
-  /// propagation workhorse: the points-to solver accumulates the
-  /// newly arrived objects of a node into its delta set without a
-  /// per-bit loop.
-  bool unionWithReturningChanged(const BitSet &RHS, BitSet &NewBits) {
-    if (RHS.Words.size() > Words.size())
-      Words.resize(RHS.Words.size(), 0);
-    if (RHS.Words.size() > NewBits.Words.size())
-      NewBits.Words.resize(RHS.Words.size(), 0);
-    bool Changed = false;
-    for (std::size_t I = 0, E = RHS.Words.size(); I != E; ++I) {
-      uint64_t Fresh = RHS.Words[I] & ~Words[I];
-      if (!Fresh)
-        continue;
-      Words[I] |= Fresh;
-      NewBits.Words[I] |= Fresh;
-      Changed = true;
     }
     return Changed;
   }

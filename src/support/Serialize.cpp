@@ -79,7 +79,7 @@ uint32_t tsl::crc32(const void *Data, std::size_t Size) {
   return crc32cSw(P, Size, 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
 }
 
-void ByteWriter::bitset(const BitSet &B) {
+void ByteWriter::bitset(const SparseBitSet &B) {
   vu64(B.count());
   unsigned Prev = 0;
   bool First = true;
@@ -90,9 +90,9 @@ void ByteWriter::bitset(const BitSet &B) {
   });
 }
 
-BitSet ByteReader::bitset() {
+SparseBitSet ByteReader::bitset() {
   uint64_t N = vu64();
-  BitSet B;
+  SparseBitSet B;
   unsigned Cur = 0;
   for (uint64_t I = 0; I != N; ++I) {
     uint32_t Gap = vu32();

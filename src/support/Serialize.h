@@ -11,7 +11,7 @@
 /// tagged sections, each framed with its payload length and a CRC32C
 /// so truncation and bit flips are detected before any layer decoder
 /// runs. Integers are written as LEB128 varints (ids and counts are
-/// small), spans as raw bytes, and BitSets as delta-coded sorted id
+/// small), spans as raw bytes, and id sets as delta-coded sorted id
 /// runs. Every decode-side primitive bounds-checks and throws
 /// SerializeError; callers (AnalysisSession::loadSnapshot) convert
 /// that to a sound cold-rebuild fallback, never a crash.
@@ -25,7 +25,7 @@
 #ifndef THINSLICER_SUPPORT_SERIALIZE_H
 #define THINSLICER_SUPPORT_SERIALIZE_H
 
-#include "support/BitSet.h"
+#include "support/SparseBitSet.h"
 
 #include <cstdint>
 #include <cstring>
@@ -108,7 +108,7 @@ public:
   }
 
   /// Sorted set-bit ids, delta-coded: count then ascending gaps.
-  void bitset(const BitSet &B);
+  void bitset(const SparseBitSet &B);
 
   /// Opens a framed section: writes the tag and reserves the length
   /// and CRC slots, patched by endSection(). Sections do not nest.
@@ -189,7 +189,7 @@ public:
     P += Size;
   }
 
-  BitSet bitset();
+  SparseBitSet bitset();
 
   /// Reads one section header, verifies the tag, the payload fits,
   /// and the CRC32 matches, then returns a reader over the payload

@@ -24,6 +24,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eval/Experiments.h"
+#include "eval/Workload.h"
 #include "ir/Program.h"
 #include "modref/ModRef.h"
 #include "pipeline/Session.h"
@@ -35,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -179,7 +182,21 @@ std::string objName(const PointsToResult &PTA, unsigned Obj) {
   return OS.str();
 }
 
-/// Points-to signature over canonical object names, in program order.
+/// Canonical name of cloning context \p Ctx: the full chain of its
+/// defining objects, each named by objName ("-" for context 0).
+std::string ctxName(const PointsToResult &PTA, unsigned Ctx) {
+  if (Ctx == 0)
+    return "-";
+  const unsigned Obj = PTA.contextObject(Ctx);
+  return objName(PTA, Obj) + "@[" +
+         ctxName(PTA, PTA.objects()[Obj].AllocCtx) + "]";
+}
+
+/// Points-to signature over canonical object names: the merged set of
+/// every defined local in program order, then the per-context set of
+/// every defined local under every call-graph context of its method
+/// (sorted, since context ids are visit-order defined). Objects in the
+/// per-context rows are named with their whole allocation chain.
 std::string ptaSignature(const Program &P, const PointsToResult &PTA) {
   std::ostringstream OS;
   OS << "cgnodes=" << PTA.callGraph().nodes().size()
@@ -199,6 +216,34 @@ std::string ptaSignature(const Program &P, const PointsToResult &PTA) {
           OS << " " << N;
         OS << "\n";
       }
+  const CallGraph &CG = PTA.callGraph();
+  std::vector<std::string> CtxRows;
+  for (const auto &M : P.methods())
+    for (unsigned NodeId : CG.nodesOf(M.get())) {
+      const unsigned Ctx = CG.node(NodeId).Ctx;
+      const std::string Prefix =
+          M->qualifiedName(P.strings()) + "@" + ctxName(PTA, Ctx) + ":";
+      for (const auto &BB : M->blocks())
+        for (const auto &I : BB->instrs()) {
+          if (!I->dest())
+            continue;
+          std::vector<std::string> Pts;
+          PTA.pointsTo(I->dest(), Ctx).forEach([&](unsigned Obj) {
+            const unsigned AllocCtx = PTA.objects()[Obj].AllocCtx;
+            Pts.push_back(objName(PTA, Obj) + "@[" + ctxName(PTA, AllocCtx) +
+                          "]");
+          });
+          std::sort(Pts.begin(), Pts.end());
+          std::string Row = Prefix + std::to_string(I->loc().Line) + ":" +
+                            std::to_string(I->loc().Col) + " =";
+          for (const std::string &N : Pts)
+            Row += " " + N;
+          CtxRows.push_back(std::move(Row));
+        }
+    }
+  std::sort(CtxRows.begin(), CtxRows.end());
+  for (const std::string &Row : CtxRows)
+    OS << Row << "\n";
   return OS.str();
 }
 
@@ -220,7 +265,7 @@ std::string modrefSignature(const Program &P, const PointsToResult &PTA,
     }
     return MR.partitionName(Id, P);
   };
-  auto Render = [&](const BitSet &Set) {
+  auto Render = [&](const SparseBitSet &Set) {
     std::vector<std::string> Names;
     Set.forEach([&](unsigned Id) { Names.push_back(Name(Id)); });
     std::sort(Names.begin(), Names.end());
@@ -379,3 +424,59 @@ TEST_P(IncrementalDifferential, ChainedEditStreamMatchesColdAtEveryStep) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, IncrementalDifferential,
                          ::testing::Values(1u, 4u));
+
+// At size: the edit perfbench's edit-slice workload makes — rewrite
+// the literal of one padding method's `var acc = x + N;` line — on a
+// pad-100 program. Every update must take the fast path, and the
+// updated per-context points-to sets must equal a cold session's after
+// each edit. This is where a finalize that shares a node's set with a
+// single-context local, or any retraction slip, would show at scale.
+TEST(IncrementalAtSize, PaddingLiteralEditsMatchColdPerContext) {
+  const WorkloadProgram W =
+      padWorkload(debuggingCases().front().Prog, "BS", 100, 6);
+  std::vector<std::string> Lines;
+  {
+    std::istringstream In(W.Source);
+    for (std::string L; std::getline(In, L);)
+      Lines.push_back(L);
+  }
+  std::vector<std::size_t> Sites;
+  bool InPad = false;
+  for (std::size_t I = 0; I + 1 < Lines.size(); ++I) {
+    InPad |= Lines[I].rfind("class PadBS", 0) == 0;
+    if (InPad && Lines[I].rfind("  def work", 0) == 0 &&
+        Lines[I + 1].rfind("    var acc = x + ", 0) == 0)
+      Sites.push_back(I + 1);
+  }
+  ASSERT_EQ(Sites.size(), 600u);
+
+  AnalysisSession S{std::string(W.Source)};
+  S.setIncremental(true);
+  ASSERT_NE(S.pointsTo(), nullptr) << S.diagnostics().str();
+
+  std::mt19937_64 R(7);
+  constexpr unsigned NumEdits = 12;
+  for (unsigned E = 0; E != NumEdits; ++E) {
+    std::string &Line = Lines[Sites[R() % Sites.size()]];
+    std::string New;
+    do
+      New = "    var acc = x + " + std::to_string(1 + R() % 9999) + ";";
+    while (New == Line);
+    Line = New;
+    std::string Src;
+    for (const std::string &L : Lines)
+      Src += L + "\n";
+
+    S.setSource(Src);
+    AnalysisSession Cold(Src);
+    ASSERT_NE(S.pointsTo(), nullptr) << "edit " << E;
+    ASSERT_NE(Cold.pointsTo(), nullptr) << "edit " << E;
+    EXPECT_EQ(ptaSignature(*S.program(), *S.pointsTo()),
+              ptaSignature(*Cold.program(), *Cold.pointsTo()))
+        << "edit " << E;
+  }
+  const AnalysisSession::IncrementalStats &St = S.incrementalStats();
+  EXPECT_EQ(St.Applied, NumEdits) << St.LastFallbackReason;
+  EXPECT_EQ(St.PtaUpdates, NumEdits) << St.LastFallbackReason;
+  EXPECT_EQ(St.StageFallbacks, 0u) << St.LastFallbackReason;
+}

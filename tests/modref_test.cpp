@@ -103,8 +103,8 @@ TEST(ModRef, PartitionsOfAccess) {
         Load = I.get();
   ASSERT_NE(Store, nullptr);
   ASSERT_NE(Load, nullptr);
-  BitSet SP = F.MR->partitionsOf(Store);
-  BitSet LP = F.MR->partitionsOf(Load);
+  SparseBitSet SP = F.MR->partitionsOf(Store);
+  SparseBitSet LP = F.MR->partitionsOf(Load);
   EXPECT_EQ(SP.count(), 1u);
   EXPECT_TRUE(SP == LP);
 }

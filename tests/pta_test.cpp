@@ -361,6 +361,10 @@ std::string objKey(const PointsToResult &R,
 struct CanonicalResult {
   /// Merged points-to set per local, as canonical object names.
   std::map<const Local *, std::set<std::string>> Pts;
+  /// Per-context points-to set per (local, canonical context name),
+  /// over every call-graph context of the local's method.
+  std::map<std::pair<const Local *, std::string>, std::set<std::string>>
+      CtxPts;
   /// Call graph edges as canonical (caller, site, callee) strings.
   std::set<std::string> CGEdges;
   /// castCannotFail verdict per cast instruction.
@@ -373,7 +377,7 @@ CanonicalResult canonicalize(const Program &P, const PointsToResult &R) {
 
   for (const auto &M : P.methods())
     for (const auto &L : M->locals()) {
-      const BitSet &S = R.pointsTo(L.get());
+      const SparseBitSet &S = R.pointsTo(L.get());
       if (S.empty())
         continue;
       std::set<std::string> &Keys = Out.Pts[L.get()];
@@ -381,6 +385,20 @@ CanonicalResult canonicalize(const Program &P, const PointsToResult &R) {
     }
 
   const CallGraph &CG = R.callGraph();
+  auto ctxKey = [&](unsigned Ctx) {
+    return Ctx == 0 ? std::string("-") : objKey(R, Names, R.contextObject(Ctx));
+  };
+  for (const auto &M : P.methods())
+    for (unsigned NodeId : CG.nodesOf(M.get())) {
+      const unsigned Ctx = CG.node(NodeId).Ctx;
+      for (const auto &L : M->locals()) {
+        const SparseBitSet &S = R.pointsTo(L.get(), Ctx);
+        if (S.empty())
+          continue;
+        std::set<std::string> &Keys = Out.CtxPts[{L.get(), ctxKey(Ctx)}];
+        S.forEach([&](unsigned Obj) { Keys.insert(objKey(R, Names, Obj)); });
+      }
+    }
   auto nodeKey = [&](unsigned NodeId) {
     const MethodCtx &MC = CG.node(NodeId);
     std::string Key = MC.M->qualifiedName(P.strings());
@@ -410,6 +428,8 @@ void expectSolverMatchesReference(const std::string &CaseId,
   CanonicalResult Base = canonicalize(*P, *runPointsToReference(*P));
   CanonicalResult Got = canonicalize(*P, *runPointsTo(*P));
   EXPECT_EQ(Base.Pts, Got.Pts) << CaseId << ": merged points-to sets differ";
+  EXPECT_EQ(Base.CtxPts, Got.CtxPts)
+      << CaseId << ": per-context points-to sets differ";
   EXPECT_EQ(Base.CGEdges, Got.CGEdges) << CaseId << ": call graph edges differ";
   EXPECT_EQ(Base.Casts, Got.Casts) << CaseId << ": cast verdicts differ";
 }

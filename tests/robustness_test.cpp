@@ -451,10 +451,10 @@ TEST(PipelineExhaustion, ModRefFallbackOverApproximates) {
   ASSERT_TRUE(Degraded.report().degraded());
 
   for (const Method *M : PTA->callGraph().reachableMethods()) {
-    BitSet Mod = Precise.modOf(M);
+    SparseBitSet Mod = Precise.modOf(M);
     Mod.subtract(Degraded.modOf(M));
     EXPECT_EQ(Mod.count(), 0u);
-    BitSet Ref = Precise.refOf(M);
+    SparseBitSet Ref = Precise.refOf(M);
     Ref.subtract(Degraded.refOf(M));
     EXPECT_EQ(Ref.count(), 0u);
   }

@@ -282,7 +282,7 @@ def main() {
     if (Name == "read")
       Read = M.get();
   }
-  BitSet WriteMod = F.MR->modOf(Write);
+  SparseBitSet WriteMod = F.MR->modOf(Write);
   ASSERT_EQ(WriteMod.count(), 1u);
   unsigned Part = WriteMod.toVector().front();
   EXPECT_TRUE(F.hasHeapNode(SDGNodeKind::HeapFormalOut, Write, Part));
@@ -359,7 +359,7 @@ EdgeList pairwiseHeapEdges(const SDG &G, const PointsToResult &PTA) {
       (isStore(N.I) ? Buckets[heapKey(N.I).first].first
                     : Buckets[heapKey(N.I).first].second)
           .push_back(N.Id);
-  auto Pts = [&](unsigned Node) -> const BitSet & {
+  auto Pts = [&](unsigned Node) -> const SparseBitSet & {
     return PTA.pointsTo(heapKey(G.node(Node).I).second, G.node(Node).Ctx);
   };
   EdgeList Out;

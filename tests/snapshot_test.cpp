@@ -119,7 +119,7 @@ std::string ptaSignature(const Program &P, const PointsToResult &PTA) {
 
 std::string modrefSignature(const Program &P, const ModRefResult &MR) {
   std::ostringstream OS;
-  auto Render = [&](const BitSet &Set) {
+  auto Render = [&](const SparseBitSet &Set) {
     std::vector<std::string> Names;
     Set.forEach([&](unsigned Id) { Names.push_back(MR.partitionName(Id, P)); });
     std::sort(Names.begin(), Names.end());

@@ -5,10 +5,13 @@
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
 #include "support/ParseInt.h"
+#include "support/SparseBitSet.h"
 #include "support/StringTable.h"
 #include "support/Worklist.h"
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 using namespace tsl;
 
@@ -94,8 +97,173 @@ TEST(BitSet, CountPopcountsAcrossWords) {
   EXPECT_EQ(S.count(), 6u);
 }
 
-TEST(BitSet, UnionWithReturningChanged) {
-  BitSet A, B, Delta;
+TEST(BitSet, EmptyAndClear) {
+  BitSet S;
+  EXPECT_TRUE(S.empty());
+  S.insert(42);
+  EXPECT_FALSE(S.empty());
+  S.clear();
+  EXPECT_TRUE(S.empty());
+  EXPECT_EQ(S.count(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// SparseBitSet
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Words a canonical sparse set must store: one per distinct id / 64.
+std::size_t distinctWords(const std::vector<unsigned> &Ids) {
+  std::size_t N = 0;
+  for (std::size_t I = 0; I != Ids.size(); ++I)
+    N += I == 0 || Ids[I] / 64 != Ids[I - 1] / 64;
+  return N;
+}
+
+/// Checks \p S against the dense oracle \p D: same elements, strictly
+/// ascending iteration, same count/emptiness, and canonical storage
+/// (exactly one stored word per occupied word index, none zero).
+void expectSameSet(const SparseBitSet &S, const BitSet &D,
+                   const std::string &Where) {
+  std::vector<unsigned> Ids;
+  S.forEach([&](unsigned Id) {
+    EXPECT_TRUE(Ids.empty() || Ids.back() < Id) << Where << ": not ascending";
+    Ids.push_back(Id);
+  });
+  ASSERT_EQ(Ids, D.toVector()) << Where;
+  EXPECT_EQ(S.toVector(), Ids) << Where;
+  EXPECT_EQ(S.count(), D.count()) << Where;
+  EXPECT_EQ(S.empty(), D.empty()) << Where;
+  EXPECT_EQ(S.numWords(), distinctWords(Ids)) << Where << ": not canonical";
+}
+
+/// Ids that straddle word boundaries and one far word near 2^20, plus
+/// random fill, so sets are both sparse and locally dense.
+unsigned drawId(std::mt19937_64 &R) {
+  static const unsigned Edges[] = {0,         63,        64,       127,
+                                   128,       1u << 20,  (1u << 20) + 63,
+                                   (1u << 20) + 64};
+  switch (R() % 4) {
+  case 0:
+    return Edges[R() % (sizeof(Edges) / sizeof(Edges[0]))];
+  case 1:
+    return static_cast<unsigned>(R() % 256);
+  case 2:
+    return static_cast<unsigned>((1u << 20) - 200 + R() % 400);
+  default:
+    return static_cast<unsigned>(R() % 5000);
+  }
+}
+
+} // namespace
+
+TEST(SparseBitSet, RandomOpsMatchDenseBitSet) {
+  constexpr unsigned NumSets = 4, OpsPerSeed = 12000;
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    std::mt19937_64 R(Seed);
+    std::vector<SparseBitSet> S(NumSets);
+    std::vector<BitSet> D(NumSets);
+    for (unsigned Op = 0; Op != OpsPerSeed; ++Op) {
+      const unsigned A = R() % NumSets, B = R() % NumSets;
+      const std::string Where = "seed " + std::to_string(Seed) + " op " +
+                                std::to_string(Op);
+      switch (R() % 12) {
+      case 0:
+      case 1:
+      case 2: { // Inserts dominate so the sets grow.
+        unsigned Id = drawId(R);
+        ASSERT_EQ(S[A].insert(Id), D[A].insert(Id)) << Where;
+        break;
+      }
+      case 3: {
+        unsigned Id = drawId(R);
+        S[A].erase(Id);
+        D[A].erase(Id);
+        break;
+      }
+      case 4: {
+        unsigned Id = drawId(R);
+        ASSERT_EQ(S[A].test(Id), D[A].test(Id)) << Where;
+        break;
+      }
+      case 5: // Includes self-union (A == B): a no-op.
+        ASSERT_EQ(S[A].unionWith(S[B]), D[A].unionWith(D[B])) << Where;
+        break;
+      case 6: {
+        // Exactly the fresh ids reach NewBits, on top of what it held.
+        if (A == B)
+          break;
+        const unsigned N = (A + 1 + R() % (NumSets - 1)) % NumSets;
+        if (N == B)
+          break;
+        BitSet Fresh = D[B];
+        Fresh.subtract(D[A]);
+        const bool Changed = S[A].unionWithReturningChanged(S[B], S[N]);
+        ASSERT_EQ(Changed, !Fresh.empty()) << Where;
+        D[A].unionWith(D[B]);
+        D[N].unionWith(Fresh);
+        expectSameSet(S[N], D[N], Where + " (NewBits)");
+        break;
+      }
+      case 7:
+        S[A].subtract(S[B]);
+        D[A].subtract(D[B]);
+        break;
+      case 8:
+        S[A].intersectWith(S[B]);
+        D[A].intersectWith(D[B]);
+        break;
+      case 9:
+        ASSERT_EQ(S[A].intersects(S[B]), D[A].intersects(D[B])) << Where;
+        break;
+      case 10:
+        ASSERT_EQ(S[A] == S[B], D[A] == D[B]) << Where;
+        ASSERT_EQ(S[A] != S[B], D[A] != D[B]) << Where;
+        break;
+      default:
+        if (R() % 8 == 0) { // Rare, so sets get large between clears.
+          S[A].clear();
+          D[A].clear();
+        }
+        break;
+      }
+      // The dense oracle scans ~16k words per check, so compare whole
+      // sets every few operations (and always at the end).
+      if (Op % 64 == 0 || Op + 1 == OpsPerSeed)
+        for (unsigned I = 0; I != NumSets; ++I)
+          expectSameSet(S[I], D[I], Where);
+      if (HasFatalFailure())
+        return;
+    }
+  }
+}
+
+TEST(SparseBitSet, EraseToEmptyIsCanonical) {
+  SparseBitSet A, Empty;
+  for (unsigned Id : {0u, 63u, 64u, 127u, 1u << 20})
+    A.insert(Id);
+  EXPECT_EQ(A.numWords(), 3u);
+  for (unsigned Id : {64u, 0u, 1u << 20, 127u, 63u})
+    A.erase(Id);
+  EXPECT_TRUE(A.empty());
+  EXPECT_EQ(A.numWords(), 0u); // No zero words left behind.
+  EXPECT_TRUE(A == Empty);
+
+  // Subtract and intersect drop the words they zero, too.
+  SparseBitSet B, C;
+  B.insert(5);
+  B.insert(700);
+  C.insert(700);
+  B.subtract(C);
+  EXPECT_EQ(B.numWords(), 1u);
+  B.intersectWith(C);
+  EXPECT_EQ(B.numWords(), 0u);
+  EXPECT_TRUE(B == Empty);
+}
+
+TEST(SparseBitSet, UnionWithReturningChanged) {
+  SparseBitSet A, B, Delta;
   A.insert(1);
   A.insert(100);
   B.insert(100);
@@ -112,20 +280,59 @@ TEST(BitSet, UnionWithReturningChanged) {
   EXPECT_EQ(Delta.toVector(), (std::vector<unsigned>{65, 200}));
 
   // New bits accumulate into an already-populated Delta.
-  BitSet C;
+  SparseBitSet C;
   C.insert(3);
   EXPECT_TRUE(A.unionWithReturningChanged(C, Delta));
   EXPECT_EQ(Delta.toVector(), (std::vector<unsigned>{3, 65, 200}));
 }
 
-TEST(BitSet, EmptyAndClear) {
-  BitSet S;
-  EXPECT_TRUE(S.empty());
-  S.insert(42);
-  EXPECT_FALSE(S.empty());
-  S.clear();
-  EXPECT_TRUE(S.empty());
-  EXPECT_EQ(S.count(), 0u);
+TEST(SparseBitSet, SelfUnionIsANoOp) {
+  SparseBitSet A, Delta;
+  A.insert(7);
+  A.insert(1u << 20);
+  const SparseBitSet Before = A;
+  EXPECT_FALSE(A.unionWith(A));
+  EXPECT_FALSE(A.unionWithReturningChanged(A, Delta));
+  EXPECT_TRUE(A == Before);
+  EXPECT_TRUE(Delta.empty());
+}
+
+// A one-object delta merged into a large set is located by a search,
+// not a walk of the large set: the words touched stay logarithmic.
+TEST(SparseBitSet, SmallIntoLargeUnionSearchesInsteadOfWalking) {
+  SparseBitSet Large;
+  for (unsigned W = 0; W != 4096; ++W)
+    Large.insert(W * 64 * 3); // 4096 stored words, every third index.
+  ASSERT_EQ(Large.numWords(), 4096u);
+  SparseBitSet Full = Large;
+
+  for (unsigned Id : {0u * 64 + 1, 3u * 64 * 2048 + 5, 3u * 64 * 4095 + 9,
+                      64u * 1000, 3u * 64 * 5000}) {
+    SparseBitSet One, Delta;
+    One.insert(Id);
+    const uint64_t Before = SparseBitSet::wordsTouched();
+    EXPECT_TRUE(Large.unionWithReturningChanged(One, Delta)) << Id;
+    const uint64_t Touched = SparseBitSet::wordsTouched() - Before;
+    // A stored word is found in O(log n) probes; an absent word also
+    // pays the move of the words after it.
+    const unsigned Word = Id / 64;
+    if (Word % 3 == 0 && Word <= 3 * 4095) {
+      EXPECT_LE(Touched, 64u) << Id;
+    }
+    EXPECT_TRUE(Large.test(Id)) << Id;
+    EXPECT_EQ(Delta.toVector(), (std::vector<unsigned>{Id})) << Id;
+    Full.insert(Id);
+    EXPECT_TRUE(Large == Full) << Id;
+  }
+}
+
+TEST(SparseBitSet, WordsTouchedCountsWork) {
+  SparseBitSet A;
+  const uint64_t Before = SparseBitSet::wordsTouched();
+  A.insert(3);
+  A.insert(1u << 20);
+  (void)A.count();
+  EXPECT_GT(SparseBitSet::wordsTouched(), Before);
 }
 
 //===----------------------------------------------------------------------===//
