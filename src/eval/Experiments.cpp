@@ -121,38 +121,33 @@ InspectionQuery makeQuery(const Program &P, const WorkloadProgram &W,
 }
 
 /// Fills InspectionRow::ThinSliceStmts/TradSliceStmts for a set of
-/// (engine, seed, row) triples with one batch per engine and mode —
-/// the Tables 2/3 batched-query path. The engines are session-owned,
-/// so their SCC condensations are built once per workload and reused
+/// (session, seed, row) triples with one slice query per session and
+/// mode — the Tables 2/3 batched-query path. The sessions' engines
+/// build their SCC condensations once per workload and reuse them
 /// across table drivers.
 struct SliceSizeRequest {
-  SliceEngine *E;
+  AnalysisSession *S;
   const Instr *Seed;
   std::size_t RowIdx;
 };
 
 void fillSliceSizes(std::vector<InspectionRow> &Rows,
                     const std::vector<SliceSizeRequest> &Requests) {
-  std::map<SliceEngine *, std::vector<const SliceSizeRequest *>> ByEngine;
+  std::map<AnalysisSession *, std::vector<const SliceSizeRequest *>> BySession;
   for (const SliceSizeRequest &R : Requests)
     if (R.Seed)
-      ByEngine[R.E].push_back(&R);
-  for (const auto &[Engine, Reqs] : ByEngine) {
+      BySession[R.S].push_back(&R);
+  for (const auto &[S, Reqs] : BySession) {
     std::vector<const Instr *> Seeds;
-    Seeds.reserve(Reqs.size());
     for (const SliceSizeRequest *R : Reqs)
       Seeds.push_back(R->Seed);
-    BatchOptions Thin;
-    Thin.Mode = SliceMode::Thin;
-    std::vector<SliceResult> ThinSlices =
-        Engine->sliceBackwardBatch(Seeds, Thin);
-    BatchOptions Trad;
-    Trad.Mode = SliceMode::Traditional;
-    std::vector<SliceResult> TradSlices =
-        Engine->sliceBackwardBatch(Seeds, Trad);
+    const SliceAnswer *Thin =
+        S->slice(SliceQuery::backward(Seeds, SliceMode::Thin));
+    const SliceAnswer *Trad =
+        S->slice(SliceQuery::backward(Seeds, SliceMode::Traditional));
     for (std::size_t I = 0; I != Reqs.size(); ++I) {
-      Rows[Reqs[I]->RowIdx].ThinSliceStmts = ThinSlices[I].sizeStmts();
-      Rows[Reqs[I]->RowIdx].TradSliceStmts = TradSlices[I].sizeStmts();
+      Rows[Reqs[I]->RowIdx].ThinSliceStmts = Thin->Results[I].sizeStmts();
+      Rows[Reqs[I]->RowIdx].TradSliceStmts = Trad->Results[I].sizeStmts();
     }
   }
 }
@@ -270,7 +265,7 @@ tsl::runDebuggingExperiment(InspectionStrategy Strategy) {
     SDG &GNoObj = noObjSdg(S);
     SDG &G = objSdg(S);
     SliceSizes.push_back(
-        {S.engine(), instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker)),
+        {&S, instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker)),
          Rows.size()});
     InspectionRow Row;
     Row.Id = Case.Id;
@@ -335,7 +330,7 @@ tsl::runToughCastExperiment(InspectionStrategy Strategy) {
       Rows.push_back(Row);
       continue;
     }
-    SliceSizes.push_back({S.engine(), Seed, Rows.size()});
+    SliceSizes.push_back({&S, Seed, Rows.size()});
 
     auto Run = [&](const SDG &OnG, SliceMode Mode) {
       InspectionQuery Q;
@@ -446,7 +441,7 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
 
 std::vector<AblationRow> tsl::runContextAblation() {
   std::vector<AblationRow> Rows;
-  // Both graph variants, both engines, and the tabulation summaries
+  // Both graph variants, both slices, and the tabulation summaries
   // come from the per-workload session: the summary cache keys by
   // (graph, mode), so the second and third nanoxml case reuse
   // the first one's tabulation — and a Tables 2/3 run earlier in the
@@ -457,26 +452,17 @@ std::vector<AblationRow> tsl::runContextAblation() {
       continue;
     AnalysisSession &S = sessionFor(Case.Prog);
     Program &P = *S.program();
+    const Instr *Seed = instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
     SDG &CI = objSdg(S);
-    SliceEngine *CIEngine = S.engine();
+    SliceResult CISlice = *S.sliceBackwardCached(Seed, SliceMode::Traditional);
     SDGOptions CSOpts;
     CSOpts.ContextSensitive = true;
     S.setSDGOptions(CSOpts);
-    SliceEngine *CSEngine = S.engine();
+    SliceResult CSSlice = *S.sliceBackwardCached(Seed, SliceMode::Traditional);
     S.setSDGOptions(SDGOptions());
-
-    const Instr *Seed = instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
 
     AblationRow Row;
     Row.Id = Case.Id;
-    BatchOptions CIOpts;
-    CIOpts.Mode = SliceMode::Traditional;
-    SliceResult CISlice = CIEngine->sliceBackwardBatch({Seed}, CIOpts).front();
-    BatchOptions CSOpts2;
-    CSOpts2.Mode = SliceMode::Traditional;
-    CSOpts2.ContextSensitive = true;
-    CSOpts2.Summaries = &S.summaries();
-    SliceResult CSSlice = CSEngine->sliceBackwardBatch({Seed}, CSOpts2).front();
     // Compare in source lines: the two representations clone
     // statements differently, lines are the common currency.
     Row.CITradSliceStmts =

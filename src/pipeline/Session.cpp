@@ -913,18 +913,30 @@ SliceEngine *AnalysisSession::engine() {
   return EngineCache.emplace(sdgKey(), std::move(*R)).first->second.get();
 }
 
-const SliceResult *AnalysisSession::sliceBackwardCached(const Instr *Seed,
-                                                        SliceMode Mode) {
-  if (!Seed) {
-    LastErr = Status(StatusCode::InvalidArgument, "null slice seed");
+const SliceAnswer *AnalysisSession::slice(const SliceQuery &Q) {
+  std::string Bad;
+  if (Q.Seeds.empty() || std::count(Q.Seeds.begin(), Q.Seeds.end(), nullptr))
+    Bad = "null or missing slice seed";
+  else if (auto [A, B] = Q.conflict(); A)
+    Bad = std::string("slice query combines ") + A + " with " + B;
+  else if (Q.ContextSensitive != CurSdg.ContextSensitive)
+    Bad = "slice query context sensitivity differs from the SDG options";
+  if (!Bad.empty()) {
+    LastErr = Status(StatusCode::InvalidArgument, Bad);
     return nullptr;
   }
   RequestScope Scope(*this);
   SliceEngine *E = engine();
   if (!E)
     return nullptr;
+  // Only expansions read points-to: a plain slice after a snapshot
+  // load leaves the deferred points-to payload undecoded.
+  const bool NeedsPta = Q.Expand || Q.AliasDepth;
+  PointsToResult *PTA = NeedsPta ? pointsTo() : nullptr;
+  if (NeedsPta && !PTA)
+    return nullptr;
   StageCounters &C = counters(SessionStage::Slice);
-  SliceKey Key{sdgKey(), Seed, Mode};
+  SliceKey Key{sdgKey(), Q.key()};
   auto It = SliceCache.find(Key);
   if (It != SliceCache.end()) {
     ++C.Hits;
@@ -932,24 +944,31 @@ const SliceResult *AnalysisSession::sliceBackwardCached(const Instr *Seed,
   }
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
-  BatchOptions BO;
-  BO.Mode = Mode;
-  BO.ContextSensitive = CurSdg.ContextSensitive;
-  BO.Jobs = threadsResolved();
-  BO.Budget = Budget;
-  BO.Summaries = CurSdg.ContextSensitive ? &Summaries : nullptr;
+  SliceQuery Run = Q;
+  Run.Jobs = threadsResolved();
+  Run.Budget = Budget;
+  Run.Summaries = CurSdg.ContextSensitive ? &Summaries : nullptr;
   bool Tainted = false;
   auto R = computeStage("slice", Budget, LastErr, StageFailures, StageRetries,
-                        Tainted,
-                        [&] { return E->sliceBackwardBatch({Seed}, BO).front(); });
+                        Tainted, [&] {
+                          // Braced init: run() is sequenced before stats().
+                          return SliceAnswer{E->run(Run, PTA), E->stats()};
+                        });
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr;
-  const SliceResult *Out =
+  const SliceAnswer *Out =
       &SliceCache.emplace(Key, std::move(*R)).first->second;
   if (Tainted)
     TaintedSlices.insert(Key);
   return Out;
+}
+
+const SliceResult *AnalysisSession::sliceBackwardCached(const Instr *Seed,
+                                                        SliceMode Mode) {
+  const SliceAnswer *A =
+      slice(SliceQuery::backward({Seed}, Mode, CurSdg.ContextSensitive));
+  return A ? &A->Results.front() : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -992,16 +1011,10 @@ Expected<SDG *> AnalysisSession::sdgChecked() {
   return errorOr(LastErr, "sdg");
 }
 
-Expected<SliceEngine *> AnalysisSession::engineChecked() {
-  if (SliceEngine *E = engine())
-    return E;
-  return errorOr(LastErr, "engine");
-}
-
-Expected<const SliceResult *>
-AnalysisSession::sliceBackwardChecked(const Instr *Seed, SliceMode Mode) {
-  if (const SliceResult *R = sliceBackwardCached(Seed, Mode))
-    return R;
+Expected<const SliceAnswer *>
+AnalysisSession::sliceChecked(const SliceQuery &Q) {
+  if (const SliceAnswer *A = slice(Q))
+    return A;
   return errorOr(LastErr, "slice");
 }
 

@@ -65,7 +65,7 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace tsl {
@@ -85,6 +85,12 @@ constexpr unsigned NumSessionStages = 6;
 
 /// Short printable stage name ("compile", "pta", ...).
 const char *sessionStageName(SessionStage S);
+
+/// A memoized query answer and the engine statistics of its run.
+struct SliceAnswer {
+  std::vector<SliceResult> Results;
+  BatchStats Stats;
+};
 
 /// A memoized, invalidation-aware analysis pipeline over one source
 /// program. See the file comment for the caching model.
@@ -217,9 +223,7 @@ public:
   Expected<PointsToResult *> pointsToChecked();
   Expected<ModRefResult *> modRefChecked();
   Expected<SDG *> sdgChecked();
-  Expected<SliceEngine *> engineChecked();
-  Expected<const SliceResult *> sliceBackwardChecked(const Instr *Seed,
-                                                     SliceMode Mode);
+  Expected<const SliceAnswer *> sliceChecked(const SliceQuery &Q);
 
   /// Failure-isolation telemetry: stage computations that exhausted
   /// their retries, and individual retry attempts performed.
@@ -239,10 +243,13 @@ public:
   // Memoized whole-query slicing
   //===------------------------------------------------------------------===//
 
-  /// Backward slice from \p Seed under the current SDG options
-  /// (context-sensitive tabulation when sdgOptions().ContextSensitive,
-  /// the batch engine otherwise), memoized per (graph, seed, mode).
-  /// Null when the source does not compile or \p Seed is null.
+  /// Answers \p Q with SliceEngine::run, memoized per (graph, query),
+  /// under the session's budget, threads and summary cache; \p Q's
+  /// context sensitivity must match the SDG options. Null (see
+  /// lastError()) when a stage failed or \p Q is ill-formed.
+  const SliceAnswer *slice(const SliceQuery &Q);
+
+  /// slice() of one backward seed under the current SDG options.
   const SliceResult *sliceBackwardCached(const Instr *Seed, SliceMode Mode);
 
   //===------------------------------------------------------------------===//
@@ -346,10 +353,10 @@ private:
   };
 
   /// Memo key of a whole slice query. The SDG key pins the upstream
-  /// cone (source digest, PTA options, SDG options); the seed pointer
-  /// is stable while the program artifact lives, which the key's SDG
+  /// cone (source digest, PTA options, SDG options); the seed pointers
+  /// are stable while the program artifact lives, which the key's SDG
   /// entry guarantees.
-  using SliceKey = std::tuple<std::string, const Instr *, SliceMode>;
+  using SliceKey = std::pair<std::string, SliceQuery::Key>;
 
   StageCounters &counters(SessionStage S) {
     return Counters[static_cast<unsigned>(S)];
@@ -424,7 +431,7 @@ private:
   std::map<std::string, std::unique_ptr<ModRefResult>> ModRefCache;
   std::map<std::string, std::unique_ptr<SDG>> SdgCache;
   std::map<std::string, std::unique_ptr<SliceEngine>> EngineCache;
-  std::map<SliceKey, SliceResult> SliceCache;
+  std::map<SliceKey, SliceAnswer> SliceCache;
   SummaryCache Summaries;
 
   // --- deferred snapshot layers. A warm start installs the decoded

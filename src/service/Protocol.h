@@ -56,7 +56,7 @@ enum class ServiceMsg : uint8_t {
   LoadSource = 1,   ///< Warm (or reuse) a session for a source text.
   LoadSnapshot = 2, ///< LoadSource + warm-start from a snapshot file.
   Slice = 3,        ///< One backward slice on a warm session.
-  BatchSlice = 4,   ///< N backward slices, engine-batched.
+  BatchSlice = 4,   ///< N backward slices (engine-batched when N > 1).
   Edit = 5,         ///< Replace a session's source (incremental path).
   Stats = 6,        ///< Session + server telemetry.
   Ping = 7,         ///< Health check; optional server-side delay.

@@ -20,16 +20,16 @@
 ///    session accessors, which memoize) hold the entry's lock
 ///    exclusively.
 ///  - Slice requests hold it shared and never call into the session:
-///    they read the warm pointers and run the slicers directly over
-///    the SDG, which is immutable and safe for concurrent
-///    traversal (the batch engine's workers rely on the same
-///    guarantee). Context-sensitive queries go through the session's
-///    SummaryCache, which is itself thread-safe.
+///    they read the warm pointers and run SliceEngine::run on a
+///    request-local engine over the SDG, which is immutable and safe
+///    for concurrent traversal (the batch engine's workers rely on the
+///    same guarantee). Context-sensitive queries go through the
+///    session's SummaryCache, which is itself thread-safe.
 ///
 /// This is what lets N clients slice one warm session in parallel
 /// while an edit waits for exclusivity — and byte-identical answers
-/// fall out, because the very same slicer entry points run over the
-/// very same artifacts as an in-process session.
+/// fall out, because the very same query executor runs over the very
+/// same artifacts as an in-process session.
 ///
 //===----------------------------------------------------------------------===//
 

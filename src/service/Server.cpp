@@ -4,7 +4,6 @@
 
 #include "slicer/Engine.h"
 #include "slicer/Report.h"
-#include "slicer/Tabulation.h"
 #include "support/Budget.h"
 
 #include <cerrno>
@@ -231,9 +230,8 @@ ServiceResponse SliceServer::handle(const ServiceRequest &Req) {
   case ServiceMsg::LoadSnapshot:
     return handleLoad(Req);
   case ServiceMsg::Slice:
-    return handleSlice(Req);
   case ServiceMsg::BatchSlice:
-    return handleBatchSlice(Req);
+    return handleSlice(Req);
   case ServiceMsg::Edit:
     return handleEdit(Req);
   case ServiceMsg::Stats:
@@ -328,72 +326,36 @@ ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
   if (!entryUsable(*E, Bad))
     return Bad;
 
-  unsigned UserLine = Req.Lines.empty() ? 0 : Req.Lines.front();
-  const Instr *Seed = seedFor(*E, UserLine, Bad);
-  if (!Seed)
-    return Bad;
-
-  RequestBudget RB(O.RequestBudgetMs);
-  SliceResult Slice(nullptr, BitSet());
-  if (E->ContextSensitive) {
-    // The session's SummaryCache is thread-safe, so shared-lock
-    // readers may consult (and populate) it concurrently; summaries
-    // depend only on (graph, mode), and the exclusive edit path clears
-    // the cache whenever it drops a graph.
-    TabulationSlicer Tab(*E->Graph, Req.Mode, RB.B, &E->S->summaries());
-    Slice = Tab.slice(Seed);
-  } else {
-    Slice = sliceBackward(*E->Graph, Seed, Req.Mode, RB.B);
-  }
-
-  ServiceResponse Resp;
-  Resp.Code = Slice.complete() ? ServiceStatus::Ok : ServiceStatus::Degraded;
-  Resp.Body = renderSliceReport(
-      Slice, sliceKindName(Req.Mode, E->ContextSensitive), UserLine,
-      E->LineOffset);
-  Resp.Detail = Slice.complete() ? "" : Slice.degradedReason();
-  return Resp;
-}
-
-ServiceResponse SliceServer::handleBatchSlice(const ServiceRequest &Req) {
-  auto E = Registry.find(Req.SessionId);
-  if (!E)
-    return {ServiceStatus::BadRequest, "",
-            "unknown session '" + Req.SessionId + "' (load-source first)"};
-
-  std::shared_lock<std::shared_mutex> L(E->Mu);
-  ServiceResponse Bad;
-  if (!entryUsable(*E, Bad))
-    return Bad;
-
-  std::vector<const Instr *> Seeds;
-  Seeds.reserve(Req.Lines.size());
-  for (uint32_t UserLine : Req.Lines) {
+  // A Slice frame asks for its first line (0 when it has none); a
+  // BatchSlice frame for all of them, each answer under a header.
+  const bool Batch = Req.Type == ServiceMsg::BatchSlice;
+  std::vector<uint32_t> Lines = Req.Lines;
+  if (!Batch)
+    Lines.assign(1, Req.Lines.empty() ? 0 : Req.Lines.front());
+  SliceQuery Q = SliceQuery::backward({}, Req.Mode, E->ContextSensitive);
+  for (uint32_t UserLine : Lines) {
     const Instr *Seed = seedFor(*E, UserLine, Bad);
     if (!Seed)
       return Bad;
-    Seeds.push_back(Seed);
+    Q.Seeds.push_back(Seed);
   }
 
   RequestBudget RB(O.RequestBudgetMs);
-  // A request-local engine over the shared immutable graph: batches
-  // from concurrent clients stay independent (each runs inline on its
-  // own pool lane; the request fan-out IS the parallelism).
+  Q.Budget = RB.B;
+  // A batch runs inline on this pool lane (the request fan-out IS the
+  // parallelism) on a request-local engine. The session's SummaryCache
+  // is thread-safe; the exclusive edit path clears it with a graph.
+  Q.Jobs = 1;
+  Q.Summaries = E->ContextSensitive ? &E->S->summaries() : nullptr;
   SliceEngine Engine(*E->Graph, nullptr);
-  BatchOptions BO;
-  BO.Mode = Req.Mode;
-  BO.ContextSensitive = E->ContextSensitive;
-  BO.Jobs = 1;
-  BO.Budget = RB.B;
-  BO.Summaries = E->ContextSensitive ? &E->S->summaries() : nullptr;
-  std::vector<SliceResult> Results = Engine.sliceBackwardBatch(Seeds, BO);
+  std::vector<SliceResult> Results = Engine.run(Q);
 
   ServiceResponse Resp;
-  const char *What = sliceKindName(Req.Mode, E->ContextSensitive);
+  const std::string What = Q.label();
   for (std::size_t I = 0; I != Results.size(); ++I) {
-    Resp.Body += "=== seed line " + std::to_string(Req.Lines[I]) + " ===\n";
-    Resp.Body += renderSliceReport(Results[I], What, Req.Lines[I],
-                                   E->LineOffset);
+    if (Batch)
+      Resp.Body += "=== seed line " + std::to_string(Lines[I]) + " ===\n";
+    Resp.Body += renderSliceReport(Results[I], What, Lines[I], E->LineOffset);
     if (!Results[I].complete() && Resp.Code == ServiceStatus::Ok) {
       Resp.Code = ServiceStatus::Degraded;
       Resp.Detail = Results[I].degradedReason();

@@ -23,6 +23,9 @@
 ///    requests and answers RETRY the moment the bound is exceeded —
 ///    overload degrades into client backoff, never into unbounded
 ///    memory growth.
+///  - One slice handler: a Slice or BatchSlice frame is one SliceQuery
+///    run by SliceEngine::run on a request-local engine; the two differ
+///    only in the `=== seed line N ===` headers of a batch body.
 ///  - Per-request deadlines: a --request-budget-ms daemon option arms
 ///    a per-request AnalysisBudget whose gates (BudgetGate /
 ///    SharedBudgetGate in the batch engine) degrade the slice soundly;
@@ -129,7 +132,6 @@ private:
   ServiceResponse handle(const ServiceRequest &Req);
   ServiceResponse handleLoad(const ServiceRequest &Req);
   ServiceResponse handleSlice(const ServiceRequest &Req);
-  ServiceResponse handleBatchSlice(const ServiceRequest &Req);
   ServiceResponse handleEdit(const ServiceRequest &Req);
   ServiceResponse handleStats(const ServiceRequest &Req);
   void reapFinishedConnections();

@@ -1,11 +1,14 @@
-//===-- Engine.cpp - Batched slice-query engine ------------------------------==//
+//===-- Engine.cpp - The slice-query engine ---------------------------------==//
 
 #include "slicer/Engine.h"
 
+#include "slicer/Expansion.h"
+#include "slicer/Report.h"
 #include "support/BitSet.h"
 #include "support/ThreadPool.h"
 
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 using namespace tsl;
@@ -132,8 +135,36 @@ constexpr unsigned LanesPerChunk = 64;
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// SliceEngine
+// SliceQuery and SliceEngine
 //===----------------------------------------------------------------------===//
+
+std::string SliceQuery::label() const {
+  if (ChopSink)
+    return "chop";
+  if (Forward)
+    return "forward slice";
+  if (Expand)
+    return "fully expanded thin slice";
+  if (AliasDepth)
+    return "thin slice (+" + std::to_string(AliasDepth) + " aliasing levels)";
+  return sliceKindName(Mode, ContextSensitive);
+}
+
+std::pair<const char *, const char *>
+SliceQuery::conflict(const SliceQuery &Shape, bool Chop) {
+  const bool Forward = Shape.Forward, Expand = Shape.Expand;
+  // A refinement is a context-insensitive backward thin slice.
+  const char *Refinement =
+      Expand ? "expand" : Shape.AliasDepth ? "alias-depth" : nullptr;
+  if (Chop && Forward)
+    return {"chop", "forward"};
+  if (Expand && Shape.AliasDepth)
+    return {"expand", "alias-depth"};
+  if (Refinement && (Chop || Forward || Shape.ContextSensitive))
+    return {Chop ? "chop" : Forward ? "forward" : "context-sensitive",
+            Refinement};
+  return {nullptr, nullptr};
+}
 
 SliceEngine::SliceEngine(const SDG &G, ThreadPool *Pool) : G(G), Pool(Pool) {}
 
@@ -151,6 +182,49 @@ SliceEngine::condensationFor(EdgeKindMask Mask) {
       condense(G, edgeKindRuns(Mask)));
   CondCache.emplace(Mask, C);
   return C;
+}
+
+std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
+                                          const PointsToResult *PTA) {
+  if (auto [A, B] = Q.conflict(); A)
+    throw std::invalid_argument(std::string("slice query combines ") + A +
+                                " with " + B);
+  if ((Q.ChopSink || Q.Forward || Q.Expand || Q.AliasDepth) &&
+      Q.Seeds.size() != 1)
+    throw std::invalid_argument(Q.label() + " takes exactly one seed");
+  if ((Q.Expand || Q.AliasDepth) && !PTA)
+    throw std::invalid_argument(Q.label() + " needs the points-to result");
+  if (Q.Seeds.size() != 1)
+    return sliceBackwardBatch(Q.Seeds, Q);
+
+  Stats = {/*Queries=*/1, /*UniqueQueries=*/1, /*Workers=*/1};
+  const Instr *Seed = Q.Seeds.front();
+  std::vector<SliceResult> Out;
+  if (Q.ChopSink) {
+    SliceResult Fwd = sliceForward(G, Seed, Q.Mode, Q.Budget);
+    SliceResult Bwd = sliceBackward(G, Q.ChopSink, Q.Mode, Q.Budget);
+    BitSet Nodes = Fwd.nodeSet();
+    Nodes.intersectWith(Bwd.nodeSet());
+    // Degraded if either side is: a subset of the full chop still.
+    Out.emplace_back(&G, std::move(Nodes));
+    if (!Fwd.complete())
+      Out.back().markDegraded(Fwd.degradedReason());
+    if (!Bwd.complete())
+      Out.back().markDegraded(Bwd.degradedReason());
+  } else if (Q.Forward) {
+    Out.push_back(sliceForward(G, Seed, Q.Mode, Q.Budget));
+  } else if (Q.Expand || Q.AliasDepth) {
+    ThinExpansion Exp(G, *PTA, Q.Budget);
+    Out.push_back(Q.Expand ? Exp.expandToTraditional(Seed)
+                           : Exp.thinSliceWithAliasDepth(Seed, Q.AliasDepth));
+  } else if (Q.ContextSensitive) {
+    TabulationSlicer Tab(G, Q.Mode, Q.Budget, Q.Summaries);
+    Stats.SummariesReused = Tab.summariesFromCache();
+    Out.push_back(Tab.slice(Seed));
+  } else {
+    Out.push_back(sliceBackward(G, Seed, Q.Mode, Q.Budget));
+  }
+  return Out;
 }
 
 std::vector<SliceResult>

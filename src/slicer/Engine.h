@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batched slicing over one SDG: N seeds in, N SliceResults
-/// out, in seed order. The engine deduplicates seeds that expand to
-/// the same SDG node set (each unique query runs once and the result
-/// is copied to every duplicate position) and fans work out across a
+/// The one slice-query executor over one SDG. SliceEngine::run(query)
+/// dispatches every shape: one backward seed to sliceBackward or
+/// TabulationSlicer, several to a batch (N seeds in, N results out in
+/// seed order), forward to sliceForward, a chop to forward ∩ backward,
+/// expand / alias depth to ThinExpansion. A batch deduplicates seeds
+/// that expand to the same SDG node set and fans work out across a
 /// worker pool.
 ///
 /// Context-insensitive batches run as SCC-condensed bit-parallel
@@ -51,10 +53,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace tsl {
 
+class PointsToResult;
 class ThreadPool;
 
 /// Configuration of one batched slice run.
@@ -74,7 +79,50 @@ struct BatchOptions {
   SummaryCache *Summaries = nullptr;
 };
 
-/// What one batch did, for reporting and tests.
+/// One slice query: BatchOptions (mode, context sensitivity, jobs,
+/// budget, summaries) plus the shape. Without ChopSink / Forward /
+/// AliasDepth / Expand it is backward, one result per seed; the other
+/// shapes take exactly one seed.
+struct SliceQuery : BatchOptions {
+  std::vector<const Instr *> Seeds;
+  const Instr *ChopSink = nullptr; ///< Chop from Seeds[0] to this sink.
+  bool Forward = false;
+  unsigned AliasDepth = 0; ///< Levels of aliasing explanation (§4.1).
+  bool Expand = false;     ///< Expand to the fixpoint (= traditional).
+
+  /// A backward query: one result per seed.
+  static SliceQuery backward(std::vector<const Instr *> Seeds, SliceMode Mode,
+                             bool ContextSensitive = false) {
+    SliceQuery Q;
+    Q.Seeds = std::move(Seeds);
+    Q.Mode = Mode;
+    Q.ContextSensitive = ContextSensitive;
+    return Q;
+  }
+
+  /// The report label of the answer ("thin slice", "chop", ...).
+  std::string label() const;
+
+  /// The first two shape fields that cannot be combined, named like
+  /// the CLI flags ("chop", "forward", "context-sensitive", "expand",
+  /// "alias-depth"), or nulls. The static form takes \p Chop for a
+  /// sink not resolved yet.
+  std::pair<const char *, const char *> conflict() const {
+    return conflict(*this, ChopSink);
+  }
+  static std::pair<const char *, const char *> conflict(const SliceQuery &Shape,
+                                                        bool Chop);
+
+  /// Memo key: the fields that determine the answer.
+  using Key = std::tuple<std::vector<const Instr *>, const Instr *, bool,
+                         SliceMode, bool, unsigned, bool>;
+  Key key() const {
+    return {Seeds, ChopSink, Forward, Mode, ContextSensitive, AliasDepth,
+            Expand};
+  }
+};
+
+/// What one query did, for reporting and tests.
 struct BatchStats {
   unsigned Queries = 0;       ///< Seeds requested.
   unsigned UniqueQueries = 0; ///< Distinct seed node sets actually run.
@@ -87,10 +135,9 @@ struct BatchStats {
 /// Engine.cpp); cached per edge mask inside the engine.
 struct BatchCondensation;
 
-/// Batched slice-query engine over one SDG. sliceBackwardBatch() may
-/// be called repeatedly
-/// (stats describe the most recent batch; the condensation cache
-/// carries over).
+/// Slice-query engine over one SDG. run() and sliceBackwardBatch() may
+/// be called repeatedly (stats describe the most recent query; the
+/// condensation cache carries over).
 class SliceEngine {
 public:
   /// \p Pool, when non-null, is the shared worker pool batches fan
@@ -105,6 +152,12 @@ public:
   /// multi-worker batch has run yet (the single-worker path never
   /// creates one — see tests/engine_test.cpp).
   const ThreadPool *pool() const { return Pool ? Pool : OwnedPool.get(); }
+
+  /// Answers \p Q (\p PTA is needed by the expansion shapes only). A
+  /// single seed throws where its primitive throws; a batch never does.
+  /// An ill-formed query throws std::invalid_argument.
+  std::vector<SliceResult> run(const SliceQuery &Q,
+                               const PointsToResult *PTA = nullptr);
 
   /// Backward-slices every seed, returning results in seed order.
   /// Results are identical to calling sliceBackward() /

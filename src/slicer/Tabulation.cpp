@@ -175,23 +175,8 @@ TabulationSlicer::computeSummaries(const SDG &G, SliceMode Mode,
   return E;
 }
 
-SliceResult TabulationSlicer::slice(const Instr *Seed) const {
-  return sliceImpl(std::vector<const Instr *>{Seed}, nullptr);
-}
-
-SliceResult
-TabulationSlicer::slice(const std::vector<const Instr *> &Seeds) const {
-  return sliceImpl(Seeds, nullptr);
-}
-
 SliceResult TabulationSlicer::slice(const std::vector<const Instr *> &Seeds,
                                     SharedBudgetGate *Shared) const {
-  return sliceImpl(Seeds, Shared);
-}
-
-SliceResult
-TabulationSlicer::sliceImpl(const std::vector<const Instr *> &Seeds,
-                            SharedBudgetGate *Shared) const {
   std::optional<BudgetGate> Local;
   if (!Shared)
     Local.emplace(B, "slice.pop", B ? B->MaxSlicePops : 0);

@@ -94,13 +94,15 @@ public:
                    SummaryCache *Cache = nullptr);
 
   /// Two-phase backward slice from \p Seed.
-  SliceResult slice(const Instr *Seed) const;
-  SliceResult slice(const std::vector<const Instr *> &Seeds) const;
+  SliceResult slice(const Instr *Seed) const {
+    return slice(std::vector<const Instr *>{Seed});
+  }
 
-  /// Worker-thread variant: polls the batch-wide \p Shared gate and
-  /// constructs no local BudgetGate (see sliceBackwardNodes).
+  /// With \p Shared set (the batch engine's workers), polls that
+  /// batch-wide gate and constructs no local BudgetGate (see
+  /// sliceBackwardNodes).
   SliceResult slice(const std::vector<const Instr *> &Seeds,
-                    SharedBudgetGate *Shared) const;
+                    SharedBudgetGate *Shared = nullptr) const;
 
   /// Number of summary edges discovered (a cost statistic).
   unsigned numSummaryEdges() const { return S->NumSummaries; }
@@ -124,9 +126,6 @@ private:
 
   static std::shared_ptr<const SummaryCache::Entry>
   computeSummaries(const SDG &G, SliceMode Mode, const AnalysisBudget *B);
-
-  SliceResult sliceImpl(const std::vector<const Instr *> &Seeds,
-                        SharedBudgetGate *Shared) const;
 
   const SDG &G;
   SliceMode Mode;

@@ -117,6 +117,17 @@ TEST_F(CliTest, WhyNarratesProvenance) {
 TEST_F(CliTest, StatsAndDumpIr) {
   std::string Out = run("--stats --line 15");
   EXPECT_NE(Out.find("sdg: "), std::string::npos) << Out;
+  // Printed after the query, so the telemetry counts it — after the
+  // report.
+  EXPECT_NE(Out.find("slice: hits=0 misses=1"), std::string::npos) << Out;
+  EXPECT_LT(Out.find("thin slice from line 15"), Out.find("sdg: ")) << Out;
+  // A --seeds batch is one query too.
+  const std::string Seeds = Program + ".seeds";
+  std::ofstream(Seeds) << "15\n5\n";
+  Out = run("--stats --seeds " + Seeds);
+  remove(Seeds.c_str());
+  EXPECT_NE(Out.find("batch: 2 queries"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("slice: hits=0 misses=1"), std::string::npos) << Out;
   std::string Ir = run("--dump-ir");
   EXPECT_NE(Ir.find("param#"), std::string::npos) << Ir;
 }
@@ -167,6 +178,83 @@ TEST_F(CliTest, ChopMode) {
   std::string Out = run("--line 5 --chop 15");
   EXPECT_NE(Out.find("chop from line 5"), std::string::npos) << Out;
   EXPECT_NE(Out.find("main:15"), std::string::npos) << Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Query flags that name two different queries are refused (exit 2),
+// never silently resolved by dropping one of them
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs the tool and expects a usage error naming both \p First and
+/// \p Second.
+void expectConflict(const std::string &Out, int Status, const char *First,
+                    const char *Second) {
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2) << Out;
+  EXPECT_NE(Out.find(std::string("error: ") + First +
+                     " cannot be combined with " + Second),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("usage: thinslice"), std::string::npos) << Out;
+  EXPECT_EQ(Out.find("slice from line"), std::string::npos) << Out;
+}
+
+} // namespace
+
+TEST_F(CliTest, ChopWithForwardIsRejected) {
+  int Status = 0;
+  std::string Out = run("--line 5 --chop 15 --forward", &Status);
+  expectConflict(Out, Status, "--chop", "--forward");
+}
+
+TEST_F(CliTest, ContextSensitiveWithExpandIsRejected) {
+  int Status = 0;
+  std::string Out = run("--line 15 --context-sensitive --expand", &Status);
+  expectConflict(Out, Status, "--context-sensitive", "--expand");
+}
+
+TEST_F(CliTest, ContextSensitiveWithAliasDepthIsRejected) {
+  int Status = 0;
+  std::string Out =
+      run("--line 15 --context-sensitive --alias-depth 1", &Status);
+  expectConflict(Out, Status, "--context-sensitive", "--alias-depth");
+}
+
+TEST_F(CliTest, ExpandWithAliasDepthIsRejected) {
+  int Status = 0;
+  std::string Out = run("--line 15 --expand --alias-depth 2", &Status);
+  expectConflict(Out, Status, "--expand", "--alias-depth");
+}
+
+TEST_F(CliTest, WhyWithChopIsRejected) {
+  int Status = 0;
+  std::string Out = run("--line 5 --chop 15 --why", &Status);
+  expectConflict(Out, Status, "--why", "--chop");
+}
+
+TEST_F(CliTest, WhyWithForwardIsRejected) {
+  int Status = 0;
+  std::string Out = run("--line 5 --forward --why", &Status);
+  expectConflict(Out, Status, "--why", "--forward");
+}
+
+TEST_F(CliTest, DirectionWithRefinementIsRejected) {
+  int Status = 0;
+  std::string Out = run("--line 5 --chop 15 --expand", &Status);
+  expectConflict(Out, Status, "--chop", "--expand");
+  Out = run("--line 5 --forward --alias-depth 1", &Status);
+  expectConflict(Out, Status, "--forward", "--alias-depth");
+}
+
+// The flags conflict whatever the program: the check runs before the
+// source is even read.
+TEST_F(CliTest, ConflictIsAUsageErrorBeforeCompiling) {
+  std::string Out;
+  int Status = runCapture(std::string(ToolPath) +
+                              " no_such_file.tsj --line 5 --chop 15 --forward",
+                          Out);
+  expectConflict(Out, Status, "--chop", "--forward");
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,7 +5,7 @@
 #include "lang/Lower.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDGDot.h"
-#include "slicer/Chop.h"
+#include "slicer/Engine.h"
 #include "slicer/Expansion.h"
 #include "slicer/Slicer.h"
 
@@ -45,6 +45,13 @@ struct Fixture {
       if (L.Line == Line)
         return true;
     return false;
+  }
+
+  /// The thin chop from \p Source to \p Sink, as a slice query.
+  SliceResult chop(const Instr *Source, const Instr *Sink) {
+    SliceQuery Q = SliceQuery::backward({Source}, SliceMode::Thin);
+    Q.ChopSink = Sink;
+    return SliceEngine(*G).run(Q).front();
   }
 };
 
@@ -112,7 +119,7 @@ def main() {
 )");
   const Instr *Src = F.lastAtLine(3);
   const Instr *Sink = F.lastAtLine(6);
-  SliceResult C = chop(*F.G, Src, Sink, SliceMode::Thin);
+  SliceResult C = F.chop(Src, Sink);
   EXPECT_TRUE(F.hasLine(C, 3));  // Source.
   EXPECT_TRUE(F.hasLine(C, 4));  // On the path.
   EXPECT_TRUE(F.hasLine(C, 6));  // Sink.
@@ -129,8 +136,7 @@ def main() {
   print(b);
 }
 )");
-  SliceResult C =
-      chop(*F.G, F.lastAtLine(4), F.lastAtLine(5), SliceMode::Thin);
+  SliceResult C = F.chop(F.lastAtLine(4), F.lastAtLine(5));
   EXPECT_EQ(C.sizeStmts(), 0u);
 }
 
@@ -141,7 +147,7 @@ TEST(Chop, ThroughContainer) {
   Fixture F(W.Source);
   const Instr *Src = F.lastAtLine(W.markerLine("bug"));
   const Instr *Sink = F.lastAtLine(W.markerLine("seed"));
-  SliceResult C = chop(*F.G, Src, Sink, SliceMode::Thin);
+  SliceResult C = F.chop(Src, Sink);
   EXPECT_TRUE(F.hasLine(C, W.markerLine("bug")));
   EXPECT_TRUE(F.hasLine(C, W.markerLine("add")));
   EXPECT_TRUE(F.hasLine(C, W.markerLine("get")));

@@ -67,10 +67,10 @@ TEST(Fuzz, SeededSourcesDriveTheFullPipelineWithoutCrashing) {
             Seed2 = I.get();
     if (!Seed2)
       continue;
-    Expected<const SliceResult *> Slice =
-        S.sliceBackwardChecked(Seed2, SliceMode::Thin);
+    Expected<const SliceAnswer *> Slice =
+        S.sliceChecked(SliceQuery::backward({Seed2}, SliceMode::Thin));
     ASSERT_TRUE(Slice.ok()) << Slice.status().str();
-    EXPECT_TRUE((*Slice)->complete());
+    EXPECT_TRUE((*Slice)->Results.front().complete());
   }
   // The generator must produce both healthy and broken inputs, or the
   // smoke test is vacuous.

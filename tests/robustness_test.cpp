@@ -197,7 +197,7 @@ TEST(Robustness, UnicodeBytesInStrings) {
 #include "eval/Workload.h"
 #include "modref/ModRef.h"
 #include "pipeline/Session.h"
-#include "slicer/Chop.h"
+#include "slicer/Engine.h"
 #include "slicer/Expansion.h"
 #include "slicer/Tabulation.h"
 #include "support/Budget.h"
@@ -668,10 +668,14 @@ TEST(PipelineExhaustion, BudgetedChopIsSubset) {
   const Instr *Snk = instrAtLine(*P, W.markerLine("seed"));
   ASSERT_TRUE(Src && Snk);
 
-  SliceResult Full = chop(*G, Src, Snk, SliceMode::Thin);
+  SliceQuery Q = SliceQuery::backward({Src}, SliceMode::Thin);
+  Q.ChopSink = Snk;
+  SliceEngine Engine(*G);
+  SliceResult Full = Engine.run(Q).front();
   AnalysisBudget Tight;
   Tight.MaxSlicePops = 3;
-  SliceResult Budgeted = chop(*G, Src, Snk, SliceMode::Thin, &Tight);
+  Q.Budget = &Tight;
+  SliceResult Budgeted = Engine.run(Q).front();
   BitSet Extra = Budgeted.nodeSet();
   Extra.subtract(Full.nodeSet());
   EXPECT_EQ(Extra.count(), 0u);

@@ -18,6 +18,7 @@
 #include "pipeline/Session.h"
 #include "service/Client.h"
 #include "service/Server.h"
+#include "slicer/Engine.h"
 #include "slicer/Report.h"
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
@@ -107,6 +108,28 @@ std::string expectedSlice(const std::string &Source, unsigned UserLine,
                            .slice(Seed)
                      : sliceBackward(*G, Seed, Mode, nullptr);
   return renderSliceReport(R, sliceKindName(Mode, CS), UserLine, LineOffset);
+}
+
+/// The in-process SliceEngine::run answer for \p Lines on \p S, as
+/// the daemon's slice handler must send it: one report for a Slice
+/// frame, one headed report per line for a BatchSlice frame.
+std::string expectedRun(AnalysisSession &S, const std::vector<uint32_t> &Lines,
+                        SliceMode Mode, bool Batch) {
+  unsigned LineOffset = runtimeLibraryLines();
+  SliceQuery Q;
+  Q.Mode = Mode;
+  Q.ContextSensitive = S.sdgOptions().ContextSensitive;
+  Q.Summaries = &S.summaries();
+  for (uint32_t Line : Lines)
+    Q.Seeds.push_back(seedAtLine(*S.program(), Line + LineOffset));
+  std::vector<SliceResult> Results = SliceEngine(*S.sdg()).run(Q);
+  std::string Out;
+  for (std::size_t I = 0; I != Results.size(); ++I) {
+    if (Batch)
+      Out += "=== seed line " + std::to_string(Lines[I]) + " ===\n";
+    Out += renderSliceReport(Results[I], Q.label(), Lines[I], LineOffset);
+  }
+  return Out;
 }
 
 std::string uniqueSockPath() {
@@ -308,6 +331,68 @@ TEST_F(ServiceTest, EightConcurrentClientsShareOneWarmSession) {
           return;
         }
         if (Resp.Body != Expected[Pick])
+          Mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread &T : Clients)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0);
+  EXPECT_EQ(Mismatches.load(), 0);
+}
+
+// Slice and BatchSlice frames share one handler and, on a
+// context-sensitive session, one SummaryCache: four clients mixing
+// both frame types in both modes must each get exactly the in-process
+// SliceEngine::run answer.
+TEST_F(ServiceTest, ClientsMixingSliceAndBatchSliceOnWarmCSSession) {
+  startServer();
+  ServiceClient Loader;
+  connect(Loader);
+  std::string Id = loadDefault(Loader, /*CS=*/true);
+
+  AnalysisSession Local(fullSource(kProgram));
+  SDGOptions SO;
+  SO.ContextSensitive = true;
+  Local.setSDGOptions(SO);
+  ASSERT_NE(Local.sdg(), nullptr);
+  struct Ask {
+    std::vector<uint32_t> Lines;
+    SliceMode Mode;
+    bool Batch;
+    std::string Want;
+  };
+  std::vector<Ask> Asks = {{{4}, SliceMode::Thin, false, ""},
+                           {{13}, SliceMode::Traditional, false, ""},
+                           {{4, 6, 13}, SliceMode::Thin, true, ""},
+                           {{6, 13}, SliceMode::Traditional, true, ""},
+                           {{6}, SliceMode::Thin, true, ""}};
+  for (Ask &A : Asks) {
+    A.Want = expectedRun(Local, A.Lines, A.Mode, A.Batch);
+    ASSERT_NE(A.Want.find("context-sensitive slice from line"),
+              std::string::npos);
+  }
+
+  constexpr int NumClients = 4, QueriesEach = 10;
+  std::atomic<int> Mismatches{0}, Failures{0};
+  std::vector<std::thread> Clients;
+  for (int T = 0; T != NumClients; ++T) {
+    Clients.emplace_back([&, T] {
+      ServiceClient C;
+      if (!C.connect(Sock).isOk()) {
+        Failures.fetch_add(1);
+        return;
+      }
+      for (int Q = 0; Q != QueriesEach; ++Q) {
+        const Ask &A = Asks[(T * 3 + Q) % Asks.size()];
+        ServiceResponse Resp;
+        Status S = A.Batch ? C.batchSlice(Id, A.Lines, A.Mode, Resp)
+                           : C.slice(Id, A.Lines.front(), A.Mode, Resp);
+        if (!S.isOk() || Resp.Code != ServiceStatus::Ok) {
+          Failures.fetch_add(1);
+          return;
+        }
+        if (Resp.Body != A.Want)
           Mismatches.fetch_add(1);
       }
     });

@@ -307,7 +307,11 @@ TEST(Session, BudgetedSdgDegradesLikeOneShot) {
   EXPECT_EQ(FromSession.complete(), OneShot.complete());
 }
 
-TEST(Session, BudgetedSliceDegradesLikeOneShotBatch) {
+// The session runs a query like the one-shot CLI and the daemon do:
+// one seed through the single-seed slicer, several seeds as one batch.
+// Under a budget the two degrade differently, so each is pinned to its
+// own reference.
+TEST(Session, BudgetedSliceDegradesLikeOneShot) {
   AnalysisBudget B;
   B.MaxSlicePops = 2;
   B.start();
@@ -323,11 +327,7 @@ TEST(Session, BudgetedSliceDegradesLikeOneShotBatch) {
   std::unique_ptr<SDG> G = buildSDG(*P, *PTA, nullptr, SO);
   const Instr *SeedOne = instrAtLine(*P, 12);
   ASSERT_NE(SeedOne, nullptr);
-  SliceEngine Eng(*G);
-  BatchOptions BO;
-  BO.Mode = SliceMode::Thin;
-  BO.Budget = &B;
-  SliceResult OneShot = Eng.sliceBackwardBatch({SeedOne}, BO).front();
+  SliceResult OneShot = sliceBackward(*G, SeedOne, SliceMode::Thin, &B);
   ASSERT_FALSE(OneShot.complete());
 
   AnalysisSession S(Source);
@@ -340,6 +340,27 @@ TEST(Session, BudgetedSliceDegradesLikeOneShotBatch) {
   EXPECT_EQ(Sess->degradedReason(), OneShot.degradedReason());
   EXPECT_EQ(Sess->sizeStmts(), OneShot.sizeStmts());
   EXPECT_EQ(lineNumbers(*Sess), lineNumbers(OneShot));
+
+  // Several seeds: one batch, budgeted as a whole.
+  SliceEngine Eng(*G);
+  BatchOptions BO;
+  BO.Mode = SliceMode::Thin;
+  BO.Budget = &B;
+  std::vector<SliceResult> Batch =
+      Eng.sliceBackwardBatch({SeedOne, instrAtLine(*P, 11)}, BO);
+  const SliceAnswer *Answer = S.slice(SliceQuery::backward(
+      {SeedSess, instrAtLine(*S.program(), 11)}, SliceMode::Thin));
+  ASSERT_NE(Answer, nullptr);
+  const std::vector<SliceResult> *SessBatch = &Answer->Results;
+  ASSERT_EQ(SessBatch->size(), Batch.size());
+  for (std::size_t I = 0; I != Batch.size(); ++I) {
+    EXPECT_FALSE(Batch[I].complete()) << I;
+    EXPECT_EQ((*SessBatch)[I].complete(), Batch[I].complete()) << I;
+    EXPECT_EQ((*SessBatch)[I].degradedReason(), Batch[I].degradedReason())
+        << I;
+    EXPECT_EQ((*SessBatch)[I].sizeStmts(), Batch[I].sizeStmts()) << I;
+    EXPECT_EQ(lineNumbers((*SessBatch)[I]), lineNumbers(Batch[I])) << I;
+  }
 }
 
 TEST(Session, BudgetChangeDestroysAnalysesButKeepsTheProgram) {
@@ -575,17 +596,32 @@ TEST(Session, CheckedAccessorsReportStructuredStatus) {
   InjectorGuard Guard;
   AnalysisSession S(Source);
   // Caller error: a null seed is InvalidArgument, not a crash.
-  Expected<const SliceResult *> Bad =
-      S.sliceBackwardChecked(nullptr, SliceMode::Thin);
+  Expected<const SliceAnswer *> Bad =
+      S.sliceChecked(SliceQuery::backward({nullptr}, SliceMode::Thin));
   EXPECT_FALSE(Bad.ok());
   EXPECT_EQ(Bad.status().code(), StatusCode::InvalidArgument);
 
   Expected<Program *> P = S.programChecked();
   ASSERT_TRUE(P.ok());
-  Expected<const SliceResult *> Good =
-      S.sliceBackwardChecked(anySeed(**P), SliceMode::Thin);
+  // So is a query whose shape combines exclusive fields, or whose
+  // context sensitivity differs from the session's SDG options.
+  SliceQuery Conflicting =
+      SliceQuery::backward({anySeed(**P)}, SliceMode::Thin);
+  Conflicting.Forward = true;
+  Conflicting.Expand = true;
+  EXPECT_EQ(S.sliceChecked(Conflicting).status().code(),
+            StatusCode::InvalidArgument);
+  EXPECT_EQ(S.sliceChecked(SliceQuery::backward({anySeed(**P)},
+                                                SliceMode::Thin,
+                                                /*ContextSensitive=*/true))
+                .status()
+                .code(),
+            StatusCode::InvalidArgument);
+
+  Expected<const SliceAnswer *> Good =
+      S.sliceChecked(SliceQuery::backward({anySeed(**P)}, SliceMode::Thin));
   ASSERT_TRUE(Good.ok()) << Good.status().str();
-  EXPECT_TRUE((*Good)->complete());
+  EXPECT_TRUE((*Good)->Results.front().complete());
 
   // A compile failure surfaces as a ParseError/SemaError Status.
   S.setSource("def main() { var x = }");

@@ -44,12 +44,8 @@
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 #include "sdg/SDGDot.h"
-#include "slicer/Chop.h"
 #include "slicer/Engine.h"
-#include "slicer/Expansion.h"
 #include "slicer/Report.h"
-#include "slicer/Slicer.h"
-#include "slicer/Tabulation.h"
 
 #include "service/Client.h"
 #include "support/Budget.h"
@@ -71,11 +67,8 @@ struct CliOptions {
   std::string File;
   unsigned Line = 0;
   unsigned ChopSink = 0;
-  SliceMode Mode = SliceMode::Thin;
-  unsigned AliasDepth = 0;
-  bool Expand = false;
-  bool Forward = false;
-  bool ContextSensitive = false;
+  /// The query the flags name; seeds and sink resolve after compiling.
+  SliceQuery Query;
   bool NoObjSens = false;
   bool Run = false;
   /// Batched slicing: a file of seed line numbers, fanned out over a
@@ -119,6 +112,12 @@ struct CliOptions {
   /// instead of analyzing in-process. The daemon keeps the session
   /// warm across invocations (and across clients).
   std::string ConnectSocket;
+
+  /// A flag only a one-shot --line query takes.
+  bool refinesLine() const {
+    return ChopSink || Query.Forward || Query.Expand || Query.AliasDepth ||
+           Why || !DotFile.empty();
+  }
 
   bool governed() const {
     // TSL_FAULT arms the injector without any CLI flag; env-armed runs
@@ -178,6 +177,14 @@ bool parseNonZero(const char *Flag, const char *V, int64_t &Out) {
   return false;
 }
 
+/// Parses a slice mode name: thin, trad or traditional.
+bool parseMode(const std::string &V, SliceMode &Mode) {
+  if (V != "thin" && V != "trad" && V != "traditional")
+    return false;
+  Mode = V == "thin" ? SliceMode::Thin : SliceMode::Traditional;
+  return true;
+}
+
 bool parseArgs(int argc, char **argv, CliOptions &Opts) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -204,21 +211,17 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      if (strcmp(V, "thin") == 0)
-        Opts.Mode = SliceMode::Thin;
-      else if (strcmp(V, "trad") == 0 || strcmp(V, "traditional") == 0)
-        Opts.Mode = SliceMode::Traditional;
-      else
+      if (!parseMode(V, Opts.Query.Mode))
         return false;
     } else if (Arg == "--alias-depth") {
-      if (!parsePositive("--alias-depth", Next(), Opts.AliasDepth))
+      if (!parsePositive("--alias-depth", Next(), Opts.Query.AliasDepth))
         return false;
     } else if (Arg == "--expand") {
-      Opts.Expand = true;
+      Opts.Query.Expand = true;
     } else if (Arg == "--forward") {
-      Opts.Forward = true;
+      Opts.Query.Forward = true;
     } else if (Arg == "--context-sensitive") {
-      Opts.ContextSensitive = true;
+      Opts.Query.ContextSensitive = true;
     } else if (Arg == "--no-objsens") {
       Opts.NoObjSens = true;
     } else if (Arg == "--run") {
@@ -367,6 +370,22 @@ int readSeedsFile(const std::string &Path, std::vector<unsigned> &Out) {
   return 0;
 }
 
+/// Reads \p Path behind the container runtime (unless --no-runtime)
+/// into \p Source; reports and returns false when it cannot be opened.
+bool readSource(const std::string &Path, const CliOptions &Opts,
+                std::string &Source) {
+  std::ifstream In(Path);
+  if (!In) {
+    fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+    return false;
+  }
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  Source = Opts.NoRuntime ? "" : runtimeLibrarySource();
+  Source += Buf.str();
+  return true;
+}
+
 /// The warm-session REPL: reads one command per stdin line and answers
 /// slice queries against \p Session without ever rebuilding an
 /// artifact a previous query already computed. Commands:
@@ -389,7 +408,7 @@ int readSeedsFile(const std::string &Path, std::vector<unsigned> &Out) {
 /// also printed on exit.
 int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
                    unsigned LineOffset) {
-  SliceMode Mode = Opts.Mode;
+  SliceMode Mode = Opts.Query.Mode;
   std::string CurFile = Opts.File;
   std::string LineBuf;
   while (std::getline(std::cin, LineBuf)) {
@@ -406,11 +425,7 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
         continue;
       }
       if (Cmd == "mode") {
-        if (Arg == "thin")
-          Mode = SliceMode::Thin;
-        else if (Arg == "trad" || Arg == "traditional")
-          Mode = SliceMode::Traditional;
-        else
+        if (!parseMode(Arg, Mode))
           fprintf(stderr, "error: mode expects thin|trad\n");
         continue;
       }
@@ -433,16 +448,10 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
         } else {
           Arg = CurFile;
         }
-        std::ifstream In(Arg);
-        if (!In) {
-          fprintf(stderr, "error: cannot open %s\n", Arg.c_str());
+        std::string Src;
+        if (!readSource(Arg, Opts, Src))
           continue;
-        }
-        std::stringstream Buf;
-        Buf << In.rdbuf();
         CurFile = Arg;
-        std::string Src = Opts.NoRuntime ? "" : runtimeLibrarySource();
-        Src += Buf.str();
         Session.setSource(std::move(Src));
         if (!Session.program())
           for (const Diagnostic &D : Session.diagnostics().diagnostics()) {
@@ -486,8 +495,10 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
         const Instr *Seed = nullptr;
         if (resolveSeed(*P, UserLine, LineOffset, Seed))
           continue;
-        const SliceResult *Slice = Session.sliceBackwardCached(Seed, Mode);
-        if (!Slice) {
+        SliceQuery Q = SliceQuery::backward(
+            {Seed}, Mode, Session.sdgOptions().ContextSensitive);
+        const SliceAnswer *Answer = Session.slice(Q);
+        if (!Answer) {
           // A stage crashed and exhausted its retries (or an upstream
           // artifact could not be built). The session caches nothing
           // on this path, so the next request retries from scratch —
@@ -497,13 +508,13 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
                   Session.lastError().str().c_str());
           continue;
         }
-        const char *What = sliceKindName(
-            Mode, Session.sdgOptions().ContextSensitive);
-        fputs(renderSliceReport(*Slice, What, UserLine, LineOffset).c_str(),
+        const SliceResult &Slice = Answer->Results.front();
+        fputs(renderSliceReport(Slice, Q.label(), UserLine, LineOffset)
+                  .c_str(),
               stdout);
-        if (!Slice->complete())
+        if (!Slice.complete())
           fprintf(stderr, "warning: slice degraded (%s)\n",
-                  Slice->degradedReason().c_str());
+                  Slice.degradedReason().c_str());
         continue;
       }
       fprintf(stderr,
@@ -555,7 +566,7 @@ int reportRemoteFailure(const ServiceResponse &Resp) {
 /// quit), each answered over the wire by the warm session \p SessionId.
 int runConnectInteractive(ServiceClient &C, const std::string &SessionId,
                           const CliOptions &Opts) {
-  SliceMode Mode = Opts.Mode;
+  SliceMode Mode = Opts.Query.Mode;
   std::string LineBuf;
   while (std::getline(std::cin, LineBuf)) {
     std::istringstream Words(LineBuf);
@@ -566,11 +577,7 @@ int runConnectInteractive(ServiceClient &C, const std::string &SessionId,
     if (Cmd == "quit" || Cmd == "exit")
       break;
     if (Cmd == "mode") {
-      if (Arg == "thin")
-        Mode = SliceMode::Thin;
-      else if (Arg == "trad" || Arg == "traditional")
-        Mode = SliceMode::Traditional;
-      else
+      if (!parseMode(Arg, Mode))
         fprintf(stderr, "error: mode expects thin|trad\n");
       continue;
     }
@@ -598,15 +605,9 @@ int runConnectInteractive(ServiceClient &C, const std::string &SessionId,
         fprintf(stderr, "error: edit expects a file path\n");
         continue;
       }
-      std::ifstream In(Arg);
-      if (!In) {
-        fprintf(stderr, "error: cannot open %s\n", Arg.c_str());
+      std::string Src;
+      if (!readSource(Arg, Opts, Src))
         continue;
-      }
-      std::stringstream Buf;
-      Buf << In.rdbuf();
-      std::string Src = Opts.NoRuntime ? "" : runtimeLibrarySource();
-      Src += Buf.str();
       S = C.edit(SessionId, Src, Resp);
       if (S.isOk() && Resp.Code == ServiceStatus::Ok)
         continue;
@@ -640,9 +641,8 @@ int runConnectInteractive(ServiceClient &C, const std::string &SessionId,
 /// is byte-identical to the in-process paths because the daemon runs
 /// the same renderer over the same artifacts.
 int runConnect(const CliOptions &Opts) {
-  if (Opts.Run || Opts.ChopSink || Opts.Forward || Opts.Expand ||
-      Opts.AliasDepth || Opts.Why || !Opts.DotFile.empty() || Opts.DumpIR ||
-      Opts.Stats || Opts.PtaStats || !Opts.SaveSnapshotFile.empty() ||
+  if (Opts.Run || Opts.refinesLine() || Opts.DumpIR || Opts.Stats ||
+      Opts.PtaStats || !Opts.SaveSnapshotFile.empty() ||
       !Opts.LoadSnapshotFile.empty() || !Opts.CacheDir.empty() ||
       Opts.governed()) {
     fprintf(stderr,
@@ -657,20 +657,10 @@ int runConnect(const CliOptions &Opts) {
     return 2;
   }
 
-  std::ifstream In(Opts.File);
-  if (!In) {
-    fprintf(stderr, "error: cannot open %s\n", Opts.File.c_str());
-    return 1;
-  }
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  unsigned LineOffset = 0;
   std::string Source;
-  if (!Opts.NoRuntime) {
-    Source = runtimeLibrarySource();
-    LineOffset = runtimeLibraryLines();
-  }
-  Source += Buf.str();
+  if (!readSource(Opts.File, Opts, Source))
+    return 1;
+  const unsigned LineOffset = Opts.NoRuntime ? 0 : runtimeLibraryLines();
 
   ServiceClient C;
   Status S = C.connect(Opts.ConnectSocket);
@@ -680,7 +670,7 @@ int runConnect(const CliOptions &Opts) {
   }
 
   ServiceResponse Load;
-  S = C.loadSource(Source, Opts.ContextSensitive, LineOffset,
+  S = C.loadSource(Source, Opts.Query.ContextSensitive, LineOffset,
                    Opts.Incremental, Load);
   if (!S.isOk()) {
     fprintf(stderr, "error: %s\n", S.str().c_str());
@@ -699,9 +689,9 @@ int runConnect(const CliOptions &Opts) {
     if (int Rc = readSeedsFile(Opts.SeedsFile, SeedUserLines))
       return Rc;
     std::vector<uint32_t> Lines(SeedUserLines.begin(), SeedUserLines.end());
-    S = C.batchSlice(SessionId, Lines, Opts.Mode, Resp);
+    S = C.batchSlice(SessionId, Lines, Opts.Query.Mode, Resp);
   } else {
-    S = C.slice(SessionId, Opts.Line, Opts.Mode, Resp);
+    S = C.slice(SessionId, Opts.Line, Opts.Query.Mode, Resp);
   }
   if (!S.isOk()) {
     fprintf(stderr, "error: %s\n", S.str().c_str());
@@ -724,21 +714,29 @@ int runTool(int argc, char **argv) {
     return 2;
   }
 
-  if (!Opts.SeedsFile.empty() &&
-      (Opts.Line || Opts.ChopSink || Opts.Forward || Opts.Expand ||
-       Opts.AliasDepth || Opts.Why || !Opts.DotFile.empty())) {
+  if (!Opts.SeedsFile.empty() && (Opts.Line || Opts.refinesLine())) {
     fprintf(stderr, "error: --seeds is incompatible with --line/--chop/"
                     "--forward/--expand/--alias-depth/--why/--dot\n");
     return 2;
   }
 
-  if (Opts.Interactive &&
-      (Opts.Line || Opts.ChopSink || Opts.Forward || Opts.Expand ||
-       Opts.AliasDepth || Opts.Why || !Opts.DotFile.empty() ||
-       !Opts.SeedsFile.empty() || Opts.Run)) {
+  if (Opts.Interactive && (Opts.Line || Opts.refinesLine() ||
+                           !Opts.SeedsFile.empty() || Opts.Run)) {
     fprintf(stderr, "error: --interactive is incompatible with --line/"
                     "--chop/--forward/--expand/--alias-depth/--why/--dot/"
                     "--seeds/--run\n");
+    return 2;
+  }
+
+  // Every remaining flag combination names one query; refuse the ones
+  // that would silently drop a flag.
+  auto Conflict = SliceQuery::conflict(Opts.Query, Opts.ChopSink);
+  if (!Conflict.first && Opts.Why && (Opts.ChopSink || Opts.Query.Forward))
+    Conflict = {"why", Opts.ChopSink ? "chop" : "forward"};
+  if (Conflict.first) {
+    fprintf(stderr, "error: --%s cannot be combined with --%s\n",
+            Conflict.first, Conflict.second);
+    usage();
     return 2;
   }
 
@@ -771,20 +769,10 @@ int runTool(int argc, char **argv) {
     B = &Budget;
   }
 
-  std::ifstream In(Opts.File);
-  if (!In) {
-    fprintf(stderr, "error: cannot open %s\n", Opts.File.c_str());
-    return 1;
-  }
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  unsigned LineOffset = 0;
   std::string Source;
-  if (!Opts.NoRuntime) {
-    Source = runtimeLibrarySource();
-    LineOffset = runtimeLibraryLines();
-  }
-  Source += Buf.str();
+  if (!readSource(Opts.File, Opts, Source))
+    return 1;
+  const unsigned LineOffset = Opts.NoRuntime ? 0 : runtimeLibraryLines();
 
   // The session owns every analysis artifact from here on: the
   // one-shot paths below request each one exactly once, and
@@ -839,7 +827,7 @@ int runTool(int argc, char **argv) {
   Session.setPTAOptions(PtaOpts);
 
   SDGOptions SdgOpts;
-  SdgOpts.ContextSensitive = Opts.ContextSensitive;
+  SdgOpts.ContextSensitive = Opts.Query.ContextSensitive;
   Session.setSDGOptions(SdgOpts);
 
   // Warm-start layer: snapshots are only meaningful once the option
@@ -893,22 +881,28 @@ int runTool(int argc, char **argv) {
   if (Opts.PtaStats)
     printf("%s", PTA->stats().str().c_str());
 
-  ModRefResult *MR = Opts.ContextSensitive ? Session.modRef() : nullptr;
-  if (Opts.ContextSensitive && !MR)
+  if (Opts.Query.ContextSensitive && !Session.modRef())
     return StageFailed("mod-ref");
   SDG *G = Session.sdg();
   if (!G)
     return StageFailed("sdg");
 
+  // --stats prints after the query (so it counts it) but takes this
+  // now: the query may heal a fault-tainted artifact, so no pointer
+  // above is used once it ran; the slice carries its own graph.
+  char Inventory[256];
+  snprintf(Inventory, sizeof(Inventory),
+           "classes: %zu, reachable methods: %zu, cg nodes: %zu\n"
+           "sdg: %u statements, %u heap-param nodes, %u edges\n",
+           P->classes().size(), PTA->callGraph().reachableMethods().size(),
+           PTA->callGraph().nodes().size(), G->numStmtNodes(),
+           G->numHeapParamNodes(), G->numEdges());
+
   // Governed runs report per-stage status and map degradation onto the
   // exit code; ungoverned runs keep the historical 0/1/2 codes and
   // byte-identical output.
-  PipelineStatus Status;
-  Status.add(PTA->report());
-  if (MR)
-    Status.add(MR->report());
-  Status.add(G->report());
   auto Finish = [&](const SliceResult *Slice) {
+    PipelineStatus Status = Session.status();
     if (Slice) {
       StageReport SR{"slice",
                      Slice->complete() ? StageStatus::Complete
@@ -929,133 +923,107 @@ int runTool(int argc, char **argv) {
     return 3;
   };
 
-  if (Opts.Stats) {
-    printf("classes: %zu, reachable methods: %zu, cg nodes: %zu\n",
-           P->classes().size(), PTA->callGraph().reachableMethods().size(),
-           PTA->callGraph().nodes().size());
-    printf("sdg: %u statements, %u heap-param nodes, %u edges\n",
-           G->numStmtNodes(), G->numHeapParamNodes(), G->numEdges());
-    printf("%s", Session.statsString().c_str());
-  }
+  // Runs the query the flags name and prints it; returns the exit code.
+  auto Answer = [&]() -> int {
+    if (!Opts.SeedsFile.empty()) {
+      std::vector<unsigned> SeedUserLines;
+      if (int Rc = readSeedsFile(Opts.SeedsFile, SeedUserLines))
+        return Rc;
 
-  if (!Opts.SeedsFile.empty()) {
-    std::vector<unsigned> SeedUserLines;
-    if (int Rc = readSeedsFile(Opts.SeedsFile, SeedUserLines))
-      return Rc;
-
-    // Report every bad seed before exiting; a line out of range (2)
-    // outranks a line without statements (1).
-    std::vector<const Instr *> Seeds;
-    int Rc = 0;
-    for (unsigned UserLine : SeedUserLines) {
-      const Instr *Seed = nullptr;
-      Rc = std::max(Rc, resolveSeed(*P, UserLine, LineOffset, Seed));
-      Seeds.push_back(Seed);
-    }
-    if (Rc)
-      return Rc;
-
-    SummaryCache Cache;
-    SliceEngine Engine(*G, Session.pool());
-    BatchOptions BO;
-    BO.Mode = Opts.Mode;
-    BO.ContextSensitive = Opts.ContextSensitive;
-    BO.Jobs = Session.threadsResolved();
-    BO.Budget = B;
-    BO.Summaries = Opts.ContextSensitive ? &Cache : nullptr;
-    std::vector<SliceResult> Results = Engine.sliceBackwardBatch(Seeds, BO);
-
-    const char *What = sliceKindName(Opts.Mode, Opts.ContextSensitive);
-    for (std::size_t I = 0; I != Results.size(); ++I) {
-      printf("=== seed line %u ===\n", SeedUserLines[I]);
-      fputs(renderSliceReport(Results[I], What, SeedUserLines[I], LineOffset)
-                .c_str(),
-            stdout);
-    }
-    const BatchStats &St = Engine.stats();
-    printf("batch: %u queries (%u unique) on %u worker%s\n", St.Queries,
-           St.UniqueQueries, St.Workers, St.Workers == 1 ? "" : "s");
-
-    // Aggregate degradation: one slice stage for the whole batch.
-    const SliceResult *Rep = &Results.front();
-    for (const SliceResult &Slice : Results)
-      if (!Slice.complete()) {
-        Rep = &Slice;
-        break;
+      // Report every bad seed before exiting; a line out of range (2)
+      // outranks a line without statements (1).
+      std::vector<const Instr *> Seeds;
+      int Rc = 0;
+      for (unsigned UserLine : SeedUserLines) {
+        const Instr *Seed = nullptr;
+        Rc = std::max(Rc, resolveSeed(*P, UserLine, LineOffset, Seed));
+        Seeds.push_back(Seed);
       }
-    return Finish(Rep);
-  }
+      if (Rc)
+        return Rc;
 
-  if (!Opts.Line) {
+      SliceQuery Q = Opts.Query;
+      Q.Seeds = Seeds;
+      const SliceAnswer *Batch = Session.slice(Q);
+      if (!Batch)
+        return StageFailed("slice");
+      for (std::size_t I = 0; I != Batch->Results.size(); ++I) {
+        printf("=== seed line %u ===\n", SeedUserLines[I]);
+        fputs(renderSliceReport(Batch->Results[I], Q.label(),
+                                SeedUserLines[I], LineOffset)
+                  .c_str(),
+              stdout);
+      }
+      const BatchStats &St = Batch->Stats;
+      printf("batch: %u queries (%u unique) on %u worker%s\n", St.Queries,
+             St.UniqueQueries, St.Workers, St.Workers == 1 ? "" : "s");
+
+      // Aggregate degradation: one slice stage for the whole batch.
+      const SliceResult *Rep = &Batch->Results.front();
+      for (const SliceResult &Slice : Batch->Results)
+        if (!Slice.complete()) {
+          Rep = &Slice;
+          break;
+        }
+      return Finish(Rep);
+    }
+
+    if (!Opts.Line) {
+      if (!Opts.DotFile.empty()) {
+        std::ofstream Dot(Opts.DotFile);
+        Dot << exportDot(*G);
+        Dot.flush();
+        if (!Dot) {
+          fprintf(stderr, "error: cannot write %s\n", Opts.DotFile.c_str());
+          return 1;
+        }
+      }
+      return Finish(nullptr);
+    }
+
+    // User line numbers are relative to the user's file.
+    const Instr *Seed = nullptr;
+    if (int Rc = resolveSeed(*P, Opts.Line, LineOffset, Seed))
+      return Rc;
+    SliceQuery Q = Opts.Query;
+    Q.Seeds = {Seed};
+    if (Opts.ChopSink)
+      if (int Rc = resolveSeed(*P, Opts.ChopSink, LineOffset, Q.ChopSink))
+        return Rc;
+    const SliceAnswer *Result = Session.slice(Q);
+    if (!Result)
+      return StageFailed("slice");
+    const SliceResult &Slice = Result->Results.front();
+
+    if (Opts.Why) {
+      SliceNarration Story = narrateSlice(Slice.graph(), Seed, Opts.Query.Mode);
+      printf("%s", Story.str(LineOffset).c_str());
+      return Finish(&Slice);
+    }
+
+    fputs(renderSliceReport(Slice, Q.label(), Opts.Line, LineOffset).c_str(),
+          stdout);
+
     if (!Opts.DotFile.empty()) {
+      DotOptions DO;
+      BitSet Nodes = Slice.nodeSet();
+      DO.Restrict = &Nodes;
       std::ofstream Dot(Opts.DotFile);
-      Dot << exportDot(*G);
+      Dot << exportDot(Slice.graph(), DO);
       Dot.flush();
       if (!Dot) {
         fprintf(stderr, "error: cannot write %s\n", Opts.DotFile.c_str());
         return 1;
       }
+      printf("wrote %s\n", Opts.DotFile.c_str());
     }
-    return Finish(nullptr);
-  }
-
-  // User line numbers are relative to the user's file.
-  const Instr *Seed = nullptr;
-  if (int Rc = resolveSeed(*P, Opts.Line, LineOffset, Seed))
-    return Rc;
-
-  SliceResult Slice(nullptr, BitSet());
-  std::string What;
-  if (Opts.ChopSink) {
-    const Instr *Sink = nullptr;
-    if (int Rc = resolveSeed(*P, Opts.ChopSink, LineOffset, Sink))
-      return Rc;
-    Slice = chop(*G, Seed, Sink, Opts.Mode, B);
-    What = "chop";
-  } else if (Opts.Forward) {
-    Slice = sliceForward(*G, Seed, Opts.Mode, B);
-    What = "forward slice";
-  } else if (Opts.ContextSensitive) {
-    TabulationSlicer Tab(*G, Opts.Mode, B);
-    Slice = Tab.slice(Seed);
-    What = "context-sensitive slice";
-  } else if (Opts.Expand) {
-    ThinExpansion Exp(*G, *PTA, B);
-    Slice = Exp.expandToTraditional(Seed);
-    What = "fully expanded thin slice";
-  } else if (Opts.AliasDepth) {
-    ThinExpansion Exp(*G, *PTA, B);
-    Slice = Exp.thinSliceWithAliasDepth(Seed, Opts.AliasDepth);
-    What = "thin slice (+" + std::to_string(Opts.AliasDepth) +
-           " aliasing levels)";
-  } else {
-    Slice = sliceBackward(*G, Seed, Opts.Mode, B);
-    What = Opts.Mode == SliceMode::Thin ? "thin slice" : "traditional slice";
-  }
-
-  if (Opts.Why && !Opts.ChopSink && !Opts.Forward) {
-    SliceNarration Story = narrateSlice(*G, Seed, Opts.Mode);
-    printf("%s", Story.str(LineOffset).c_str());
     return Finish(&Slice);
-  }
+  };
 
-  fputs(renderSliceReport(Slice, What, Opts.Line, LineOffset).c_str(),
-        stdout);
-
-  if (!Opts.DotFile.empty()) {
-    DotOptions DO;
-    BitSet Nodes = Slice.nodeSet();
-    DO.Restrict = &Nodes;
-    std::ofstream Dot(Opts.DotFile);
-    Dot << exportDot(*G, DO);
-    Dot.flush();
-    if (!Dot) {
-      fprintf(stderr, "error: cannot write %s\n", Opts.DotFile.c_str());
-      return 1;
-    }
-    printf("wrote %s\n", Opts.DotFile.c_str());
-  }
-  return Finish(&Slice);
+  int Rc = Answer();
+  if (Opts.Stats)
+    printf("%s%s", Inventory, Session.statsString().c_str());
+  return Rc;
 }
 
 } // namespace
