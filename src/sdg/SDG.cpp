@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <tuple>
+#include <unordered_map>
 
 using namespace tsl;
 
@@ -46,13 +47,13 @@ const char *tsl::sdgEdgeKindName(SDGEdgeKind K) {
 }
 
 IdRange SDG::nodesFor(const Instr *I) const {
-  const uint64_t Key = denseInstrKey(I);
-  auto It = std::lower_bound(StmtKeys.begin(), StmtKeys.end(), Key);
-  if (It == StmtKeys.end() || *It != Key)
+  const unsigned M = I->parent()->parent()->id();
+  if (M + 1 >= MethodRank.size() ||
+      I->id() >= MethodRank[M + 1] - MethodRank[M])
     return {};
-  std::size_t Idx = static_cast<std::size_t>(It - StmtKeys.begin());
-  return {StmtClones.data() + StmtCloneOff[Idx],
-          StmtClones.data() + StmtCloneOff[Idx + 1]};
+  const unsigned Rank = MethodRank[M] + I->id();
+  return {StmtClones.data() + StmtCloneOff[Rank],
+          StmtClones.data() + StmtCloneOff[Rank + 1]};
 }
 
 int SDG::nodeFor(const Instr *I, unsigned Ctx) const {
@@ -105,65 +106,81 @@ void SDG::buildCSR() {
 }
 
 std::size_t SDG::seal() {
-  // Edge identity is (From, To, kind, call site). Sorting the keys
-  // with the edge id as the last component puts each edge's first
-  // occurrence at the head of its run of repeats.
-  struct EdgeKey {
-    uint64_t Ends;
-    uint64_t Site;
-    unsigned K;
-    unsigned Id;
-  };
-  std::vector<EdgeKey> Keys;
-  Keys.reserve(Edges.size());
-  for (std::size_t Id = 0; Id != Edges.size(); ++Id) {
-    const SDGEdge &E = Edges[Id];
-    Keys.push_back({(static_cast<uint64_t>(E.From) << 32) | E.To,
-                    E.Site ? denseInstrKey(E.Site) : 0,
-                    static_cast<unsigned>(E.K), static_cast<unsigned>(Id)});
-  }
-  auto Identity = [](const EdgeKey &A) {
-    return std::tie(A.Ends, A.Site, A.K);
-  };
-  std::sort(Keys.begin(), Keys.end(), [](const EdgeKey &A, const EdgeKey &B) {
-    return std::tie(A.Ends, A.Site, A.K, A.Id) <
-           std::tie(B.Ends, B.Site, B.K, B.Id);
-  });
-  std::vector<bool> Repeat(Edges.size());
-  for (std::size_t I = 1; I < Keys.size(); ++I)
-    Repeat[Keys[I].Id] = Identity(Keys[I]) == Identity(Keys[I - 1]);
-  std::size_t Kept = 0;
-  for (std::size_t Id = 0; Id != Edges.size(); ++Id)
-    if (!Repeat[Id])
-      Edges[Kept++] = Edges[Id];
-  const std::size_t Dropped = Edges.size() - Kept;
-  Edges.resize(Kept);
+  const std::size_t NK = NumSDGEdgeKinds;
   buildCSR();
 
-  // Sorted statement index. The sort is stable by key, so the clones
-  // of one instruction stay in id (= context insertion) order and
-  // nodeFor() returns the first clone.
-  std::vector<std::pair<uint64_t, unsigned>> StmtPairs;
+  // Edge identity is (From, To, kind, call site). The out-CSR groups
+  // edges by (From, kind) segment, ids ascending within a segment, so
+  // one sweep finds every repeat: LastPos[t] is one past the CSR
+  // position of the last edge seen into t, and a position inside the
+  // current segment means an earlier edge shares From, To and kind.
+  // Only then are sites compared, walking back through the segment;
+  // the earliest copy is met first and survives.
+  std::vector<unsigned> LastPos(Nodes.size(), 0);
+  std::vector<bool> Repeat;
+  std::size_t Repeats = 0;
+  for (std::size_t Seg = 0; Seg != Nodes.size() * NK; ++Seg) {
+    const unsigned Begin = OutOff[Seg];
+    for (unsigned Pos = Begin; Pos != OutOff[Seg + 1]; ++Pos) {
+      const unsigned To = OutNbr[Pos];
+      const unsigned Prev = LastPos[To];
+      LastPos[To] = Pos + 1;
+      if (Prev <= Begin)
+        continue;
+      const CallInstr *Site = Edges[OutEdgeId[Pos]].Site;
+      for (unsigned Q = Prev; Q-- != Begin;) {
+        if (OutNbr[Q] != To || Edges[OutEdgeId[Q]].Site != Site)
+          continue;
+        if (Repeat.empty())
+          Repeat.resize(Edges.size());
+        Repeat[OutEdgeId[Pos]] = true;
+        ++Repeats;
+        break;
+      }
+    }
+  }
+  if (Repeats) {
+    std::size_t Kept = 0;
+    for (std::size_t Id = 0; Id != Edges.size(); ++Id)
+      if (!Repeat[Id])
+        Edges[Kept++] = Edges[Id];
+    Edges.resize(Kept);
+    buildCSR();
+  }
+
+  // Statement index: a counting sort of the statement nodes by dense
+  // instruction rank. Scattering in node id order keeps each
+  // instruction's clones ascending, so nodeFor() returns the first.
+  const auto &Methods = P.methods();
+  MethodRank.assign(Methods.size() + 1, 0);
+  for (std::size_t M = 0; M != Methods.size(); ++M)
+    MethodRank[M + 1] =
+        MethodRank[M] + static_cast<unsigned>(Methods[M]->instrs().size());
+  const std::size_t Ranks = MethodRank.back();
+  StmtCloneOff.assign(Ranks + 1, 0);
+  std::vector<unsigned> RankOf(Nodes.size());
   NumStmts = 0;
+  std::size_t StmtNodes = 0;
   for (const SDGNode &N : Nodes) {
     NumStmts += N.isSourceStmt();
+    if (N.isStmt()) {
+      RankOf[N.Id] = MethodRank[N.M->id()] + N.I->id();
+      ++StmtCloneOff[RankOf[N.Id] + 1];
+      ++StmtNodes;
+    }
+  }
+  for (std::size_t R = 1; R <= Ranks; ++R)
+    StmtCloneOff[R] += StmtCloneOff[R - 1];
+  // Same cursor trick as buildCSR(): scatter through the offsets, then
+  // shift them back by one.
+  StmtClones.resize(StmtNodes);
+  for (const SDGNode &N : Nodes)
     if (N.isStmt())
-      StmtPairs.emplace_back(denseInstrKey(N.I), N.Id);
-  }
-  std::stable_sort(
-      StmtPairs.begin(), StmtPairs.end(),
-      [](const auto &A, const auto &B) { return A.first < B.first; });
-  StmtKeys.reserve(StmtPairs.size());
-  StmtClones.reserve(StmtPairs.size());
-  StmtCloneOff.push_back(0);
-  for (std::size_t I = 0, J = 0; I != StmtPairs.size(); I = J) {
-    StmtKeys.push_back(StmtPairs[I].first);
-    for (; J != StmtPairs.size() && StmtPairs[J].first == StmtPairs[I].first;
-         ++J)
-      StmtClones.push_back(StmtPairs[J].second);
-    StmtCloneOff.push_back(static_cast<unsigned>(StmtClones.size()));
-  }
-  return Dropped;
+      StmtClones[StmtCloneOff[RankOf[N.Id]]++] = N.Id;
+  for (std::size_t R = Ranks; R != 0; --R)
+    StmtCloneOff[R] = StmtCloneOff[R - 1];
+  StmtCloneOff[0] = 0;
+  return Repeats;
 }
 
 //===----------------------------------------------------------------------===//
@@ -215,6 +232,8 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
     if (static_cast<SDGNodeKind>(K) == SDGNodeKind::Stmt) {
       if (!I || !M)
         throw SerializeError("statement node without anchor");
+      if (I->parent()->parent() != M)
+        throw SerializeError("statement node outside its method");
       if (Part)
         throw SerializeError("statement node with partition");
     } else {
@@ -248,16 +267,37 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
     G->Edges.push_back({From, To, static_cast<SDGEdgeKind>(K), Site});
   }
 
-  // A cold build never emits an edge twice, so sealing must keep them
-  // all.
+  // A built graph has no repeated edge (seal() dropped any), so a
+  // payload that repeats one was not written by encode().
   if (G->seal() != 0)
     throw SerializeError("duplicate SDG edge");
   // Statement identity is (instruction, context): the clones of one
-  // instruction, adjacent in the sealed index, must differ in context.
-  for (std::size_t Key = 0; Key != G->StmtKeys.size(); ++Key)
-    for (unsigned A = G->StmtCloneOff[Key]; A != G->StmtCloneOff[Key + 1]; ++A)
-      for (unsigned B = A + 1; B != G->StmtCloneOff[Key + 1]; ++B)
-        if (G->Nodes[G->StmtClones[A]].Ctx == G->Nodes[G->StmtClones[B]].Ctx)
-          throw SerializeError("duplicate SDG node identity");
+  // instruction must differ in context. Contexts are first renamed to
+  // dense slots (a clone's statements are contiguous, so the hash
+  // lookup runs about once per clone); then a per-slot stamp holding
+  // the instruction's rank + 1 finds a repeat in one pass.
+  std::unordered_map<unsigned, unsigned> SlotOfCtx;
+  std::vector<unsigned> Slot(G->Nodes.size());
+  const SDGNode *Prev = nullptr;
+  for (const SDGNode &N : G->Nodes) {
+    if (!N.isStmt())
+      continue;
+    if (Prev && Prev->Ctx == N.Ctx)
+      Slot[N.Id] = Slot[Prev->Id];
+    else
+      Slot[N.Id] =
+          SlotOfCtx.emplace(N.Ctx, static_cast<unsigned>(SlotOfCtx.size()))
+              .first->second;
+    Prev = &N;
+  }
+  std::vector<unsigned> Stamp(SlotOfCtx.size(), 0);
+  for (std::size_t Rank = 0; Rank + 1 < G->StmtCloneOff.size(); ++Rank)
+    for (unsigned C = G->StmtCloneOff[Rank]; C != G->StmtCloneOff[Rank + 1];
+         ++C) {
+      unsigned &S = Stamp[Slot[G->StmtClones[C]]];
+      if (S == Rank + 1)
+        throw SerializeError("duplicate SDG node identity");
+      S = static_cast<unsigned>(Rank + 1);
+    }
   return G;
 }

@@ -26,11 +26,12 @@
 /// An SDG is immutable and always in its query form: CSR (compressed
 /// sparse row) in/out adjacency *partitioned by edge kind*, so a slicer
 /// following a set of kinds iterates contiguous neighbor runs with no
-/// per-edge branch or edge-record load, plus a sorted-array statement
-/// index. Only buildSDG() (through SDGBuilder, which owns every
-/// construction-time index) and decode() create one; both end in the
-/// same private seal() routine. Tabulation summaries are not graph
-/// edges: they live in the SummaryCache (slicer/Tabulation.h).
+/// per-edge branch or edge-record load, plus a statement index
+/// addressed by dense instruction rank. Only buildSDG() (through
+/// SDGBuilder, which owns every construction-time index) and decode()
+/// create one; both end in the same private seal() routine. Tabulation
+/// summaries are not graph edges: they live in the SummaryCache
+/// (slicer/Tabulation.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -202,6 +203,11 @@ private:
 
 /// The dependence graph in its immutable query form. Read-only for
 /// every caller; SDGBuilder fills it and decode() restores it.
+///
+/// A built graph lays its statement nodes out as one block per clone,
+/// in clone order and ahead of every other node: the statement node of
+/// instruction I in a clone whose block starts at node id Base is
+/// Base + I->id() (Method::renumber() order).
 class SDG {
   friend class SDGBuilder;
 
@@ -283,8 +289,9 @@ public:
     return R.empty() ? -1 : static_cast<int>(R.front());
   }
 
-  /// All clones of the instruction (one per analysis context). A
-  /// source-statement seed means slicing from every clone.
+  /// All clones of the instruction (one per analysis context), in
+  /// ascending node id. A source-statement seed means slicing from
+  /// every clone. O(1): two offset loads at the instruction's rank.
   IdRange nodesFor(const Instr *I) const;
 
   /// The clone of \p I in context \p Ctx, or -1.
@@ -320,11 +327,13 @@ public:
 private:
   explicit SDG(const Program &P) : P(P) {}
 
-  /// Turns the filled node and edge lists into the query form: drops
-  /// repeated edges (keeping each one's first occurrence, so edge ids
-  /// are the insertion ranks of the distinct edges), then builds the
-  /// CSR adjacency and the sorted statement index. Runs exactly once
-  /// per graph. Returns the number of edges dropped.
+  /// Turns the filled node and edge lists into the query form, in
+  /// time linear in the graph: builds the CSR adjacency, finds repeated
+  /// edges in one pass over the out-CSR and, only if there are any,
+  /// drops them (keeping each one's first occurrence, so edge ids are
+  /// the insertion ranks of the distinct edges) and rebuilds the CSR;
+  /// then counting-sorts the statement index. Runs exactly once per
+  /// graph. Returns the number of edges dropped.
   std::size_t seal();
 
   /// Counting sort of the edge list into the kind-partitioned CSR
@@ -386,10 +395,12 @@ private:
   std::vector<unsigned> InNbr, OutNbr;
   /// Parallel edge ids, for callers that need Site or kind details.
   std::vector<unsigned> InEdgeId, OutEdgeId;
-  /// Sorted statement index: StmtKeys (dense instruction keys)
-  /// sorted; the clones of StmtKeys[i] are
-  /// StmtClones[StmtCloneOff[i] .. StmtCloneOff[i+1]).
-  std::vector<uint64_t> StmtKeys;
+  /// Statement index by dense instruction rank: instruction I of
+  /// method M has rank MethodRank[M->id()] + I->id() (MethodRank holds
+  /// numMethods + 1 prefix sums of the methods' instruction counts),
+  /// and its clones are StmtClones[StmtCloneOff[rank] ..
+  /// StmtCloneOff[rank+1]) in ascending node id.
+  std::vector<unsigned> MethodRank;
   std::vector<unsigned> StmtCloneOff;
   std::vector<unsigned> StmtClones;
 };

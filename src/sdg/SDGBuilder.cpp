@@ -29,16 +29,41 @@
 #include <map>
 #include <memory>
 #include <tuple>
-#include <unordered_map>
 
 using namespace tsl;
 
 namespace {
 
-/// One analyzed clone of a method.
+/// One analyzed clone of a method. Its statement nodes are one block
+/// in renumbered instruction order, so a statement's node is found by
+/// arithmetic rather than a lookup.
 struct Clone {
   const Method *M;
   unsigned Ctx;
+  /// Node id of the clone's first statement (set by buildIntra).
+  unsigned Base = 0;
+
+  unsigned node(const Instr *I) const {
+    assert(I->parent()->parent() == M && "instruction of another method");
+    return Base + I->id();
+  }
+};
+
+/// What every clone of one method shares, derived once per method.
+struct MethodShape {
+  /// An intraprocedural edge between method-local statement ids
+  /// (Instr::id()); a clone adds its Base to both ends.
+  struct LocalEdge {
+    unsigned From, To;
+    SDGEdgeKind K;
+  };
+  /// The method's intraprocedural edges, in emission order.
+  std::vector<LocalEdge> Intra;
+  /// The Param instruction of each formal index (null for a gap).
+  std::vector<const Instr *> Formals;
+  /// The value-returning Ret terminators, in block order.
+  std::vector<const Instr *> Returns;
+  bool Built = false;
 };
 
 /// One heap access of a clone, resolved once at collection time so
@@ -85,19 +110,16 @@ public:
   std::unique_ptr<SDG> run(const Program &P);
 
 private:
-  /// The statement node of \p I in context \p Ctx, added on first use.
-  unsigned addStmtNode(const Instr *I, const Method *M, unsigned Ctx);
   /// The parameter/hub node of one identity, added on first use.
   unsigned addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
                        const Method *M, unsigned Part, unsigned Ctx = 0);
-  /// Appends an edge. Repeats are kept until seal() drops them.
+  /// Appends an edge. seal() drops repeats, which only the CS heap
+  /// wiring emits.
   void addEdge(unsigned From, unsigned To, SDGEdgeKind K,
                const CallInstr *Site = nullptr) {
     G->Edges.push_back({From, To, K, Site});
   }
 
-  /// The clone of \p I in context \p Ctx, or -1.
-  int nodeFor(const Instr *I, unsigned Ctx) const;
   /// Context-0 heap parameter node lookup; returns -1 when absent.
   /// Formal nodes anchor at their method, actual nodes at their call
   /// site.
@@ -108,7 +130,7 @@ private:
   }
 
   void collectClones(const Program &P, BudgetGate &Gate);
-  void buildIntra(const Clone &C);
+  void buildIntra(Clone &C);
   void buildScalarCallsCI();
   void buildHeapCI(BudgetGate &Gate);
   void buildScalarCallsCS(const Clone &C);
@@ -123,30 +145,18 @@ private:
   bool wireBucket(const HeapBucket &B, BudgetGate &Gate);
   void buildHeapCoarse();
 
-  void wireCallEdge(const CallInstr *Call, unsigned CallerCtx,
-                    const Method *Target, unsigned CalleeCtx);
+  /// Scalar parameter and return linkage of \p Call from clone
+  /// \p Caller into clone \p Callee; nothing when Callee is -1 (no
+  /// clone: the target has no body).
+  void wireCallEdge(const CallInstr *Call, const Clone &Caller, int Callee);
 
-  const Instr *formalInstr(const Method *M, unsigned Idx) const;
-  std::vector<const Instr *> returnInstrs(const Method *M) const;
-  const ControlDeps &controlDeps(const Method *M);
+  /// The shape of \p M, derived on first use.
+  const MethodShape &shape(const Method *M);
 
   const PointsToResult &PTA;
   const ModRefResult *MR;
   SDGOptions Opts;
   std::unique_ptr<SDG> G;
-  /// Statement node of each (instruction, context) clone. Keyed by the
-  /// pair, not by the instruction alone: a container method can have a
-  /// clone per receiver allocation site, and a per-instruction list of
-  /// clones would make each lookup linear in that count. Lookup only,
-  /// never iterated, so pointer keys cannot perturb any id.
-  struct StmtKeyHash {
-    std::size_t operator()(const std::pair<const Instr *, unsigned> &K) const {
-      return std::hash<const Instr *>()(K.first) ^
-             (std::size_t(K.second) * 0x9E3779B97F4A7C15ull);
-    }
-  };
-  std::unordered_map<std::pair<const Instr *, unsigned>, unsigned, StmtKeyHash>
-      StmtIndex;
   /// Non-statement node identity: (kind, anchor, partition or operand
   /// index, ctx). The anchor is the call site when there is one, else
   /// the method, else null (the global hub). Lookup only, never
@@ -155,7 +165,12 @@ private:
            unsigned>
       HeapIndex;
   std::vector<Clone> Clones;
-  std::unordered_map<const Method *, std::unique_ptr<ControlDeps>> CDCache;
+  /// Clone index of each call-graph node (per-context clones), and of
+  /// each method's context-0 clone (CS, merged-clone and unreachable
+  /// clones); -1 where there is none.
+  std::vector<int> CloneOfCGNode, CloneOfMethod;
+  /// Method shapes by method id.
+  std::vector<MethodShape> Shapes;
   /// Node-cap degradation: one clone per method instead of one per
   /// call-graph context; aliasing then uses context-merged points-to
   /// sets (a superset of every per-context set, so still sound).
@@ -171,15 +186,6 @@ private:
   std::vector<unsigned> Touched, Stamp, Candidates;
 };
 
-unsigned SDGBuilder::addStmtNode(const Instr *I, const Method *M,
-                                 unsigned Ctx) {
-  unsigned Id = static_cast<unsigned>(G->Nodes.size());
-  auto [It, New] = StmtIndex.emplace(std::make_pair(I, Ctx), Id);
-  if (New)
-    G->Nodes.push_back({SDGNodeKind::Stmt, I, M, 0, Ctx, Id});
-  return It->second;
-}
-
 unsigned SDGBuilder::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
                                  const Method *M, unsigned Part,
                                  unsigned Ctx) {
@@ -193,61 +199,107 @@ unsigned SDGBuilder::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
   return Id;
 }
 
-int SDGBuilder::nodeFor(const Instr *I, unsigned Ctx) const {
-  auto It = StmtIndex.find(std::make_pair(I, Ctx));
-  return It == StmtIndex.end() ? -1 : static_cast<int>(It->second);
-}
-
 int SDGBuilder::heapNodeFor(SDGNodeKind K, const Instr *Call,
                             const Method *M, unsigned Part) const {
   auto It = HeapIndex.find(std::make_tuple(K, heapAnchor(Call, M), Part, 0u));
   return It == HeapIndex.end() ? -1 : static_cast<int>(It->second);
 }
 
-const Instr *SDGBuilder::formalInstr(const Method *M, unsigned Idx) const {
-  if (!M->entry())
-    return nullptr;
-  for (const auto &I : M->entry()->instrs())
-    if (const auto *PI = dyn_cast<ParamInstr>(I.get()))
-      if (PI->index() == Idx)
-        return PI;
-  return nullptr;
-}
+const MethodShape &SDGBuilder::shape(const Method *M) {
+  MethodShape &S = Shapes[M->id()];
+  if (S.Built)
+    return S;
+  S.Built = true;
+  auto Add = [&](const Instr *From, const Instr *To, SDGEdgeKind K) {
+    S.Intra.push_back({From->id(), To->id(), K});
+  };
 
-std::vector<const Instr *> SDGBuilder::returnInstrs(const Method *M) const {
-  std::vector<const Instr *> Out;
+  // SSA flow dependences, classified by operand role. Call operands
+  // are wired through parameter edges instead (paper Sec. 5.1), with
+  // the receiver of a virtual call contributing a dispatch (control)
+  // dependence.
+  for (const Instr *I : M->instrs()) {
+    if (const auto *Call = dyn_cast<CallInstr>(I)) {
+      if (Call->isVirtual())
+        if (const Instr *RecvDef = Call->receiver()->def())
+          Add(RecvDef, I, SDGEdgeKind::Control);
+      continue;
+    }
+    auto KindOf = [&](unsigned OpIdx) {
+      return I->operandRole(OpIdx) == OperandRole::Value
+                 ? SDGEdgeKind::Flow
+                 : SDGEdgeKind::BaseFlow;
+    };
+    for (unsigned OpIdx = 0; OpIdx != I->numOperands(); ++OpIdx) {
+      const Instr *Def = I->operand(OpIdx)->def();
+      if (!Def)
+        continue;
+      // An operand repeating an earlier one's def and role (x + x, a
+      // phi merging one value twice) adds no second edge.
+      bool Repeat = false;
+      for (unsigned Prev = 0; Prev != OpIdx && !Repeat; ++Prev)
+        Repeat = I->operand(Prev)->def() == Def &&
+                 KindOf(Prev) == KindOf(OpIdx);
+      if (!Repeat)
+        Add(Def, I, KindOf(OpIdx));
+    }
+  }
+
+  // Control dependences: every statement depends on the terminators of
+  // its controlling blocks.
+  const ControlDeps CD(*M);
+  std::vector<const Instr *> Branches;
+  for (const auto &BB : M->blocks()) {
+    Branches.clear();
+    for (unsigned Controller : CD.controllers(BB->id()))
+      if (Instr *Term = M->blocks()[Controller]->terminator())
+        Branches.push_back(Term);
+    for (const auto &I : BB->instrs())
+      for (const Instr *Br : Branches)
+        Add(Br, I.get(), SDGEdgeKind::Control);
+  }
+
+  if (M->entry())
+    for (const auto &I : M->entry()->instrs())
+      if (const auto *PI = dyn_cast<ParamInstr>(I.get())) {
+        if (PI->index() >= S.Formals.size())
+          S.Formals.resize(PI->index() + 1, nullptr);
+        if (!S.Formals[PI->index()])
+          S.Formals[PI->index()] = PI;
+      }
   for (const auto &BB : M->blocks())
     if (Instr *Term = BB->terminator())
       if (isa<RetInstr>(Term) && Term->numOperands())
-        Out.push_back(Term);
-  return Out;
-}
-
-const ControlDeps &SDGBuilder::controlDeps(const Method *M) {
-  auto It = CDCache.find(M);
-  if (It == CDCache.end())
-    It = CDCache.emplace(M, std::make_unique<ControlDeps>(*M)).first;
-  return *It->second;
+        S.Returns.push_back(Term);
+  return S;
 }
 
 void SDGBuilder::collectClones(const Program &P, BudgetGate &Gate) {
   const CallGraph &CG = PTA.callGraph();
+  CloneOfMethod.assign(P.methods().size(), -1);
+  auto AddMethodClone = [&](const Method *M) {
+    CloneOfMethod[M->id()] = static_cast<int>(Clones.size());
+    Clones.push_back({M, 0});
+  };
   if (Opts.ContextSensitive) {
     // One clone per reachable method; the tabulation models contexts.
     for (const auto &M : P.methods())
       if (M->entry() && CG.isReachable(M.get()))
-        Clones.push_back({M.get(), 0});
+        AddMethodClone(M.get());
     return;
   }
   // One clone per call-graph node, plus a context-0 clone for bodies
   // the analysis never reached (so any statement can seed a slice).
-  for (const MethodCtx &MC : CG.nodes())
-    if (MC.M->entry())
-      Clones.push_back({MC.M, MC.Ctx});
+  CloneOfCGNode.assign(CG.nodes().size(), -1);
+  for (std::size_t N = 0; N != CG.nodes().size(); ++N)
+    if (CG.node(N).M->entry()) {
+      CloneOfCGNode[N] = static_cast<int>(Clones.size());
+      Clones.push_back({CG.node(N).M, CG.node(N).Ctx});
+    }
   if (Opts.IncludeUnreachable)
     for (const auto &M : P.methods())
       if (M->entry() && !CG.isReachable(M.get()))
-        Clones.push_back({M.get(), 0});
+        AddMethodClone(M.get());
 
   // Node cap: when the per-context clones would exceed the budget,
   // fall back to one context-0 clone per method. Scalar calls are
@@ -259,110 +311,70 @@ void SDGBuilder::collectClones(const Program &P, BudgetGate &Gate) {
   if (Gate.poll(EstimatedNodes)) {
     MergedClones = true;
     Clones.clear();
+    CloneOfCGNode.clear();
+    CloneOfMethod.assign(P.methods().size(), -1);
     for (const auto &M : P.methods())
       if (M->entry() &&
           (Opts.IncludeUnreachable || CG.isReachable(M.get())))
-        Clones.push_back({M.get(), 0});
+        AddMethodClone(M.get());
   }
 }
 
 /// Statement nodes and intraprocedural edges of clone \p C. Node and
 /// edge ids are independent id spaces and a clone's edges only name
 /// its own nodes, so building clone by clone assigns the same ids as
-/// inserting every clone's nodes before any edge.
-void SDGBuilder::buildIntra(const Clone &C) {
-  const Method *M = C.M;
-  unsigned Ctx = C.Ctx;
-  for (const auto &BB : M->blocks())
-    for (const auto &I : BB->instrs())
-      addStmtNode(I.get(), M, Ctx);
-  auto Node = [&](const Instr *I) {
-    return static_cast<unsigned>(nodeFor(I, Ctx));
-  };
-
-  // SSA flow dependences, classified by operand role. Call operands
-  // are wired through parameter edges instead (paper Sec. 5.1), with
-  // the receiver of a virtual call contributing a dispatch (control)
-  // dependence.
-  for (const auto &BB : M->blocks()) {
-    for (const auto &I : BB->instrs()) {
-      unsigned To = Node(I.get());
-      if (const auto *Call = dyn_cast<CallInstr>(I.get())) {
-        if (Call->isVirtual()) {
-          const Instr *RecvDef = Call->receiver()->def();
-          if (RecvDef) addEdge(Node(RecvDef), To, SDGEdgeKind::Control);
-        }
-        continue;
-      }
-      for (unsigned OpIdx = 0; OpIdx != I->numOperands(); ++OpIdx) {
-        const Instr *Def = I->operand(OpIdx)->def();
-        if (!Def)
-          continue;
-        SDGEdgeKind K = I->operandRole(OpIdx) == OperandRole::Value
-                            ? SDGEdgeKind::Flow
-                            : SDGEdgeKind::BaseFlow;
-        addEdge(Node(Def), To, K);
-      }
-    }
+/// inserting every clone's nodes before any edge. Every clone's block
+/// is appended before any heap or parameter node exists.
+void SDGBuilder::buildIntra(Clone &C) {
+  C.Base = static_cast<unsigned>(G->Nodes.size());
+  for (const Instr *I : C.M->instrs()) {
+    const unsigned Id = static_cast<unsigned>(G->Nodes.size());
+    assert(Id == C.Base + I->id() && "method not renumbered");
+    G->Nodes.push_back({SDGNodeKind::Stmt, I, C.M, 0, C.Ctx, Id});
   }
-
-  // Control dependences: every statement depends on the terminators of
-  // its controlling blocks.
-  const ControlDeps &CD = controlDeps(M);
-  for (const auto &BB : M->blocks()) {
-    std::vector<const Instr *> Branches;
-    for (unsigned Controller : CD.controllers(BB->id()))
-      if (Instr *Term = M->blocks()[Controller]->terminator())
-        Branches.push_back(Term);
-    if (Branches.empty())
-      continue;
-    for (const auto &I : BB->instrs()) {
-      unsigned To = Node(I.get());
-      for (const Instr *Br : Branches)
-        addEdge(Node(Br), To, SDGEdgeKind::Control);
-    }
-  }
+  for (const MethodShape::LocalEdge &E : shape(C.M).Intra)
+    addEdge(C.Base + E.From, C.Base + E.To, E.K);
 }
 
-void SDGBuilder::wireCallEdge(const CallInstr *Call, unsigned CallerCtx,
-                           const Method *Target, unsigned CalleeCtx) {
-  const Method *Caller = Call->parent()->parent();
-  unsigned CallNode = static_cast<unsigned>(nodeFor(Call, CallerCtx));
+void SDGBuilder::wireCallEdge(const CallInstr *Call, const Clone &Caller,
+                              int Callee) {
+  if (Callee < 0)
+    return;
+  const Clone &Target = Clones[Callee];
+  const MethodShape &Shape = shape(Target.M);
 
-  // Actual -> actual-in node (at the call's line) -> formal.
+  // Actual -> actual-in node (at the call's line) -> formal. The
+  // actual-in node is shared by every target of the call, so its one
+  // incoming Flow edge is added when the node is created.
   for (unsigned OpIdx = 0; OpIdx != Call->numOperands(); ++OpIdx) {
+    const unsigned FormalIdx = Call->formalIndexOfOperand(OpIdx);
     const Instr *Formal =
-        formalInstr(Target, Call->formalIndexOfOperand(OpIdx));
+        FormalIdx < Shape.Formals.size() ? Shape.Formals[FormalIdx] : nullptr;
     const Instr *ActualDef = Call->operand(OpIdx)->def();
     if (!Formal || !ActualDef)
       continue;
-    int FormalNode = nodeFor(Formal, CalleeCtx);
-    int ActualNode = nodeFor(ActualDef, CallerCtx);
-    if (FormalNode < 0 || ActualNode < 0)
-      continue;
-    unsigned AI = addHeapNode(SDGNodeKind::ScalarActualIn, Call, Caller,
-                              OpIdx, CallerCtx);
-    addEdge(static_cast<unsigned>(ActualNode), AI, SDGEdgeKind::Flow);
-    addEdge(AI, static_cast<unsigned>(FormalNode), SDGEdgeKind::ParamIn, Call);
+    const unsigned NewId = static_cast<unsigned>(G->Nodes.size());
+    unsigned AI = addHeapNode(SDGNodeKind::ScalarActualIn, Call, Caller.M,
+                              OpIdx, Caller.Ctx);
+    if (AI == NewId)
+      addEdge(Caller.node(ActualDef), AI, SDGEdgeKind::Flow);
+    addEdge(AI, Target.node(Formal), SDGEdgeKind::ParamIn, Call);
   }
   // Return -> call result.
-  if (Call->dest() && !Target->returnType()->isVoid()) {
-    for (const Instr *Ret : returnInstrs(Target)) {
-      int RetNode = nodeFor(Ret, CalleeCtx);
-      if (RetNode >= 0)
-        addEdge(static_cast<unsigned>(RetNode), CallNode,
-                SDGEdgeKind::ParamOut, Call);
-    }
-  }
+  if (Call->dest() && !Target.M->returnType()->isVoid())
+    for (const Instr *Ret : Shape.Returns)
+      addEdge(Target.node(Ret), Caller.node(Call), SDGEdgeKind::ParamOut,
+              Call);
 }
 
 void SDGBuilder::buildScalarCallsCI() {
-  // Context-level call edges from the on-the-fly call graph.
+  // Context-level call edges from the on-the-fly call graph. A call
+  // edge's caller node has a body (it holds the call), so a clone.
   const CallGraph &CG = PTA.callGraph();
   for (const CallEdge &E : CG.edges()) {
-    const MethodCtx &Caller = CG.node(E.CallerNode);
-    const MethodCtx &Callee = CG.node(E.CalleeNode);
-    wireCallEdge(E.Site, Caller.Ctx, Callee.M, Callee.Ctx);
+    assert(CloneOfCGNode[E.CallerNode] >= 0 && "caller without a body");
+    wireCallEdge(E.Site, Clones[CloneOfCGNode[E.CallerNode]],
+                 CloneOfCGNode[E.CalleeNode]);
   }
 }
 
@@ -374,8 +386,7 @@ void SDGBuilder::buildScalarCallsCS(const Clone &C) {
       if (!Call)
         continue;
       for (Method *Target : CG.calleesOf(Call))
-        if (Target->entry())
-          wireCallEdge(Call, 0, Target, 0);
+        wireCallEdge(Call, C, CloneOfMethod[Target->id()]);
     }
   }
 }
@@ -397,8 +408,7 @@ HeapBuckets SDGBuilder::collectHeapAccesses() const {
                        const Local *Base) {
           HeapBucket &B = Buckets[Key];
           (Store ? B.Stores : B.Loads)
-              .push_back({static_cast<unsigned>(nodeFor(I.get(), C.Ctx)),
-                          Pts(Base, C.Ctx)});
+              .push_back({C.node(I.get()), Pts(Base, C.Ctx)});
         };
         if (const auto *S = dyn_cast<StoreInstr>(I.get()))
           Add({S->isStaticAccess() ? 1u : 0u, S->field()->id()}, true,
@@ -554,13 +564,13 @@ void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
     for (const Instr *L : Loads) {
       if (Gate.spend())
         return;
-      unsigned LN = static_cast<unsigned>(nodeFor(L, 0));
+      unsigned LN = C.node(L);
       if (FI >= 0)
         addEdge(static_cast<unsigned>(FI), LN, SDGEdgeKind::Flow);
       auto It = StoresByPart.find(Part);
       if (It != StoresByPart.end())
         for (const Instr *S : It->second)
-          addEdge(static_cast<unsigned>(nodeFor(S, 0)), LN, SDGEdgeKind::Flow);
+          addEdge(C.node(S), LN, SDGEdgeKind::Flow);
     }
   }
   for (const auto &[Part, Stores] : StoresByPart) {
@@ -570,8 +580,7 @@ void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
     for (const Instr *S : Stores) {
       if (Gate.spend())
         return;
-      addEdge(static_cast<unsigned>(nodeFor(S, 0)),
-              static_cast<unsigned>(FO), SDGEdgeKind::Flow);
+      addEdge(C.node(S), static_cast<unsigned>(FO), SDGEdgeKind::Flow);
     }
   }
 
@@ -594,7 +603,7 @@ void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
       auto It = StoresByPart.find(Part);
       if (It != StoresByPart.end())
         for (const Instr *S : It->second)
-          addEdge(static_cast<unsigned>(nodeFor(S, 0)), AI, SDGEdgeKind::Flow);
+          addEdge(C.node(S), AI, SDGEdgeKind::Flow);
       for (const Method *T : Targets) {
         if (!MR->refOf(T).test(Part))
           continue;
@@ -618,7 +627,7 @@ void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
       auto It = LoadsByPart.find(Part);
       if (It != LoadsByPart.end())
         for (const Instr *L : It->second)
-          addEdge(AO, static_cast<unsigned>(nodeFor(L, 0)), SDGEdgeKind::Flow);
+          addEdge(AO, C.node(L), SDGEdgeKind::Flow);
       int FO = FormalOut(Part);
       if (FO >= 0)
         addEdge(AO, static_cast<unsigned>(FO), SDGEdgeKind::Flow);
@@ -652,14 +661,14 @@ std::unique_ptr<SDG> SDGBuilder::run(const Program &P) {
   BudgetGate HeapGate(B, "sdg.heap", B ? B->MaxSdgEdges : 0);
 
   collectClones(P, CloneGate);
+  Shapes.resize(P.methods().size());
   // Every clone instruction gets one statement node: size the node
-  // list and the statement map once rather than growing them.
+  // list once rather than growing it.
   std::size_t NumStmts = 0;
   for (const Clone &C : Clones)
     NumStmts += C.M->instrs().size();
   G->Nodes.reserve(NumStmts);
-  StmtIndex.reserve(NumStmts);
-  for (const Clone &C : Clones)
+  for (Clone &C : Clones)
     buildIntra(C);
   if (Opts.ContextSensitive) {
     for (const Clone &C : Clones)
@@ -685,7 +694,12 @@ std::unique_ptr<SDG> SDGBuilder::run(const Program &P) {
     if (HeapGate.exhausted())
       buildHeapCoarse();
   }
-  G->seal();
+  const std::size_t Repeats = G->seal();
+  // Only the CS heap wiring emits repeats (a store -> load pair that
+  // shares several partitions); the CI builder emits each edge once.
+  assert((Opts.ContextSensitive || Repeats == 0) &&
+         "context-insensitive SDG build emitted a repeated edge");
+  (void)Repeats;
 
   StageReport R{"sdg", StageStatus::Complete, "", "", HeapGate.used(),
                 std::chrono::duration<double>(

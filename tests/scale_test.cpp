@@ -12,10 +12,13 @@
 #include "eval/Experiments.h"
 #include "eval/Workload.h"
 #include "lang/Lower.h"
+#include "modref/ModRef.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace tsl;
 
@@ -54,4 +57,84 @@ TEST(Scale, PtaSetWorkStaysWithinDeltaWork) {
   constexpr uint64_t K = 8;
   EXPECT_GT(S.SetWordsTouched, 0u);
   EXPECT_LE(S.SetWordsTouched, K * (S.DeltaBitsMoved + S.WorklistPops));
+}
+
+namespace {
+
+/// Counts the differences between two graphs over the same program:
+/// node tuples, edges in id order, every (node, kind) in- and out-CSR
+/// segment, and every instruction's statement index entry.
+std::size_t graphDifferences(const Program &P, const SDG &A, const SDG &B) {
+  if (A.numNodes() != B.numNodes() || A.numEdges() != B.numEdges())
+    return ~std::size_t(0);
+  auto SameRange = [](IdRange X, IdRange Y) {
+    return X.size() == Y.size() && std::equal(X.begin(), X.end(), Y.begin());
+  };
+  std::size_t Diffs = 0;
+  for (unsigned N = 0; N != A.numNodes(); ++N) {
+    const SDGNode &X = A.node(N), &Y = B.node(N);
+    Diffs += X.K != Y.K || X.I != Y.I || X.M != Y.M || X.Part != Y.Part ||
+             X.Ctx != Y.Ctx || X.Id != Y.Id;
+    for (unsigned K = 0; K != NumSDGEdgeKinds; ++K) {
+      const auto Kind = static_cast<SDGEdgeKind>(K);
+      Diffs += !SameRange(A.inEdgesOfKind(N, Kind), B.inEdgesOfKind(N, Kind));
+      Diffs +=
+          !SameRange(A.outEdgesOfKind(N, Kind), B.outEdgesOfKind(N, Kind));
+    }
+  }
+  for (unsigned E = 0; E != A.numEdges(); ++E) {
+    const SDGEdge &X = A.edge(E), &Y = B.edge(E);
+    Diffs += X.From != Y.From || X.To != Y.To || X.K != Y.K || X.Site != Y.Site;
+  }
+  for (const auto &M : P.methods())
+    for (const Instr *I : M->instrs())
+      Diffs += !SameRange(A.nodesFor(I), B.nodesFor(I));
+  return Diffs;
+}
+
+/// Encodes \p G, decodes the payload and counts the differences.
+std::size_t roundTripDifferences(const Program &P, const SDG &G) {
+  ByteWriter W;
+  G.encode(W);
+  ByteReader R(W.buffer());
+  std::unique_ptr<SDG> Decoded = SDG::decode(R, P);
+  EXPECT_EQ(R.remaining(), 0u);
+  return graphDifferences(P, G, *Decoded);
+}
+
+} // namespace
+
+// Sealing and decoding are linear at size: the repeat scan, the
+// counting statement index and decode's per-context stamps. A decoded
+// graph reproduces the built one exactly, with the CS graph's dropped
+// repeats (a store -> load pair sharing several partitions) staying
+// dropped.
+TEST(Scale, SdgRoundTripsThroughSnapshotCodec) {
+  {
+    WorkloadProgram W =
+        padWorkload(debuggingCases().front().Prog, "BS", 100, 6);
+    DiagnosticEngine Diag;
+    std::unique_ptr<Program> P = compileThinJ(W.Source, Diag);
+    ASSERT_TRUE(P) << Diag.str();
+    std::unique_ptr<PointsToResult> PTA = runPointsTo(*P);
+    std::unique_ptr<SDG> G = buildSDG(*P, *PTA, nullptr);
+    ASSERT_FALSE(G->report().degraded());
+    EXPECT_GT(G->numEdges(), 60000u);
+    EXPECT_EQ(roundTripDifferences(*P, *G), 0u) << "CI pad-100";
+  }
+  {
+    WorkloadProgram W =
+        padWorkload(debuggingCases().front().Prog, "BS", 12, 6);
+    DiagnosticEngine Diag;
+    std::unique_ptr<Program> P = compileThinJ(W.Source, Diag);
+    ASSERT_TRUE(P) << Diag.str();
+    std::unique_ptr<PointsToResult> PTA = runPointsTo(*P);
+    ModRefResult MR(*P, *PTA);
+    SDGOptions Opts;
+    Opts.ContextSensitive = true;
+    std::unique_ptr<SDG> G = buildSDG(*P, *PTA, &MR, Opts);
+    ASSERT_FALSE(G->report().degraded());
+    EXPECT_GT(G->numHeapParamNodes(), 0u);
+    EXPECT_EQ(roundTripDifferences(*P, *G), 0u) << "CS pad-12";
+  }
 }

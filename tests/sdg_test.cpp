@@ -14,6 +14,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -436,4 +437,91 @@ TEST(SDGHeapWiring, MatchesPairwiseOracleOnGeneratedPrograms) {
   }
   EXPECT_GT(Compiled, 50u);
   EXPECT_GT(HeapEdges, 1000u);
+}
+
+//===----------------------------------------------------------------------===//
+// Statement layout: one block per clone, node id = base + I->id()
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Checks the layout statement nodes are addressed by: the statement
+/// nodes come first, as one block per clone (method, context) holding
+/// the method's instructions in renumbered order, so a statement's id
+/// is its block's base plus I->id(); and nodesFor() lists every clone
+/// of an instruction in ascending id order.
+void checkCloneLayout(const Program &P, const SDG &G,
+                      const std::string &Label) {
+  std::set<std::pair<const Method *, unsigned>> Blocks;
+  unsigned Id = 0;
+  while (Id != G.numNodes() && G.node(Id).isStmt()) {
+    const SDGNode &First = G.node(Id);
+    const std::vector<Instr *> &Body = First.M->instrs();
+    ASSERT_TRUE(Blocks.insert({First.M, First.Ctx}).second)
+        << Label << ": second block of one clone at node " << Id;
+    ASSERT_LE(Id + Body.size(), G.numNodes()) << Label;
+    for (unsigned K = 0; K != Body.size(); ++K) {
+      const SDGNode &N = G.node(Id + K);
+      ASSERT_TRUE(N.isStmt() && N.I == Body[K] && N.M == First.M &&
+                  N.Ctx == First.Ctx && N.I->id() == K)
+          << Label << ": node " << Id + K << " breaks the block at " << Id;
+    }
+    Id += static_cast<unsigned>(Body.size());
+  }
+  const unsigned StmtNodes = Id;
+  for (; Id != G.numNodes(); ++Id)
+    ASSERT_FALSE(G.node(Id).isStmt()) << Label << ": stray statement " << Id;
+
+  std::size_t Indexed = 0;
+  for (const auto &M : P.methods())
+    for (const Instr *I : M->instrs()) {
+      IdRange R = G.nodesFor(I);
+      Indexed += R.size();
+      for (std::size_t K = 0; K != R.size(); ++K) {
+        ASSERT_EQ(G.node(R[K]).I, I) << Label;
+        if (K) {
+          ASSERT_LT(R[K - 1], R[K]) << Label;
+        }
+      }
+    }
+  EXPECT_EQ(Indexed, StmtNodes) << Label;
+}
+
+/// Builds the CI, CS and merged-clone (node-capped) graphs of
+/// \p Source and checks each one's layout.
+void checkLayouts(const std::string &Source, const std::string &Label) {
+  DiagnosticEngine Diag;
+  std::unique_ptr<Program> P = compileThinJ(Source, Diag);
+  ASSERT_TRUE(P) << Label << ": " << Diag.str();
+  std::unique_ptr<PointsToResult> PTA = runPointsTo(*P);
+  ModRefResult MR(*P, *PTA);
+
+  std::unique_ptr<SDG> CI = buildSDG(*P, *PTA, nullptr);
+  ASSERT_FALSE(CI->report().degraded()) << Label;
+  checkCloneLayout(*P, *CI, Label + " CI");
+
+  SDGOptions CSOpts;
+  CSOpts.ContextSensitive = true;
+  checkCloneLayout(*P, *buildSDG(*P, *PTA, &MR, CSOpts), Label + " CS");
+
+  // One node of budget: the builder falls back to one context-0 clone
+  // per method, found through the per-method clone table.
+  AnalysisBudget Budget;
+  Budget.MaxSdgNodes = 1;
+  SDGOptions MergedOpts;
+  MergedOpts.Budget = &Budget;
+  std::unique_ptr<SDG> Merged = buildSDG(*P, *PTA, nullptr, MergedOpts);
+  EXPECT_NE(Merged->report().Fallback.find("context-merged clones"),
+            std::string::npos)
+      << Label;
+  checkCloneLayout(*P, *Merged, Label + " merged");
+}
+
+} // namespace
+
+TEST(SDGLayout, CloneBlocksOnEvalWorkloads) {
+  for (const BugCase &C : debuggingCases())
+    checkLayouts(C.Prog.Source, C.Id);
+  for (const CastCase &C : toughCastCases())
+    checkLayouts(C.Prog.Source, C.Id);
 }

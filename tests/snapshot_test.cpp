@@ -316,37 +316,75 @@ TEST(SnapshotBudget, BudgetedSessionsRefuseToSerialize) {
 
 namespace {
 
-/// An SDG section payload holding one statement node (the first
-/// instruction of a method of \p P) and \p NumEdges copies of its
-/// Flow self-edge.
-std::vector<uint8_t> oneNodeSdgPayload(const Program &P, unsigned NumEdges) {
-  const Method *M = nullptr;
-  for (const auto &Cand : P.methods())
-    if (Cand->entry() && !Cand->entry()->instrs().empty()) {
-      M = Cand.get();
-      break;
+/// A hand-written SDG section payload: statement nodes (instruction,
+/// context, owning method) in id order and edges in id order.
+struct SdgPayload {
+  struct Node {
+    const Instr *I;
+    unsigned Ctx;
+    /// The node's method; null writes the instruction's own.
+    const Method *M = nullptr;
+  };
+  struct Edge {
+    unsigned From, To;
+    SDGEdgeKind K;
+    const CallInstr *Site;
+  };
+  std::vector<Node> Nodes;
+  std::vector<Edge> Edges;
+
+  std::vector<uint8_t> bytes() const {
+    ByteWriter W;
+    putReport(W, StageReport{"sdg", StageStatus::Complete, "", "", 0, 0});
+    W.vu64(Nodes.size());
+    for (const Node &N : Nodes) {
+      W.u8(static_cast<uint8_t>(SDGNodeKind::Stmt));
+      W.vu64(denseInstrKey(N.I) + 1);
+      W.vu32((N.M ? N.M : N.I->parent()->parent())->id() + 1);
+      W.vu32(0); // Partition.
+      W.vu32(N.Ctx);
     }
-  EXPECT_NE(M, nullptr);
-  if (!M)
-    return {};
-  const Instr *I = M->entry()->instrs().front().get();
-  ByteWriter W;
-  putReport(W, StageReport{"sdg", StageStatus::Complete, "", "", 0, 0});
-  W.vu64(1);
-  W.u8(static_cast<uint8_t>(SDGNodeKind::Stmt));
-  W.vu64(denseInstrKey(I) + 1);
-  W.vu32(M->id() + 1);
-  W.vu32(0); // Partition.
-  W.vu32(0); // Context.
-  W.vu64(NumEdges);
-  for (unsigned E = 0; E != NumEdges; ++E) {
-    W.vu32(0);
-    W.vu32(0);
-    W.u8(static_cast<uint8_t>(SDGEdgeKind::Flow));
-    W.vu64(0); // No call site.
+    W.vu64(Edges.size());
+    for (const Edge &E : Edges) {
+      W.vu32(E.From);
+      W.vu32(E.To);
+      W.u8(static_cast<uint8_t>(E.K));
+      W.vu64(E.Site ? denseInstrKey(E.Site) + 1 : 0);
+    }
+    return W.buffer();
   }
-  return W.buffer();
+
+  std::unique_ptr<SDG> decode(const Program &P) const {
+    std::vector<uint8_t> B = bytes();
+    ByteReader R(B);
+    return SDG::decode(R, P);
+  }
+
+  /// Expects decode() to throw a SerializeError naming \p What.
+  void expectRejected(const Program &P, const std::string &What) const {
+    try {
+      decode(P);
+      ADD_FAILURE() << "payload decoded; expected \"" << What << "\"";
+    } catch (const SerializeError &E) {
+      EXPECT_NE(std::string(E.what()).find(What), std::string::npos)
+          << E.what();
+    }
+  }
+};
+
+/// The call sites of \p P's main method, in renumbered order.
+std::vector<const CallInstr *> mainCalls(const Program &P) {
+  std::vector<const CallInstr *> Out;
+  for (const Instr *I : P.mainMethod()->instrs())
+    if (const auto *C = dyn_cast<CallInstr>(I))
+      Out.push_back(C);
+  return Out;
 }
+
+/// A main method with two call sites.
+constexpr const char *TwoCallsSource =
+    "def id(x: int): int { return x; }\n"
+    "def main() { print(id(1)); print(id(2)); }\n";
 
 } // namespace
 
@@ -354,24 +392,116 @@ TEST(SnapshotDecode, RepeatedSdgEdgeIsRejected) {
   AnalysisSession S{"def main() { print(1); }\n"};
   const Program *P = S.program();
   ASSERT_NE(P, nullptr);
+  const Instr *I = P->mainMethod()->instrs().front();
 
-  // The same payload with the edge once is well formed.
-  std::vector<uint8_t> Once = oneNodeSdgPayload(*P, 1);
-  ByteReader OnceR(Once);
-  std::unique_ptr<SDG> G = SDG::decode(OnceR, *P);
+  // One statement node with its Flow self-edge once is well formed.
+  SdgPayload Once{{{I, 0}}, {{0, 0, SDGEdgeKind::Flow, nullptr}}};
+  std::unique_ptr<SDG> G = Once.decode(*P);
   EXPECT_EQ(G->numNodes(), 1u);
   EXPECT_EQ(G->numEdges(), 1u);
 
-  std::vector<uint8_t> Twice = oneNodeSdgPayload(*P, 2);
-  ByteReader TwiceR(Twice);
-  try {
-    SDG::decode(TwiceR, *P);
-    ADD_FAILURE() << "a repeated edge decoded";
-  } catch (const SerializeError &E) {
-    EXPECT_NE(std::string(E.what()).find("duplicate SDG edge"),
-              std::string::npos)
-        << E.what();
+  SdgPayload Twice = Once;
+  Twice.Edges.push_back(Twice.Edges.front());
+  Twice.expectRejected(*P, "duplicate SDG edge");
+}
+
+// The repeat scan walks each node's out-edges of one kind; the copies
+// of an edge need not be neighbours in id order.
+TEST(SnapshotDecode, NonAdjacentRepeatedSdgEdgeIsRejected) {
+  AnalysisSession S{TwoCallsSource};
+  const Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+  const std::vector<Instr *> &Body = P->mainMethod()->instrs();
+  ASSERT_GE(Body.size(), 3u);
+  SdgPayload G{{{Body[0], 0}, {Body[1], 0}, {Body[2], 0}},
+               {{0, 1, SDGEdgeKind::Flow, nullptr},
+                {0, 2, SDGEdgeKind::Flow, nullptr},
+                {1, 0, SDGEdgeKind::Flow, nullptr},
+                {0, 1, SDGEdgeKind::Control, nullptr},
+                {0, 1, SDGEdgeKind::Flow, nullptr}}};
+  G.expectRejected(*P, "duplicate SDG edge");
+}
+
+// Edge identity is (From, To, kind, site): sharing the ends is not a
+// repeat when the site or the kind differs.
+TEST(SnapshotDecode, EdgesDifferingInSiteOrKindDecode) {
+  AnalysisSession S{TwoCallsSource};
+  const Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+  std::vector<const CallInstr *> Calls = mainCalls(*P);
+  ASSERT_EQ(Calls.size(), 2u);
+  const CallInstr *C1 = Calls[0], *C2 = Calls[1];
+  const std::vector<Instr *> &Body = P->mainMethod()->instrs();
+  SdgPayload Payload{{{Body[0], 0}, {Body[1], 0}},
+                     {{0, 1, SDGEdgeKind::ParamIn, C1},
+                      {0, 1, SDGEdgeKind::Flow, nullptr},
+                      {0, 1, SDGEdgeKind::ParamIn, C2},
+                      {0, 1, SDGEdgeKind::Control, nullptr},
+                      {0, 1, SDGEdgeKind::BaseFlow, nullptr}}};
+  std::unique_ptr<SDG> G = Payload.decode(*P);
+  ASSERT_EQ(G->numEdges(), 5u);
+  for (unsigned Id = 0; Id != 5; ++Id) {
+    EXPECT_EQ(G->edge(Id).K, Payload.Edges[Id].K) << Id;
+    EXPECT_EQ(G->edge(Id).Site, Payload.Edges[Id].Site) << Id;
   }
+  IdRange ParamIn = G->outEdgesOfKind(0, SDGEdgeKind::ParamIn);
+  ASSERT_EQ(ParamIn.size(), 2u);
+  EXPECT_EQ(ParamIn[0], 0u);
+  EXPECT_EQ(ParamIn[1], 2u);
+}
+
+// A container method has a clone per receiver allocation site, so one
+// instruction can have thousands of statement nodes. The context check
+// over them is linear, and their index order is ascending node id.
+TEST(SnapshotDecode, InstructionClonedInManyContextsDecodes) {
+  AnalysisSession S{"def main() { print(1); }\n"};
+  const Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+  const Instr *I = P->mainMethod()->instrs().front();
+  constexpr unsigned Clones = 2000;
+  SdgPayload Payload;
+  for (unsigned C = 0; C != Clones; ++C)
+    Payload.Nodes.push_back({I, (C * 7919u) % Clones});
+  std::unique_ptr<SDG> G = Payload.decode(*P);
+  IdRange R = G->nodesFor(I);
+  ASSERT_EQ(R.size(), Clones);
+  for (unsigned C = 0; C != Clones; ++C)
+    EXPECT_EQ(R[C], C);
+  EXPECT_EQ(G->nodeFor(I, (1234u * 7919u) % Clones), 1234);
+}
+
+// The statement index addresses a node by its method's instruction
+// base plus I->id(), so a statement must belong to its method.
+TEST(SnapshotDecode, StatementOutsideItsMethodIsRejected) {
+  AnalysisSession S{TwoCallsSource};
+  const Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+  const Method *Main = P->mainMethod();
+  const Method *Other = nullptr;
+  for (const auto &M : P->methods())
+    if (M.get() != Main && !M->instrs().empty())
+      Other = M.get();
+  ASSERT_NE(Other, nullptr);
+  SdgPayload Payload{{{Main->instrs().back(), 0, Other}}, {}};
+  Payload.expectRejected(*P, "statement node outside its method");
+}
+
+TEST(SnapshotDecode, RepeatedStatementIdentityIsRejected) {
+  AnalysisSession S{TwoCallsSource};
+  const Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+  const std::vector<Instr *> &Body = P->mainMethod()->instrs();
+  ASSERT_GE(Body.size(), 2u);
+  // Contexts 0..1999 of one instruction, interleaved with clones of
+  // another, then context 7 again: the repeat is far from its twin.
+  SdgPayload Payload;
+  for (unsigned C = 0; C != 2000; ++C) {
+    Payload.Nodes.push_back({Body[0], C});
+    Payload.Nodes.push_back({Body[1], C});
+  }
+  EXPECT_NO_THROW(Payload.decode(*P));
+  Payload.Nodes.push_back({Body[0], 7});
+  Payload.expectRejected(*P, "duplicate SDG node identity");
 }
 
 //===----------------------------------------------------------------------===//
