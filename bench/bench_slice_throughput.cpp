@@ -1,15 +1,18 @@
 //===-- bench_slice_throughput.cpp - Batched slice-query throughput -------------==//
 //
-// The PR-3 tentpole claim: a 100-seed batch through SliceEngine beats
-// 100 sequential legacy (edge-record) single-seed slices by >= 2x
-// queries/sec on the largest scalability workload. Three effects are
-// measured separately so the breakdown stays visible:
+// Multi-seed slicing through SliceEngine, measured in parts so the
+// breakdown stays visible:
 //
 //  - the CSR traversal (sliceBackward on the CSR graph) vs the
-//    legacy adjacency walk that touches an edge record per step;
-//  - the batch engine itself: seed dedup + one shared budget gate
-//    (worker counts 1 and 4 -- on a single-core host the 4-worker
-//    number mostly demonstrates that threading does not regress);
+//    legacy adjacency walk that touches an edge record per step, 100
+//    sequential single-seed slices each (pad 12);
+//  - the batch engine's fan-out over the session pool at 1 and 4
+//    workers: BM_Batch on a 512-seed context-insensitive batch at
+//    pad 400 (8 chunks of 64 queries, one work item per chunk) and
+//    BM_BatchCS_WarmSummaries on a 64-seed context-sensitive batch at
+//    pad 25 (one work item per seed). These are the batches the pool
+//    is kept for; a batch of one chunk runs inline whatever the
+//    worker count;
 //  - cross-query summary caching in context-sensitive mode: a cold
 //    batch pays the tabulation summary fixpoint, a warm batch reuses
 //    it from the SummaryCache.
@@ -18,9 +21,10 @@
 //   ./bench/bench_slice_throughput --benchmark_out=BENCH_slice_throughput.json
 //                                  --benchmark_out_format=json
 //
-// The workload is the nanoxml model padded to the largest size the
-// scalability sweep uses (pad 12), seeded with 100 statements spread
-// evenly over the program by collectSliceSeeds.
+// Every workload is the nanoxml model padded by padWorkload, seeded
+// with statements spread evenly over the program by collectSliceSeeds.
+// The head-to-head summary printed first compares 100 sequential
+// legacy slices with one 100-seed batch at pad 12.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,23 +50,48 @@ namespace {
 constexpr unsigned PAD = 12;
 constexpr unsigned NUM_SEEDS = 100;
 
-/// One warm session for every benchmark in this binary; the raw
-/// pointers borrow from it.
+/// The fan-out batches: CI at pad 400 with 512 seeds (8 chunks), CS at
+/// pad 25 with 64 seeds.
+constexpr unsigned CI_FANOUT_PAD = 400;
+constexpr unsigned CI_FANOUT_SEEDS = 512;
+constexpr unsigned CS_FANOUT_PAD = 25;
+constexpr unsigned CS_FANOUT_SEEDS = 64;
+
+/// One warm session per workload; the raw pointers borrow from it.
 struct Built {
   std::unique_ptr<AnalysisSession> S;
   SDG *G = nullptr;
   std::vector<const Instr *> Seeds;
 };
 
+Built build(unsigned Pad, unsigned NumSeeds, bool ContextSensitive) {
+  Built Out;
+  WorkloadProgram W = padWorkload(debuggingCases().front().Prog, "TP", Pad, 6);
+  Out.S = std::make_unique<AnalysisSession>(W.Source);
+  if (ContextSensitive) {
+    SDGOptions SO;
+    SO.ContextSensitive = true;
+    Out.S->setSDGOptions(SO);
+  }
+  Out.G = Out.S->sdg();
+  Out.Seeds = collectSliceSeeds(*Out.S->program(), NumSeeds);
+  return Out;
+}
+
 Built &builtOnce() {
-  static Built B = [] {
-    Built Out;
-    WorkloadProgram W = padWorkload(debuggingCases().front().Prog, "TP", PAD, 6);
-    Out.S = std::make_unique<AnalysisSession>(W.Source);
-    Out.G = Out.S->sdg();
-    Out.Seeds = collectSliceSeeds(*Out.S->program(), NUM_SEEDS);
-    return Out;
-  }();
+  static Built B = build(PAD, NUM_SEEDS, /*ContextSensitive=*/false);
+  return B;
+}
+
+Built &ciFanOut() {
+  static Built B =
+      build(CI_FANOUT_PAD, CI_FANOUT_SEEDS, /*ContextSensitive=*/false);
+  return B;
+}
+
+Built &csFanOut() {
+  static Built B =
+      build(CS_FANOUT_PAD, CS_FANOUT_SEEDS, /*ContextSensitive=*/true);
   return B;
 }
 
@@ -92,25 +121,27 @@ void BM_SeqCSR(benchmark::State &State) {
 }
 BENCHMARK(BM_SeqCSR)->Unit(benchmark::kMillisecond);
 
-/// The batch engine; Arg = worker count.
+/// The CI fan-out batch, warm condensation; Arg = worker count.
 void BM_Batch(benchmark::State &State) {
-  Built &B = builtOnce();
+  Built &B = ciFanOut();
   SliceEngine Engine(*B.G);
   BatchOptions Opts;
   Opts.Jobs = static_cast<unsigned>(State.range(0));
+  Engine.sliceBackwardBatch(B.Seeds, Opts); // warm
   for (auto _ : State) {
     auto R = Engine.sliceBackwardBatch(B.Seeds, Opts);
     benchmark::DoNotOptimize(R);
   }
-  State.counters["seeds"] = NUM_SEEDS;
+  State.counters["seeds"] = static_cast<double>(B.Seeds.size());
   State.counters["unique"] = Engine.stats().UniqueQueries;
+  State.counters["workers"] = Engine.stats().Workers;
 }
 BENCHMARK(BM_Batch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// Context-sensitive batch with a cold cache: every iteration pays the
 /// summary fixpoint again.
 void BM_BatchCS_ColdSummaries(benchmark::State &State) {
-  Built &B = builtOnce();
+  Built &B = csFanOut();
   SliceEngine Engine(*B.G);
   for (auto _ : State) {
     SummaryCache Cache; // fresh per iteration: always a miss
@@ -121,29 +152,34 @@ void BM_BatchCS_ColdSummaries(benchmark::State &State) {
     auto R = Engine.sliceBackwardBatch(B.Seeds, Opts);
     benchmark::DoNotOptimize(R);
   }
-  State.counters["seeds"] = NUM_SEEDS;
+  State.counters["seeds"] = static_cast<double>(B.Seeds.size());
 }
 BENCHMARK(BM_BatchCS_ColdSummaries)->Unit(benchmark::kMillisecond);
 
 /// Same batch against a warmed cross-query cache: the fixpoint cost
-/// amortizes away, leaving only the per-seed traversals.
+/// amortizes away, leaving only the per-seed traversals, which fan out
+/// on the pool; Arg = worker count.
 void BM_BatchCS_WarmSummaries(benchmark::State &State) {
-  Built &B = builtOnce();
+  Built &B = csFanOut();
   SliceEngine Engine(*B.G);
-  static SummaryCache Cache;
+  SummaryCache Cache;
   BatchOptions Opts;
   Opts.ContextSensitive = true;
-  Opts.Jobs = 1;
+  Opts.Jobs = static_cast<unsigned>(State.range(0));
   Opts.Summaries = &Cache;
   Engine.sliceBackwardBatch(B.Seeds, Opts); // warm
   for (auto _ : State) {
     auto R = Engine.sliceBackwardBatch(B.Seeds, Opts);
     benchmark::DoNotOptimize(R);
   }
-  State.counters["seeds"] = NUM_SEEDS;
+  State.counters["seeds"] = static_cast<double>(B.Seeds.size());
+  State.counters["workers"] = Engine.stats().Workers;
   State.counters["cache_hits"] = static_cast<double>(Cache.hits());
 }
-BENCHMARK(BM_BatchCS_WarmSummaries)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchCS_WarmSummaries)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

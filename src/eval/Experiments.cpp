@@ -39,19 +39,11 @@ std::map<std::string, std::unique_ptr<AnalysisSession>> &sessionRegistry() {
   return Registry;
 }
 
-/// Concurrency installed into every registry session (see
-/// setEvalThreads).
-unsigned &evalThreads() {
-  static unsigned Threads = 1;
-  return Threads;
-}
-
 AnalysisSession &sessionFor(const WorkloadProgram &W) {
   auto &Cache = sessionRegistry();
   auto It = Cache.find(W.Name);
   if (It == Cache.end()) {
     auto S = std::make_unique<AnalysisSession>(W.Source);
-    S->setThreads(evalThreads());
     if (!S->program())
       throw std::runtime_error("workload '" + W.Name +
                                "' failed to compile:\n" +
@@ -221,7 +213,6 @@ std::vector<Table1Row> tsl::runTable1() {
     // a miss, so the timings measure the real builds exactly as the
     // hand-rolled pipeline did.
     AnalysisSession Sess(W.Source);
-    Sess.setThreads(evalThreads());
     auto T0 = std::chrono::steady_clock::now();
     Program *P = Sess.program();
     if (!P)
@@ -376,7 +367,6 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
     // the CI -> CS switch below reuses its compile and points-to run,
     // which is exactly the cost the CS column is supposed to isolate.
     AnalysisSession S(W.Source);
-    S.setThreads(evalThreads());
     Program *P = S.program();
     if (!P)
       throw std::runtime_error("scalability workload failed: " +
@@ -652,7 +642,3 @@ std::string tsl::formatAblation(const std::vector<AblationRow> &Rows) {
   }
   return Out;
 }
-
-void tsl::setEvalThreads(unsigned Threads) { evalThreads() = Threads; }
-
-void tsl::resetEvalSessions() { sessionRegistry().clear(); }

@@ -135,18 +135,6 @@ std::string formatInspectionTable(const std::string &Title,
 std::string formatScalability(const std::vector<ScalabilityRow> &Rows);
 std::string formatAblation(const std::vector<AblationRow> &Rows);
 
-/// Analysis concurrency the experiment drivers install into every
-/// session they create (warm registry sessions and the timing
-/// drivers' local ones). Default 1. Tables are byte-identical for
-/// every value — asserted by the parallel determinism tests.
-void setEvalThreads(unsigned Threads);
-
-/// Drops the process-wide warm-session registry so the next driver
-/// call rebuilds every artifact (e.g. under a new setEvalThreads
-/// value — a warm registry would otherwise serve cached artifacts and
-/// make cross-thread-count comparisons vacuous).
-void resetEvalSessions();
-
 /// Rewrites the workload so main() additionally runs \p PadClasses
 /// generated padding classes (used by Table 1 and the scalability
 /// sweep to reach realistic program sizes).

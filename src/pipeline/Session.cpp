@@ -1062,17 +1062,9 @@ std::string AnalysisSession::statsString() const {
              R.Seconds * 1000.0);
     Out += Buf;
   }
-  uint64_t Executed = 0, Stolen = 0;
-  for (const auto &P : Pools) {
-    Executed += P->tasksExecuted();
-    Stolen += P->tasksStolen();
-  }
-  snprintf(Buf, sizeof(Buf),
-           "parallelism: threads=%u pool_workers=%u tasks=%llu stolen=%llu\n",
+  snprintf(Buf, sizeof(Buf), "parallelism: threads=%u pool_workers=%u\n",
            threadsResolved(),
-           Pools.empty() ? 0 : Pools.back()->numWorkers(),
-           static_cast<unsigned long long>(Executed),
-           static_cast<unsigned long long>(Stolen));
+           Pools.empty() ? 0 : Pools.back()->numWorkers());
   Out += Buf;
   if (StageFailures || StageRetries) {
     snprintf(Buf, sizeof(Buf),

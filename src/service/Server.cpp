@@ -18,9 +18,13 @@
 using namespace tsl;
 
 SliceServer::SliceServer(ServerOptions Opts)
-    : O(std::move(Opts)), Pool(O.Threads),
+    : O(std::move(Opts)),
       Registry(SessionRegistry::Options{O.MaxSessions, O.AnalysisThreads,
-                                        O.CacheDir}) {}
+                                        O.CacheDir}) {
+  Lanes = O.Threads ? O.Threads : std::thread::hardware_concurrency();
+  if (Lanes == 0)
+    Lanes = 1;
+}
 
 SliceServer::~SliceServer() {
   if (ListenFd >= 0)
@@ -67,6 +71,20 @@ void SliceServer::requestShutdown() {
   char B = 1;
   if (WakePipe[1] >= 0)
     (void)!::write(WakePipe[1], &B, 1);
+}
+
+void SliceServer::acquireLane() {
+  std::unique_lock<std::mutex> L(LaneMu);
+  LaneCV.wait(L, [this] { return BusyLanes < Lanes; });
+  ++BusyLanes;
+}
+
+void SliceServer::releaseLane() {
+  {
+    std::lock_guard<std::mutex> L(LaneMu);
+    --BusyLanes;
+  }
+  LaneCV.notify_one();
 }
 
 void SliceServer::reapFinishedConnections() {
@@ -202,14 +220,18 @@ void SliceServer::connectionLoop(Conn &C) {
       continue;
     }
 
+    // Admitted requests beyond the lane count wait here, on their own
+    // connection thread, and count as in flight while they wait.
     ServiceResponse Resp;
+    acquireLane();
     try {
-      Resp = Pool.submit([this, &Req] { return handle(Req); }).get();
+      Resp = handle(Req);
     } catch (const std::exception &E) {
       Resp = {ServiceStatus::Internal, "", E.what()};
     } catch (...) {
       Resp = {ServiceStatus::Internal, "", "unknown exception"};
     }
+    releaseLane();
     InFlight.fetch_sub(1, std::memory_order_acq_rel);
 
     if (!Respond(Resp))
@@ -221,7 +243,7 @@ void SliceServer::connectionLoop(Conn &C) {
 }
 
 //===----------------------------------------------------------------------===//
-// Request handlers (run on the shared pool)
+// Request handlers (run on the connection thread, holding a lane)
 //===----------------------------------------------------------------------===//
 
 ServiceResponse SliceServer::handle(const ServiceRequest &Req) {
@@ -342,9 +364,10 @@ ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
 
   RequestBudget RB(O.RequestBudgetMs);
   Q.Budget = RB.B;
-  // A batch runs inline on this pool lane (the request fan-out IS the
-  // parallelism) on a request-local engine. The session's SummaryCache
-  // is thread-safe; the exclusive edit path clears it with a graph.
+  // A batch runs inline on this request's lane (the request fan-out IS
+  // the parallelism) on a request-local engine. The session's
+  // SummaryCache is thread-safe; the exclusive edit path clears it with
+  // a graph.
   Q.Jobs = 1;
   Q.Summaries = E->ContextSensitive ? &E->S->summaries() : nullptr;
   SliceEngine Engine(*E->Graph, nullptr);

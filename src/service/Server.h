@@ -14,9 +14,10 @@
 ///
 /// Execution model:
 ///
-///  - One connection-reader thread per client reads frames and writes
-///    responses in order; request *execution* is fanned out on the
-///    shared work-stealing ThreadPool, so slices from N clients on one
+///  - One connection thread per client reads frames, executes each
+///    request itself and writes responses in order. At most
+///    ServerOptions::Threads requests execute at once (a lane count
+///    the connection threads wait on), so slices from N clients on one
 ///    warm session genuinely run in parallel (shared lock on the
 ///    session entry) while edits wait for exclusivity.
 ///  - Admission control, not queueing: the server tracks in-flight
@@ -43,9 +44,9 @@
 
 #include "service/Protocol.h"
 #include "service/Registry.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -58,11 +59,13 @@ namespace tsl {
 struct ServerOptions {
   std::string SocketPath;
 
-  /// Request-execution concurrency of the shared pool (0 = hardware).
+  /// Requests executing at once (0 = hardware concurrency); admitted
+  /// requests beyond it wait for a lane.
   unsigned Threads = 0;
 
-  /// Slice-batch concurrency inside each warm session (passed to
-  /// AnalysisSession::setThreads; 1 keeps sessions pool-free).
+  /// Passed to each warm session's AnalysisSession::setThreads. The
+  /// daemon's slices run on request-local engines with one job, so
+  /// this only shows in the `parallelism:` stats line.
   unsigned AnalysisThreads = 1;
 
   /// In-flight request bound: the (N+1)-th concurrent request is
@@ -136,8 +139,11 @@ private:
   ServiceResponse handleStats(const ServiceRequest &Req);
   void reapFinishedConnections();
 
+  /// Blocks until a request-execution lane is free and takes it.
+  void acquireLane();
+  void releaseLane();
+
   ServerOptions O;
-  ThreadPool Pool;
   SessionRegistry Registry;
   ServerStats Stats;
 
@@ -145,6 +151,11 @@ private:
   int WakePipe[2] = {-1, -1};
   std::atomic<bool> Draining{false};
   std::atomic<std::size_t> InFlight{0};
+
+  std::mutex LaneMu;
+  std::condition_variable LaneCV;
+  unsigned Lanes = 1;     ///< Resolved ServerOptions::Threads.
+  unsigned BusyLanes = 0; ///< Guarded by LaneMu.
 
   std::mutex ConnMu;
   std::list<std::unique_ptr<Conn>> Conns;

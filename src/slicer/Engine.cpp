@@ -400,9 +400,9 @@ SliceEngine::sliceBackwardBatch(const std::vector<const Instr *> &Seeds,
     }
     if (TP->concurrency() < Workers)
       Stats.Workers = Workers = TP->concurrency();
-    // The gate is deliberately not handed to parallelFor: every item
-    // must produce a SliceResult (degraded once the gate trips), so
-    // cancellation happens inside RunItem, never by skipping items.
+    // Every item must produce a SliceResult (degraded once the gate
+    // trips), so cancellation happens inside RunItem, never by
+    // skipping items.
     TP->parallelFor(
         NumItems,
         [&](std::size_t I) { RunItem(static_cast<unsigned>(I)); }, Workers);

@@ -17,10 +17,10 @@
 /// On top of the cooperative polling sits *preemptive* cancellation:
 /// AnalysisBudget carries an atomic cancel flag a Watchdog (see
 /// support/Watchdog.h) sets when the wall-clock deadline passes. Every
-/// gate poll and every ThreadPool task boundary observes the flag, so
-/// a stage that miscounts its steps — or stalls without reading the
-/// clock — is still stopped at its next poll or task edge and degrades
-/// through the same sound-fallback path, tagged "watchdog".
+/// gate poll and every SharedBudgetGate spend observes the flag, so a
+/// stage that miscounts its steps — or stalls without reading the
+/// clock — is still stopped at its next poll and degrades through the
+/// same sound-fallback path, tagged "watchdog".
 ///
 /// A deterministic FaultInjector rides along: named fault points
 /// (one per gated loop) can be armed via TSL_FAULT or `thinslice
@@ -89,7 +89,7 @@ struct AnalysisBudget {
   double elapsedSeconds() const;
 
   /// Preemptive cancellation (the watchdog path): sets a flag every
-  /// gate poll and every pool task boundary observes. Safe from any
+  /// gate poll and every SharedBudgetGate spend observes. Safe from any
   /// thread; const because cancellation is an observer-side signal,
   /// not a change to the limits.
   void cancel() const { CancelFlag.store(true, std::memory_order_release); }
@@ -326,7 +326,7 @@ private:
 /// the gate fires once the batch-wide step count reaches the
 /// configured poll number; a Throw-kind fault raises
 /// FaultInjectedError in whichever worker crossed the threshold
-/// (crash isolation in ThreadPool::parallelFor contains it).
+/// (the batch engine's per-item crash isolation contains it).
 class SharedBudgetGate {
 public:
   SharedBudgetGate(const AnalysisBudget *Budget, const char *Point,
@@ -353,25 +353,10 @@ public:
   }
 
   /// External cancellation: trips the gate with \p Why so every worker
-  /// polling it stops at its next spend. Used by
-  /// ThreadPool::parallelFor when one lane throws (the exception
-  /// cancels the remaining indices) and available to any stage that
-  /// must abandon a batch.
+  /// polling it stops at its next spend. Used by the batch engine when
+  /// one work item throws (its siblings degrade instead of burning
+  /// work) and available to any stage that must abandon a batch.
   void cancel(const std::string &Why) { trip(Why, false); }
-
-  /// Task-boundary check for the pool: true once the batch must stop,
-  /// observing the budget's preemptive cancel flag even when no worker
-  /// has spent since the watchdog set it — this is what stops a batch
-  /// whose tasks never poll.
-  bool stop() {
-    if (Tripped.load(std::memory_order_relaxed))
-      return true;
-    if (B && B->cancelled()) {
-      trip("watchdog", false);
-      return true;
-    }
-    return false;
-  }
 
   bool exhausted() const { return Tripped.load(std::memory_order_acquire); }
   std::string reason() const {

@@ -10,8 +10,8 @@
 /// a module edge: failures cross boundaries as a Status (code +
 /// message), and fallible producers return Expected<T> — either the
 /// value or the Status explaining its absence. Exceptions remain an
-/// *intra*-stage implementation detail (the ThreadPool propagates a
-/// worker's exception to the stage that owns it); the stage boundary
+/// *intra*-stage implementation detail (ThreadPool::parallelFor
+/// rethrows a lane's exception on the calling stage); the stage boundary
 /// — AnalysisSession, SliceEngine, the interpreter, the CLI — is
 /// where they are converted. See DESIGN.md section 12 for the policy.
 ///

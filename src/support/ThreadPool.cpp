@@ -1,225 +1,113 @@
-//===-- ThreadPool.cpp - Shared work-stealing thread pool ----------------------==//
+//===-- ThreadPool.cpp - Fork-join pool for slice batches ------------------==//
 
 #include "support/ThreadPool.h"
 
-#include "support/Budget.h"
-
-#include <cassert>
-#include <chrono>
+#include <atomic>
+#include <exception>
 
 using namespace tsl;
 
-namespace {
+/// One parallelFor call: the range, the cursor its lanes share, and
+/// the first exception a lane caught.
+struct ThreadPool::Loop {
+  Loop(std::size_t N, const std::function<void(std::size_t)> &Fn)
+      : N(N), Fn(Fn) {}
 
-/// Identity of the pool worker running on this thread, so submit()
-/// can route a worker's child tasks to its own deque (the Chase-Lev
-/// bottom) instead of the shared injection queue.
-thread_local ThreadPool *CurrentPool = nullptr;
-thread_local unsigned CurrentWorkerId = ~0u;
-
-} // namespace
+  const std::size_t N;
+  const std::function<void(std::size_t)> &Fn;
+  std::atomic<std::size_t> Next{0};
+  std::atomic<bool> Abort{false};
+  std::mutex ErrMu;
+  std::exception_ptr Err;
+};
 
 ThreadPool::ThreadPool(unsigned Threads) {
   if (Threads == 0)
     Threads = std::thread::hardware_concurrency();
   if (Threads == 0)
     Threads = 1;
-  NumWorkers = Threads - 1;
-  Workers.reserve(NumWorkers);
-  for (unsigned Id = 0; Id != NumWorkers; ++Id)
-    Workers.push_back(std::make_unique<Worker>());
-  // Start only after every Worker slot exists: a starting worker's
-  // steal sweep walks the whole vector.
-  for (unsigned Id = 0; Id != NumWorkers; ++Id)
-    Workers[Id]->Thread = std::thread([this, Id] { workerLoop(Id); });
+  Workers.reserve(Threads - 1);
+  for (unsigned I = 1; I < Threads; ++I)
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> L(InjectMu);
+    std::lock_guard<std::mutex> L(Mu);
     Stopping = true;
   }
   WorkCV.notify_all();
-  for (auto &W : Workers)
-    W->Thread.join();
-  // Workers drained their deques and the injection queue before
-  // exiting; anything left could only have been submitted after
-  // Stopping was set, which the contract forbids.
-  assert(Pending.load() == 0 && "tasks submitted during shutdown");
+  for (std::thread &W : Workers)
+    W.join();
 }
 
-void ThreadPool::schedule(std::function<void()> Task) {
-  if (NumWorkers == 0) {
-    // No workers: run inline so futures still complete.
-    TasksExecuted.fetch_add(1, std::memory_order_relaxed);
-    Task();
-    return;
-  }
-  if (CurrentPool == this && CurrentWorkerId < NumWorkers) {
-    Worker &W = *Workers[CurrentWorkerId];
-    {
-      std::lock_guard<std::mutex> L(W.Mu);
-      W.Deque.push_back(std::move(Task));
+void ThreadPool::runLane(Loop &L) {
+  while (!L.Abort.load(std::memory_order_relaxed)) {
+    std::size_t I = L.Next.fetch_add(1, std::memory_order_relaxed);
+    if (I >= L.N)
+      return;
+    try {
+      L.Fn(I);
+    } catch (...) {
+      std::lock_guard<std::mutex> G(L.ErrMu);
+      if (!L.Err)
+        L.Err = std::current_exception();
+      L.Abort.store(true, std::memory_order_relaxed);
     }
-    Pending.fetch_add(1, std::memory_order_release);
-    WorkCV.notify_one();
-    return;
   }
-  {
-    std::lock_guard<std::mutex> L(InjectMu);
-    Inject.push_back(std::move(Task));
-  }
-  Pending.fetch_add(1, std::memory_order_release);
-  WorkCV.notify_one();
 }
 
-bool ThreadPool::runOne(unsigned SelfId) {
-  std::function<void()> Task;
-
-  // 1. Own deque, bottom (LIFO: the task pushed most recently is the
-  //    cache-warm one).
-  if (SelfId < NumWorkers) {
-    Worker &W = *Workers[SelfId];
-    std::lock_guard<std::mutex> L(W.Mu);
-    if (!W.Deque.empty()) {
-      Task = std::move(W.Deque.back());
-      W.Deque.pop_back();
-    }
-  }
-  // 2. The shared injection queue.
-  if (!Task) {
-    std::lock_guard<std::mutex> L(InjectMu);
-    if (!Inject.empty()) {
-      Task = std::move(Inject.front());
-      Inject.pop_front();
-    }
-  }
-  // 3. Steal sweep: the top (oldest) task of another worker's deque.
-  if (!Task) {
-    for (unsigned K = 1; K <= NumWorkers && !Task; ++K) {
-      unsigned Victim = (SelfId < NumWorkers ? SelfId + K : K - 1) % NumWorkers;
-      if (Victim == SelfId)
-        continue;
-      Worker &W = *Workers[Victim];
-      std::lock_guard<std::mutex> L(W.Mu);
-      if (!W.Deque.empty()) {
-        Task = std::move(W.Deque.front());
-        W.Deque.pop_front();
-        TasksStolen.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  if (!Task)
-    return false;
-
-  Pending.fetch_sub(1, std::memory_order_acq_rel);
-  Task(); // packaged_task: exceptions land in the future, never here.
-  TasksExecuted.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void ThreadPool::workerLoop(unsigned Id) {
-  CurrentPool = this;
-  CurrentWorkerId = Id;
-  while (true) {
-    if (runOne(Id))
-      continue;
-    std::unique_lock<std::mutex> L(InjectMu);
+void ThreadPool::workerLoop() {
+  std::unique_lock<std::mutex> L(Mu);
+  for (;;) {
+    WorkCV.wait(L, [this] { return Stopping || Seats != 0; });
     if (Stopping)
-      break;
-    WorkCV.wait(L, [this] {
-      return Stopping || Pending.load(std::memory_order_acquire) != 0;
-    });
-    if (Stopping)
-      break;
+      return;
+    --Seats;
+    ++Active;
+    Loop &Job = *Cur;
+    L.unlock();
+    runLane(Job);
+    L.lock();
+    if (--Active == 0)
+      DoneCV.notify_one();
   }
-  // Shutdown drain: finish everything still queued anywhere, so
-  // futures handed out before the destructor always complete.
-  while (runOne(Id))
-    ;
-  CurrentPool = nullptr;
-  CurrentWorkerId = ~0u;
 }
 
 void ThreadPool::parallelFor(std::size_t N,
                              const std::function<void(std::size_t)> &Fn,
-                             unsigned MaxConcurrency,
-                             SharedBudgetGate *Gate) {
-  if (N == 0)
-    return;
+                             unsigned MaxConcurrency) {
   unsigned Lanes = concurrency();
   if (MaxConcurrency && MaxConcurrency < Lanes)
     Lanes = MaxConcurrency;
   if (N < Lanes)
     Lanes = static_cast<unsigned>(N);
 
-  if (Lanes <= 1 || NumWorkers == 0) {
-    // Sequential path: a plain loop on the caller, no tasks, no
-    // synchronization — byte-for-byte the pre-pool behavior.
-    for (std::size_t I = 0; I != N; ++I) {
-      if (Gate && Gate->stop())
-        return;
+  if (Lanes <= 1) {
+    // Sequential path: a plain loop on the caller, no synchronization.
+    for (std::size_t I = 0; I != N; ++I)
       Fn(I);
-    }
     return;
   }
 
-  struct LoopState {
-    std::atomic<std::size_t> Next{0};
-    std::atomic<bool> Abort{false};
-    std::mutex ErrMu;
-    std::exception_ptr Err;
-  } State;
-
-  auto Lane = [&] {
-    for (std::size_t I;
-         (I = State.Next.fetch_add(1, std::memory_order_relaxed)) < N;) {
-      if (State.Abort.load(std::memory_order_relaxed))
-        return;
-      // Task-boundary stop check: also observes the watchdog's
-      // preemptive cancel flag, so a batch whose tasks never poll is
-      // still cut off between indices.
-      if (Gate && Gate->stop())
-        return;
-      try {
-        Fn(I);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> L(State.ErrMu);
-          if (!State.Err)
-            State.Err = std::current_exception();
-          State.Abort.store(true, std::memory_order_relaxed);
-        }
-        // Crash isolation: the exception cancels the remaining
-        // indices through the shared gate, so sibling lanes (and any
-        // stage polling the same gate) stop at their next check
-        // instead of burning work for a result that will be
-        // discarded. Captured per-task; rethrown once on the caller.
-        if (Gate)
-          Gate->cancel("exception");
-        return;
-      }
-    }
-  };
-
-  std::vector<std::future<void>> Futures;
-  Futures.reserve(Lanes - 1);
-  for (unsigned W = 0; W + 1 < Lanes; ++W)
-    Futures.push_back(submit(Lane));
-  Lane(); // The caller is the last lane.
-
-  // Helping wait: while a lane task is still queued (every worker
-  // busy elsewhere, e.g. a nested parallelFor), the caller executes
-  // queued tasks instead of blocking, so waiting can never deadlock.
-  for (std::future<void> &F : Futures) {
-    while (F.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!runOne(CurrentPool == this ? CurrentWorkerId : ~0u))
-        F.wait_for(std::chrono::microseconds(200));
-    }
-    F.get(); // Lane() traps exceptions itself; this never throws.
+  std::lock_guard<std::mutex> Call(CallMu);
+  Loop Job(N, Fn);
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    Cur = &Job;
+    Seats = Lanes - 1;
   }
-
-  if (State.Err)
-    std::rethrow_exception(State.Err);
+  WorkCV.notify_all();
+  runLane(Job); // The caller is one lane.
+  {
+    // The caller's lane ends only once the cursor is past N (or a lane
+    // threw), so seats no worker took yet have nothing left to run:
+    // withdraw them, then wait for the workers that did join.
+    std::unique_lock<std::mutex> L(Mu);
+    Seats = 0;
+    DoneCV.wait(L, [this] { return Active == 0; });
+    Cur = nullptr;
+  }
+  if (Job.Err)
+    std::rethrow_exception(Job.Err);
 }

@@ -10,9 +10,9 @@
 /// straight through the wall-clock deadline. The Watchdog closes that
 /// hole: while armed it sleeps until the budget's deadline and then
 /// sets the budget's atomic cancel flag, which every gate poll and
-/// every ThreadPool task boundary observes. The stage is stopped at
-/// its next poll or task edge and degrades through the same sound
-/// fallback the budget path uses, tagged "watchdog". Scope-bound: arm
+/// every SharedBudgetGate spend observes. The stage is stopped at its
+/// next poll and degrades through the same sound fallback the budget
+/// path uses, tagged "watchdog". Scope-bound: arm
 /// around one stage computation, disarm (join) on destruction.
 ///
 //===----------------------------------------------------------------------===//

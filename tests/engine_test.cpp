@@ -1,13 +1,15 @@
 //===-- engine_test.cpp - Batched slice-engine tests ----------------------------==//
 //
 // Differential coverage for SliceEngine: every configuration of the
-// batch path (1 and 4 workers, context-insensitive and -sensitive,
-// summary cache cold and warm, both slice modes) must produce
-// statement-identical results to the single-seed reference slicers —
-// sliceBackwardLegacy for CI, TabulationSlicer::slice for CS — plus
-// unit coverage of dedup, the per-mode condensation cache, and
-// batch-wide budget degradation. These tests carry the "engine"
-// ctest label and are the set the TSan tree runs.
+// batch path (1 and 4 workers, one CI chunk and several,
+// context-insensitive and -sensitive, summary cache cold and warm,
+// both slice modes) must produce statement-identical results to the
+// single-seed reference slicers — sliceBackwardLegacy or sliceBackward
+// for CI, TabulationSlicer::slice for CS — plus unit coverage of
+// dedup, the per-mode condensation cache, and batch-wide budget
+// degradation (a step cap, and a watchdog cancel seen on every lane).
+// These tests carry the "engine" ctest label and are the set the TSan
+// tree runs.
 
 #include "eval/Experiments.h"
 #include "eval/Workload.h"
@@ -152,6 +154,58 @@ TEST(Engine, DifferentialGeneratedSeedsCI) {
       for (std::size_t I = 0; I != Seeds.size(); ++I)
         expectIdentical(Got[I], Ref[I], tag("generated", Mode, Jobs, I));
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Differential: a multi-chunk context-insensitive batch
+//===----------------------------------------------------------------------===//
+
+// Context-insensitive batches fan out per 64-query chunk, so only a
+// batch of several chunks puts more than one pool lane to work: 200
+// unique seeds make 4 chunks.
+TEST(Engine, DifferentialMultiChunkCI) {
+  WorkloadProgram W =
+      padWorkload(debuggingCases().front().Prog, "EM", /*PadClasses=*/12,
+                  /*MethodsPerClass=*/6);
+  Compiled C = compile(W.Source);
+  ASSERT_NE(C.P, nullptr);
+  std::vector<const Instr *> Seeds = collectSliceSeeds(*C.P, 200);
+  ASSERT_EQ(Seeds.size(), 200u);
+
+  SliceEngine Engine(*C.CI);
+  for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
+    std::vector<SliceResult> Ref;
+    for (const Instr *Seed : Seeds)
+      Ref.push_back(sliceBackward(*C.CI, Seed, Mode));
+    for (unsigned Jobs : {1u, 4u}) {
+      BatchOptions Opts;
+      Opts.Mode = Mode;
+      Opts.Jobs = Jobs;
+      std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+      ASSERT_EQ(Got.size(), Seeds.size());
+      EXPECT_GT(Engine.stats().UniqueQueries, 128u); // >= 3 chunks.
+      if (Jobs > 1) {
+        EXPECT_GT(Engine.stats().Workers, 1u);
+      }
+      for (std::size_t I = 0; I != Seeds.size(); ++I)
+        expectIdentical(Got[I], Ref[I], tag("multi-chunk", Mode, Jobs, I));
+    }
+  }
+
+  // A budget the watchdog already cancelled degrades every chunk, on
+  // every lane: each chunk's first gate spend sees the cancel flag.
+  AnalysisBudget Cancelled;
+  Cancelled.cancel();
+  BatchOptions Opts;
+  Opts.Jobs = 4;
+  Opts.Budget = &Cancelled;
+  std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+  ASSERT_EQ(Got.size(), Seeds.size());
+  EXPECT_GT(Engine.stats().Workers, 1u);
+  for (std::size_t I = 0; I != Got.size(); ++I) {
+    EXPECT_FALSE(Got[I].complete()) << "seed " << I;
+    EXPECT_EQ(Got[I].degradedReason(), "watchdog") << "seed " << I;
   }
 }
 

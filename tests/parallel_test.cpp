@@ -1,16 +1,14 @@
 //===-- parallel_test.cpp - Cross-thread-count determinism tests ----------------==//
 //
 // The hard requirement of the threaded session (DESIGN.md section
-// 11): every artifact — points-to sets, mod-ref sets, the SDG, batch
-// slices, and the eval tables — is byte-identical for every thread
-// count. Each fixture computes full signatures at threads ∈ {1, 2, 8}
-// and compares the bytes. The suite carries the "parallel" ctest
-// label and runs in the TSL_SANITIZE=thread tree alongside "engine"
-// and "pipeline".
+// 11): every artifact — points-to sets, mod-ref sets, the SDG, and
+// batch slices — is byte-identical for every thread count. Each
+// fixture computes full signatures at threads ∈ {1, 2, 8} and compares
+// the bytes. The suite carries the "parallel" ctest label and runs in
+// the TSL_SANITIZE=thread tree alongside "engine" and "pipeline".
 //
 //===----------------------------------------------------------------------===//
 
-#include "eval/Experiments.h"
 #include "eval/Generator.h"
 #include "ir/Program.h"
 #include "lang/Lower.h"
@@ -150,24 +148,6 @@ TEST(ParallelDeterminism, ContextSensitiveSdgIsByteIdentical) {
     else
       EXPECT_EQ(Base, Dot) << "threads=" << Threads;
   }
-}
-
-// Eval tables: the paper-table drivers run their whole pipeline under
-// the configured thread count; the rendered bytes must not move.
-TEST(ParallelDeterminism, DebuggingTableBytesAreThreadCountInvariant) {
-  std::string Base;
-  for (unsigned Threads : ThreadCounts) {
-    resetEvalSessions();
-    setEvalThreads(Threads);
-    std::string Table =
-        formatInspectionTable("Table 2", runDebuggingExperiment());
-    if (Base.empty())
-      Base = Table;
-    else
-      EXPECT_EQ(Base, Table) << "threads=" << Threads;
-  }
-  resetEvalSessions();
-  setEvalThreads(1);
 }
 
 // A one-item batch must never touch a pool: no pool is created, no

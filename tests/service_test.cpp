@@ -9,8 +9,8 @@
 //
 // Everything but the binary test runs the SliceServer in-process, so
 // the sanitizer trees (`ctest -L service` under ASan/TSan) race- and
-// leak-check the whole serving path: acceptor, per-connection readers,
-// pool handlers, and the registry's reader/writer locking.
+// leak-check the whole serving path: acceptor, per-connection threads
+// and their request lanes, and the registry's reader/writer locking.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +26,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -431,6 +432,36 @@ TEST_F(ServiceTest, OverloadAnswersRetryInsteadOfQueueing) {
   // The overload was transient: the next request is admitted again.
   ASSERT_TRUE(Fast.ping(0, FastResp).isOk());
   EXPECT_EQ(FastResp.Code, ServiceStatus::Ok);
+}
+
+// ServerOptions::Threads bounds the requests executing at once: with
+// one lane two concurrent 300 ms pings run one after the other, with
+// two lanes they overlap.
+TEST_F(ServiceTest, ThreadsBoundsTheRequestsExecutingAtOnce) {
+  for (unsigned Threads : {1u, 2u}) {
+    ServerOptions O;
+    O.Threads = Threads;
+    startServer(std::move(O));
+    ServiceClient A, B;
+    connect(A);
+    connect(B);
+    ServiceResponse RespA, RespB;
+    auto T0 = std::chrono::steady_clock::now();
+    std::thread CallA([&] { (void)A.ping(300, RespA); });
+    std::thread CallB([&] { (void)B.ping(300, RespB); });
+    CallA.join();
+    CallB.join();
+    std::chrono::duration<double, std::milli> BothAnswered =
+        std::chrono::steady_clock::now() - T0;
+    EXPECT_EQ(RespA.Code, ServiceStatus::Ok) << "threads " << Threads;
+    EXPECT_EQ(RespB.Code, ServiceStatus::Ok) << "threads " << Threads;
+    if (Threads == 1) {
+      EXPECT_GE(BothAnswered.count(), 580) << "one lane serializes the pings";
+    } else {
+      EXPECT_LT(BothAnswered.count(), 450) << "two lanes overlap the pings";
+    }
+    stopServer();
+  }
 }
 
 //===----------------------------------------------------------------------===//

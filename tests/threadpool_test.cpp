@@ -1,20 +1,18 @@
-//===-- threadpool_test.cpp - Shared work-stealing pool tests ------------------==//
+//===-- threadpool_test.cpp - Fork-join pool tests -----------------------------==//
 //
-// The pool contract every parallel analysis stage leans on: tasks run
-// exactly once, imbalance is rebalanced by stealing, exceptions reach
-// the submitter, shutdown drains the queues, and a tripped budget gate
-// cancels the un-started remainder of a parallelFor.
+// The pool contract the batched slice engine leans on: every index of
+// a parallelFor runs exactly once, a one-thread pool is the plain
+// sequential loop, MaxConcurrency caps the lanes, and the first
+// exception reaches the caller while the pool stays usable.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Budget.h"
 #include "support/ThreadPool.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -23,76 +21,64 @@ using namespace tsl;
 
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTaskExactlyOnce) {
+TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   ThreadPool Pool(4);
   EXPECT_EQ(Pool.concurrency(), 4u);
   EXPECT_EQ(Pool.numWorkers(), 3u);
-
-  constexpr unsigned N = 200;
-  std::vector<std::atomic<unsigned>> Ran(N);
-  std::vector<std::future<unsigned>> Futures;
-  for (unsigned I = 0; I != N; ++I)
-    Futures.push_back(Pool.submit([&Ran, I] {
-      Ran[I].fetch_add(1);
-      return I * 2;
-    }));
-  for (unsigned I = 0; I != N; ++I)
-    EXPECT_EQ(Futures[I].get(), I * 2);
-  for (unsigned I = 0; I != N; ++I)
-    EXPECT_EQ(Ran[I].load(), 1u);
-  EXPECT_GE(Pool.tasksExecuted(), static_cast<uint64_t>(N));
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool Pool(4);
   constexpr std::size_t N = 1000;
   std::vector<std::atomic<unsigned>> Hits(N);
-  Pool.parallelFor(N, [&](std::size_t I) { Hits[I].fetch_add(1); });
+  // Several rounds on one pool: each call is a fresh loop.
+  for (unsigned Round = 0; Round != 5; ++Round)
+    Pool.parallelFor(N, [&](std::size_t I) { Hits[I].fetch_add(1); });
   for (std::size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Hits[I].load(), 1u) << "index " << I;
+    EXPECT_EQ(Hits[I].load(), 5u) << "index " << I;
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsInlineWithoutWorkers) {
   ThreadPool Pool(1);
   EXPECT_EQ(Pool.numWorkers(), 0u);
-  std::thread::id Caller = std::this_thread::get_id();
-  bool SameThread = false;
-  auto F = Pool.submit([&] { SameThread = std::this_thread::get_id() == Caller; });
-  F.get();
-  EXPECT_TRUE(SameThread);
-  unsigned Count = 0;
-  Pool.parallelFor(17, [&](std::size_t) { ++Count; });
-  EXPECT_EQ(Count, 17u);
-}
-
-// Guaranteed steal: a worker blocks inside its task after stuffing its
-// own deque with subtasks. The blocked owner cannot pop them, external
-// threads have no deque, so the only way the subtasks can complete is
-// the other worker stealing them.
-TEST(ThreadPool, StealsFromAnImbalancedWorkerDeque) {
-  ThreadPool Pool(3); // Two workers: one hoards, one steals.
-  constexpr unsigned N = 64;
-  std::atomic<unsigned> Done{0};
-  auto Outer = Pool.submit([&] {
-    for (unsigned I = 0; I != N; ++I)
-      Pool.submit([&Done] { Done.fetch_add(1); });
-    // Block this worker until every subtask ran elsewhere.
-    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (Done.load() != N &&
-           std::chrono::steady_clock::now() < Deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(Pool.concurrency(), 1u);
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::size_t> Order;
+  bool AllOnCaller = true;
+  Pool.parallelFor(17, [&](std::size_t I) {
+    AllOnCaller &= std::this_thread::get_id() == Caller;
+    Order.push_back(I);
   });
-  Outer.get();
-  EXPECT_EQ(Done.load(), N);
-  EXPECT_GE(Pool.tasksStolen(), static_cast<uint64_t>(N));
+  EXPECT_TRUE(AllOnCaller);
+  ASSERT_EQ(Order.size(), 17u);
+  for (std::size_t I = 0; I != Order.size(); ++I)
+    EXPECT_EQ(Order[I], I);
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionsToTheFuture) {
-  ThreadPool Pool(3);
-  auto Bad = Pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  auto Good = Pool.submit([] { return 41 + 1; });
-  EXPECT_THROW(Bad.get(), std::runtime_error);
-  EXPECT_EQ(Good.get(), 42);
+// No more than MaxConcurrency lanes (caller included) ever run Fn at
+// once; a cap of 1 keeps the whole loop on the caller.
+TEST(ThreadPool, MaxConcurrencyCapsTheLanes) {
+  ThreadPool Pool(4);
+  for (unsigned Cap : {1u, 2u, 3u}) {
+    std::atomic<unsigned> Running{0}, Peak{0}, Ran{0};
+    const std::thread::id Caller = std::this_thread::get_id();
+    std::atomic<bool> OffCaller{false};
+    Pool.parallelFor(
+        64,
+        [&](std::size_t) {
+          unsigned Now = Running.fetch_add(1) + 1;
+          unsigned Old = Peak.load();
+          while (Now > Old && !Peak.compare_exchange_weak(Old, Now))
+            ;
+          if (std::this_thread::get_id() != Caller)
+            OffCaller.store(true);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          Running.fetch_sub(1);
+          Ran.fetch_add(1);
+        },
+        Cap);
+    EXPECT_EQ(Ran.load(), 64u) << "cap " << Cap;
+    EXPECT_LE(Peak.load(), Cap) << "cap " << Cap;
+    if (Cap == 1) {
+      EXPECT_FALSE(OffCaller.load());
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForRethrowsTheFirstExceptionOnTheCaller) {
@@ -105,129 +91,26 @@ TEST(ThreadPool, ParallelForRethrowsTheFirstExceptionOnTheCaller) {
                                   Ran.fetch_add(1);
                                 }),
                std::logic_error);
-  // The throw cancels un-started indices; started ones finished.
+  // The throw stops un-started indices; started ones finished.
   EXPECT_LT(Ran.load(), 100u);
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedTasksBeforeJoining) {
-  constexpr unsigned N = 100;
-  std::atomic<unsigned> Done{0};
-  std::vector<std::future<void>> Futures;
-  {
-    ThreadPool Pool(2);
-    for (unsigned I = 0; I != N; ++I)
-      Futures.push_back(Pool.submit([&Done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        Done.fetch_add(1);
-      }));
-    // Destruction races the queue: whatever is still queued must run,
-    // not be dropped.
-  }
-  EXPECT_EQ(Done.load(), N);
-  for (auto &F : Futures) {
-    ASSERT_EQ(F.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-    F.get();
-  }
-}
-
-TEST(ThreadPool, BudgetGateCancelsRemainingParallelForIndices) {
-  ThreadPool Pool(2);
-  SharedBudgetGate Gate(nullptr, "test.pool", /*StepCap=*/10);
-  std::atomic<unsigned> Ran{0};
-  Pool.parallelFor(
-      1000,
-      [&](std::size_t) {
-        Gate.spend();
-        Ran.fetch_add(1);
-      },
-      /*MaxConcurrency=*/0, &Gate);
-  EXPECT_TRUE(Gate.exhausted());
-  // At least the indices that tripped the cap ran; the long tail of
-  // the queue was cancelled.
-  EXPECT_GE(Ran.load(), 10u);
-  EXPECT_LT(Ran.load(), 1000u);
-}
-
-// parallelFor from inside a pool task must not deadlock: the nested
-// caller's lanes land in its own deque, and its helping-wait runs them
-// itself if nobody steals.
-TEST(ThreadPool, NestedParallelForCompletes) {
-  ThreadPool Pool(3);
-  std::atomic<unsigned> Inner{0};
-  auto F = Pool.submit([&] {
-    Pool.parallelFor(50, [&](std::size_t) { Inner.fetch_add(1); });
-  });
-  F.get();
-  EXPECT_EQ(Inner.load(), 50u);
-}
-
-// Crash-isolation regression (runs under TSan via the "parallel"
-// label): a task throwing while the caller is in its helping-wait
-// must not terminate a worker or wedge the drain — the first
-// exception is rethrown on the caller, the remaining indices are
-// cancelled through the gate (reason "exception"), and the SAME pool
-// serves subsequent parallelFor batches completely.
-TEST(ThreadPool, ThrowDuringHelpingWaitLeavesPoolUsable) {
-  ThreadPool Pool(4);
-  for (unsigned Round = 0; Round != 20; ++Round) {
-    SharedBudgetGate Gate(nullptr, "test.pool", /*StepCap=*/0);
-    std::atomic<unsigned> Ran{0};
-    EXPECT_THROW(Pool.parallelFor(
-                     64,
-                     [&](std::size_t I) {
-                       if (I == 5)
-                         throw std::runtime_error("boom");
-                       Ran.fetch_add(1);
-                     },
-                     /*MaxConcurrency=*/0, &Gate),
-                 std::runtime_error);
-    EXPECT_TRUE(Gate.exhausted());
-    EXPECT_EQ(Gate.reason(), "exception");
-
-    std::atomic<unsigned> After{0};
-    Pool.parallelFor(100, [&](std::size_t) { After.fetch_add(1); });
-    EXPECT_EQ(After.load(), 100u);
-  }
-}
-
-// Same isolation without a gate: the exception still cancels the rest
-// of the batch and rethrows on the caller, and the pool stays usable.
+// A throwing loop leaves no worker dead or stuck: the same pool then
+// serves complete loops, round after round (runs under TSan via the
+// "parallel" label).
 TEST(ThreadPool, ThrowWithoutGateStillRethrowsAndPoolSurvives) {
   ThreadPool Pool(3);
-  EXPECT_THROW(Pool.parallelFor(32,
-                                [&](std::size_t I) {
-                                  if (I == 0)
-                                    throw std::logic_error("first");
-                                }),
-               std::logic_error);
-  std::atomic<unsigned> After{0};
-  Pool.parallelFor(64, [&](std::size_t) { After.fetch_add(1); });
-  EXPECT_EQ(After.load(), 64u);
-}
-
-// The watchdog's preemptive cancel flag must stop a batch whose tasks
-// never poll the gate: once the budget is cancelled, parallelFor hands
-// out no further indices.
-TEST(ThreadPool, CancelledBudgetStopsNonPollingBatch) {
-  ThreadPool Pool(2);
-  AnalysisBudget B;
-  B.BudgetMs = 60'000;
-  B.start();
-  SharedBudgetGate Gate(&B, "test.pool", /*StepCap=*/0);
-  std::atomic<unsigned> Ran{0};
-  Pool.parallelFor(
-      1000,
-      [&](std::size_t I) {
-        // Tasks never call Gate.spend(); only the task boundary can
-        // observe the cancellation.
-        if (I == 0)
-          B.cancel();
-        Ran.fetch_add(1);
-      },
-      /*MaxConcurrency=*/0, &Gate);
-  EXPECT_TRUE(Gate.exhausted());
-  EXPECT_EQ(Gate.reason(), "watchdog");
-  EXPECT_LT(Ran.load(), 1000u);
+  for (unsigned Round = 0; Round != 20; ++Round) {
+    EXPECT_THROW(Pool.parallelFor(32,
+                                  [&](std::size_t I) {
+                                    if (I == Round % 32)
+                                      throw std::logic_error("first");
+                                  }),
+                 std::logic_error);
+    std::atomic<unsigned> After{0};
+    Pool.parallelFor(64, [&](std::size_t) { After.fetch_add(1); });
+    EXPECT_EQ(After.load(), 64u);
+  }
 }
 
 } // namespace

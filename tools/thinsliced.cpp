@@ -11,12 +11,12 @@
 //   thinslice prog.tsj --connect /tmp/tsl.sock --line 24
 //   thinslice prog.tsj --connect /tmp/tsl.sock --interactive
 //
-// Concurrency: request execution fans out on a shared work-stealing
-// pool; slices on one warm session run in parallel (readers) while
-// edits are exclusive (writer). Overload is answered with RETRY
-// (status 6), never queued unboundedly. SIGTERM/SIGINT drain: in-
-// flight requests finish and flush their responses, then the daemon
-// exits 0.
+// Concurrency: each connection thread executes its own requests, at
+// most --threads of them at once; slices on one warm session run in
+// parallel (readers) while edits are exclusive (writer). Overload is
+// answered with RETRY (status 6), never queued unboundedly.
+// SIGTERM/SIGINT drain: in-flight requests finish and flush their
+// responses, then the daemon exits 0.
 //
 // Exit codes: 0 graceful drain, 1 cannot bind/listen, 2 usage error,
 // 5 internal failure.
