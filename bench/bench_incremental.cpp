@@ -18,11 +18,17 @@
 // a genuine update; the differential tests (tests/incremental_test.cpp)
 // prove both configurations produce byte-identical slices.
 //
+// BM_EditToSlicePad400PaddingLiteral measures the edit the repository
+// benchmark's edit-slice workload makes, at its size: on a pad-400
+// session, rewrite one padding method's `var acc = x + N;` literal and
+// slice at that method's `return acc;`.
+//
 //===----------------------------------------------------------------------===//
 
 #include "eval/Experiments.h"
 #include "eval/Workload.h"
 #include "pipeline/Session.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 
 #include "BenchGuard.h"
@@ -33,6 +39,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -131,6 +138,77 @@ void BM_EditToSliceCold(benchmark::State &State) {
     benchmark::DoNotOptimize(coldMs(Variant));
 }
 BENCHMARK(BM_EditToSliceCold)->Unit(benchmark::kMillisecond);
+
+/// perfbench's edit at perfbench's size: a pad-400 session; each edit
+/// rewrites the literal of one padding method's `var acc = x + N;`
+/// line (same line count) and slices at that method's `return acc;`.
+/// Successive iterations walk the padding methods with a fresh literal
+/// each, so every edit is a real one.
+class PaddingLiteralEdits {
+public:
+  PaddingLiteralEdits()
+      : Source(padWorkload(debuggingCases().front().Prog, "PB", 400, 6)
+                   .Source) {
+    unsigned Line = 1;
+    std::size_t Scanned = 0;
+    for (std::size_t Pos = Source.find(Needle, Source.find("class PadPB"));
+         Pos != std::string::npos; Pos = Source.find(Needle, Pos + 1)) {
+      Line += static_cast<unsigned>(std::count(
+          Source.begin() + Scanned, Source.begin() + Pos, '\n'));
+      Scanned = Pos;
+      Sites.push_back(Pos);
+      ReturnLines.push_back(Line + 8);
+    }
+  }
+
+  const std::string &source() const { return Source; }
+
+  /// Applies edit \p I to the current source; returns the line of the
+  /// edited method's `return acc;`.
+  unsigned next(unsigned I) {
+    const std::size_t Site = (I * 7919u) % Sites.size();
+    const std::size_t Pos = Sites[Site];
+    const std::size_t From = Pos + Needle.size();
+    const std::size_t Len = Source.find(';', From) - From;
+    std::string Literal = std::to_string(1 + (I * 104729u) % 9999);
+    if (Source.compare(From, Len, Literal) == 0)
+      Literal = std::to_string(10000 + I);
+    const long Delta =
+        static_cast<long>(Literal.size()) - static_cast<long>(Len);
+    Source.replace(From, Len, Literal);
+    for (std::size_t &S : Sites)
+      if (S > Pos)
+        S = static_cast<std::size_t>(static_cast<long>(S) + Delta);
+    return ReturnLines[Site];
+  }
+
+private:
+  static constexpr std::string_view Needle = "    var acc = x + ";
+  std::string Source;
+  std::vector<std::size_t> Sites; ///< Byte offset of each literal line.
+  std::vector<unsigned> ReturnLines; ///< Its method's `return acc;`.
+};
+
+void BM_EditToSlicePad400PaddingLiteral(benchmark::State &State) {
+  PaddingLiteralEdits Edits;
+  AnalysisSession S{std::string(Edits.source())};
+  S.setIncremental(true);
+  benchmark::DoNotOptimize(S.sdg());
+  unsigned I = 0;
+  for (auto _ : State) {
+    const unsigned Line = Edits.next(I++);
+    S.setSource(Edits.source());
+    const Instr *Seed = seedAtLine(*S.program(), Line);
+    const SliceResult *R = S.sliceBackwardCached(Seed, SliceMode::Thin);
+    benchmark::DoNotOptimize(R);
+  }
+  const AnalysisSession::IncrementalStats &IS = S.incrementalStats();
+  State.counters["cold_fallbacks"] = static_cast<double>(IS.ColdFallbacks);
+  State.counters["stage_fallbacks"] = static_cast<double>(IS.StageFallbacks);
+}
+BENCHMARK(BM_EditToSlicePad400PaddingLiteral)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(30);
 
 } // namespace
 

@@ -317,11 +317,13 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   if (!CurCompile.BuildSSA)
     return Cold("incremental path requires SSA compiles");
 
+  // The compile stage's clock covers the diff: it is the incremental
+  // front end's lex.
+  auto T0 = std::chrono::steady_clock::now();
   SourceDiff D = diffThinJSource(Source, NewSource, &IncScanCache);
   if (!D.Eligible)
     return Cold(D.Reason);
 
-  auto T0 = std::chrono::steady_clock::now();
   StageCounters &CC = counters(SessionStage::Compile);
   IncrementalCompileResult CR = applyIncrementalCompile(*Prog, D, CurCompile);
   if (!CR.Applied)

@@ -45,6 +45,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <iterator>
 #include <set>
 #include <tuple>
 #include <unordered_set>
@@ -99,7 +100,9 @@ public:
     if (Coarse)
       return isPointer(L) ? AllObjects : EmptySet;
     auto It = Merged.find(L);
-    return It == Merged.end() ? EmptySet : *It->second;
+    if (It == Merged.end())
+      return EmptySet;
+    return It->second != ~0u ? Nodes[It->second].Pts : MergedOwned.at(L);
   }
 
   const SparseBitSet &pointsTo(const Local *L, unsigned Ctx) const override {
@@ -186,7 +189,28 @@ private:
     Rep[B] = A;
     NodeData &NA = Nodes[A];
     NodeData &NB = Nodes[B];
-    NA.Pts.unionWith(NB.Pts);
+    if (Logging) {
+      // B's class moves to A; either class grew unless the sets held
+      // each other (the usual case: cycles collapse once converged).
+      const unsigned CountA = NA.Pts.count(), CountB = NB.Pts.count();
+      NA.Pts.unionWith(NB.Pts);
+      const unsigned Merged = NA.Pts.count();
+      if (Merged != CountA)
+        logClass(A, true);
+      logClass(B, Merged != CountB);
+    } else {
+      NA.Pts.unionWith(NB.Pts);
+    }
+    if (Indexed) {
+      std::vector<unsigned> &MA = Members[A];
+      MA.push_back(B);
+      if (auto It = Members.find(B); It != Members.end()) {
+        MA.insert(MA.end(), It->second.begin(), It->second.end());
+        Members.erase(It);
+      }
+      Preds[A].insert(Preds[A].end(), Preds[B].begin(), Preds[B].end());
+      Preds[B] = {};
+    }
     NA.Succs.insert(NA.Succs.end(), NB.Succs.begin(), NB.Succs.end());
     NA.Cons.insert(NA.Cons.end(), NB.Cons.begin(), NB.Cons.end());
     NB = NodeData(); // Release the merged node's storage.
@@ -227,6 +251,11 @@ private:
     unsigned Id = static_cast<unsigned>(Nodes.size());
     Nodes.emplace_back();
     Rep.push_back(Id);
+    if (Indexed) {
+      Preds.emplace_back();
+      Origin.emplace_back();
+      LogFlags.push_back(0);
+    }
     if (!Reference)
       PrioWL.setPriority(Id, TopoPrioBase + Id);
     return Id;
@@ -234,8 +263,14 @@ private:
 
   unsigned localNode(const Local *L, unsigned Ctx) {
     auto [It, New] = LocalNodes[L].emplace(Ctx, 0);
-    if (New)
+    if (New) {
       It->second = newNode();
+      if (Indexed) {
+        Origin[It->second] = {L, Ctx};
+        if (Logging)
+          logRaw(It->second, false); // L's merged entry gains a context.
+      }
+    }
     return It->second;
   }
 
@@ -309,6 +344,8 @@ private:
     unsigned N = find(Node);
     if (Nodes[N].Pts.insert(Obj)) {
       Nodes[N].Delta.insert(Obj);
+      if (Logging)
+        logClass(N, true);
       pushNode(N);
     }
   }
@@ -333,6 +370,8 @@ private:
     }
     if (Changed) {
       ++Stats.Propagations;
+      if (Logging)
+        logClass(Dst, true);
       pushNode(Dst);
     } else {
       ++Stats.NoChangePropagations;
@@ -349,6 +388,8 @@ private:
       if (find(Existing) == Dst && F == Filter)
         return;
     Nodes[Src].Succs.emplace_back(Dst, Filter);
+    if (Indexed)
+      Preds[Dst].push_back(Src);
     ++NumCopyEdges;
     // Seed the new edge with the full current set so delta
     // propagation never misses objects that arrived before the edge.
@@ -367,6 +408,18 @@ private:
 
   void applyConstraint(unsigned ConsIdx, const SparseBitSet &Pts);
   void applyCall(const CallInstr *Call, unsigned CallerCtx, unsigned Obj);
+  /// The method \p Call dispatches to on receiver \p O, or null when
+  /// the object cannot receive it.
+  Method *dispatchTarget(const CallInstr *Call, const AbstractObject &O) const;
+  bool calleeIsCloned(const Method *Target, const AbstractObject &O) const {
+    return Opts.ObjSensContainers && isContainerClass(Target->owner()) &&
+           O.CtxDepth < Opts.MaxObjSensDepth;
+  }
+  void addCallEdge(unsigned CallerMC, const CallInstr *Call,
+                   unsigned CalleeMC) {
+    if (CG.addEdge(CallerMC, Call, CalleeMC) && Logging)
+      AddedEdges.push_back({CallerMC, Call, CalleeMC});
+  }
 
   //===------------------------------------------------------------------===//
   // Lazy cycle detection
@@ -381,6 +434,23 @@ private:
 
   void solveLoop(BudgetGate &Gate);
   void finalizeMerged();
+  void publishMerged(const Local *L,
+                     const std::unordered_map<unsigned, unsigned> &ByCtx,
+                     std::vector<unsigned> &Ids);
+  void buildUpdateIndex();
+  void logRaw(unsigned N, bool Grew) {
+    uint8_t &F = LogFlags[N];
+    if (!F)
+      Log.push_back(N);
+    F |= Grew ? 3 : 1;
+  }
+  /// Logs representative \p R and every node merged into it.
+  void logClass(unsigned R, bool Grew) {
+    logRaw(R, Grew);
+    if (auto It = Members.find(R); It != Members.end())
+      for (unsigned N : It->second)
+        logRaw(N, Grew);
+  }
   void degradeToCoarse(const BudgetGate &Gate);
   void processMethodCtx(unsigned MCId);
   void processInstr(const Instr *I, Method *M, unsigned Ctx, unsigned MCId);
@@ -430,10 +500,36 @@ private:
 
   std::unordered_map<const Method *, std::vector<Local *>> ParamCache;
   /// Context-merged per-local sets for pointsTo(L). A local with one
-  /// context points at its node's set; only a local with several
-  /// contexts points into MergedOwned, which holds the union.
-  std::unordered_map<const Local *, const SparseBitSet *> Merged;
+  /// context names its node (a representative when published); a
+  /// local with several contexts maps to ~0u, and MergedOwned holds
+  /// its union. Node ids, unlike pointers into Nodes, survive the node
+  /// table growing during an update.
+  std::unordered_map<const Local *, unsigned> Merged;
   std::unordered_map<const Local *, SparseBitSet> MergedOwned;
+
+  /// Update index: built by the first incremental update, then kept
+  /// current by every constraint-graph change, so the cold solve never
+  /// pays for it. Preds lists the sources of copy edges into each
+  /// representative (raw ids, resolve through find()); Origin names
+  /// the (local, context) a node stands for (null for heap and return
+  /// nodes); Members lists the nodes merged into each representative
+  /// that absorbed others.
+  struct NodeOrigin {
+    const Local *L = nullptr;
+    unsigned Ctx = 0;
+  };
+  bool Indexed = false;
+  std::vector<std::vector<unsigned>> Preds;
+  std::vector<NodeOrigin> Origin;
+  std::unordered_map<unsigned, std::vector<unsigned>> Members;
+
+  /// Growth log of one update: every node whose class gained objects
+  /// (LogFlags bit 2), moved to another representative or was created
+  /// (bit 1 only), plus the call edges the update added.
+  bool Logging = false;
+  std::vector<unsigned> Log;
+  std::vector<uint8_t> LogFlags;
+  std::vector<CallEdge> AddedEdges;
   SolverStats Stats;
   StageReport Report{"pta", StageStatus::Complete, "", "", 0, 0};
   SparseBitSet EmptySet;
@@ -578,24 +674,30 @@ void Solver::finalizeMerged() {
     Rep[I] = find(I);
   Merged.clear();
   Merged.reserve(LocalNodes.size());
-  for (auto &KV : MergedOwned)
-    KV.second.clear();
   std::vector<unsigned> Ids;
-  for (const auto &[L, ByCtx] : LocalNodes) {
-    if (ByCtx.size() == 1) {
-      Merged.emplace(L, &Nodes[Rep[ByCtx.begin()->second]].Pts);
-      continue;
-    }
-    Ids.clear();
-    for (const auto &KV : ByCtx)
-      Nodes[Rep[KV.second]].Pts.forEach(
-          [&](unsigned Obj) { Ids.push_back(Obj); });
-    std::sort(Ids.begin(), Ids.end());
-    SparseBitSet &Union = MergedOwned[L];
-    for (unsigned Obj : Ids)
-      Union.insert(Obj);
-    Merged.emplace(L, &Union);
+  for (const auto &[L, ByCtx] : LocalNodes)
+    publishMerged(L, ByCtx, Ids);
+}
+
+/// Publishes one local's merged entry (see finalizeMerged); \p Ids is
+/// scratch. Every context's node must be fully compressed.
+void Solver::publishMerged(const Local *L,
+                           const std::unordered_map<unsigned, unsigned> &ByCtx,
+                           std::vector<unsigned> &Ids) {
+  if (ByCtx.size() == 1) {
+    Merged[L] = Rep[ByCtx.begin()->second];
+    return;
   }
+  Ids.clear();
+  for (const auto &KV : ByCtx)
+    Nodes[Rep[KV.second]].Pts.forEach(
+        [&](unsigned Obj) { Ids.push_back(Obj); });
+  std::sort(Ids.begin(), Ids.end());
+  SparseBitSet &Union = MergedOwned[L];
+  Union.clear();
+  for (unsigned Obj : Ids)
+    Union.insert(Obj);
+  Merged[L] = ~0u;
 }
 
 void Solver::solveLoop(BudgetGate &Gate) {
@@ -901,7 +1003,7 @@ void Solver::processInstr(const Instr *I, Method *M, unsigned Ctx,
     const auto *C = cast<CallInstr>(I);
     if (C->target()->isStatic()) {
       unsigned CalleeNode = CG.getOrCreateNode(C->target(), 0);
-      CG.addEdge(MCId, C, CalleeNode);
+      addCallEdge(MCId, C, CalleeNode);
       processMethodCtx(CalleeNode);
       wireCall(MCId, C, Ctx, C->target(), 0, /*BindObj=*/~0u,
                /*BindReceiverObject=*/false);
@@ -952,29 +1054,33 @@ void Solver::wireCall(unsigned CallerMC, const CallInstr *Call,
                 localNode(Call->dest(), CallerCtx));
 }
 
-void Solver::applyCall(const CallInstr *Call, unsigned CallerCtx,
-                       unsigned Obj) {
-  const AbstractObject &O = Objects[Obj];
-
+Method *Solver::dispatchTarget(const CallInstr *Call,
+                               const AbstractObject &O) const {
   Method *Target = nullptr;
   if (Call->isVirtual()) {
     if (!O.Ty->isClass())
-      return; // Strings/arrays have no user methods.
+      return nullptr; // Strings/arrays have no user methods.
     Target = CH.resolveVirtual(O.Ty->classDef(), Call->target());
   } else {
     // Statically dispatched instance call (constructor / super): the
     // receiver object must still be type-compatible.
     if (!O.Ty->isClass() ||
         !O.Ty->classDef()->isSubclassOf(Call->target()->owner()))
-      return;
+      return nullptr;
     Target = Call->target();
   }
-  if (!Target || !Target->entry())
+  return Target && Target->entry() ? Target : nullptr;
+}
+
+void Solver::applyCall(const CallInstr *Call, unsigned CallerCtx,
+                       unsigned Obj) {
+  const AbstractObject &O = Objects[Obj];
+  Method *Target = dispatchTarget(Call, O);
+  if (!Target)
     return;
 
   unsigned CalleeCtx = 0;
-  if (Opts.ObjSensContainers && isContainerClass(Target->owner()) &&
-      O.CtxDepth < Opts.MaxObjSensDepth)
+  if (calleeIsCloned(Target, O))
     CalleeCtx = ctxForObject(Obj);
 
   // The caller method context node must exist because the constraint
@@ -984,7 +1090,7 @@ void Solver::applyCall(const CallInstr *Call, unsigned CallerCtx,
   assert(CallerMC >= 0 && "call constraint from unprocessed method");
 
   unsigned CalleeNode = CG.getOrCreateNode(Target, CalleeCtx);
-  CG.addEdge(static_cast<unsigned>(CallerMC), Call, CalleeNode);
+  addCallEdge(static_cast<unsigned>(CallerMC), Call, CalleeNode);
   processMethodCtx(CalleeNode);
   wireCall(static_cast<unsigned>(CallerMC), Call, CallerCtx, Target,
            CalleeCtx, Obj, /*BindReceiverObject=*/true);
@@ -1066,11 +1172,33 @@ void Solver::applyConstraint(unsigned ConsIdx, const SparseBitSet &Pts) {
 // cold solve when a constraint's trigger set lost an object (its
 // derived edges could then be stale in a way edge-closure cannot see).
 
+/// Builds the update index (see Solver::Indexed) in one pass over the
+/// constraint graph. Runs once, at the first incremental update.
+void Solver::buildUpdateIndex() {
+  const unsigned NN = static_cast<unsigned>(Nodes.size());
+  Preds.assign(NN, {});
+  Origin.assign(NN, {});
+  LogFlags.assign(NN, 0);
+  for (unsigned N = 0; N != NN; ++N) {
+    if (find(N) != N)
+      Members[find(N)].push_back(N);
+    for (const auto &[Dst, F] : Nodes[N].Succs) {
+      (void)F;
+      Preds[find(Dst)].push_back(N);
+    }
+  }
+  for (const auto &[L, ByCtx] : LocalNodes)
+    for (const auto &[Ctx, N] : ByCtx)
+      Origin[N] = {L, Ctx};
+  Indexed = true;
+}
+
 PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   auto UpdateStart = std::chrono::steady_clock::now();
   const uint64_t WordsAtStart = SparseBitSet::wordsTouched();
   PTAUpdateResult Out;
   auto Fallback = [&](const char *Why) {
+    Logging = false;
     Out.Applied = false;
     Out.Reason = Why;
     return Out;
@@ -1081,14 +1209,31 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
     return Fallback("budgeted session");
   if (Req.DirtyMethods.empty())
     return Fallback("no dirty methods");
+  if (!Indexed) {
+    buildUpdateIndex();
+    CG.indexInEdges();
+  }
+  // Work of the passes below, outside the fixed-point loop: nodes,
+  // edges, locals and call edges visited (see SolverStats::UpdateWork).
+  uint64_t Work = 0;
+  const uint64_t PopsAtStart = Stats.WorklistPops;
 
   // Dirty objects: allocation sites inside retired bodies. A dirty
   // object that defines a cloning context would invalidate every
   // context derived through it; decline rather than chase the chain.
   std::unordered_set<unsigned> DirtyObjs;
-  for (const AbstractObject &O : Objects)
-    if (Req.DeadInstrs.count(O.Site))
-      DirtyObjs.insert(O.Id);
+  std::vector<const CallInstr *> DeadCalls;
+  for (const Instr *I : Req.DeadInstrs) {
+    ++Work;
+    if (const auto *Call = dyn_cast<CallInstr>(I))
+      DeadCalls.push_back(Call);
+    auto It = ObjIndex.find(I);
+    if (It != ObjIndex.end())
+      for (const auto &[Ctx, Obj] : It->second) {
+        (void)Ctx;
+        DirtyObjs.insert(Obj);
+      }
+  }
   for (unsigned Obj : DirtyObjs)
     if (ObjCtx.count(Obj))
       return Fallback("edit retracts a context-defining object");
@@ -1098,6 +1243,7 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   // outright; everything they fed is reset and re-derived.
   std::unordered_set<unsigned> Z;
   for (const Local *L : Req.DeadLocals) {
+    ++Work;
     auto It = LocalNodes.find(L);
     if (It == LocalNodes.end())
       continue;
@@ -1106,29 +1252,46 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
       Z.insert(N);
     }
   }
-  for (const auto &[Key, N] : FieldNodes)
-    if (DirtyObjs.count(static_cast<unsigned>(Key >> 32)))
-      Z.insert(N);
-  for (const auto &[Obj, N] : ElemNodes)
-    if (DirtyObjs.count(Obj))
-      Z.insert(N);
+  std::vector<uint64_t> DeadFieldKeys;
+  std::vector<unsigned> DeadElemKeys;
+  for (unsigned Obj : DirtyObjs) {
+    const Type *Ty = Objects[Obj].Ty;
+    if (Ty->isArray()) {
+      if (auto It = ElemNodes.find(Obj); It != ElemNodes.end()) {
+        Z.insert(It->second);
+        DeadElemKeys.push_back(Obj);
+      }
+      continue;
+    }
+    if (!Ty->isClass())
+      continue;
+    for (const ClassDef *C = Ty->classDef(); C; C = C->superclass())
+      for (const Field *F : C->fields()) {
+        ++Work;
+        const uint64_t Key = (static_cast<uint64_t>(Obj) << 32) | F->id();
+        if (auto It = FieldNodes.find(Key); It != FieldNodes.end()) {
+          Z.insert(It->second);
+          DeadFieldKeys.push_back(Key);
+        }
+      }
+  }
 
   // A zombie inside a collapsed cycle cannot be carved back out of
   // its representative's merged set; decline. After this check every
   // zombie is a singleton representative.
-  if (!Z.empty())
-    for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size()); N != E;
-         ++N) {
-      unsigned R = findConst(N);
-      if (R != N && (Z.count(N) || Z.count(R)))
-        return Fallback("edit touches a collapsed cycle");
-    }
+  for (unsigned ZN : Z)
+    if (find(ZN) != ZN || Members.count(ZN))
+      return Fallback("edit touches a collapsed cycle");
 
   // Reset region R: forward closure (over rep-resolved copy edges) of
-  // the zombies, every current holder of a dirty object (receiver
-  // binding injects objects without an edge, so holders are seeds in
-  // their own right), and the return nodes of dirty methods (their
-  // inflow came from retired locals).
+  // the zombies, every current holder of a dirty object, and the
+  // return nodes of dirty methods (their inflow came from retired
+  // locals). Holders need no search of their own: a dirty object
+  // spreads from its allocating local (a zombie) along copy edges and
+  // by receiver binding, which injects it into a callee's `this`
+  // without an edge, so the closure also follows each call constraint
+  // on a closure node to the receiver formal a dirty object in its set
+  // was bound to.
   std::unordered_set<unsigned> RSet;
   std::vector<unsigned> Stack;
   auto Seed = [&](unsigned N) {
@@ -1138,51 +1301,74 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   };
   for (unsigned ZN : Z)
     Seed(ZN);
-  if (!DirtyObjs.empty())
-    for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size()); N != E; ++N) {
-      if (findConst(N) != N)
-        continue;
-      bool Holds = false;
-      Nodes[N].Pts.forEach([&](unsigned Obj) {
-        if (DirtyObjs.count(Obj))
-          Holds = true;
-      });
-      if (Holds)
-        Seed(N);
-    }
   for (const Method *M : Req.DirtyMethods)
-    for (const auto &[Key, N] : RetNodes)
-      if (static_cast<unsigned>(Key >> 32) == M->id())
-        Seed(N);
+    for (unsigned MC : CG.nodesOf(M)) {
+      ++Work;
+      const uint64_t Key =
+          (static_cast<uint64_t>(M->id()) << 32) | CG.node(MC).Ctx;
+      if (auto It = RetNodes.find(Key); It != RetNodes.end())
+        Seed(It->second);
+    }
   while (!Stack.empty()) {
     unsigned N = Stack.back();
     Stack.pop_back();
+    ++Work;
     for (const auto &[Dst, F] : Nodes[N].Succs) {
       (void)F;
+      ++Work;
       Seed(Dst);
+    }
+    if (DirtyObjs.empty())
+      continue;
+    for (unsigned ConsIdx : Nodes[N].Cons) {
+      const Constraint &C = Constraints[ConsIdx];
+      if (C.K != Constraint::Kind::Call)
+        continue;
+      const auto *Call = cast<CallInstr>(C.I);
+      for (unsigned Obj : DirtyObjs) {
+        ++Work;
+        if (!Nodes[N].Pts.test(Obj))
+          continue;
+        const AbstractObject &O = Objects[Obj];
+        Method *Target = dispatchTarget(Call, O);
+        if (!Target || Target->isStatic())
+          continue;
+        // A cloned callee would run in the object's own context, which
+        // the check above already declined.
+        const unsigned CalleeCtx = calleeIsCloned(Target, O) ? ~0u : 0;
+        const Local *This = paramLocals(Target)[0];
+        auto LIt = This ? LocalNodes.find(This) : LocalNodes.end();
+        if (LIt == LocalNodes.end())
+          continue;
+        if (auto NIt = LIt->second.find(CalleeCtx); NIt != LIt->second.end())
+          Seed(NIt->second);
+      }
     }
   }
   for (unsigned ZN : Z)
     RSet.erase(ZN); // Zombies are cleared, not reset.
 
-  // Snapshots for the post-solve checks and the affected-method set.
-  // R-members keep their full old set (they are cleared and must be
-  // compared exactly); everything else is monotone under replay, so a
-  // cardinality snapshot detects growth. Downstream consumers read
-  // per-context sets (the context-insensitive SDG aliases clones with
-  // pointsTo(L, Ctx)), so change detection must be per-context, not
-  // merged.
+  // Snapshots for the post-solve checks and the affected-method set:
+  // the old set of every reset class, and for every node of one
+  // (ROrigin) the representative it had. Everything outside R is
+  // monotone under replay, so the growth log alone tells which of
+  // those sets changed.
   std::unordered_map<unsigned, SparseBitSet> OldRPts;
   std::unordered_set<unsigned> RHadCons;
+  std::unordered_map<unsigned, unsigned> ROrigin;
   for (unsigned N : RSet) {
+    ++Work;
     OldRPts.emplace(N, Nodes[N].Pts);
     if (!Nodes[N].Cons.empty())
       RHadCons.insert(N);
+    ROrigin.emplace(N, N);
+    if (auto It = Members.find(N); It != Members.end())
+      for (unsigned M : It->second)
+        ROrigin.emplace(M, N);
   }
-  // Flat (local, ctx)-keyed snapshot, sorted for binary search in the
-  // affected-method pass. A vector beats the obvious nested map here:
-  // snapshotting every per-context local is the hot part of the
-  // update, and one reserve replaces ~two allocations per entry.
+
+#ifndef NDEBUG
+  // Reference inputs for the whole-program checks at the end.
   struct LocalSnap {
     const Local *L;
     unsigned Ctx;
@@ -1190,43 +1376,89 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
     unsigned Count;
     bool WasReset;
   };
-  std::vector<LocalSnap> OldLocal;
-  {
-    size_t Pairs = 0;
-    for (const auto &KV : LocalNodes)
-      Pairs += KV.second.size();
-    OldLocal.reserve(Pairs);
-  }
+  std::vector<LocalSnap> RefOldLocal;
   for (const auto &[L, ByCtx] : LocalNodes)
     for (const auto &[Ctx, Node] : ByCtx) {
       unsigned R = find(Node);
-      OldLocal.push_back(
+      RefOldLocal.push_back(
           {L, Ctx, R, Nodes[R].Pts.count(), RSet.count(R) != 0});
     }
   auto SnapLess = [](const LocalSnap &A, const LocalSnap &B) {
     return A.L != B.L ? A.L < B.L : A.Ctx < B.Ctx;
   };
-  std::sort(OldLocal.begin(), OldLocal.end(), SnapLess);
+  std::sort(RefOldLocal.begin(), RefOldLocal.end(), SnapLess);
   using CGEdgeKey = std::tuple<unsigned, const CallInstr *, unsigned>;
-  std::vector<CGEdgeKey> OldCGEdges;
-  OldCGEdges.reserve(CG.edges().size());
+  std::vector<CGEdgeKey> RefOldCGEdges;
   for (const CallEdge &E : CG.edges())
-    OldCGEdges.emplace_back(E.CallerNode, E.Site, E.CalleeNode);
-  std::sort(OldCGEdges.begin(), OldCGEdges.end());
-
-  // Retraction. The published merged sets point into node storage
-  // that retraction and replay rewrite, so unpublish them until the
-  // finalize below. Edges into zombies are owned by live sources and
-  // must be removed edge-wise; edges out of zombies die with their
-  // node.
-  Merged.clear();
-  unsigned EdgesRemoved = 0;
-  if (!Z.empty())
+    RefOldCGEdges.emplace_back(E.CallerNode, E.Site, E.CalleeNode);
+  std::sort(RefOldCGEdges.begin(), RefOldCGEdges.end());
+  {
+    // The reset region equals the closure of every holder of a dirty
+    // object that a scan of all nodes finds.
+    std::unordered_set<unsigned> RefR;
+    std::vector<unsigned> RefStack;
+    auto RefSeed = [&](unsigned N) {
+      N = find(N);
+      if (RefR.insert(N).second)
+        RefStack.push_back(N);
+    };
+    for (unsigned ZN : Z)
+      RefSeed(ZN);
     for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size()); N != E;
          ++N) {
-      if (find(N) != N || Z.count(N))
+      if (find(N) != N)
         continue;
+      bool Holds = false;
+      Nodes[N].Pts.forEach([&](unsigned Obj) {
+        if (DirtyObjs.count(Obj))
+          Holds = true;
+      });
+      if (Holds)
+        RefSeed(N);
+    }
+    for (const Method *M : Req.DirtyMethods)
+      for (const auto &[Key, N] : RetNodes)
+        if (static_cast<unsigned>(Key >> 32) == M->id())
+          RefSeed(N);
+    while (!RefStack.empty()) {
+      unsigned N = RefStack.back();
+      RefStack.pop_back();
+      for (const auto &[Dst, F] : Nodes[N].Succs) {
+        (void)F;
+        RefSeed(Dst);
+      }
+    }
+    for (unsigned ZN : Z)
+      RefR.erase(ZN);
+    assert(RefR == RSet && "reset region differs from the holder scan");
+    // Every field and element partition of a dirty object is a zombie.
+    for (const auto &[Key, N] : FieldNodes)
+      assert((!DirtyObjs.count(static_cast<unsigned>(Key >> 32)) ||
+              Z.count(N)) &&
+             "dirty object's field partition missed");
+    for (const auto &[Obj, N] : ElemNodes)
+      assert((!DirtyObjs.count(Obj) || Z.count(N)) &&
+             "dirty object's element partition missed");
+  }
+#endif
+
+  // Retraction. Edges into zombies are owned by live sources, which
+  // the zombies' Preds name, and are removed edge-wise; edges out of
+  // zombies die with their node (and leave their targets' Preds).
+  unsigned EdgesRemoved = 0;
+  {
+    std::vector<unsigned> Sources;
+    for (unsigned ZN : Z)
+      for (unsigned S : Preds[ZN]) {
+        ++Work;
+        if (!Z.count(find(S)))
+          Sources.push_back(find(S));
+      }
+    std::sort(Sources.begin(), Sources.end());
+    Sources.erase(std::unique(Sources.begin(), Sources.end()), Sources.end());
+    for (unsigned N : Sources) {
       auto &Succs = Nodes[N].Succs;
+      Work += Succs.size();
       auto NewEnd = std::remove_if(
           Succs.begin(), Succs.end(),
           [&](const std::pair<unsigned, const Type *> &Edge) {
@@ -1235,27 +1467,43 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
       EdgesRemoved += static_cast<unsigned>(Succs.end() - NewEnd);
       Succs.erase(NewEnd, Succs.end());
     }
+  }
   for (unsigned ZN : Z) {
+    for (const auto &[Dst, F] : Nodes[ZN].Succs) {
+      (void)F;
+      ++Work;
+      unsigned D = find(Dst);
+      if (Z.count(D))
+        continue;
+      std::vector<unsigned> &P = Preds[D];
+      Work += P.size();
+      P.erase(std::remove(P.begin(), P.end(), ZN), P.end());
+    }
     EdgesRemoved += static_cast<unsigned>(Nodes[ZN].Succs.size());
     Nodes[ZN] = NodeData();
+    Preds[ZN] = {};
   }
   NumCopyEdges -= std::min(NumCopyEdges, EdgesRemoved);
+#ifndef NDEBUG
+  for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size()); N != E; ++N)
+    for (const auto &[Dst, F] : Nodes[N].Succs)
+      assert(!Z.count(find(Dst)) && "copy edge into a zombie survived");
+#endif
   for (const Local *L : Req.DeadLocals) {
     LocalNodes.erase(L);
     Merged.erase(L);
     MergedOwned.erase(L);
   }
-  for (auto It = FieldNodes.begin(); It != FieldNodes.end();)
-    It = DirtyObjs.count(static_cast<unsigned>(It->first >> 32))
-             ? FieldNodes.erase(It)
-             : std::next(It);
-  for (auto It = ElemNodes.begin(); It != ElemNodes.end();)
-    It = DirtyObjs.count(It->first) ? ElemNodes.erase(It) : std::next(It);
+  for (uint64_t Key : DeadFieldKeys)
+    FieldNodes.erase(Key);
+  for (unsigned Obj : DeadElemKeys)
+    ElemNodes.erase(Obj);
   for (const Instr *I : Req.DeadInstrs)
     ObjIndex.erase(I);
   for (const Method *M : Req.DirtyMethods)
     ParamCache.erase(M);
-  CG.removeEdgesAtSites(Req.DeadInstrs);
+  const std::vector<CallEdge> RemovedEdges = CG.removeEdgesAtSites(DeadCalls);
+  Work += RemovedEdges.size();
 
   // Reset survivors of R: facts cleared, structure (edges and
   // constraint attachments, all anchored at live instructions) kept.
@@ -1263,6 +1511,11 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
     Nodes[N].Pts.clear();
     Nodes[N].Delta.clear();
   }
+
+  // From here every set that grows, every node created and every call
+  // edge added is logged; the affected methods and the republished
+  // merged sets come from that log.
+  Logging = true;
 
   // Replay 1: the dirty bodies' constraints, under every context the
   // method already has a call-graph node for. Copy the node list —
@@ -1276,6 +1529,26 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
       processMethodCtx(MC);
   }
 
+  // The call edges into dirty methods, in edge order: replays 1b and 4
+  // start from them.
+  struct SelEdge {
+    uint32_t Rank;
+    unsigned CallerNode;
+    const CallInstr *Site;
+    unsigned CalleeNode;
+  };
+  auto ByRank = [](const SelEdge &A, const SelEdge &B) {
+    return A.Rank < B.Rank;
+  };
+  std::vector<SelEdge> IntoDirty;
+  for (Method *M : Req.DirtyMethods)
+    for (unsigned MC : CG.nodesOf(M))
+      for (const CallGraph::InEdge &E : CG.inEdgesOf(MC)) {
+        ++Work;
+        IntoDirty.push_back({E.Rank, E.CallerNode, E.Site, MC});
+      }
+  std::sort(IntoDirty.begin(), IntoDirty.end(), ByRank);
+
   // Replay 1b: argument re-binding for static calls from clean
   // callers into dirty methods. The caller is not reprocessed, and
   // its argument edges targeted the retired formals (zombies), so
@@ -1284,77 +1557,122 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   // into a dirty method is safe. (Instance calls are re-dispatched
   // by replay 4; dirty callers re-wire their own call sites in
   // replay 1.)
-  const std::unordered_set<const Method *> DirtySet(Req.DirtyMethods.begin(),
-                                                    Req.DirtyMethods.end());
-  {
-    const std::vector<CallEdge> EdgeSnapshot = CG.edges();
-    for (const CallEdge &E : EdgeSnapshot) {
-      if (!E.Site->target()->isStatic())
-        continue;
-      const MethodCtx Callee = CG.node(E.CalleeNode);
-      if (!DirtySet.count(Callee.M))
-        continue;
-      wireCall(E.CallerNode, E.Site, CG.node(E.CallerNode).Ctx, Callee.M,
-               Callee.Ctx, /*BindObj=*/~0u, /*BindReceiverObject=*/false);
-    }
+  for (const SelEdge &E : IntoDirty) {
+    if (!E.Site->target()->isStatic())
+      continue;
+    const MethodCtx Callee = CG.node(E.CalleeNode);
+    wireCall(E.CallerNode, E.Site, CG.node(E.CallerNode).Ctx, Callee.M,
+             Callee.Ctx, /*BindObj=*/~0u, /*BindReceiverObject=*/false);
   }
 
   // Replay 2: allocation seeding for unchanged sites whose
   // destination node landed in R (its seeded objects were cleared and
-  // nothing else re-creates them). Sorted for deterministic worklist
-  // seeding.
+  // nothing else re-creates them). A local's only definition is its
+  // allocation site, so the candidates are R's own nodes. Sorted for
+  // deterministic worklist seeding.
   if (!RSet.empty()) {
     std::vector<std::pair<unsigned, unsigned>> Reseeds; // (obj, node)
-    for (const auto &[Site, ByCtx] : ObjIndex) {
-      const Local *Dest = Site->dest();
-      if (!Dest)
+    for (const auto &[N, R0] : ROrigin) {
+      (void)R0;
+      ++Work;
+      const NodeOrigin &O = Origin[N];
+      if (!O.L || !O.L->def())
         continue;
-      auto LIt = LocalNodes.find(Dest);
-      if (LIt == LocalNodes.end())
+      auto SIt = ObjIndex.find(O.L->def());
+      if (SIt == ObjIndex.end())
         continue;
-      for (const auto &[Ctx, Obj] : ByCtx) {
-        auto NIt = LIt->second.find(Ctx);
-        if (NIt == LIt->second.end())
-          continue;
-        if (RSet.count(find(NIt->second)))
-          Reseeds.emplace_back(Obj, NIt->second);
-      }
+      if (auto OIt = SIt->second.find(O.Ctx); OIt != SIt->second.end())
+        Reseeds.emplace_back(OIt->second, N);
     }
     std::sort(Reseeds.begin(), Reseeds.end());
+#ifndef NDEBUG
+    std::vector<std::pair<unsigned, unsigned>> RefReseeds;
+    for (const auto &[Site, ByCtx] : ObjIndex) {
+      const Local *Dest = Site->dest();
+      auto LIt = Dest ? LocalNodes.find(Dest) : LocalNodes.end();
+      if (LIt == LocalNodes.end())
+        continue;
+      for (const auto &[Ctx, Obj] : ByCtx)
+        if (auto NIt = LIt->second.find(Ctx);
+            NIt != LIt->second.end() && RSet.count(find(NIt->second)))
+          RefReseeds.emplace_back(Obj, NIt->second);
+    }
+    std::sort(RefReseeds.begin(), RefReseeds.end());
+    assert(RefReseeds == Reseeds && "allocation reseeds differ from a scan");
+#endif
     for (const auto &[Obj, Node] : Reseeds)
       addObject(Node, Obj);
   }
 
   // Replay 3: re-deliver the facts flowing from untouched nodes into
-  // the reset region across existing edges.
-  if (!RSet.empty())
-    for (unsigned N = 0, E = static_cast<unsigned>(Nodes.size()); N != E;
-         ++N) {
-      if (find(N) != N || RSet.count(N))
-        continue;
+  // the reset region across existing edges. The sources are R's
+  // predecessors outside R, visited in node order.
+  if (!RSet.empty()) {
+    std::vector<unsigned> Sources;
+    for (unsigned N : RSet)
+      for (unsigned S : Preds[N]) {
+        ++Work;
+        const unsigned SR = find(S);
+        if (!RSet.count(SR) && !Z.count(SR))
+          Sources.push_back(SR);
+      }
+    std::sort(Sources.begin(), Sources.end());
+    Sources.erase(std::unique(Sources.begin(), Sources.end()), Sources.end());
+    for (unsigned N : Sources)
       for (const auto &[DstRaw, Filter] : Nodes[N].Succs) {
+        ++Work;
         unsigned Dst = find(DstRaw);
         if (RSet.count(Dst))
           flowInto(Dst, Nodes[N].Pts, Filter);
       }
-    }
+  }
 
-  // Replay 4: receiver re-dispatch for retained instance-call edges.
-  // Receiver-object injection has no copy edge, so formals that
-  // landed in R would otherwise never get their objects back (the
-  // caller-side Call constraint only re-fires on a receiver delta).
-  // applyCall is idempotent, so replaying every retained edge is
-  // safe. When nothing was reset, only edges into dirty methods can
-  // have empty formals (fresh nodes from the relower); every other
-  // callee's bindings are monotone facts that were never cleared.
+  // Replay 4: receiver re-dispatch. Receiver-object injection has no
+  // copy edge, so a receiver formal that was reset — a relowered
+  // dirty callee's, or one in R — would otherwise never get its
+  // objects back (the caller-side Call constraint only re-fires on a
+  // receiver delta). Every other callee's bindings are monotone facts
+  // that were never cleared, and applyCall is idempotent, so the call
+  // sites of edges into those two kinds of callee are all that needs
+  // replaying. A site is replayed once per caller node, at its first
+  // edge in edge order.
   {
+    std::vector<SelEdge> Sel;
+    for (const SelEdge &E : IntoDirty)
+      if (!E.Site->target()->isStatic())
+        Sel.push_back(E);
+    for (const auto &[N, R0] : ROrigin) {
+      (void)R0;
+      ++Work;
+      const NodeOrigin &O = Origin[N];
+      const auto *PI =
+          O.L ? dyn_cast_or_null<ParamInstr>(O.L->def()) : nullptr;
+      if (!PI || PI->index() != 0)
+        continue;
+      Method *M = PI->parent()->parent();
+      const int MC = M->isStatic() ? -1 : CG.findNode(M, O.Ctx);
+      if (MC < 0)
+        continue;
+      for (const CallGraph::InEdge &E : CG.inEdgesOf(MC)) {
+        ++Work;
+        if (!E.Site->target()->isStatic())
+          Sel.push_back({E.Rank, E.CallerNode, E.Site,
+                         static_cast<unsigned>(MC)});
+      }
+    }
+    // With R non-empty the replay covers every instance edge of a
+    // selected (site, caller) pair, so the pair ranks at its first
+    // edge overall.
+    if (!RSet.empty())
+      for (SelEdge &E : Sel)
+        for (const CallGraph::SiteEdge &SE : CG.edgesAt(E.Site)) {
+          ++Work;
+          if (SE.CallerNode == E.CallerNode)
+            E.Rank = std::min(E.Rank, SE.Rank);
+        }
+    std::sort(Sel.begin(), Sel.end(), ByRank);
     std::set<std::pair<const CallInstr *, unsigned>> Done;
-    const std::vector<CallEdge> EdgeSnapshot = CG.edges();
-    for (const CallEdge &E : EdgeSnapshot) {
-      if (E.Site->target()->isStatic())
-        continue;
-      if (RSet.empty() && !DirtySet.count(CG.node(E.CalleeNode).M))
-        continue;
+    for (const SelEdge &E : Sel) {
       if (!Done.insert({E.Site, E.CallerNode}).second)
         continue;
       unsigned CallerCtx = CG.node(E.CallerNode).Ctx;
@@ -1381,6 +1699,7 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   BudgetGate Gate(nullptr, "pta.update", 0);
   solveLoop(Gate);
   auto SolveEnd = std::chrono::steady_clock::now();
+  Logging = false;
   if (Gate.exhausted())
     return Fallback("fault injected during incremental solve");
 
@@ -1402,100 +1721,177 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
 
   // Post-solve check 2: a method whose last call edge was retracted
   // keeps its node and its constraints; a cold solve would never have
-  // analyzed it. Identity requires every node stay reachable.
+  // analyzed it. Identity requires every node stay reachable. Only a
+  // callee of a removed edge can have lost its paths from the entry:
+  // any other node's old path either survives or runs through such a
+  // callee after its last removed edge.
   int Entry = CG.findNode(P.mainMethod(), 0);
-  if (Entry < 0 ||
-      !CG.allReachableFrom(static_cast<unsigned>(Entry)))
+  std::vector<unsigned> LostCallers;
+  for (const CallEdge &E : RemovedEdges)
+    LostCallers.push_back(E.CalleeNode);
+  std::sort(LostCallers.begin(), LostCallers.end());
+  LostCallers.erase(std::unique(LostCallers.begin(), LostCallers.end()),
+                    LostCallers.end());
+  const bool Reachable =
+      Entry >= 0 &&
+      CG.reachableFrom(static_cast<unsigned>(Entry), LostCallers);
+  assert(Reachable == (Entry >= 0 && CG.allReachableFrom(
+                                         static_cast<unsigned>(Entry))) &&
+         "reachability check differs from a full traversal");
+  if (!Reachable)
     return Fallback("edit left stale unreachable call-graph nodes");
 
-  // Finalize exactly as run() does.
+  // Finalize: republish the merged entry of every local with a logged
+  // or reset context. A context-merged union is patched rather than
+  // rebuilt from all of a local's contexts (a container method's local
+  // has one per receiver): the contexts outside the log hold the same
+  // set as before and no dirty object (a holder would have been
+  // reset), so the new union is the old one minus the dirty objects
+  // plus the logged contexts' sets — unless a reset context lost a
+  // live object, which only a rebuild can take out.
   auto FinalizeStart = std::chrono::steady_clock::now();
-  finalizeMerged();
+  std::unordered_map<const Local *, std::vector<unsigned>> ChangedCtx;
+  auto Touch = [&](unsigned N) {
+    ++Work;
+    Rep[N] = find(N);
+    if (Origin[N].L)
+      ChangedCtx[Origin[N].L].push_back(N);
+  };
+  for (unsigned N : Log)
+    Touch(N);
+  std::unordered_set<const Local *> Rebuild;
+  for (const auto &[N, R0] : ROrigin) {
+    Touch(N);
+    if (!Origin[N].L)
+      continue;
+    const SparseBitSet &New = Nodes[Rep[N]].Pts;
+    OldRPts.at(R0).forEach([&](unsigned Obj) {
+      ++Work;
+      if (!New.test(Obj) && !DirtyObjs.count(Obj))
+        Rebuild.insert(Origin[N].L);
+    });
+  }
+  {
+    std::vector<unsigned> Ids;
+    for (const auto &[L, Ctxs] : ChangedCtx) {
+      auto It = LocalNodes.find(L);
+      if (It == LocalNodes.end())
+        continue; // Retired.
+      auto MIt = Merged.find(L);
+      if (It->second.size() == 1 || Rebuild.count(L) || MIt == Merged.end() ||
+          MIt->second != ~0u) {
+        Work += It->second.size();
+        publishMerged(L, It->second, Ids);
+        continue;
+      }
+      SparseBitSet &Union = MergedOwned[L];
+      for (unsigned Obj : DirtyObjs)
+        Union.erase(Obj);
+      for (unsigned N : Ctxs) {
+        ++Work;
+        Union.unionWith(Nodes[Rep[N]].Pts);
+      }
+    }
+  }
   auto FinalizeEnd = std::chrono::steady_clock::now();
+#ifndef NDEBUG
+  for (unsigned N = 0, E = static_cast<unsigned>(Rep.size()); N != E; ++N)
+    assert(Rep[N] == findConst(N) && "union-find left uncompressed");
+  for (const auto &[L, ByCtx] : LocalNodes) {
+    SparseBitSet Ref;
+    for (const auto &KV : ByCtx)
+      Ref.unionWith(Nodes[find(KV.second)].Pts);
+    assert(Ref == pointsTo(L) && "merged set differs from a full finalize");
+  }
+#endif
 
   // Affected methods: the dirty ones, the owner of every local whose
   // points-to set changed in ANY context, and both endpoints of every
   // added or removed call edge. Downstream stages (mod-ref, SDG)
   // consume per-context local sets and call-graph structure, so this
-  // set bounds what they must recompute. Reset nodes compare against
-  // their snapshot; everything else is monotone, so cardinality
-  // detects growth exactly (the final set is a superset of the old).
-  std::set<Method *, bool (*)(Method *, Method *)> Affected(
-      +[](Method *A, Method *B) { return A->id() < B->id(); });
+  // set bounds what they must recompute. A reset node compares against
+  // its snapshot; any other node changed exactly when it grew.
+  std::vector<unsigned> AffectedIds;
   for (Method *M : Req.DirtyMethods)
-    Affected.insert(M);
-  std::unordered_set<const Local *> ChangedLocals;
-  for (const auto &[L, ByCtx] : LocalNodes) {
-    for (const auto &[Ctx, Node] : ByCtx) {
-      const SparseBitSet &Final = Nodes[find(Node)].Pts;
-      LocalSnap Probe{L, Ctx, 0, 0, false};
-      auto SIt =
-          std::lower_bound(OldLocal.begin(), OldLocal.end(), Probe, SnapLess);
-      const LocalSnap *Snap =
-          SIt != OldLocal.end() && SIt->L == L && SIt->Ctx == Ctx ? &*SIt
-                                                                  : nullptr;
-      bool Changed;
-      if (!Snap)
-        Changed = !Final.empty(); // New local or new context.
-      else if (Snap->WasReset)
-        Changed = Final != OldRPts.at(Snap->OldRep);
-      else
-        Changed = Final.count() != Snap->Count;
-      if (Changed) {
-        ChangedLocals.insert(L);
-        break;
-      }
-    }
-  }
-  // One sweep resolves changed locals to their owning methods; the
-  // per-update Local→Method map this replaces cost more to build than
-  // everything else in this pass combined.
-  if (!ChangedLocals.empty())
-    for (const auto &MP : P.methods()) {
-      if (Affected.count(MP.get()))
-        continue;
-      for (const auto &L : MP->locals())
-        if (ChangedLocals.count(L.get())) {
-          Affected.insert(MP.get());
-          break;
-        }
-    }
-  std::vector<CGEdgeKey> NewCGEdges;
-  NewCGEdges.reserve(CG.edges().size());
-  for (const CallEdge &E : CG.edges())
-    NewCGEdges.emplace_back(E.CallerNode, E.Site, E.CalleeNode);
-  std::sort(NewCGEdges.begin(), NewCGEdges.end());
-  auto MarkEdge = [&](const CGEdgeKey &Key) {
-    Affected.insert(CG.node(std::get<0>(Key)).M);
-    Affected.insert(CG.node(std::get<2>(Key)).M);
+    AffectedIds.push_back(M->id());
+  auto NoteLocal = [&](unsigned N, bool Changed) {
+    const Local *L = Origin[N].L;
+    if (Changed && L && LocalNodes.count(L))
+      AffectedIds.push_back(L->ownerMethodId());
   };
-  // Symmetric difference of the two sorted edge lists.
-  {
-    auto OI = OldCGEdges.begin(), NI = NewCGEdges.begin();
-    while (OI != OldCGEdges.end() || NI != NewCGEdges.end()) {
-      if (OI == OldCGEdges.end())
-        MarkEdge(*NI++);
-      else if (NI == NewCGEdges.end())
-        MarkEdge(*OI++);
-      else if (*OI < *NI)
-        MarkEdge(*OI++);
-      else if (*NI < *OI)
-        MarkEdge(*NI++);
-      else {
-        ++OI;
-        ++NI;
-      }
-    }
+  for (unsigned N : Log) {
+    ++Work;
+    if (!ROrigin.count(N))
+      NoteLocal(N, LogFlags[N] & 2);
+    LogFlags[N] = 0;
   }
-  Out.AffectedMethods.assign(Affected.begin(), Affected.end());
+  Log.clear();
+  for (const auto &[N, R0] : ROrigin) {
+    ++Work;
+    NoteLocal(N, Nodes[find(N)].Pts != OldRPts.at(R0));
+  }
+  const std::vector<CallEdge> &Added = AddedEdges;
+  for (const std::vector<CallEdge> *Edges : {&RemovedEdges, &Added})
+    for (const CallEdge &E : *Edges) {
+      ++Work;
+      AffectedIds.push_back(CG.node(E.CallerNode).M->id());
+      AffectedIds.push_back(CG.node(E.CalleeNode).M->id());
+    }
+  std::sort(AffectedIds.begin(), AffectedIds.end());
+  AffectedIds.erase(std::unique(AffectedIds.begin(), AffectedIds.end()),
+                    AffectedIds.end());
+  for (unsigned Id : AffectedIds)
+    Out.AffectedMethods.push_back(P.methods()[Id].get());
+
+#ifndef NDEBUG
+  {
+    // Reference: compare every (local, context) pair against the
+    // pre-update snapshot and diff the sorted call-edge lists.
+    std::set<unsigned> Ref;
+    for (Method *M : Req.DirtyMethods)
+      Ref.insert(M->id());
+    for (const auto &[L, ByCtx] : LocalNodes)
+      for (const auto &[Ctx, Node] : ByCtx) {
+        const SparseBitSet &Final = Nodes[find(Node)].Pts;
+        LocalSnap Probe{L, Ctx, 0, 0, false};
+        auto SIt = std::lower_bound(RefOldLocal.begin(), RefOldLocal.end(),
+                                    Probe, SnapLess);
+        const bool Found =
+            SIt != RefOldLocal.end() && SIt->L == L && SIt->Ctx == Ctx;
+        bool Changed;
+        if (!Found)
+          Changed = !Final.empty();
+        else if (SIt->WasReset)
+          Changed = Final != OldRPts.at(SIt->OldRep);
+        else
+          Changed = Final.count() != SIt->Count;
+        if (Changed)
+          Ref.insert(L->ownerMethodId());
+      }
+    std::vector<CGEdgeKey> NewCGEdges;
+    for (const CallEdge &E : CG.edges())
+      NewCGEdges.emplace_back(E.CallerNode, E.Site, E.CalleeNode);
+    std::sort(NewCGEdges.begin(), NewCGEdges.end());
+    std::vector<CGEdgeKey> Diff;
+    std::set_symmetric_difference(RefOldCGEdges.begin(), RefOldCGEdges.end(),
+                                  NewCGEdges.begin(), NewCGEdges.end(),
+                                  std::back_inserter(Diff));
+    for (const CGEdgeKey &K : Diff) {
+      Ref.insert(CG.node(std::get<0>(K)).M->id());
+      Ref.insert(CG.node(std::get<2>(K)).M->id());
+    }
+    assert(std::equal(Ref.begin(), Ref.end(), AffectedIds.begin(),
+                      AffectedIds.end()) &&
+           "affected methods differ from the whole-program diff");
+  }
+#endif
+  AddedEdges.clear();
 
   // Refresh the public counters; time and work totals accumulate.
   // Report.Seconds covers the whole update, retraction and replays
   // included, not only the fixed-point loop and finalize.
   Stats.NumNodes = static_cast<unsigned>(Nodes.size());
-  Stats.NumRepNodes = 0;
-  for (unsigned I = 0, E = static_cast<unsigned>(Rep.size()); I != E; ++I)
-    Stats.NumRepNodes += Rep[I] == I;
+  Stats.NumRepNodes = Stats.NumNodes - Stats.NodesMerged;
   Stats.NumCopyEdges = NumCopyEdges;
   Stats.NumConstraints = static_cast<unsigned>(Constraints.size());
   Stats.NumObjects = static_cast<unsigned>(Objects.size());
@@ -1504,6 +1900,7 @@ PTAUpdateResult Solver::applyIncrementalUpdate(const PTAUpdateRequest &Req) {
   Stats.FinalizeSeconds +=
       std::chrono::duration<double>(FinalizeEnd - FinalizeStart).count();
   Stats.SetWordsTouched += SparseBitSet::wordsTouched() - WordsAtStart;
+  Stats.UpdateWork = Work + (Stats.WorklistPops - PopsAtStart);
   Report.StepsUsed = Stats.Propagations;
   Report.Seconds += std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - UpdateStart)

@@ -88,6 +88,12 @@ struct SolverStats {
   /// and finalize (an incremental update adds all of its set work).
   /// Deterministic; not serialized.
   uint64_t SetWordsTouched = 0;
+  /// Work of the last incremental update: nodes, copy edges, locals
+  /// and call edges its passes visited, plus its fixed-point loop's
+  /// pops. Deterministic, and edit-sized rather than program-sized
+  /// (the first update also builds an index, which is not counted).
+  /// Zero after a cold solve; neither printed nor serialized.
+  uint64_t UpdateWork = 0;
   double SolveSeconds = 0;    ///< Wall time of the fixed-point loop.
   double FinalizeSeconds = 0; ///< Wall time of result finalization.
 

@@ -7,6 +7,7 @@
 #include "support/Budget.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <chrono>
 #include <cstring>
 
@@ -397,7 +398,18 @@ ServiceResponse SliceServer::handleEdit(const ServiceRequest &Req) {
 
   // Writers are exclusive: every in-flight slice finishes before the
   // artifacts move, and no slice starts until the edit re-warmed them.
+  const auto WaitStart = std::chrono::steady_clock::now();
   std::unique_lock<std::shared_mutex> L(E->Mu);
+  const uint64_t WaitUs = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - WaitStart)
+          .count());
+  Stats.Edits.fetch_add(1, std::memory_order_relaxed);
+  Stats.EditWaitUs.fetch_add(WaitUs, std::memory_order_relaxed);
+  uint64_t MaxUs = Stats.EditWaitMaxUs.load(std::memory_order_relaxed);
+  while (WaitUs > MaxUs && !Stats.EditWaitMaxUs.compare_exchange_weak(
+                              MaxUs, WaitUs, std::memory_order_relaxed)) {
+  }
   uint64_t AppliedBefore = E->S->incrementalStats().Applied;
   E->S->setSource(Req.Source);
   SessionRegistry::refreshWarmPointers(*E);
@@ -435,5 +447,13 @@ ServiceResponse SliceServer::handleStats(const ServiceRequest &Req) {
           std::to_string(Stats.BadFrames.load(std::memory_order_relaxed)) +
           " bad frames, " + std::to_string(WarmSessions) +
           " warm sessions\n";
+  char Wait[128];
+  snprintf(Wait, sizeof(Wait),
+           "server: %llu edits, edit lock wait %.3f ms total, %.3f ms max\n",
+           static_cast<unsigned long long>(
+               Stats.Edits.load(std::memory_order_relaxed)),
+           Stats.EditWaitUs.load(std::memory_order_relaxed) / 1000.0,
+           Stats.EditWaitMaxUs.load(std::memory_order_relaxed) / 1000.0);
+  Body += Wait;
   return {ServiceStatus::Ok, Body, ""};
 }

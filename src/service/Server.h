@@ -90,6 +90,11 @@ struct ServerStats {
   std::atomic<uint64_t> Requests{0};  ///< Frames decoded and served.
   std::atomic<uint64_t> Retries{0};   ///< RETRY responses (overload).
   std::atomic<uint64_t> BadFrames{0}; ///< Malformed/oversized frames.
+  std::atomic<uint64_t> Edits{0};     ///< Edits that took a session lock.
+  /// Time edits waited for their session's exclusive lock (readers in
+  /// flight drain first): the total and the longest wait.
+  std::atomic<uint64_t> EditWaitUs{0};
+  std::atomic<uint64_t> EditWaitMaxUs{0};
 };
 
 /// The daemon. Construct, then run() until a shutdown request or

@@ -712,13 +712,25 @@ TEST_F(ServiceTest, StatsReportSessionAndServerTelemetry) {
   startServer();
   ServiceClient C;
   connect(C);
-  std::string Id = loadDefault(C);
+  std::string Id = loadDefault(C, /*CS=*/false, /*Incremental=*/true);
   ServiceResponse Resp;
   ASSERT_TRUE(C.slice(Id, 6, SliceMode::Thin, Resp).isOk());
   ASSERT_TRUE(C.stats(Id, Resp).isOk());
   ASSERT_EQ(Resp.Code, ServiceStatus::Ok);
   EXPECT_NE(Resp.Body.find("server: "), std::string::npos);
   EXPECT_NE(Resp.Body.find("warm sessions"), std::string::npos);
+  EXPECT_NE(Resp.Body.find("server: 0 edits, edit lock wait "),
+            std::string::npos)
+      << Resp.Body;
+
+  // An edit counts, with its wait for the session lock.
+  ASSERT_TRUE(C.edit(Id, fullSource(kProgramEdited), Resp).isOk());
+  ASSERT_EQ(Resp.Code, ServiceStatus::Ok) << Resp.Detail;
+  ASSERT_TRUE(C.stats(Id, Resp).isOk());
+  EXPECT_NE(Resp.Body.find("server: 1 edits, edit lock wait "),
+            std::string::npos)
+      << Resp.Body;
+  EXPECT_NE(Resp.Body.find(" ms total, "), std::string::npos) << Resp.Body;
 }
 
 TEST_F(ServiceTest, ShutdownRequestDrainsTheServer) {
