@@ -1,5 +1,6 @@
 //===-- pta_test.cpp - Points-to analysis unit tests ----------------------------==//
 
+#include "cg/CallGraph.h"
 #include "eval/Generator.h"
 #include "eval/Workload.h"
 #include "lang/Lower.h"
@@ -7,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 
 using namespace tsl;
@@ -481,4 +484,64 @@ def main() {
   const Local *Z = F.local("main", "z");
   EXPECT_EQ(F.PTA->commonObjects(X, Y).count(), 1u);
   EXPECT_EQ(F.PTA->commonObjects(X, Z).count(), 0u);
+}
+
+// CallGraph::reachableFrom answers from backward searches that share
+// the paths they find and give way to one forward traversal once they
+// have visited as many nodes as the graph holds. Either way it must
+// agree with a plain forward traversal, on graphs with unreachable
+// nodes and cycles and for target sets of every size.
+TEST(CallGraphReachability, BackwardSearchesAgreeWithForwardTraversal) {
+  DiagnosticEngine Diag;
+  std::unique_ptr<Program> P =
+      compileThinJ("def f() {\n}\ndef main() {\n  f();\n}\n", Diag);
+  ASSERT_NE(P, nullptr) << Diag.str();
+  Method *M = nullptr;
+  const CallInstr *Site = nullptr;
+  for (const auto &Meth : P->methods())
+    for (const auto &BB : Meth->blocks())
+      for (const auto &I : BB->instrs())
+        if (const auto *C = dyn_cast<CallInstr>(I.get())) {
+          M = Meth.get();
+          Site = C;
+        }
+  ASSERT_NE(Site, nullptr);
+
+  std::mt19937 R(3);
+  unsigned Reachable = 0, Unreachable = 0;
+  for (unsigned Round = 0; Round != 300; ++Round) {
+    const unsigned N = 2 + R() % 40;
+    CallGraph CG;
+    for (unsigned I = 0; I != N; ++I)
+      CG.getOrCreateNode(M, I);
+    const unsigned NumEdges = R() % (3 * N);
+    for (unsigned E = 0; E != NumEdges; ++E)
+      CG.addEdge(R() % N, Site, R() % N);
+    CG.indexInEdges();
+
+    std::vector<bool> Seen(N, false);
+    std::vector<unsigned> Stack = {0};
+    Seen[0] = true;
+    while (!Stack.empty()) {
+      const unsigned X = Stack.back();
+      Stack.pop_back();
+      for (const CallEdge &E : CG.edges())
+        if (E.CallerNode == X && !Seen[E.CalleeNode]) {
+          Seen[E.CalleeNode] = true;
+          Stack.push_back(E.CalleeNode);
+        }
+    }
+    std::vector<unsigned> Targets;
+    const unsigned Keep = 1 + R() % 3; // 1 in Keep nodes is a target.
+    for (unsigned I = 0; I != N; ++I)
+      if (R() % Keep == 0)
+        Targets.push_back(I);
+    const bool Want = std::all_of(Targets.begin(), Targets.end(),
+                                  [&](unsigned T) { return Seen[T]; });
+    (Want ? Reachable : Unreachable) += 1;
+    EXPECT_EQ(CG.reachableFrom(0, Targets), Want)
+        << "round " << Round << ", " << N << " nodes";
+  }
+  EXPECT_GT(Reachable, 10u);
+  EXPECT_GT(Unreachable, 10u);
 }
