@@ -414,6 +414,7 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
     SDG *CS = S.sdg();
     Row.CSBuildMs = msSince(T4);
     Row.CSHeapParamNodes = CS->numHeapParamNodes();
+    Row.CSEdges = CS->numEdges();
 
     auto T5 = std::chrono::steady_clock::now();
     TabulationSlicer Tab(*CS, SliceMode::Traditional);
@@ -616,15 +617,16 @@ std::string tsl::formatScalability(const std::vector<ScalabilityRow> &Rows) {
   std::string Out =
       "Scalability sweep (nanoxml + padding)\n"
       "pad  sdg-stmts  pta-ms  ci-build-ms  thin-slice-ms  trad-slice-ms  "
-      "cs-build-ms  cs-heap-nodes  summary-ms  summary-edges  "
+      "cs-build-ms  cs-heap-nodes  cs-edges  summary-ms  summary-edges  "
       "seeds  seq-legacy-ms  batch-ms\n";
   for (const ScalabilityRow &R : Rows) {
     snprintf(Buf, sizeof(Buf),
-             "%3u %10u %7.1f %12.1f %14.3f %14.3f %12.1f %14u %11.1f %14u "
-             "%6u %14.3f %9.3f\n",
+             "%3u %10u %7.1f %12.1f %14.3f %14.3f %12.1f %14u %9u %11.1f "
+             "%14u %6u %14.3f %9.3f\n",
              R.PadClasses, R.SDGStmts, R.PTAMs, R.CIBuildMs, R.ThinSliceMs,
-             R.TradSliceMs, R.CSBuildMs, R.CSHeapParamNodes, R.SummaryMs,
-             R.SummaryEdges, R.BatchSeeds, R.SeqLegacyMs, R.BatchMs);
+             R.TradSliceMs, R.CSBuildMs, R.CSHeapParamNodes, R.CSEdges,
+             R.SummaryMs, R.SummaryEdges, R.BatchSeeds, R.SeqLegacyMs,
+             R.BatchMs);
     Out += Buf;
   }
   return Out;

@@ -77,6 +77,7 @@ struct ScalabilityRow {
   double CSBuildMs = 0;
   double SummaryMs = 0;
   unsigned CSHeapParamNodes = 0;
+  unsigned CSEdges = 0;
   unsigned SummaryEdges = 0;
   /// Multi-seed columns: the same seed set sliced sequentially with
   /// the legacy edge-record slicer vs. one SliceEngine batch.

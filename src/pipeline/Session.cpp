@@ -118,8 +118,6 @@ std::string digest(const PTAOptions &O) {
 std::string digest(const SDGOptions &O) {
   std::string D = "cs=";
   D += O.ContextSensitive ? '1' : '0';
-  D += ";unreach=";
-  D += O.IncludeUnreachable ? '1' : '0';
   return D;
 }
 

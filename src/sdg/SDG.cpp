@@ -15,11 +15,10 @@ using namespace tsl;
 namespace {
 
 /// Dense anchor of one heap node identity: the call site's
-/// denseInstrKey, or a method sentinel key for formal nodes (the low
-/// word 0xFFFFFFFF is never a renumbered instruction id), or 0 for
-/// the anchorless global HeapHub. Per node kind exactly one of the
-/// three shapes occurs, so the encodings cannot collide within one
-/// identity tuple.
+/// denseInstrKey, or a method sentinel key for formal nodes and
+/// per-method hubs (the low word 0xFFFFFFFF is never a renumbered
+/// instruction id), or 0 for an anchorless global hub. The three
+/// shapes never share a key, so identities of one kind cannot collide.
 uint64_t heapAnchorKey(const Instr *I, const Method *M) {
   if (I)
     return denseInstrKey(I);
@@ -114,10 +113,8 @@ std::size_t SDG::seal() {
   // one sweep finds every repeat: LastPos[t] is one past the CSR
   // position of the last edge seen into t, and a position inside the
   // current segment means an earlier edge shares From, To and kind.
-  // Only then are sites compared, walking back through the segment;
-  // the earliest copy is met first and survives.
+  // Only then are sites compared, walking back through the segment.
   std::vector<unsigned> LastPos(Nodes.size(), 0);
-  std::vector<bool> Repeat;
   std::size_t Repeats = 0;
   for (std::size_t Seg = 0; Seg != Nodes.size() * NK; ++Seg) {
     const unsigned Begin = OutOff[Seg];
@@ -129,23 +126,12 @@ std::size_t SDG::seal() {
         continue;
       const CallInstr *Site = Edges[OutEdgeId[Pos]].Site;
       for (unsigned Q = Prev; Q-- != Begin;) {
-        if (OutNbr[Q] != To || Edges[OutEdgeId[Q]].Site != Site)
-          continue;
-        if (Repeat.empty())
-          Repeat.resize(Edges.size());
-        Repeat[OutEdgeId[Pos]] = true;
-        ++Repeats;
-        break;
+        if (OutNbr[Q] == To && Edges[OutEdgeId[Q]].Site == Site) {
+          ++Repeats;
+          break;
+        }
       }
     }
-  }
-  if (Repeats) {
-    std::size_t Kept = 0;
-    for (std::size_t Id = 0; Id != Edges.size(); ++Id)
-      if (!Repeat[Id])
-        Edges[Kept++] = Edges[Id];
-    Edges.resize(Kept);
-    buildCSR();
   }
 
   // Statement index: a counting sort of the statement nodes by dense
@@ -160,9 +146,11 @@ std::size_t SDG::seal() {
   StmtCloneOff.assign(Ranks + 1, 0);
   std::vector<unsigned> RankOf(Nodes.size());
   NumStmts = 0;
+  NumHeapParams = 0;
   std::size_t StmtNodes = 0;
   for (const SDGNode &N : Nodes) {
     NumStmts += N.isSourceStmt();
+    NumHeapParams += !N.isSourceStmt() && N.K != SDGNodeKind::HeapHub;
     if (N.isStmt()) {
       RankOf[N.Id] = MethodRank[N.M->id()] + N.I->id();
       ++StmtCloneOff[RankOf[N.Id] + 1];
@@ -267,8 +255,8 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
     G->Edges.push_back({From, To, static_cast<SDGEdgeKind>(K), Site});
   }
 
-  // A built graph has no repeated edge (seal() dropped any), so a
-  // payload that repeats one was not written by encode().
+  // A built graph has no repeated edge, so a payload that repeats one
+  // was not written by encode().
   if (G->seal() != 0)
     throw SerializeError("duplicate SDG edge");
   // Statement identity is (instruction, context): the clones of one

@@ -8,8 +8,8 @@
 /// The system dependence graph (Horwitz-Reps-Binkley [11]) variant used
 /// by both slicers (paper Section 5). Nodes are statements plus — in
 /// the context-sensitive variant only — heap formal/actual parameter
-/// nodes derived from mod-ref (Section 5.3). Edges carry the kind
-/// distinctions thin slicing is built on:
+/// nodes derived from mod-ref (Section 5.3) and the heap hubs that join
+/// them. Edges carry the kind distinctions thin slicing is built on:
 ///
 ///  - Flow:     producer flow dependence (value use) — the only
 ///              intraprocedural kind thin slices follow;
@@ -63,10 +63,11 @@ enum class SDGNodeKind {
   HeapFormalOut,
   HeapActualIn,
   HeapActualOut,
-  /// Coarse heap fallback node (budget degradation): one hub per
-  /// field / static field / array-element class, with Flow edges
-  /// store -> hub -> load. The hub path over-approximates every
-  /// precise pairwise write-read edge in O(stores + loads) edges.
+  /// Heap junction, Flow-wired writer -> hub -> reader: every writer x
+  /// reader edge in O(writers + readers) edges. The CS graph has one
+  /// per (method, partition), anchored at the method; the coarse
+  /// budget fallback one global hub per field / static field /
+  /// array-element class. Not a heap parameter.
   HeapHub,
 };
 
@@ -145,8 +146,8 @@ struct SDGNode {
   const Instr *I;
   /// The owning method (for formal nodes and statements alike).
   const Method *M;
-  /// Heap partition id (heap parameter nodes), or operand index
-  /// (scalar actual-in nodes).
+  /// Heap partition id (heap parameter nodes, CS hubs), field id
+  /// (coarse hubs), or operand index (scalar actual-in nodes).
   unsigned Part;
   /// Analysis context of the owning method's clone.
   unsigned Ctx;
@@ -301,8 +302,9 @@ public:
   /// the paper's Table 1 "SDG Statements" metric.
   unsigned numStmtNodes() const { return NumStmts; }
 
-  /// Number of heap parameter nodes (the CS blowup statistic).
-  unsigned numHeapParamNodes() const { return numNodes() - NumStmts; }
+  /// Number of heap formal/actual parameter nodes (the CS blowup
+  /// statistic); hubs are not counted.
+  unsigned numHeapParamNodes() const { return NumHeapParams; }
 
   /// Budget status of construction: Complete, or Degraded with the
   /// merged-clone / coarse-heap fallback.
@@ -328,12 +330,11 @@ private:
   explicit SDG(const Program &P) : P(P) {}
 
   /// Turns the filled node and edge lists into the query form, in
-  /// time linear in the graph: builds the CSR adjacency, finds repeated
-  /// edges in one pass over the out-CSR and, only if there are any,
-  /// drops them (keeping each one's first occurrence, so edge ids are
-  /// the insertion ranks of the distinct edges) and rebuilds the CSR;
-  /// then counting-sorts the statement index. Runs exactly once per
-  /// graph. Returns the number of edges dropped.
+  /// time linear in the graph: builds the CSR adjacency (edge ids are
+  /// the insertion ranks), counts repeated edges in one pass over the
+  /// out-CSR, and counting-sorts the statement index. Runs exactly once
+  /// per graph. Returns the number of repeated edges, which the builder
+  /// never emits (buildSDG asserts zero) and decode() rejects.
   std::size_t seal();
 
   /// Counting sort of the edge list into the kind-partitioned CSR
@@ -380,6 +381,7 @@ private:
   std::vector<SDGNode> Nodes;
   std::vector<SDGEdge> Edges;
   unsigned NumStmts = 0;
+  unsigned NumHeapParams = 0;
   StageReport Report{"sdg", StageStatus::Complete, "", "", 0, 0};
 
   //===------------------------------------------------------------------===//
@@ -411,9 +413,6 @@ struct SDGOptions {
   /// parameter nodes from mod-ref (paper Section 5.3) instead of
   /// direct interprocedural heap edges (Section 5.2).
   bool ContextSensitive = false;
-  /// Include statements of methods the call graph never reaches
-  /// (their intraprocedural edges are still built).
-  bool IncludeUnreachable = true;
   /// Optional resource budget. Exhaustion degrades construction
   /// soundly: the node cap merges per-context clones into one clone
   /// per method (with context-merged aliasing, an over-approximation),

@@ -14,7 +14,10 @@
 //    formal-in/out nodes per (method, partition) from mod-ref,
 //    actual-in/out nodes per call site, with Flow kept intraprocedural
 //    and ParamIn/ParamOut edges crossing procedure boundaries for the
-//    tabulation slicer.
+//    tabulation slicer. Within a method, one hub node per partition
+//    joins the writers (stores, actual-outs) to the readers (loads,
+//    actual-ins, the formal-out), so the heap wiring is linear in the
+//    endpoints rather than their product.
 //
 //===----------------------------------------------------------------------===//
 
@@ -94,6 +97,16 @@ struct HeapBucket {
 /// allocator state, breaking the byte-identical-artifacts guarantee.
 using HeapBuckets = std::map<std::pair<unsigned, unsigned>, HeapBucket>;
 
+/// One heap endpoint of a context-sensitive method: a formal heap
+/// parameter, a writer (store, heap actual-out) or a reader (load,
+/// heap actual-in) of mod-ref partition Part.
+struct HeapEnd {
+  enum Role : uint8_t { FormalIn, FormalOut, Writer, Reader };
+  unsigned Part;
+  unsigned Node;
+  Role R;
+};
+
 } // namespace
 
 /// One SDG construction. Owns the graph until run() seals it, plus the
@@ -113,8 +126,8 @@ private:
   /// The parameter/hub node of one identity, added on first use.
   unsigned addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
                        const Method *M, unsigned Part, unsigned Ctx = 0);
-  /// Appends an edge. seal() drops repeats, which only the CS heap
-  /// wiring emits.
+  /// Appends an edge. Every wiring pass emits each edge once; seal()
+  /// counts repeats and run() asserts there are none.
   void addEdge(unsigned From, unsigned To, SDGEdgeKind K,
                const CallInstr *Site = nullptr) {
     G->Edges.push_back({From, To, K, Site});
@@ -143,6 +156,13 @@ private:
   /// Precise write -> read edges of one bucket; false once \p Gate
   /// trips.
   bool wireBucket(const HeapBucket &B, BudgetGate &Gate);
+  /// The one heap-hub wiring: \p From -> hub -> \p To through the
+  /// HeapHub of (\p M, \p Part), so each writer reaches each reader in
+  /// O(writers + readers) edges; nothing when either side is empty.
+  /// \p M is null for the coarse fallback's global per-field hubs.
+  void wireHub(const Method *M, unsigned Part,
+               const std::vector<unsigned> &From,
+               const std::vector<unsigned> &To);
   void buildHeapCoarse();
 
   /// Scalar parameter and return linkage of \p Call from clone
@@ -184,6 +204,10 @@ private:
   /// collected store S, and Candidates the current load's stores.
   std::vector<std::vector<unsigned>> StoresByObj;
   std::vector<unsigned> Touched, Stamp, Candidates;
+  /// Hub-wiring scratch: one CS method's heap endpoints, and the
+  /// writer and reader nodes of the hub being wired.
+  std::vector<HeapEnd> Ends;
+  std::vector<unsigned> Writers, Readers;
 };
 
 unsigned SDGBuilder::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
@@ -296,10 +320,9 @@ void SDGBuilder::collectClones(const Program &P, BudgetGate &Gate) {
       CloneOfCGNode[N] = static_cast<int>(Clones.size());
       Clones.push_back({CG.node(N).M, CG.node(N).Ctx});
     }
-  if (Opts.IncludeUnreachable)
-    for (const auto &M : P.methods())
-      if (M->entry() && !CG.isReachable(M.get()))
-        AddMethodClone(M.get());
+  for (const auto &M : P.methods())
+    if (M->entry() && !CG.isReachable(M.get()))
+      AddMethodClone(M.get());
 
   // Node cap: when the per-context clones would exceed the budget,
   // fall back to one context-0 clone per method. Scalar calls are
@@ -314,8 +337,7 @@ void SDGBuilder::collectClones(const Program &P, BudgetGate &Gate) {
     CloneOfCGNode.clear();
     CloneOfMethod.assign(P.methods().size(), -1);
     for (const auto &M : P.methods())
-      if (M->entry() &&
-          (Opts.IncludeUnreachable || CG.isReachable(M.get())))
+      if (M->entry())
         AddMethodClone(M.get());
   }
 }
@@ -489,18 +511,32 @@ void SDGBuilder::buildHeapCI(BudgetGate &Gate) {
   });
 }
 
-/// Coarse heap fallback for both variants: one HeapHub node per field
-/// / static field / array-element class, Flow-wired store -> hub ->
-/// load. Any precise write-read edge (same bucket) is subsumed by the
+void SDGBuilder::wireHub(const Method *M, unsigned Part,
+                         const std::vector<unsigned> &From,
+                         const std::vector<unsigned> &To) {
+  if (From.empty() || To.empty())
+    return;
+  const unsigned Hub = addHeapNode(SDGNodeKind::HeapHub, nullptr, M, Part);
+  for (unsigned W : From)
+    addEdge(W, Hub, SDGEdgeKind::Flow);
+  for (unsigned R : To)
+    addEdge(Hub, R, SDGEdgeKind::Flow);
+}
+
+/// Coarse heap fallback for both variants: one global hub per field /
+/// static field / array-element class, wired store -> hub -> load.
+/// Any precise write-read edge (same bucket) is subsumed by the
 /// two-hop hub path, so slices over the hub graph over-approximate
 /// slices over the precise graph. O(stores + loads) edges total.
 void SDGBuilder::buildHeapCoarse() {
   forEachHeapBucket([&](unsigned Part, const HeapBucket &B) {
-    unsigned Hub = addHeapNode(SDGNodeKind::HeapHub, nullptr, nullptr, Part);
+    Writers.clear();
+    Readers.clear();
     for (const Access &S : B.Stores)
-      addEdge(S.Node, Hub, SDGEdgeKind::Flow);
+      Writers.push_back(S.Node);
     for (const Access &L : B.Loads)
-      addEdge(Hub, L.Node, SDGEdgeKind::Flow);
+      Readers.push_back(L.Node);
+    wireHub(nullptr, Part, Writers, Readers);
     return true;
   });
 }
@@ -512,145 +548,108 @@ void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
   const Method *M = C.M;
   const CallGraph &CG = PTA.callGraph();
 
-  // Formal heap parameters for this method.
-  const SparseBitSet &Ref = MR->refOf(M);
-  const SparseBitSet &Mod = MR->modOf(M);
-  Ref.forEach([&](unsigned Part) {
-    addHeapNode(SDGNodeKind::HeapFormalIn, nullptr, M, Part);
-  });
-  Mod.forEach([&](unsigned Part) {
-    addHeapNode(SDGNodeKind::HeapFormalOut, nullptr, M, Part);
-  });
-
-  // Group this method's heap accesses and calls by partition.
-  // Ordered by partition id: iteration below inserts edges and can
-  // trip the gate mid-loop, so its order must be deterministic.
-  std::map<unsigned, std::vector<const Instr *>> LoadsByPart, StoresByPart;
-  std::vector<const CallInstr *> Calls;
+  // Every heap endpoint of this method, tagged with its partition:
+  // the formal heap parameters (added by run()) first, then the
+  // accesses and each call's actual heap parameters in block order.
+  Ends.clear();
+  auto AddFormals = [&](const SparseBitSet &Parts, SDGNodeKind K,
+                        HeapEnd::Role R) {
+    Parts.forEach([&](unsigned Part) {
+      Ends.push_back({Part, addHeapNode(K, nullptr, M, Part), R});
+    });
+  };
+  AddFormals(MR->refOf(M), SDGNodeKind::HeapFormalIn, HeapEnd::FormalIn);
+  AddFormals(MR->modOf(M), SDGNodeKind::HeapFormalOut, HeapEnd::FormalOut);
+  // A call's actual-in (a reader) or actual-out (a writer) of one
+  // partition is shared by its targets: added, and listed, on first use.
+  auto Actual = [&](SDGNodeKind K, const CallInstr *Call, unsigned Part) {
+    const auto NewId = static_cast<unsigned>(G->Nodes.size());
+    const unsigned N = addHeapNode(K, Call, M, Part);
+    if (N == NewId)
+      Ends.push_back({Part, N,
+                      K == SDGNodeKind::HeapActualIn ? HeapEnd::Reader
+                                                     : HeapEnd::Writer});
+    return N;
+  };
   for (const auto &BB : M->blocks()) {
     for (const auto &I : BB->instrs()) {
+      auto AddAccess = [&](HeapEnd::Role R) {
+        MR->partitionsOf(I.get()).forEach(
+            [&](unsigned Part) { Ends.push_back({Part, C.node(I.get()), R}); });
+      };
       switch (I->kind()) {
       case InstrKind::Load:
       case InstrKind::ArrayLoad:
-        MR->partitionsOf(I.get()).forEach(
-            [&](unsigned Part) { LoadsByPart[Part].push_back(I.get()); });
+        AddAccess(HeapEnd::Reader);
         break;
       case InstrKind::Store:
       case InstrKind::ArrayStore:
-        MR->partitionsOf(I.get()).forEach(
-            [&](unsigned Part) { StoresByPart[Part].push_back(I.get()); });
+        AddAccess(HeapEnd::Writer);
         break;
-      case InstrKind::Call:
-        Calls.push_back(cast<CallInstr>(I.get()));
+      case InstrKind::Call: {
+        if (Gate.spend())
+          return;
+        const auto *Call = cast<CallInstr>(I.get());
+        for (const Method *T : CG.calleesOf(Call)) {
+          MR->refOf(T).forEach([&](unsigned Part) {
+            unsigned AI = Actual(SDGNodeKind::HeapActualIn, Call, Part);
+            int FI = heapNodeFor(SDGNodeKind::HeapFormalIn, nullptr, T, Part);
+            if (FI >= 0)
+              addEdge(AI, static_cast<unsigned>(FI), SDGEdgeKind::ParamIn,
+                      Call);
+          });
+          MR->modOf(T).forEach([&](unsigned Part) {
+            unsigned AO = Actual(SDGNodeKind::HeapActualOut, Call, Part);
+            int FO = heapNodeFor(SDGNodeKind::HeapFormalOut, nullptr, T, Part);
+            if (FO >= 0)
+              addEdge(static_cast<unsigned>(FO), AO, SDGEdgeKind::ParamOut,
+                      Call);
+          });
+        }
         break;
+      }
       default:
         break;
       }
     }
   }
 
-  auto FormalIn = [&](unsigned Part) {
-    return heapNodeFor(SDGNodeKind::HeapFormalIn, nullptr, M, Part);
-  };
-  auto FormalOut = [&](unsigned Part) {
-    return heapNodeFor(SDGNodeKind::HeapFormalOut, nullptr, M, Part);
-  };
-
-  // Loads draw from the incoming heap state and intraprocedural
-  // stores; stores feed the outgoing heap state. Flow-insensitive, as
-  // in the paper's representation.
-  for (const auto &[Part, Loads] : LoadsByPart) {
-    int FI = FormalIn(Part);
-    for (const Instr *L : Loads) {
-      if (Gate.spend())
-        return;
-      unsigned LN = C.node(L);
-      if (FI >= 0)
-        addEdge(static_cast<unsigned>(FI), LN, SDGEdgeKind::Flow);
-      auto It = StoresByPart.find(Part);
-      if (It != StoresByPart.end())
-        for (const Instr *S : It->second)
-          addEdge(C.node(S), LN, SDGEdgeKind::Flow);
+  // Per partition, in ascending order (the gate can trip mid-loop, so
+  // the order must be deterministic), one hub joins every writer to
+  // every reader. Flow-insensitive, as in the paper's representation.
+  // The formal-in, first in its partition, feeds each load and
+  // actual-in directly: through the hub it would reach the formal-out,
+  // a same-level path the method's heap accesses do not make.
+  std::stable_sort(Ends.begin(), Ends.end(),
+                   [](const HeapEnd &A, const HeapEnd &B) {
+                     return A.Part < B.Part;
+                   });
+  for (std::size_t Begin = 0, End; Begin != Ends.size(); Begin = End) {
+    const unsigned Part = Ends[Begin].Part;
+    int FormalIn = -1;
+    Writers.clear();
+    Readers.clear();
+    for (End = Begin; End != Ends.size() && Ends[End].Part == Part; ++End) {
+      const HeapEnd &E = Ends[End];
+      switch (E.R) {
+      case HeapEnd::FormalIn:
+        FormalIn = static_cast<int>(E.Node);
+        break;
+      case HeapEnd::Writer:
+        Writers.push_back(E.Node);
+        break;
+      case HeapEnd::Reader:
+        if (FormalIn >= 0)
+          addEdge(static_cast<unsigned>(FormalIn), E.Node, SDGEdgeKind::Flow);
+        [[fallthrough]];
+      case HeapEnd::FormalOut:
+        Readers.push_back(E.Node);
+        break;
+      }
     }
-  }
-  for (const auto &[Part, Stores] : StoresByPart) {
-    int FO = FormalOut(Part);
-    if (FO < 0)
-      continue;
-    for (const Instr *S : Stores) {
-      if (Gate.spend())
-        return;
-      addEdge(C.node(S), static_cast<unsigned>(FO), SDGEdgeKind::Flow);
-    }
-  }
-
-  // Call sites: heap actual-in/out nodes and their linkage.
-  for (const CallInstr *Call : Calls) {
-    if (Gate.spend())
+    if (Gate.spend(Writers.size() + Readers.size()))
       return;
-    std::vector<Method *> Targets = CG.calleesOf(Call);
-    SparseBitSet RefUnion, ModUnion;
-    for (const Method *T : Targets) {
-      RefUnion.unionWith(MR->refOf(T));
-      ModUnion.unionWith(MR->modOf(T));
-    }
-
-    RefUnion.forEach([&](unsigned Part) {
-      unsigned AI = addHeapNode(SDGNodeKind::HeapActualIn, Call, M, Part);
-      int FI = FormalIn(Part);
-      if (FI >= 0)
-        addEdge(static_cast<unsigned>(FI), AI, SDGEdgeKind::Flow);
-      auto It = StoresByPart.find(Part);
-      if (It != StoresByPart.end())
-        for (const Instr *S : It->second)
-          addEdge(C.node(S), AI, SDGEdgeKind::Flow);
-      for (const Method *T : Targets) {
-        if (!MR->refOf(T).test(Part))
-          continue;
-        int TFI = heapNodeFor(SDGNodeKind::HeapFormalIn, nullptr, T, Part);
-        if (TFI >= 0)
-          addEdge(AI, static_cast<unsigned>(TFI), SDGEdgeKind::ParamIn, Call);
-      }
-    });
-
-    ModUnion.forEach([&](unsigned Part) {
-      unsigned AO = addHeapNode(SDGNodeKind::HeapActualOut, Call, M, Part);
-      for (const Method *T : Targets) {
-        if (!MR->modOf(T).test(Part))
-          continue;
-        int TFO = heapNodeFor(SDGNodeKind::HeapFormalOut, nullptr, T, Part);
-        if (TFO >= 0)
-          addEdge(static_cast<unsigned>(TFO), AO, SDGEdgeKind::ParamOut, Call);
-      }
-      // The modified state reaches this method's loads and outgoing
-      // heap state.
-      auto It = LoadsByPart.find(Part);
-      if (It != LoadsByPart.end())
-        for (const Instr *L : It->second)
-          addEdge(AO, C.node(L), SDGEdgeKind::Flow);
-      int FO = FormalOut(Part);
-      if (FO >= 0)
-        addEdge(AO, static_cast<unsigned>(FO), SDGEdgeKind::Flow);
-    });
-  }
-
-  // Actual-out -> actual-in edges between calls in this method (the
-  // heap state written by one call may be read by another, including
-  // the same call in a loop).
-  for (const CallInstr *C1 : Calls) {
-    for (const CallInstr *C2 : Calls) {
-      if (Gate.spend())
-        return;
-      for (Method *T1 : CG.calleesOf(C1)) {
-        MR->modOf(T1).forEach([&](unsigned Part) {
-          int AO = heapNodeFor(SDGNodeKind::HeapActualOut, C1, nullptr, Part);
-          int AI = heapNodeFor(SDGNodeKind::HeapActualIn, C2, nullptr, Part);
-          if (AO >= 0 && AI >= 0)
-            addEdge(static_cast<unsigned>(AO), static_cast<unsigned>(AI),
-                    SDGEdgeKind::Flow);
-        });
-      }
-    }
+    wireHub(M, Part, Writers, Readers);
   }
 }
 
@@ -671,8 +670,18 @@ std::unique_ptr<SDG> SDGBuilder::run(const Program &P) {
   for (Clone &C : Clones)
     buildIntra(C);
   if (Opts.ContextSensitive) {
-    for (const Clone &C : Clones)
+    for (const Clone &C : Clones) {
       buildScalarCallsCS(C);
+      // Every method's heap formals exist before any heap wiring: a
+      // call site links to its targets' formals, and a target's clone
+      // may come later.
+      MR->refOf(C.M).forEach([&](unsigned Part) {
+        addHeapNode(SDGNodeKind::HeapFormalIn, nullptr, C.M, Part);
+      });
+      MR->modOf(C.M).forEach([&](unsigned Part) {
+        addHeapNode(SDGNodeKind::HeapFormalOut, nullptr, C.M, Part);
+      });
+    }
     for (const Clone &C : Clones) {
       buildHeapCS(C, HeapGate);
       if (HeapGate.exhausted())
@@ -695,10 +704,7 @@ std::unique_ptr<SDG> SDGBuilder::run(const Program &P) {
       buildHeapCoarse();
   }
   const std::size_t Repeats = G->seal();
-  // Only the CS heap wiring emits repeats (a store -> load pair that
-  // shares several partitions); the CI builder emits each edge once.
-  assert((Opts.ContextSensitive || Repeats == 0) &&
-         "context-insensitive SDG build emitted a repeated edge");
+  assert(Repeats == 0 && "SDG build emitted a repeated edge");
   (void)Repeats;
 
   StageReport R{"sdg", StageStatus::Complete, "", "", HeapGate.used(),

@@ -78,7 +78,8 @@ std::string tsl::exportDot(const SDG &G, const DotOptions &Options) {
       if (N.Ctx)
         Label += " @ctx" + std::to_string(N.Ctx);
     } else {
-      Label = "heap param #" + std::to_string(N.Part);
+      Label = (N.K == SDGNodeKind::HeapHub ? "heap hub #" : "heap param #") +
+              std::to_string(N.Part);
     }
     std::string Attrs = "label=\"" + Label + "\"";
     if (Options.Highlight && Options.Highlight->test(Node))

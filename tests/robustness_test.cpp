@@ -22,8 +22,6 @@ namespace {
 /// Compiles and, on success, verifies; never crashes.
 void compileAnything(const std::string &Source) {
   DiagnosticEngine Diag;
-  CompileOptions Opts;
-  Opts.RequireMain = false;
   std::unique_ptr<Program> P = compileThinJ(Source, Diag);
   if (P)
     EXPECT_TRUE(verifyProgram(*P).empty());
@@ -301,8 +299,9 @@ TEST(PipelineExhaustion, DegradedSliceIsSubsetOfTraditional) {
       Extra.subtract(FullTrad.nodeSet());
       EXPECT_EQ(Extra.count(), 0u)
           << Case.Id << ": budgeted slice escaped the traditional slice";
-      if (!Budgeted.complete())
+      if (!Budgeted.complete()) {
         EXPECT_FALSE(Budgeted.degradedReason().empty());
+      }
     }
   }
 }
@@ -372,8 +371,9 @@ TEST(PipelineExhaustion, CoarsePtaFallbackOverApproximates) {
         Refs.push_back(L.get());
   for (const Local *A : Refs)
     for (const Local *B : Refs)
-      if (Precise->mayAlias(A, B))
+      if (Precise->mayAlias(A, B)) {
         EXPECT_TRUE(Coarse->mayAlias(A, B));
+      }
 
   // The CHA call graph covers at least the precisely reachable
   // methods.
@@ -549,8 +549,9 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
       AnalysisSession S{std::string(kIncFaultWarmSrc)};
       S.setIncremental(true);
       ASSERT_TRUE(S.program());
-      if (Point == "modref.update")
+      if (Point == "modref.update") {
         ASSERT_TRUE(S.modRef()); // put the artifact on the update path
+      }
       const Instr *WarmSeed = instrAtLine(*S.program(), kIncFaultSeedLine);
       ASSERT_TRUE(WarmSeed);
       ASSERT_TRUE(S.sliceBackwardCached(WarmSeed, SliceMode::Thin));
@@ -679,8 +680,9 @@ TEST(PipelineExhaustion, BudgetedChopIsSubset) {
   BitSet Extra = Budgeted.nodeSet();
   Extra.subtract(Full.nodeSet());
   EXPECT_EQ(Extra.count(), 0u);
-  if (!Budgeted.complete())
+  if (!Budgeted.complete()) {
     EXPECT_FALSE(Budgeted.degradedReason().empty());
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -40,6 +40,37 @@ TEST(Scale, SdgHeapWiringStepsStayWithinEdgeCount) {
   EXPECT_LE(G->report().StepsUsed, G->numEdges());
 }
 
+// The CS heap wiring is linear in its endpoints: one hub per (method,
+// partition) joins the writers to the readers, so edges stay within 3x
+// the statement and heap-parameter nodes. Emitting every writer x
+// reader pair, with a call x call loop for actual-out -> actual-in, the
+// ratio read 11.1 at pad-12 and 24.8 at pad-25. The heap-parameter
+// count is the paper's Sec. 6.1 blowup statistic and must not move:
+// EXPERIMENTS.md's Scalability table reads 45781 at pad-12.
+TEST(Scale, ContextSensitiveHeapEdgesAreLinear) {
+  for (unsigned Pad : {12u, 25u}) {
+    WorkloadProgram W =
+        padWorkload(debuggingCases().front().Prog, "BS", Pad, 6);
+    DiagnosticEngine Diag;
+    std::unique_ptr<Program> P = compileThinJ(W.Source, Diag);
+    ASSERT_TRUE(P) << Diag.str();
+    std::unique_ptr<PointsToResult> PTA = runPointsTo(*P);
+    ModRefResult MR(*P, *PTA);
+    SDGOptions Opts;
+    Opts.ContextSensitive = true;
+    std::unique_ptr<SDG> G = buildSDG(*P, *PTA, &MR, Opts);
+    ASSERT_FALSE(G->report().degraded());
+    const uint64_t Nodes =
+        uint64_t(G->numStmtNodes()) + G->numHeapParamNodes();
+    EXPECT_LE(G->numEdges(), 3 * Nodes)
+        << "pad-" << Pad << ": " << G->numEdges() << " edges for " << Nodes
+        << " statement and heap-parameter nodes";
+    if (Pad == 12) {
+      EXPECT_EQ(G->numHeapParamNodes(), 45781u);
+    }
+  }
+}
+
 // Points-to set work tracks solver work, not program width: the words
 // set operations touch during solve and finalize stay within a constant
 // factor of the delta bits the solver moves plus its worklist pops. At
@@ -108,9 +139,7 @@ std::size_t roundTripDifferences(const Program &P, const SDG &G) {
 
 // Sealing and decoding are linear at size: the repeat scan, the
 // counting statement index and decode's per-context stamps. A decoded
-// graph reproduces the built one exactly, with the CS graph's dropped
-// repeats (a store -> load pair sharing several partitions) staying
-// dropped.
+// graph reproduces the built one exactly, heap hubs included.
 TEST(Scale, SdgRoundTripsThroughSnapshotCodec) {
   {
     WorkloadProgram W =

@@ -1,5 +1,7 @@
 //===-- tabulation_test.cpp - Context-sensitive slicing tests -------------------==//
 
+#include "eval/Experiments.h"
+#include "eval/Workload.h"
 #include "lang/Lower.h"
 #include "pipeline/Session.h"
 #include "modref/ModRef.h"
@@ -140,6 +142,32 @@ def main() {
   EXPECT_TRUE(F.sliceHasLine(S, 7));  // the load
 }
 
+// A call links to its target's heap formals whatever the methods'
+// order: first() calls later(), declared (and so built) after it. The
+// builder once looked the target's formals up before they existed,
+// dropped the call's ParamIn/ParamOut heap edges and lost the store.
+TEST(Tabulation, HeapFlowThroughLaterDeclaredCallee) {
+  Fixture F(R"(
+class Cell { var v: int; }
+def first(c: Cell): int {
+  return later(c);
+}
+def later(c: Cell): int {
+  return c.v;
+}
+def main() {
+  var c = new Cell();
+  c.v = 42;
+  print(first(c));
+}
+)");
+  TabulationSlicer Tab(*F.CS, SliceMode::Thin);
+  SliceResult S = Tab.slice(F.lastAtLine(12)); // print(first(c))
+  EXPECT_TRUE(F.sliceHasLine(S, 11)); // the store
+  EXPECT_TRUE(F.sliceHasLine(S, 7));  // the load in later()
+  EXPECT_TRUE(F.sliceHasLine(S, 4));  // first()'s call of later()
+}
+
 TEST(Tabulation, ThinStillSubsetOfTraditional) {
   Fixture F(TwoCallers);
   TabulationSlicer Thin(*F.CS, SliceMode::Thin);
@@ -183,4 +211,18 @@ def main() {
   SliceResult S = Tab.slice(F.lastAtLine(9));
   EXPECT_TRUE(F.sliceHasLine(S, 4));
   EXPECT_TRUE(F.sliceHasLine(S, 6));
+}
+
+// Summary edges are a function of same-level paths, so they pin the CS
+// heap wiring: one hub per (method, partition) from the writers to the
+// readers, with the formal-in kept off it, has exactly the paths of the
+// pairwise writer x reader edges it replaced. Routing the formal-in
+// through the hub, or dropping a writer or reader, changes the counts.
+// The traditional count at pad-4 is EXPERIMENTS.md's Scalability row.
+TEST(Tabulation, HeapHubsKeepSummaryEdges) {
+  Fixture F(padWorkload(debuggingCases().front().Prog, "S", 4, 6).Source);
+  ASSERT_TRUE(F.CS);
+  EXPECT_EQ(TabulationSlicer(*F.CS, SliceMode::Traditional).numSummaryEdges(),
+            93608u);
+  EXPECT_EQ(TabulationSlicer(*F.CS, SliceMode::Thin).numSummaryEdges(), 27970u);
 }
