@@ -3,9 +3,8 @@
 // Multi-seed slicing through SliceEngine, measured in parts so the
 // breakdown stays visible:
 //
-//  - the CSR traversal (sliceBackward on the CSR graph) vs the
-//    legacy adjacency walk that touches an edge record per step, 100
-//    sequential single-seed slices each (pad 12);
+//  - 100 sequential single-seed slices with sliceBackward on the CSR
+//    graph (pad 12);
 //  - the batch engine's fan-out over the session pool at 1 and 4
 //    workers: BM_Batch on a 512-seed context-insensitive batch at
 //    pad 400 (8 chunks of 64 queries, one work item per chunk) and
@@ -24,7 +23,7 @@
 // Every workload is the nanoxml model padded by padWorkload, seeded
 // with statements spread evenly over the program by collectSliceSeeds.
 // The head-to-head summary printed first compares 100 sequential
-// legacy slices with one 100-seed batch at pad 12.
+// slices with one 100-seed batch at pad 12.
 //
 //===----------------------------------------------------------------------===//
 
@@ -95,21 +94,8 @@ Built &csFanOut() {
   return B;
 }
 
-/// Baseline: N independent legacy single-seed slices, exactly what a
-/// pre-PR-3 caller scripting `thinslice --line` in a loop paid.
-void BM_SeqLegacy(benchmark::State &State) {
-  Built &B = builtOnce();
-  for (auto _ : State)
-    for (const Instr *Seed : B.Seeds) {
-      SliceResult S = sliceBackwardLegacy(*B.G, Seed, SliceMode::Thin);
-      benchmark::DoNotOptimize(S);
-    }
-  State.counters["seeds"] = NUM_SEEDS;
-}
-BENCHMARK(BM_SeqLegacy)->Unit(benchmark::kMillisecond);
-
-/// Same N sequential queries on the CSR traversal (no engine): the
-/// graph-layout share of the win.
+/// N independent single-seed slices on the CSR traversal (no engine),
+/// what a caller scripting `thinslice --line` in a loop pays.
 void BM_SeqCSR(benchmark::State &State) {
   Built &B = builtOnce();
   for (auto _ : State)
@@ -187,21 +173,18 @@ int main(int argc, char **argv) {
   printf("=== Batched slice-query engine: throughput ===\n\n");
 
   // Head-to-head summary on the acceptance configuration: 100 seeds,
-  // sequential legacy vs one batch. The benchmark timings below are
+  // sequential vs one batch. The benchmark timings below are
   // the authoritative wall times; this is the one-glance number.
   Built &B = builtOnce();
   ThroughputRow Row =
       runSliceThroughput(*B.G, B.Seeds, SliceMode::Thin, /*Jobs=*/1);
   printf("workload: nanoxml pad %u, %u seeds (%u unique)\n", PAD, Row.Seeds,
          Row.UniqueSeeds);
-  printf("sequential legacy: %8.3f ms  (%.0f queries/sec)\n", Row.SeqLegacyMs,
-         Row.Seeds * 1000.0 / Row.SeqLegacyMs);
-  printf("sequential CSR:    %8.3f ms  (%.0f queries/sec)\n", Row.SeqMs,
+  printf("sequential:   %8.3f ms  (%.0f queries/sec)\n", Row.SeqMs,
          Row.Seeds * 1000.0 / Row.SeqMs);
-  printf("engine batch:      %8.3f ms  (%.0f queries/sec)\n", Row.BatchMs,
+  printf("engine batch: %8.3f ms  (%.0f queries/sec)\n", Row.BatchMs,
          Row.Seeds * 1000.0 / Row.BatchMs);
-  printf("batch vs sequential legacy: %.2fx queries/sec %s\n\n", Row.Speedup,
-         Row.Speedup >= 2.0 ? "(>= 2x target met)" : "(below 2x target!)");
+  printf("batch vs sequential: %.2fx queries/sec\n\n", Row.Speedup);
 
   if (!guardBenchmarkBaseline(argc, argv))
     return 2;

@@ -63,6 +63,9 @@ DynTrace::dynamicThinSliceOfLast(const Instr *Seed) const {
 
 namespace {
 
+/// Trace instances recorded before tracing stops (a memory guard).
+constexpr uint64_t MaxTraceInstances = 4'000'000;
+
 /// A runtime value with its producing trace instance.
 struct Value {
   enum class Kind { Int, Bool, Null, Ref } K = Kind::Null;
@@ -126,7 +129,7 @@ private:
 
   bool traceOn() const {
     return Opts.TraceDeps &&
-           R.Trace.instances().size() < Opts.MaxTraceInstances;
+           R.Trace.instances().size() < MaxTraceInstances;
   }
 
   /// Creates a trace instance for \p I consuming \p Deps.

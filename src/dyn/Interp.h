@@ -44,9 +44,9 @@ struct InterpOptions {
   /// Total bytes of print output before the run is stopped (a
   /// runaway-loop guard; 0 disables the cap).
   uint64_t MaxOutputBytes = 16u * 1024 * 1024;
-  /// Record the dynamic dependence trace (costs memory per step).
+  /// Record the dynamic dependence trace (costs memory per step, up to
+  /// a fixed cap of trace instances).
   bool TraceDeps = false;
-  uint64_t MaxTraceInstances = 4'000'000;
   /// Optional shared analysis budget: adds MaxInterpSteps and the
   /// wall-clock deadline on top of the limits above.
   const AnalysisBudget *Budget = nullptr;

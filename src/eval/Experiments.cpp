@@ -395,13 +395,13 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
     (void)Thin;
     (void)Trad;
 
-    // Multi-seed throughput at this size: sequential legacy slicing
-    // vs one engine batch over the same seed set.
+    // Multi-seed throughput at this size: sequential slicing vs one
+    // engine batch over the same seed set.
     std::vector<const Instr *> Seeds = collectSliceSeeds(*P, 16);
     ThroughputRow TP =
         runSliceThroughput(*CI, Seeds, SliceMode::Thin, /*Jobs=*/1);
     Row.BatchSeeds = TP.Seeds;
-    Row.SeqLegacyMs = TP.SeqLegacyMs;
+    Row.SeqMs = TP.SeqMs;
     Row.BatchMs = TP.BatchMs;
 
     // Mod-ref untimed (as before): precomputing it through the session
@@ -520,28 +520,19 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
   // condensation, so the timed passes measure the steady-state regime
   // the queries/sec comparison is about (every path warms equally).
   for (const Instr *Seed : Seeds)
-    sliceBackwardLegacy(G, Seed, Mode);
-  for (const Instr *Seed : Seeds)
     sliceBackward(G, Seed, Mode);
   Engine.sliceBackwardBatch(Seeds, Opts);
 
   // Several timed passes per configuration, run as contiguous blocks
-  // (all legacy passes, then all CSR passes, then all batch passes) and
-  // keeping each configuration's fastest. Contiguous blocks measure
+  // (all sequential passes, then all batch passes) and keeping each
+  // configuration's fastest. Contiguous blocks measure
   // each path's steady state — interleaving the configurations would
   // charge whichever runs second for the cache lines its predecessor
   // evicted; the block minimum is also the least-noise estimator on a
   // shared machine, where one scheduler blip would otherwise dominate
   // a sub-millisecond measurement.
   constexpr int Passes = 8;
-  Row.SeqLegacyMs = Row.SeqMs = Row.BatchMs =
-      std::numeric_limits<double>::infinity();
-  for (int P = 0; P != Passes; ++P) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (const Instr *Seed : Seeds)
-      sliceBackwardLegacy(G, Seed, Mode);
-    Row.SeqLegacyMs = std::min(Row.SeqLegacyMs, msSince(T0));
-  }
+  Row.SeqMs = Row.BatchMs = std::numeric_limits<double>::infinity();
   for (int P = 0; P != Passes; ++P) {
     auto T1 = std::chrono::steady_clock::now();
     for (const Instr *Seed : Seeds)
@@ -554,7 +545,7 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
     Row.BatchMs = std::min(Row.BatchMs, msSince(T2));
   }
   Row.UniqueSeeds = Engine.stats().UniqueQueries;
-  Row.Speedup = Row.BatchMs > 0 ? Row.SeqLegacyMs / Row.BatchMs : 0;
+  Row.Speedup = Row.BatchMs > 0 ? Row.SeqMs / Row.BatchMs : 0;
   return Row;
 }
 
@@ -618,14 +609,14 @@ std::string tsl::formatScalability(const std::vector<ScalabilityRow> &Rows) {
       "Scalability sweep (nanoxml + padding)\n"
       "pad  sdg-stmts  pta-ms  ci-build-ms  thin-slice-ms  trad-slice-ms  "
       "cs-build-ms  cs-heap-nodes  cs-edges  summary-ms  summary-edges  "
-      "seeds  seq-legacy-ms  batch-ms\n";
+      "seeds  seq-ms  batch-ms\n";
   for (const ScalabilityRow &R : Rows) {
     snprintf(Buf, sizeof(Buf),
              "%3u %10u %7.1f %12.1f %14.3f %14.3f %12.1f %14u %9u %11.1f "
-             "%14u %6u %14.3f %9.3f\n",
+             "%14u %6u %7.3f %9.3f\n",
              R.PadClasses, R.SDGStmts, R.PTAMs, R.CIBuildMs, R.ThinSliceMs,
              R.TradSliceMs, R.CSBuildMs, R.CSHeapParamNodes, R.CSEdges,
-             R.SummaryMs, R.SummaryEdges, R.BatchSeeds, R.SeqLegacyMs,
+             R.SummaryMs, R.SummaryEdges, R.BatchSeeds, R.SeqMs,
              R.BatchMs);
     Out += Buf;
   }

@@ -80,9 +80,9 @@ struct ScalabilityRow {
   unsigned CSEdges = 0;
   unsigned SummaryEdges = 0;
   /// Multi-seed columns: the same seed set sliced sequentially with
-  /// the legacy edge-record slicer vs. one SliceEngine batch.
+  /// sliceBackward vs. one SliceEngine batch.
   unsigned BatchSeeds = 0;
-  double SeqLegacyMs = 0;
+  double SeqMs = 0;
   double BatchMs = 0;
 };
 
@@ -114,16 +114,15 @@ std::vector<AblationRow> runContextAblation();
 std::vector<const Instr *> collectSliceSeeds(const Program &P,
                                              unsigned NumSeeds);
 
-/// One slice-throughput measurement: \p Seeds sliced three ways on
-/// \p G — sequentially with the legacy edge-record slicer,
-/// sequentially with the CSR slicer, and as one SliceEngine batch.
+/// One slice-throughput measurement: \p Seeds sliced two ways on
+/// \p G — sequentially with sliceBackward, and as one SliceEngine
+/// batch.
 struct ThroughputRow {
   unsigned Seeds = 0;
   unsigned UniqueSeeds = 0;
-  double SeqLegacyMs = 0; ///< N x sliceBackwardLegacy.
-  double SeqMs = 0;       ///< N x sliceBackward (CSR path).
-  double BatchMs = 0;     ///< One N-seed SliceEngine batch.
-  double Speedup = 0;     ///< SeqLegacyMs / BatchMs.
+  double SeqMs = 0;   ///< N x sliceBackward.
+  double BatchMs = 0; ///< One N-seed SliceEngine batch.
+  double Speedup = 0; ///< SeqMs / BatchMs.
 };
 ThroughputRow runSliceThroughput(const SDG &G,
                                  const std::vector<const Instr *> &Seeds,

@@ -28,7 +28,7 @@ struct Graph {
 
 } // namespace
 
-DomTree::DomTree(const Method &M, bool Post) : Post(Post) {
+DomTree::DomTree(const Method &M, bool Post) {
   unsigned NumBlocks = static_cast<unsigned>(M.blocks().size());
   unsigned N = NumBlocks + (Post ? 1 : 0);
   Graph G(N);

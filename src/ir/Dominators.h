@@ -34,7 +34,6 @@ class DomTree {
 public:
   DomTree(const Method &M, bool Post);
 
-  bool isPostDom() const { return Post; }
   unsigned numNodes() const {
     return static_cast<unsigned>(Idom.size());
   }
@@ -76,7 +75,6 @@ private:
                const std::vector<std::vector<unsigned>> &Preds);
   void computeFrontiers(const std::vector<std::vector<unsigned>> &Preds);
 
-  bool Post;
   unsigned Root;
   std::vector<int> Idom;
   std::vector<std::vector<unsigned>> Children;

@@ -157,17 +157,14 @@ private:
 /// then lowers bodies.
 class Lowering {
 public:
-  Lowering(const AstModule &Module, DiagnosticEngine &Diag,
-           const CompileOptions &Options)
-      : Module(Module), Diag(Diag), Options(Options),
-        P(std::make_unique<Program>()) {}
+  Lowering(const AstModule &Module, DiagnosticEngine &Diag)
+      : Module(Module), Diag(Diag), P(std::make_unique<Program>()) {}
 
   /// Adopt mode, for incremental relowering: operates on an existing
   /// program instead of building a fresh one. run() must not be called
   /// on an adopted Lowering; use relowerBody().
-  Lowering(Program &Existing, const AstModule &Module, DiagnosticEngine &Diag,
-           const CompileOptions &Options)
-      : Module(Module), Diag(Diag), Options(Options), Adopted(&Existing) {}
+  Lowering(Program &Existing, const AstModule &Module, DiagnosticEngine &Diag)
+      : Module(Module), Diag(Diag), Adopted(&Existing) {}
 
   std::unique_ptr<Program> run();
 
@@ -198,7 +195,6 @@ private:
 
   const AstModule &Module;
   DiagnosticEngine &Diag;
-  const CompileOptions &Options;
   std::unique_ptr<Program> P;
   Program *Adopted = nullptr;
 
@@ -1294,6 +1290,17 @@ RValue BodyLowering::lowerNewObject(const NewObjectExpr *E) {
 // Lowering: module-level passes
 //===----------------------------------------------------------------------===//
 
+/// Static initialization runs before main's body: prepends the call to
+/// \p Clinit, when there is one, to \p Main's entry block. The caller
+/// renumbers \p Main. Both the cold compile and the relowering of an
+/// edited main go through here.
+static void prependClinitCall(Method &Main, Method *Clinit) {
+  if (!Clinit || !Main.entry())
+    return;
+  Main.entry()->prepend(std::make_unique<CallInstr>(
+      nullptr, Clinit, /*IsVirtual=*/false, nullptr, std::vector<Local *>{}));
+}
+
 std::unique_ptr<Program> Lowering::run() {
   // Gate on errors *this* lowering adds, not on pre-existing ones: a
   // recovered parse hands us a partial AST with parse errors already
@@ -1313,8 +1320,7 @@ std::unique_ptr<Program> Lowering::run() {
   if (Diag.errorCount() != EntryErrors)
     return nullptr;
   P->renumberAll();
-  if (Options.BuildSSA)
-    buildSSAAll(*P);
+  buildSSAAll(*P);
   return std::move(P);
 }
 
@@ -1512,21 +1518,12 @@ void Lowering::selectMain() {
     return;
   }
   if (!Main) {
-    if (Options.RequireMain)
-      Diag.error(SourceLoc(), "no entry point: define a top-level or "
-                              "static 'main()'");
+    Diag.error(SourceLoc(), "no entry point: define a top-level or "
+                            "static 'main()'");
     return;
   }
   P->setMainMethod(Main);
-
-  // Run static initialization before main's body.
-  if (Clinit && Main->entry()) {
-    auto Call = std::make_unique<CallInstr>(nullptr, Clinit,
-                                            /*IsVirtual=*/false, nullptr,
-                                            std::vector<Local *>{});
-    Main->entry()->prepend(std::move(Call));
-    Main->renumber();
-  }
+  prependClinitCall(*Main, Clinit);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1534,22 +1531,18 @@ void Lowering::selectMain() {
 //===----------------------------------------------------------------------===//
 
 std::unique_ptr<Program> tsl::lowerModule(const AstModule &Module,
-                                          DiagnosticEngine &Diag,
-                                          const CompileOptions &Options) {
-  return Lowering(Module, Diag, Options).run();
+                                          DiagnosticEngine &Diag) {
+  return Lowering(Module, Diag).run();
 }
 
 std::unique_ptr<Program> tsl::compileThinJ(std::string_view Source,
-                                           DiagnosticEngine &Diag,
-                                           const CompileOptions &Options) {
-  Expected<std::unique_ptr<Program>> R =
-      compileThinJChecked(Source, Diag, Options);
+                                           DiagnosticEngine &Diag) {
+  Expected<std::unique_ptr<Program>> R = compileThinJChecked(Source, Diag);
   return R.ok() ? std::move(*R) : nullptr;
 }
 
 Expected<std::unique_ptr<Program>>
-tsl::compileThinJChecked(std::string_view Source, DiagnosticEngine &Diag,
-                         const CompileOptions &Options) {
+tsl::compileThinJChecked(std::string_view Source, DiagnosticEngine &Diag) {
   auto summarize = [&Diag](StatusCode Code, unsigned Since) {
     unsigned N = Diag.errorCount() - Since;
     std::string Msg = std::to_string(N) + " error(s)";
@@ -1567,22 +1560,20 @@ tsl::compileThinJChecked(std::string_view Source, DiagnosticEngine &Diag,
   unsigned AfterParse = Diag.errorCount();
   // Sema runs even over the partial AST of a failed parse, so a file
   // with both syntax and semantic errors reports all of them at once.
-  std::unique_ptr<Program> P = lowerModule(Module, Diag, Options);
+  std::unique_ptr<Program> P = lowerModule(Module, Diag);
   if (!ParseOk)
     return summarize(StatusCode::ParseError, Entry);
   if (!P)
     return summarize(StatusCode::SemaError, AfterParse);
-  if (Options.VerifyIR) {
-    // Nothing malformed reaches the analyses: violations are compile
-    // errors, not asserts inside a solver.
-    std::vector<std::string> Violations = verifyProgram(*P);
-    if (!Violations.empty()) {
-      for (const std::string &V : Violations)
-        Diag.error(SourceLoc(), "verifier: " + V);
-      return Status(StatusCode::VerifyError,
-                    std::to_string(Violations.size()) +
-                        " IR verifier violation(s); first: " + Violations[0]);
-    }
+  // Nothing malformed reaches the analyses: violations are compile
+  // errors, not asserts inside a solver.
+  std::vector<std::string> Violations = verifyProgram(*P);
+  if (!Violations.empty()) {
+    for (const std::string &V : Violations)
+      Diag.error(SourceLoc(), "verifier: " + V);
+    return Status(StatusCode::VerifyError,
+                  std::to_string(Violations.size()) +
+                      " IR verifier violation(s); first: " + Violations[0]);
   }
   return P;
 }
@@ -1592,47 +1583,35 @@ tsl::compileThinJChecked(std::string_view Source, DiagnosticEngine &Diag,
 //===----------------------------------------------------------------------===//
 
 bool tsl::relowerMethodBody(Program &P, Method &M, const MethodDeclAst &Decl,
-                            DiagnosticEngine &Diag,
-                            const CompileOptions &Options) {
+                            DiagnosticEngine &Diag) {
   const unsigned EntryErrors = Diag.errorCount();
   AstModule Empty;
-  Lowering L(P, Empty, Diag, Options);
+  Lowering L(P, Empty, Diag);
   L.relowerBody(M, Decl);
   if (Diag.errorCount() != EntryErrors)
     return false;
 
-  // Replay of selectMain(): static initialization runs before main's
-  // body, so a relowered main gets the $clinit call re-prepended.
+  // A relowered main gets the $clinit call re-prepended, as in
+  // selectMain().
   if (P.mainMethod() == &M) {
     Method *Clinit = nullptr;
     for (const auto &MP : P.methods())
       if (!MP->owner() && P.strings().str(MP->name()) == "$clinit")
         Clinit = MP.get();
-    if (Clinit && M.entry()) {
-      auto Call = std::make_unique<CallInstr>(nullptr, Clinit,
-                                              /*IsVirtual=*/false, nullptr,
-                                              std::vector<Local *>{});
-      M.entry()->prepend(std::move(Call));
-    }
+    prependClinitCall(M, Clinit);
   }
   // Instruction ids are method-local and dense, so renumbering here
   // cannot disturb any other method's artifacts.
   M.renumber();
-  if (Options.BuildSSA)
-    buildSSA(P, M);
-  if (Options.VerifyIR) {
-    std::vector<std::string> Violations = verifyMethod(P, M);
-    for (const std::string &V : Violations)
-      Diag.error(SourceLoc(), "verifier: " + V);
-    if (!Violations.empty())
-      return false;
-  }
-  return true;
+  buildSSA(P, M);
+  std::vector<std::string> Violations = verifyMethod(P, M);
+  for (const std::string &V : Violations)
+    Diag.error(SourceLoc(), "verifier: " + V);
+  return Violations.empty();
 }
 
 IncrementalCompileResult
-tsl::applyIncrementalCompile(Program &P, const SourceDiff &Diff,
-                             const CompileOptions &Options) {
+tsl::applyIncrementalCompile(Program &P, const SourceDiff &Diff) {
   IncrementalCompileResult R;
   if (!Diff.Eligible) {
     R.Reason = Diff.Reason.empty() ? "ineligible diff" : Diff.Reason;
@@ -1687,7 +1666,7 @@ tsl::applyIncrementalCompile(Program &P, const SourceDiff &Diff,
   for (Job &J : Jobs) {
     R.DirtyMethods.push_back(J.M);
     R.RetiredBodies.push_back(J.M->takeBody());
-    if (!relowerMethodBody(P, *J.M, *J.Decl, Diag, Options)) {
+    if (!relowerMethodBody(P, *J.M, *J.Decl, Diag)) {
       R.Reason = "relower failed";
       for (const Diagnostic &D : Diag.diagnostics())
         if (D.Kind == DiagKind::Error) {

@@ -27,35 +27,23 @@
 
 namespace tsl {
 
-/// Knobs for the compile pipeline.
-struct CompileOptions {
-  /// Run SSA construction on every method body (required by all
-  /// analyses; off only for frontend-focused tests).
-  bool BuildSSA = true;
-  /// Require a parameterless static entry point named "main".
-  bool RequireMain = true;
-  /// Gate the lowered IR through the Verifier before it reaches any
-  /// analysis: violations become diagnostics and compileThinJ returns
-  /// null, so malformed IR can never poison a pipeline.
-  bool VerifyIR = true;
-};
-
-/// Type-checks and lowers \p Module. Returns null after reporting
-/// diagnostics when the module has semantic errors. Pre-existing
-/// errors in \p Diag (e.g. from a recovered parse) do not stop sema:
-/// only errors this call adds do, so a partial AST still gets checked
-/// and every diagnostic is reported in one compile.
+/// Type-checks and lowers \p Module, then builds SSA on every body.
+/// The module must define a parameterless static entry point named
+/// "main". Returns null after reporting diagnostics when the module
+/// has semantic errors. Pre-existing errors in \p Diag (e.g. from a
+/// recovered parse) do not stop sema: only errors this call adds do,
+/// so a partial AST still gets checked and every diagnostic is
+/// reported in one compile.
 std::unique_ptr<Program> lowerModule(const AstModule &Module,
-                                     DiagnosticEngine &Diag,
-                                     const CompileOptions &Options = {});
+                                     DiagnosticEngine &Diag);
 
-/// Full pipeline: parse + lower + (optionally) SSA + Verifier gate.
-/// Returns null and reports diagnostics on any error; a file with both
-/// syntax and semantic errors reports all of them (the recovering
-/// parser hands sema the partial AST).
+/// Full pipeline: parse + lower + SSA + Verifier gate. The verifier
+/// turns malformed IR into diagnostics, so it never reaches an
+/// analysis. Returns null and reports diagnostics on any error; a file
+/// with both syntax and semantic errors reports all of them (the
+/// recovering parser hands sema the partial AST).
 std::unique_ptr<Program> compileThinJ(std::string_view Source,
-                                      DiagnosticEngine &Diag,
-                                      const CompileOptions &Options = {});
+                                      DiagnosticEngine &Diag);
 
 /// Status-returning form of compileThinJ: the frontend boundary of
 /// the structured error model. Failure carries the phase that
@@ -63,8 +51,7 @@ std::unique_ptr<Program> compileThinJ(std::string_view Source,
 /// one-line summary; the full located diagnostics are in \p Diag
 /// either way.
 Expected<std::unique_ptr<Program>>
-compileThinJChecked(std::string_view Source, DiagnosticEngine &Diag,
-                    const CompileOptions &Options = {});
+compileThinJChecked(std::string_view Source, DiagnosticEngine &Diag);
 
 //===----------------------------------------------------------------------===//
 // Incremental recompilation
@@ -72,14 +59,13 @@ compileThinJChecked(std::string_view Source, DiagnosticEngine &Diag,
 
 /// Lowers \p Decl's body into \p M, which must belong to \p P and have
 /// had its previous body detached with takeBody(). Re-runs SSA and the
-/// per-method verifier per \p Options, and re-prepends the $clinit
-/// call when \p M is the entry point. Returns false (with diagnostics
-/// in \p Diag) on any semantic or verifier error; the method body is
-/// then in an unusable state and the caller must fall back to a cold
-/// compile of the whole unit.
+/// per-method verifier, and re-prepends the $clinit call when \p M is
+/// the entry point. Returns false (with diagnostics in \p Diag) on any
+/// semantic or verifier error; the method body is then in an unusable
+/// state and the caller must fall back to a cold compile of the whole
+/// unit.
 bool relowerMethodBody(Program &P, Method &M, const MethodDeclAst &Decl,
-                       DiagnosticEngine &Diag,
-                       const CompileOptions &Options = {});
+                       DiagnosticEngine &Diag);
 
 /// Outcome of applyIncrementalCompile().
 struct IncrementalCompileResult {
@@ -102,8 +88,7 @@ struct IncrementalCompileResult {
 /// source locations across line-count changes, so the program matches
 /// a cold compile of the new source byte for byte.
 IncrementalCompileResult
-applyIncrementalCompile(Program &P, const SourceDiff &Diff,
-                        const CompileOptions &Options = {});
+applyIncrementalCompile(Program &P, const SourceDiff &Diff);
 
 } // namespace tsl
 

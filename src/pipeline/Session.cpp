@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 using namespace tsl;
@@ -98,21 +97,10 @@ uint64_t fnv1a(const std::string &S) {
 /// Option fingerprints. Budget pointers are deliberately excluded:
 /// the session threads its own budget in at compute time and treats
 /// budget changes as destructive invalidations instead.
-std::string digest(const CompileOptions &O) {
-  std::string D = "ssa=";
-  D += O.BuildSSA ? '1' : '0';
-  D += ";main=";
-  D += O.RequireMain ? '1' : '0';
-  return D;
-}
-
 std::string digest(const PTAOptions &O) {
-  std::ostringstream OS;
-  OS << "objsens=" << O.ObjSensContainers << ";depth=" << O.MaxObjSensDepth
-     << ";containers=";
-  for (const std::string &C : O.ContainerClasses)
-    OS << C << ',';
-  return OS.str();
+  std::string D = "objsens=";
+  D += O.ObjSensContainers ? '1' : '0';
+  return D;
 }
 
 std::string digest(const SDGOptions &O) {
@@ -144,9 +132,7 @@ const char *tsl::sessionStageName(SessionStage S) {
 AnalysisSession::AnalysisSession()
     : Diag(std::make_unique<DiagnosticEngine>()) {}
 
-AnalysisSession::AnalysisSession(std::string Source, CompileOptions CO)
-    : AnalysisSession() {
-  CurCompile = CO;
+AnalysisSession::AnalysisSession(std::string Source) : AnalysisSession() {
   setSource(std::move(Source));
 }
 
@@ -312,8 +298,6 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
     return Cold("no compiled program to update");
   if (Budget)
     return Cold("budgeted session");
-  if (!CurCompile.BuildSSA)
-    return Cold("incremental path requires SSA compiles");
 
   // The compile stage's clock covers the diff: it is the incremental
   // front end's lex.
@@ -323,7 +307,7 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
     return Cold(D.Reason);
 
   StageCounters &CC = counters(SessionStage::Compile);
-  IncrementalCompileResult CR = applyIncrementalCompile(*Prog, D, CurCompile);
+  IncrementalCompileResult CR = applyIncrementalCompile(*Prog, D);
   if (!CR.Applied)
     // A mid-apply failure (CR.RetiredBodies non-empty) left the
     // program mutated; the cold path's purge discards it.
@@ -486,14 +470,6 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   return true;
 }
 
-void AnalysisSession::setCompileOptions(const CompileOptions &O) {
-  if (digest(O) == digest(CurCompile))
-    return;
-  CurCompile = O;
-  purgeAll();
-  bumpFrom(SessionStage::Compile);
-}
-
 void AnalysisSession::setPTAOptions(const PTAOptions &O) {
   if (digest(O) == digest(CurPta))
     return;
@@ -533,8 +509,8 @@ std::string AnalysisSession::sdgKey() const {
 
 std::string AnalysisSession::snapshotCacheKey() const {
   const uint64_t OptDigest =
-      fnv1a(digest(CurCompile) + "|" + digest(CurPta) + "|" + digest(CurSdg) +
-            "|v" + std::to_string(TSL_SNAPSHOT_VERSION));
+      fnv1a(digest(CurPta) + "|" + digest(CurSdg) + "|v" +
+            std::to_string(TSL_SNAPSHOT_VERSION));
   char Buf[64];
   snprintf(Buf, sizeof(Buf), "%016llx-%016llx.tslsnap",
            static_cast<unsigned long long>(SourceDigest),
@@ -572,7 +548,6 @@ Status AnalysisSession::saveSnapshot(const std::string &Path) {
   W.u32(TSL_SNAPSHOT_VERSION);
   W.beginSection(SnapshotSection::Meta);
   W.u64(SourceDigest);
-  W.str(digest(CurCompile));
   W.str(digest(CurPta));
   W.str(digest(CurSdg));
   W.endSection();
@@ -641,8 +616,7 @@ Status AnalysisSession::loadSnapshot(const std::string &Path) {
     ByteReader Meta = R.section(SnapshotSection::Meta);
     if (Meta.u64() != SourceDigest)
       return Fallback(StatusCode::InvalidArgument, "source digest mismatch");
-    if (Meta.str() != digest(CurCompile) || Meta.str() != digest(CurPta) ||
-        Meta.str() != digest(CurSdg))
+    if (Meta.str() != digest(CurPta) || Meta.str() != digest(CurSdg))
       return Fallback(StatusCode::InvalidArgument, "option digest mismatch");
 
     // Decode the program and SDG into temporaries; the session is
@@ -740,8 +714,7 @@ Program *AnalysisSession::program() {
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
   Diag = std::make_unique<DiagnosticEngine>();
-  Expected<std::unique_ptr<Program>> R =
-      compileThinJChecked(Source, *Diag, CurCompile);
+  Expected<std::unique_ptr<Program>> R = compileThinJChecked(Source, *Diag);
   if (R.ok()) {
     Prog = std::move(*R);
     LastErr = Status::ok();
@@ -991,18 +964,6 @@ Expected<Program *> AnalysisSession::programChecked() {
   if (Program *P = program())
     return P;
   return errorOr(LastErr, "program");
-}
-
-Expected<PointsToResult *> AnalysisSession::pointsToChecked() {
-  if (PointsToResult *R = pointsTo())
-    return R;
-  return errorOr(LastErr, "points-to");
-}
-
-Expected<ModRefResult *> AnalysisSession::modRefChecked() {
-  if (ModRefResult *R = modRef())
-    return R;
-  return errorOr(LastErr, "mod-ref");
 }
 
 Expected<SDG *> AnalysisSession::sdgChecked() {

@@ -25,10 +25,10 @@
 ///    a cache hit, which is what lets one session serve an eval
 ///    workload's thin/traditional/NoObjSens/CS-ablation tables from
 ///    one compile + one PTA per option set.
-///  - Replacing the source (or the compile options, or the budget)
-///    destroys the affected cone; per-stage epoch counters record
-///    every such invalidation, so clients can assert exactly which
-///    artifacts a change discarded.
+///  - Replacing the source (or the budget) destroys the affected
+///    cone; per-stage epoch counters record every such invalidation,
+///    so clients can assert exactly which artifacts a change
+///    discarded.
 ///
 /// Governance is threaded through unchanged: the session's
 /// AnalysisBudget is installed into every stage's options at compute
@@ -97,7 +97,7 @@ struct SliceAnswer {
 class AnalysisSession {
 public:
   AnalysisSession();
-  explicit AnalysisSession(std::string Source, CompileOptions CO = {});
+  explicit AnalysisSession(std::string Source);
   ~AnalysisSession();
 
   AnalysisSession(const AnalysisSession &) = delete;
@@ -140,9 +140,6 @@ public:
   };
   const IncrementalStats &incrementalStats() const { return IncStats; }
 
-  /// Changes the compile options: same cone as setSource.
-  void setCompileOptions(const CompileOptions &O);
-
   /// Changes the pointer-analysis options: re-keys PTA and everything
   /// below it (mod-ref, SDG, engine, slices). The Budget field of \p O
   /// is ignored — the session's own budget is threaded in at compute
@@ -178,7 +175,6 @@ public:
   /// when the session is effectively single-threaded.
   ThreadPool *pool();
 
-  const PTAOptions &ptaOptions() const { return CurPta; }
   const SDGOptions &sdgOptions() const { return CurSdg; }
   const AnalysisBudget *budget() const { return Budget; }
 
@@ -220,8 +216,6 @@ public:
   /// Status-returning boundary accessors: the artifact, or the Status
   /// explaining the null. Same memoization as the raw accessors.
   Expected<Program *> programChecked();
-  Expected<PointsToResult *> pointsToChecked();
-  Expected<ModRefResult *> modRefChecked();
   Expected<SDG *> sdgChecked();
   Expected<const SliceAnswer *> sliceChecked(const SliceQuery &Q);
 
@@ -303,7 +297,6 @@ public:
   /// Enables content-addressed snapshot caching under \p Dir (empty
   /// disables). The directory is created on first save.
   void setCacheDir(std::string Dir) { CacheDir = std::move(Dir); }
-  const std::string &cacheDir() const { return CacheDir; }
 
   /// Cache-dir lookup for the current (source, options, version) key:
   /// true when a cached snapshot existed AND loaded. A miss, or a hit
@@ -399,7 +392,6 @@ private:
   // --- inputs
   std::string Source;
   uint64_t SourceDigest = 0;
-  CompileOptions CurCompile;
   PTAOptions CurPta;
   SDGOptions CurSdg;
   const AnalysisBudget *Budget = nullptr;

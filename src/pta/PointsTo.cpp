@@ -75,6 +75,20 @@ std::string SolverStats::str() const {
 
 namespace {
 
+/// Class names treated as containers for cloning purposes. The
+/// collections' internal node/entry classes are listed too: without
+/// them, entry constructors run context-insensitively and merge the
+/// stored values across all containers.
+constexpr const char *ContainerClasses[] = {
+    "Vector",   "ArrayList", "LinkedList", "Stack",
+    "HashMap",  "Hashtable", "HashSet",    "Queue",
+    "MapEntry", "ListNode",
+};
+
+/// Maximum depth of nested allocation contexts (bounds recursion
+/// through containers-of-containers).
+constexpr unsigned MaxObjSensDepth = 3;
+
 /// Worklist-based subset solver with on-the-fly call graph.
 class Solver final : public PointsToResult {
 public:
@@ -413,7 +427,7 @@ private:
   Method *dispatchTarget(const CallInstr *Call, const AbstractObject &O) const;
   bool calleeIsCloned(const Method *Target, const AbstractObject &O) const {
     return Opts.ObjSensContainers && isContainerClass(Target->owner()) &&
-           O.CtxDepth < Opts.MaxObjSensDepth;
+           O.CtxDepth < MaxObjSensDepth;
   }
   void addCallEdge(unsigned CallerMC, const CallInstr *Call,
                    unsigned CalleeMC) {
@@ -563,7 +577,7 @@ void Solver::run() {
   // Mark container classes by name.
   IsContainer.assign(P.classes().size(), false);
   if (Opts.ObjSensContainers) {
-    for (const std::string &Name : Opts.ContainerClasses) {
+    for (const char *Name : ContainerClasses) {
       Symbol Sym = P.strings().lookup(Name);
       if (!Sym)
         continue;

@@ -46,20 +46,6 @@ struct PTAOptions {
   /// classes" [16]). Off = the NoObjSens ablation.
   bool ObjSensContainers = true;
 
-  /// Class names treated as containers for cloning purposes. The
-  /// collections' internal node/entry classes must be listed too:
-  /// without them, entry constructors run context-insensitively and
-  /// merge the stored values across all containers.
-  std::vector<std::string> ContainerClasses = {
-      "Vector",   "ArrayList", "LinkedList", "Stack",
-      "HashMap",  "Hashtable", "HashSet",    "Queue",
-      "MapEntry", "ListNode",
-  };
-
-  /// Maximum depth of nested allocation contexts (bounds recursion
-  /// through containers-of-containers).
-  unsigned MaxObjSensDepth = 3;
-
   /// Optional resource budget. When the solver exhausts it (deadline
   /// or MaxPtaPropagations), the analysis degrades to a sound coarse
   /// result: the CHA call graph plus an all-heap points-to

@@ -104,10 +104,8 @@ void SDG::buildCSR() {
   OutOff[0] = 0;
 }
 
-std::size_t SDG::seal() {
+std::size_t SDG::countRepeatedEdges() const {
   const std::size_t NK = NumSDGEdgeKinds;
-  buildCSR();
-
   // Edge identity is (From, To, kind, call site). The out-CSR groups
   // edges by (From, kind) segment, ids ascending within a segment, so
   // one sweep finds every repeat: LastPos[t] is one past the CSR
@@ -133,6 +131,11 @@ std::size_t SDG::seal() {
       }
     }
   }
+  return Repeats;
+}
+
+void SDG::seal() {
+  buildCSR();
 
   // Statement index: a counting sort of the statement nodes by dense
   // instruction rank. Scattering in node id order keeps each
@@ -168,7 +171,6 @@ std::size_t SDG::seal() {
   for (std::size_t R = Ranks; R != 0; --R)
     StmtCloneOff[R] = StmtCloneOff[R - 1];
   StmtCloneOff[0] = 0;
-  return Repeats;
 }
 
 //===----------------------------------------------------------------------===//
@@ -257,7 +259,8 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
 
   // A built graph has no repeated edge, so a payload that repeats one
   // was not written by encode().
-  if (G->seal() != 0)
+  G->seal();
+  if (G->countRepeatedEdges() != 0)
     throw SerializeError("duplicate SDG edge");
   // Statement identity is (instruction, context): the clones of one
   // instruction must differ in context. Contexts are first renamed to

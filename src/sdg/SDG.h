@@ -270,14 +270,10 @@ public:
     forEachNeighborRow(OutOff, OutNbr, Node, Runs, F);
   }
 
-  /// Neighbor node ids of one slot run [SlotBegin, SlotEnd) as a
+  /// Out-neighbor node ids of one slot run [SlotBegin, SlotEnd) as a
   /// contiguous indexable range — for algorithms that need resumable
   /// masked adjacency (e.g. an explicit-stack DFS over the masked
   /// subgraph), which a callback can't provide.
-  IdRange inNeighborRun(unsigned Node, unsigned SlotBegin,
-                        unsigned SlotEnd) const {
-    return neighborRun(InOff, InNbr, Node, SlotBegin, SlotEnd);
-  }
   IdRange outNeighborRun(unsigned Node, unsigned SlotBegin,
                          unsigned SlotEnd) const {
     return neighborRun(OutOff, OutNbr, Node, SlotBegin, SlotEnd);
@@ -331,11 +327,15 @@ private:
 
   /// Turns the filled node and edge lists into the query form, in
   /// time linear in the graph: builds the CSR adjacency (edge ids are
-  /// the insertion ranks), counts repeated edges in one pass over the
-  /// out-CSR, and counting-sorts the statement index. Runs exactly once
-  /// per graph. Returns the number of repeated edges, which the builder
-  /// never emits (buildSDG asserts zero) and decode() rejects.
-  std::size_t seal();
+  /// the insertion ranks) and counting-sorts the statement index. Runs
+  /// exactly once per graph.
+  void seal();
+
+  /// The number of repeated edges, in one pass over the out-CSR of a
+  /// sealed graph. The builder never emits one, so only decode(), whose
+  /// input comes from outside the program, always runs this; buildSDG
+  /// asserts zero in builds without NDEBUG.
+  std::size_t countRepeatedEdges() const;
 
   /// Counting sort of the edge list into the kind-partitioned CSR
   /// in/out adjacency.

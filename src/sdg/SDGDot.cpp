@@ -81,10 +81,7 @@ std::string tsl::exportDot(const SDG &G, const DotOptions &Options) {
       Label = (N.K == SDGNodeKind::HeapHub ? "heap hub #" : "heap param #") +
               std::to_string(N.Part);
     }
-    std::string Attrs = "label=\"" + Label + "\"";
-    if (Options.Highlight && Options.Highlight->test(Node))
-      Attrs += ", color=red, penwidth=2";
-    Out += "  n" + std::to_string(Node) + " [" + Attrs + "];\n";
+    Out += "  n" + std::to_string(Node) + " [label=\"" + Label + "\"];\n";
     EmittedSet.insert(Node);
     ++Emitted;
   }

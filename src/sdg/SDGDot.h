@@ -25,8 +25,6 @@ namespace tsl {
 struct DotOptions {
   /// Only emit nodes in this set (e.g., a slice); null = whole graph.
   const BitSet *Restrict = nullptr;
-  /// Additionally highlight these nodes (bold red).
-  const BitSet *Highlight = nullptr;
   /// Skip heap parameter nodes.
   bool SourceStmtsOnly = true;
   /// Cap on emitted nodes (dot rendering degrades beyond this).

@@ -31,14 +31,20 @@ const char *reasonFor(SDGEdgeKind K) {
 
 } // namespace
 
-SliceNarration tsl::narrateSlice(const SDG &G, const Instr *Seed,
+SliceNarration tsl::narrateSlice(const SliceResult &Slice, const Instr *Seed,
                                  SliceMode Mode) {
+  const SDG &G = Slice.graph();
   std::vector<NarrationStep> Steps;
   BitSet Visited(G.numNodes());
   std::deque<NarrationStep> Queue;
+  // Only the slice's own nodes are walked: a context-sensitive slice
+  // excludes nodes that plain reachability over the graph would reach.
+  auto Enter = [&](unsigned Node, NarrationStep Step) {
+    if (Slice.containsNode(Node) && Visited.insert(Node))
+      Queue.push_back(Step);
+  };
   for (unsigned Node : G.nodesFor(Seed))
-    if (Visited.insert(Node))
-      Queue.push_back({Node, -1, SDGEdgeKind::Flow, 0});
+    Enter(Node, {Node, -1, SDGEdgeKind::Flow, 0});
 
   while (!Queue.empty()) {
     NarrationStep Step = Queue.front();
@@ -46,11 +52,9 @@ SliceNarration tsl::narrateSlice(const SDG &G, const Instr *Seed,
     Steps.push_back(Step);
     for (unsigned EdgeId : G.inEdges(Step.Node)) {
       const SDGEdge &E = G.edge(EdgeId);
-      if (!sliceFollowsEdge(Mode, E.K))
-        continue;
-      if (Visited.insert(E.From))
-        Queue.push_back({E.From, static_cast<int>(Step.Node), E.K,
-                         Step.Depth + 1});
+      if (sliceFollowsEdge(Mode, E.K))
+        Enter(E.From, {E.From, static_cast<int>(Step.Node), E.K,
+                       Step.Depth + 1});
     }
   }
   return SliceNarration(G, std::move(Steps));

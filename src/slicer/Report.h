@@ -52,9 +52,11 @@ private:
   std::vector<NarrationStep> Steps;
 };
 
-/// Explores the Mode-slice of \p Seed breadth-first and records how
-/// each statement was reached.
-SliceNarration narrateSlice(const SDG &G, const Instr *Seed, SliceMode Mode);
+/// Explores \p Slice, a \p Mode slice from \p Seed, breadth-first over
+/// the \p Mode edges between its own nodes and records how each node
+/// was reached.
+SliceNarration narrateSlice(const SliceResult &Slice, const Instr *Seed,
+                            SliceMode Mode);
 
 //===----------------------------------------------------------------------===//
 // Shared query-report rendering. The thinslice CLI, its REPL, and the

@@ -3,24 +3,10 @@
 #include "slicer/Slicer.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <unordered_set>
 
 using namespace tsl;
-
-bool tsl::sliceFollowsEdge(SliceMode Mode, SDGEdgeKind K) {
-  switch (K) {
-  case SDGEdgeKind::Flow:
-  case SDGEdgeKind::ParamIn:
-  case SDGEdgeKind::ParamOut:
-    return true;
-  case SDGEdgeKind::BaseFlow:
-  case SDGEdgeKind::Control:
-    return Mode == SliceMode::Traditional;
-  }
-  return false;
-}
 
 EdgeKindMask tsl::sliceEdgeMask(SliceMode Mode) {
   EdgeKindMask Mask = edgeKindMask(SDGEdgeKind::Flow) |
@@ -140,28 +126,19 @@ SliceResult reachNodes(const SDG &G, const std::vector<unsigned> &SeedNodes,
   return R;
 }
 
-/// Expands instruction seeds into every clone of each statement.
-SliceResult reach(const SDG &G, const std::vector<const Instr *> &Seeds,
-                  SliceMode Mode, bool Backward,
-                  const AnalysisBudget *Budget) {
-  std::vector<unsigned> Nodes;
-  for (const Instr *Seed : Seeds)
-    for (unsigned Node : G.nodesFor(Seed))
-      Nodes.push_back(Node);
-  return reachNodes(G, Nodes, Mode, Backward, Budget);
+/// Expands an instruction seed into every clone of the statement.
+SliceResult reach(const SDG &G, const Instr *Seed, SliceMode Mode,
+                  bool Backward, const AnalysisBudget *Budget) {
+  const auto Clones = G.nodesFor(Seed);
+  return reachNodes(G, std::vector<unsigned>(Clones.begin(), Clones.end()),
+                    Mode, Backward, Budget);
 }
 
 } // namespace
 
 SliceResult tsl::sliceBackward(const SDG &G, const Instr *Seed,
                                SliceMode Mode, const AnalysisBudget *Budget) {
-  return reach(G, {Seed}, Mode, /*Backward=*/true, Budget);
-}
-
-SliceResult tsl::sliceBackward(const SDG &G,
-                               const std::vector<const Instr *> &Seeds,
-                               SliceMode Mode, const AnalysisBudget *Budget) {
-  return reach(G, Seeds, Mode, /*Backward=*/true, Budget);
+  return reach(G, Seed, Mode, /*Backward=*/true, Budget);
 }
 
 SliceResult tsl::sliceBackwardNodes(const SDG &G,
@@ -174,33 +151,5 @@ SliceResult tsl::sliceBackwardNodes(const SDG &G,
 
 SliceResult tsl::sliceForward(const SDG &G, const Instr *Seed,
                               SliceMode Mode, const AnalysisBudget *Budget) {
-  return reach(G, {Seed}, Mode, /*Backward=*/false, Budget);
-}
-
-SliceResult tsl::sliceBackwardLegacy(const SDG &G, const Instr *Seed,
-                                     SliceMode Mode,
-                                     const AnalysisBudget *Budget) {
-  BudgetGate Gate(Budget, "slice.pop", Budget ? Budget->MaxSlicePops : 0);
-  BitSet Visited(G.numNodes());
-  std::deque<unsigned> Queue;
-  for (unsigned Node : G.nodesFor(Seed))
-    if (Visited.insert(Node))
-      Queue.push_back(Node);
-  while (!Queue.empty()) {
-    if (Gate.spend())
-      break;
-    unsigned Node = Queue.front();
-    Queue.pop_front();
-    for (unsigned EdgeId : G.inEdges(Node)) {
-      const SDGEdge &E = G.edge(EdgeId);
-      if (!sliceFollowsEdge(Mode, E.K))
-        continue;
-      if (Visited.insert(E.From))
-        Queue.push_back(E.From);
-    }
-  }
-  SliceResult R(&G, std::move(Visited));
-  if (Gate.exhausted())
-    R.markDegraded(Gate.reason());
-  return R;
+  return reach(G, Seed, Mode, /*Backward=*/false, Budget);
 }

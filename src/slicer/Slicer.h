@@ -16,8 +16,6 @@
 /// adjacency (see SDG.h): the mode is compiled into an EdgeKindMask
 /// once per slice and each visited node scans contiguous neighbor
 /// runs, with no per-edge kind branch or edge-record load.
-/// sliceBackwardLegacy() keeps the original edge-record traversal as a
-/// differential oracle and benchmark baseline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,11 +37,14 @@ enum class SliceMode {
   Traditional, ///< All dependences (Weiser-style relevance).
 };
 
-/// True when a slice in \p Mode follows edges of kind \p K.
-bool sliceFollowsEdge(SliceMode Mode, SDGEdgeKind K);
-
-/// The CSR edge-kind mask a slice in \p Mode follows.
+/// The edge kinds a slice in \p Mode follows, as a CSR edge-kind mask.
+/// The one definition of what each mode follows.
 EdgeKindMask sliceEdgeMask(SliceMode Mode);
+
+/// True when a slice in \p Mode follows edges of kind \p K.
+inline bool sliceFollowsEdge(SliceMode Mode, SDGEdgeKind K) {
+  return sliceEdgeMask(Mode) & edgeKindMask(K);
+}
 
 /// A (method, line) pair — the unit a human inspects.
 struct SourceLine {
@@ -150,11 +151,6 @@ private:
 SliceResult sliceBackward(const SDG &G, const Instr *Seed, SliceMode Mode,
                           const AnalysisBudget *Budget = nullptr);
 
-/// Backward slice from several seeds at once.
-SliceResult sliceBackward(const SDG &G, const std::vector<const Instr *> &Seeds,
-                          SliceMode Mode,
-                          const AnalysisBudget *Budget = nullptr);
-
 /// Backward slice seeded at specific SDG nodes (specific clones); used
 /// by the expansion machinery, which must not jump across contexts.
 /// When \p Shared is non-null the traversal polls that batch-wide gate
@@ -170,14 +166,6 @@ SliceResult sliceBackwardNodes(const SDG &G,
 /// Forward slice (statements the seed's value can flow to / affect).
 SliceResult sliceForward(const SDG &G, const Instr *Seed, SliceMode Mode,
                          const AnalysisBudget *Budget = nullptr);
-
-/// Reference slicer over the raw edge records (the pre-CSR traversal:
-/// per-edge kind test via sliceFollowsEdge, edge-id indirection).
-/// Kept as the differential-testing oracle for the CSR path and the
-/// baseline the throughput benchmark measures against.
-SliceResult sliceBackwardLegacy(const SDG &G, const Instr *Seed,
-                                SliceMode Mode,
-                                const AnalysisBudget *Budget = nullptr);
 
 } // namespace tsl
 

@@ -42,7 +42,7 @@ constexpr uint32_t TSL_SNAPSHOT_MAGIC = 0x534C5354u;
 /// Snapshot format version. Bump on ANY layout change to ANY section
 /// (new field, reordered field, changed codec): readers reject other
 /// versions and the session falls back to a cold rebuild.
-constexpr uint32_t TSL_SNAPSHOT_VERSION = 1;
+constexpr uint32_t TSL_SNAPSHOT_VERSION = 2;
 
 /// Section tags, in file order.
 enum class SnapshotSection : uint32_t {

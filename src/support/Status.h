@@ -92,9 +92,6 @@ public:
   /// Ok when the value is present.
   const Status &status() const { return Err; }
 
-  /// The value, or \p Fallback when this holds an error.
-  T valueOr(T Fallback) const { return Value ? *Value : Fallback; }
-
 private:
   std::optional<T> Value;
   Status Err;

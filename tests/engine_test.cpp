@@ -4,8 +4,8 @@
 // batch path (1 and 4 workers, one CI chunk and several,
 // context-insensitive and -sensitive, summary cache cold and warm,
 // both slice modes) must produce statement-identical results to the
-// single-seed reference slicers — sliceBackwardLegacy or sliceBackward
-// for CI, TabulationSlicer::slice for CS — plus unit coverage of
+// single-seed reference slicers — the edge-record BFS referenceSlice
+// or sliceBackward for CI, TabulationSlicer::slice for CS — plus unit coverage of
 // dedup, the per-mode condensation cache, and batch-wide budget
 // degradation (a step cap, and a watchdog cancel seen on every lane).
 // These tests carry the "engine" ctest label and are the set the TSan
@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +33,27 @@
 using namespace tsl;
 
 namespace {
+
+/// Reference backward slice: a plain BFS over the raw edge records,
+/// testing each edge's kind. Shares nothing with the CSR traversal the
+/// engine and sliceBackward run.
+SliceResult referenceSlice(const SDG &G, const Instr *Seed, SliceMode Mode) {
+  BitSet Visited(G.numNodes());
+  std::deque<unsigned> Queue;
+  for (unsigned Node : G.nodesFor(Seed))
+    if (Visited.insert(Node))
+      Queue.push_back(Node);
+  while (!Queue.empty()) {
+    unsigned Node = Queue.front();
+    Queue.pop_front();
+    for (unsigned EdgeId : G.inEdges(Node)) {
+      const SDGEdge &E = G.edge(EdgeId);
+      if (sliceFollowsEdge(Mode, E.K) && Visited.insert(E.From))
+        Queue.push_back(E.From);
+    }
+  }
+  return SliceResult(&G, std::move(Visited));
+}
 
 struct Compiled {
   std::unique_ptr<AnalysisSession> S;
@@ -112,7 +134,7 @@ TEST(Engine, DifferentialEvalCases) {
       // Per-seed reference slices, computed once per mode.
       std::vector<SliceResult> Ref;
       for (const Instr *Seed : Seeds)
-        Ref.push_back(sliceBackwardLegacy(*C.CI, Seed, Mode));
+        Ref.push_back(referenceSlice(*C.CI, Seed, Mode));
       for (unsigned Jobs : {1u, 4u}) {
         BatchOptions Opts;
         Opts.Mode = Mode;
@@ -143,7 +165,7 @@ TEST(Engine, DifferentialGeneratedSeedsCI) {
   for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
     std::vector<SliceResult> Ref;
     for (const Instr *Seed : Seeds)
-      Ref.push_back(sliceBackwardLegacy(*C.CI, Seed, Mode));
+      Ref.push_back(referenceSlice(*C.CI, Seed, Mode));
     for (unsigned Jobs : {1u, 4u}) {
       BatchOptions Opts;
       Opts.Mode = Mode;
@@ -281,7 +303,7 @@ def main() {
   EXPECT_TRUE(Got[1].nodeSet() == Got[4].nodeSet());
   for (std::size_t I = 0; I != Seeds.size(); ++I)
     expectIdentical(Got[I],
-                    sliceBackwardLegacy(*C.CI, Seeds[I], SliceMode::Thin),
+                    referenceSlice(*C.CI, Seeds[I], SliceMode::Thin),
                     tag("dedup", SliceMode::Thin, 1, I));
 }
 
@@ -331,7 +353,7 @@ def main() {
   std::vector<SliceResult> Got = Engine.sliceBackwardBatch({Seed}, Thin);
   EXPECT_TRUE(Engine.stats().CondensationReused);
   expectIdentical(Got.front(),
-                  sliceBackwardLegacy(*C.CI, Seed, SliceMode::Thin),
+                  referenceSlice(*C.CI, Seed, SliceMode::Thin),
                   "reused-condensation");
 }
 

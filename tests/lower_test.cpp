@@ -11,12 +11,9 @@ using namespace tsl;
 
 namespace {
 
-std::unique_ptr<Program> compileOk(const std::string &Source,
-                                   bool BuildSSA = true) {
+std::unique_ptr<Program> compileOk(const std::string &Source) {
   DiagnosticEngine Diag;
-  CompileOptions Opts;
-  Opts.BuildSSA = BuildSSA;
-  std::unique_ptr<Program> P = compileThinJ(Source, Diag, Opts);
+  std::unique_ptr<Program> P = compileThinJ(Source, Diag);
   EXPECT_NE(P, nullptr) << Diag.str();
   if (P) {
     auto Violations = verifyProgram(*P);

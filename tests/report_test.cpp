@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace tsl;
 
 namespace {
@@ -39,6 +41,11 @@ struct Fixture {
             Last = I.get();
     return Last;
   }
+
+  /// Narrates the context-insensitive \p Mode slice from \p Seed.
+  SliceNarration narrate(const Instr *Seed, SliceMode Mode) {
+    return narrateSlice(sliceBackward(*G, Seed, Mode), Seed, Mode);
+  }
 };
 
 } // namespace
@@ -51,7 +58,7 @@ def main() {
   print(b);
 }
 )");
-  SliceNarration Story = narrateSlice(*F.G, F.lastAtLine(5), SliceMode::Thin);
+  SliceNarration Story = F.narrate(F.lastAtLine(5), SliceMode::Thin);
   const auto &Steps = Story.steps();
   ASSERT_FALSE(Steps.empty());
   EXPECT_EQ(Steps.front().ViaNode, -1);
@@ -66,8 +73,8 @@ def main() {
 TEST(Report, EveryStepHasReachedProvenance) {
   Fixture F(makeFigure1().Source);
   WorkloadProgram W = makeFigure1();
-  SliceNarration Story = narrateSlice(
-      *F.G, F.lastAtLine(W.markerLine("seed")), SliceMode::Thin);
+  SliceNarration Story =
+      F.narrate(F.lastAtLine(W.markerLine("seed")), SliceMode::Thin);
   // Each non-seed step's ViaNode must itself appear earlier.
   BitSet Seen;
   for (const NarrationStep &Step : Story.steps()) {
@@ -91,8 +98,7 @@ def main() {
   print(r == null);
 }
 )");
-  SliceNarration Story = narrateSlice(*F.G, F.lastAtLine(10),
-                                      SliceMode::Thin);
+  SliceNarration Story = F.narrate(F.lastAtLine(10), SliceMode::Thin);
   std::string Text = Story.str();
   EXPECT_NE(Text.find("[seed]"), std::string::npos);
   EXPECT_NE(Text.find("produces the value used by"), std::string::npos);
@@ -101,8 +107,7 @@ def main() {
   EXPECT_EQ(Text.find("base pointer"), std::string::npos);
   EXPECT_EQ(Text.find("controls whether"), std::string::npos);
 
-  SliceNarration Trad = narrateSlice(*F.G, F.lastAtLine(10),
-                                     SliceMode::Traditional);
+  SliceNarration Trad = F.narrate(F.lastAtLine(10), SliceMode::Traditional);
   EXPECT_NE(Trad.str().find("base pointer"), std::string::npos);
 }
 
@@ -113,7 +118,7 @@ def main() {
   print(a);
 }
 )");
-  SliceNarration Story = narrateSlice(*F.G, F.lastAtLine(4), SliceMode::Thin);
+  SliceNarration Story = F.narrate(F.lastAtLine(4), SliceMode::Thin);
   // With an offset of 1, line 4 renders as 3.
   std::string Text = Story.str(1);
   EXPECT_NE(Text.find("main:3"), std::string::npos);
@@ -124,8 +129,8 @@ TEST(Report, NarrationCoversTheThinSliceLines) {
   WorkloadProgram W = makeFigure1();
   Fixture F(W.Source);
   const Instr *Seed = F.lastAtLine(W.markerLine("seed"));
-  SliceNarration Story = narrateSlice(*F.G, Seed, SliceMode::Thin);
   SliceResult Slice = sliceBackward(*F.G, Seed, SliceMode::Thin);
+  SliceNarration Story = narrateSlice(Slice, Seed, SliceMode::Thin);
   // Every narration node is in the slice and vice versa.
   BitSet Narrated;
   for (const NarrationStep &Step : Story.steps())
@@ -135,4 +140,46 @@ TEST(Report, NarrationCoversTheThinSliceLines) {
   EXPECT_NE(Story.str().find(
                 ":" + std::to_string(W.markerLine("bug"))),
             std::string::npos);
+}
+
+TEST(Report, ContextSensitiveNarrationStaysInsideTheSlice) {
+  // A context-sensitive slice excludes nodes that plain reachability
+  // over the CS graph reaches; the narration must not bring them back.
+  BugCase Case;
+  for (BugCase &C : debuggingCases())
+    if (C.Id == "nanoxml-1")
+      Case = std::move(C);
+  ASSERT_EQ(Case.Id, "nanoxml-1");
+  std::vector<unsigned> Lines;
+  for (const auto &[Name, Line] : Case.Prog.Markers)
+    Lines.push_back(Line);
+  std::sort(Lines.begin(), Lines.end());
+  Lines.resize(std::min<std::size_t>(Lines.size(), 5));
+  ASSERT_EQ(Lines.size(), 5u);
+
+  AnalysisSession S(Case.Prog.Source);
+  SDGOptions CS;
+  CS.ContextSensitive = true;
+  S.setSDGOptions(CS);
+  ASSERT_NE(S.program(), nullptr) << S.diagnostics().str();
+  for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional})
+    for (unsigned Line : Lines) {
+      const Instr *Seed = seedAtLine(*S.program(), Line);
+      ASSERT_NE(Seed, nullptr) << Line;
+      const SliceAnswer *A =
+          S.slice(SliceQuery::backward({Seed}, Mode, /*ContextSensitive=*/true));
+      ASSERT_NE(A, nullptr);
+      const SliceResult &Slice = A->Results.front();
+      const std::vector<SourceLine> &SliceLines = Slice.sourceLines();
+      SliceNarration Story = narrateSlice(Slice, Seed, Mode);
+      for (const NarrationStep &Step : Story.steps()) {
+        const SDGNode &N = Slice.graph().node(Step.Node);
+        if (!N.isSourceStmt() || !N.I->loc().isValid())
+          continue;
+        EXPECT_TRUE(std::binary_search(SliceLines.begin(), SliceLines.end(),
+                                       SourceLine{N.M, N.I->loc().Line}))
+            << "marker line " << Line << " narrates line "
+            << N.I->loc().Line << " outside its slice";
+      }
+    }
 }

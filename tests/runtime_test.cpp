@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace tsl;
 
 namespace {
@@ -255,12 +257,22 @@ def main() {
 }
 
 TEST(Runtime, DeepContainerNestingBoundedCloning) {
-  // Vectors of vectors of vectors: the MaxObjSensDepth bound keeps the
-  // context chains finite while the analysis stays sound.
-  PTAOptions Opts;
-  Opts.MaxObjSensDepth = 2;
+  // Vectors of vectors of vectors, and a container class whose methods
+  // allocate the next container and call into it: the solver's nesting
+  // bound (3 allocation contexts) keeps the context chains finite while
+  // the analysis stays sound. Queue is on the solver's container list
+  // but not in the runtime library, so the program defines it.
   DiagnosticEngine Diag;
   auto P = compileThinJ(runtimeLibrarySource() + R"(
+class Queue {
+  var next: Queue;
+  def grow(depth: int) {
+    if (depth > 0) {
+      next = new Queue();
+      next.grow(depth - 1);
+    }
+  }
+}
 def nest(depth: int): Vector {
   var v = new Vector();
   if (depth > 0) {
@@ -272,13 +284,20 @@ def main() {
   var root = nest(5);
   var inner = (Vector) root.get(0);
   print(inner.size());
+  var q = new Queue();
+  q.grow(6);
 }
 )",
                         Diag);
   ASSERT_NE(P, nullptr) << Diag.str();
-  auto PTA = runPointsTo(*P, Opts);
+  auto PTA = runPointsTo(*P);
   // Terminates (bounded contexts) and the cast target is a Vector.
   EXPECT_GT(PTA->callGraph().nodes().size(), 0u);
+  // The Queue chain clones down to the bound and no further.
+  unsigned MaxDepth = 0;
+  for (const AbstractObject &O : PTA->objects())
+    MaxDepth = std::max(MaxDepth, O.CtxDepth);
+  EXPECT_EQ(MaxDepth, 3u);
   InterpResult R = interpret(*P);
   ASSERT_TRUE(R.Completed) << R.Error;
   EXPECT_EQ(R.Output.front(), "1");

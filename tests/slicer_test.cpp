@@ -202,12 +202,18 @@ def main() {
 )");
   const Instr *S1 = F.lastAtLine(5);
   const Instr *S2 = F.lastAtLine(6);
-  SliceResult Both =
-      sliceBackward(*F.G, std::vector<const Instr *>{S1, S2},
-                    SliceMode::Thin);
+  std::vector<unsigned> Clones;
+  for (const Instr *Seed : {S1, S2})
+    for (unsigned Node : F.G->nodesFor(Seed))
+      Clones.push_back(Node);
+  SliceResult Both = sliceBackwardNodes(*F.G, Clones, SliceMode::Thin);
   auto L = F.lines(Both);
   EXPECT_TRUE(containsLine(L, 3));
   EXPECT_TRUE(containsLine(L, 4));
+  // Slicing from both seeds at once is the union of the two slices.
+  SliceResult Union = sliceBackward(*F.G, S1, SliceMode::Thin);
+  Union.unionWith(sliceBackward(*F.G, S2, SliceMode::Thin));
+  EXPECT_TRUE(Both.nodeSet() == Union.nodeSet());
 }
 
 TEST(Slicer, HeapFlowThroughContainerInternals) {

@@ -298,6 +298,31 @@ TEST(SnapshotIncremental, LoadThenEditEqualsColdThenEdit) {
   fs::remove(Snap);
 }
 
+TEST(SnapshotVersion, PreviousFormatIsRefusedAndRebuiltCold) {
+  // Version 1 snapshots carried a compile-options digest in the Meta
+  // section. A file with that version number is refused by the version
+  // check before any section is read, and the session answers cold.
+  const std::string Snap = tempPath("tsl_snapshot_v1.tslsnap");
+  AnalysisSession Saver{std::string(BaseSource)};
+  ASSERT_TRUE(Saver.saveSnapshot(Snap).isOk()) << Saver.lastError().str();
+  std::string Bytes = readBytes(Snap);
+  ASSERT_GE(Bytes.size(), 8u);
+  // Bytes 4..7 hold the little-endian format version.
+  Bytes[4] = 1;
+  Bytes[5] = Bytes[6] = Bytes[7] = 0;
+  std::ofstream(Snap, std::ios::binary | std::ios::trunc) << Bytes;
+
+  AnalysisSession S{std::string(BaseSource)};
+  Status L = S.loadSnapshot(Snap);
+  EXPECT_FALSE(L.isOk());
+  EXPECT_EQ(S.snapshotStats().LastFallbackReason,
+            "format version 1 != " + std::to_string(TSL_SNAPSHOT_VERSION));
+  EXPECT_EQ(S.snapshotStats().Loads, 0u);
+  AnalysisSession Cold{std::string(BaseSource)};
+  EXPECT_EQ(sessionSignature(S), sessionSignature(Cold));
+  fs::remove(Snap);
+}
+
 TEST(SnapshotBudget, BudgetedSessionsRefuseToSerialize) {
   AnalysisBudget B;
   B.BudgetMs = 60'000;

@@ -996,7 +996,7 @@ int runTool(int argc, char **argv) {
     const SliceResult &Slice = Result->Results.front();
 
     if (Opts.Why) {
-      SliceNarration Story = narrateSlice(Slice.graph(), Seed, Opts.Query.Mode);
+      SliceNarration Story = narrateSlice(Slice, Seed, Opts.Query.Mode);
       printf("%s", Story.str(LineOffset).c_str());
       return Finish(&Slice);
     }
