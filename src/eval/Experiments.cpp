@@ -16,6 +16,8 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
+#include <unordered_set>
 
 using namespace tsl;
 
@@ -27,51 +29,36 @@ double msSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// One warm AnalysisSession per named workload, shared by every table
-/// driver in the process: Tables 2/3 and the ablation all slice the
-/// same nanoxml model, and with a process-wide registry the second and
-/// later drivers reuse the first one's compile, points-to, and SDGs
-/// instead of rebuilding them. (Tables 1 and the scalability sweep use
-/// uniquely-padded variants and local sessions — their point is to
-/// *time* the builds.)
-std::map<std::string, std::unique_ptr<AnalysisSession>> &sessionRegistry() {
-  static std::map<std::string, std::unique_ptr<AnalysisSession>> Registry;
-  return Registry;
-}
-
-AnalysisSession &sessionFor(const WorkloadProgram &W) {
-  auto &Cache = sessionRegistry();
-  auto It = Cache.find(W.Name);
-  if (It == Cache.end()) {
+/// One warm AnalysisSession per (workload, options), shared by every
+/// table driver in the process: Tables 2/3 and the ablation all slice
+/// the same nanoxml model, and with a process-wide registry the second
+/// and later drivers reuse the first one's compile, points-to, and SDG
+/// instead of rebuilding them. A session holds one artifact per stage,
+/// so each option variant a driver needs alive at the same time (the
+/// NoObjSens and context-sensitive ablations) is its own session.
+/// (Tables 1 and the scalability sweep use uniquely-padded variants
+/// and local sessions — their point is to *time* the builds.)
+AnalysisSession &sessionFor(const WorkloadProgram &W, bool ObjSens = true,
+                            bool ContextSensitive = false) {
+  static std::map<std::tuple<std::string, bool, bool>,
+                  std::unique_ptr<AnalysisSession>>
+      Registry;
+  auto &Entry = Registry[{W.Name, ObjSens, ContextSensitive}];
+  if (!Entry) {
     auto S = std::make_unique<AnalysisSession>(W.Source);
+    PTAOptions PO;
+    PO.ObjSensContainers = ObjSens;
+    S->setPTAOptions(PO);
+    SDGOptions SO;
+    SO.ContextSensitive = ContextSensitive;
+    S->setSDGOptions(SO);
     if (!S->program())
       throw std::runtime_error("workload '" + W.Name +
                                "' failed to compile:\n" +
                                S->diagnostics().str());
-    It = Cache.emplace(W.Name, std::move(S)).first;
+    Entry = std::move(S);
   }
-  return *It->second;
-}
-
-/// The default (object-sensitive, context-insensitive) SDG. Leaves the
-/// session on the default option cone.
-SDG &objSdg(AnalysisSession &S) {
-  S.setPTAOptions(PTAOptions());
-  S.setSDGOptions(SDGOptions());
-  return *S.sdg();
-}
-
-/// The container-object-sensitivity-ablated SDG. The session retains
-/// both variants (re-keying is not destructive), so this restores the
-/// default cone before returning and the pointer stays valid.
-SDG &noObjSdg(AnalysisSession &S) {
-  PTAOptions NoObj;
-  NoObj.ObjSensContainers = false;
-  S.setPTAOptions(NoObj);
-  S.setSDGOptions(SDGOptions());
-  SDG *G = S.sdg();
-  S.setPTAOptions(PTAOptions());
-  return *G;
+  return *Entry;
 }
 
 std::vector<SourceLine> desiredLines(const Program &P,
@@ -252,9 +239,8 @@ tsl::runDebuggingExperiment(InspectionStrategy Strategy) {
 
   for (const BugCase &Case : debuggingCases()) {
     AnalysisSession &S = sessionFor(Case.Prog);
+    AnalysisSession &NoObj = sessionFor(Case.Prog, /*ObjSens=*/false);
     Program &P = *S.program();
-    SDG &GNoObj = noObjSdg(S);
-    SDG &G = objSdg(S);
     SliceSizes.push_back(
         {&S, instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker)),
          Rows.size()});
@@ -263,20 +249,23 @@ tsl::runDebuggingExperiment(InspectionStrategy Strategy) {
     Row.Control = Case.NumControl;
     Row.SlicingUseful = Case.SlicingUseful;
 
-    auto Run = [&](const SDG &OnG, SliceMode Mode) {
-      InspectionQuery Q = makeQuery(P, Case.Prog, Case.SeedMarker, Mode,
+    // Each session has its own program: the query's instructions come
+    // from the session whose graph it runs on.
+    auto Run = [&](AnalysisSession &On, SliceMode Mode) {
+      InspectionQuery Q = makeQuery(*On.program(), Case.Prog,
+                                    Case.SeedMarker, Mode,
                                     Case.DesiredMarkers, Case.NumControl,
                                     Case.PivotMarkers,
                                     Mode == SliceMode::Thin &&
                                         Case.ExpandAliasOneLevel);
       Q.Strategy = Strategy;
-      return simulateInspection(OnG, Q);
+      return simulateInspection(*On.sdg(), Q);
     };
 
-    InspectionResult Thin = Run(G, SliceMode::Thin);
-    InspectionResult Trad = Run(G, SliceMode::Traditional);
-    InspectionResult ThinNoObj = Run(GNoObj, SliceMode::Thin);
-    InspectionResult TradNoObj = Run(GNoObj, SliceMode::Traditional);
+    InspectionResult Thin = Run(S, SliceMode::Thin);
+    InspectionResult Trad = Run(S, SliceMode::Traditional);
+    InspectionResult ThinNoObj = Run(NoObj, SliceMode::Thin);
+    InspectionResult TradNoObj = Run(NoObj, SliceMode::Traditional);
 
     Row.Thin = Thin.InspectedStatements;
     Row.Trad = Trad.InspectedStatements;
@@ -302,9 +291,7 @@ tsl::runToughCastExperiment(InspectionStrategy Strategy) {
 
   for (const CastCase &Case : toughCastCases()) {
     AnalysisSession &S = sessionFor(Case.Prog);
-    Program &P = *S.program();
-    SDG &GNoObj = noObjSdg(S);
-    SDG &G = objSdg(S);
+    AnalysisSession &NoObj = sessionFor(Case.Prog, /*ObjSens=*/false);
     InspectionRow Row;
     Row.Id = Case.Id;
     Row.Control = Case.NumControl;
@@ -312,31 +299,36 @@ tsl::runToughCastExperiment(InspectionStrategy Strategy) {
     // Slice from the cast itself, or — for tag-guarded casts — from
     // the tag read reached by following one control dependence from
     // the cast (the paper's Figure 5 protocol).
-    const Instr *Seed = nullptr;
-    if (!Case.SeedMarker.empty())
-      Seed = instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
-    if (!Seed)
-      Seed = castAtLine(P, Case.Prog.markerLine(Case.CastMarker));
+    auto SeedIn = [&](const Program &P) {
+      const Instr *Seed = nullptr;
+      if (!Case.SeedMarker.empty())
+        Seed = instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
+      if (!Seed)
+        Seed = castAtLine(P, Case.Prog.markerLine(Case.CastMarker));
+      return Seed;
+    };
+    const Instr *Seed = SeedIn(*S.program());
     if (!Seed) {
       Rows.push_back(Row);
       continue;
     }
     SliceSizes.push_back({&S, Seed, Rows.size()});
 
-    auto Run = [&](const SDG &OnG, SliceMode Mode) {
+    auto Run = [&](AnalysisSession &On, SliceMode Mode) {
+      const Program &P = *On.program();
       InspectionQuery Q;
-      Q.Seed = Seed;
+      Q.Seed = SeedIn(P);
       Q.Mode = Mode;
       Q.Strategy = Strategy;
       Q.Desired = desiredLines(P, Case.Prog, Case.DesiredMarkers);
       Q.ChargedControlDeps = Case.NumControl;
-      return simulateInspection(OnG, Q);
+      return simulateInspection(*On.sdg(), Q);
     };
 
-    InspectionResult Thin = Run(G, SliceMode::Thin);
-    InspectionResult Trad = Run(G, SliceMode::Traditional);
-    InspectionResult ThinNoObj = Run(GNoObj, SliceMode::Thin);
-    InspectionResult TradNoObj = Run(GNoObj, SliceMode::Traditional);
+    InspectionResult Thin = Run(S, SliceMode::Thin);
+    InspectionResult Trad = Run(S, SliceMode::Traditional);
+    InspectionResult ThinNoObj = Run(NoObj, SliceMode::Thin);
+    InspectionResult TradNoObj = Run(NoObj, SliceMode::Traditional);
 
     Row.Thin = Thin.InspectedStatements;
     Row.Trad = Trad.InspectedStatements;
@@ -364,8 +356,9 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
   for (unsigned Pad : PadSizes) {
     WorkloadProgram W = padWorkload(Base, "S", Pad, 6);
     // Local session, first-request-is-the-build timing as in Table 1;
-    // the CI -> CS switch below reuses its compile and points-to run,
-    // which is exactly the cost the CS column is supposed to isolate.
+    // the CI -> CS switch below keeps its compile and points-to run
+    // (only the CI graph drops), which is exactly the cost the CS
+    // column is supposed to isolate.
     AnalysisSession S(W.Source);
     Program *P = S.program();
     if (!P)
@@ -432,25 +425,27 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
 
 std::vector<AblationRow> tsl::runContextAblation() {
   std::vector<AblationRow> Rows;
-  // Both graph variants, both slices, and the tabulation summaries
-  // come from the per-workload session: the summary cache keys by
-  // (graph, mode), so the second and third nanoxml case reuse
-  // the first one's tabulation — and a Tables 2/3 run earlier in the
-  // process already paid for the compile, points-to, and CI graph.
+  // Each graph variant comes from its per-(workload, options) session:
+  // the CS session's summary cache keys by (graph, mode), so the
+  // second and third nanoxml case reuse the first one's tabulation —
+  // and a Tables 2/3 run earlier in the process already paid for the
+  // CI session's compile, points-to, and graph.
   for (const BugCase &Case : debuggingCases()) {
     if (Case.Id != "nanoxml-1" && Case.Id != "nanoxml-2" &&
         Case.Id != "nanoxml-3")
       continue;
+    const unsigned SeedLine = Case.Prog.markerLine(Case.SeedMarker);
     AnalysisSession &S = sessionFor(Case.Prog);
     Program &P = *S.program();
-    const Instr *Seed = instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
-    SDG &CI = objSdg(S);
-    SliceResult CISlice = *S.sliceBackwardCached(Seed, SliceMode::Traditional);
-    SDGOptions CSOpts;
-    CSOpts.ContextSensitive = true;
-    S.setSDGOptions(CSOpts);
-    SliceResult CSSlice = *S.sliceBackwardCached(Seed, SliceMode::Traditional);
-    S.setSDGOptions(SDGOptions());
+    SDG &CI = *S.sdg();
+    SliceResult CISlice =
+        *S.sliceBackwardCached(instrAtLine(P, SeedLine),
+                               SliceMode::Traditional);
+    AnalysisSession &CSS =
+        sessionFor(Case.Prog, /*ObjSens=*/true, /*ContextSensitive=*/true);
+    SliceResult CSSlice =
+        *CSS.sliceBackwardCached(instrAtLine(*CSS.program(), SeedLine),
+                                 SliceMode::Traditional);
 
     AblationRow Row;
     Row.Id = Case.Id;
@@ -469,9 +464,17 @@ std::vector<AblationRow> tsl::runContextAblation() {
     // BFS with the same discipline but restricted to statements the
     // context-sensitive slice retains: the traversal distance barely
     // changes even though the slice shrinks (the paper's observation).
-    std::unordered_set<const Instr *> Allowed;
+    // The CS slice's statements belong to the CS session's program;
+    // the dense instruction key names the same statement in both.
+    std::unordered_set<uint64_t> CSKeys;
     for (const Instr *I : CSSlice.statements())
-      Allowed.insert(I);
+      CSKeys.insert(denseInstrKey(I));
+    std::unordered_set<const Instr *> Allowed;
+    for (const auto &M : P.methods())
+      for (const auto &BB : M->blocks())
+        for (const auto &I : BB->instrs())
+          if (CSKeys.count(denseInstrKey(I.get())))
+            Allowed.insert(I.get());
     Q.RestrictStmts = &Allowed;
     Row.CSBfs = simulateInspection(CI, Q).InspectedStatements;
     Rows.push_back(Row);

@@ -71,7 +71,7 @@ auto computeStage(const char *Stage, const AnalysisBudget *B, Status &Err,
 }
 
 /// 64-bit digest over the source text: the cheap, stable identity
-/// every cache key is prefixed with. FNV-1a mixing applied to
+/// snapshots are stamped and cache-dir files are named with. FNV-1a mixing applied to
 /// little-endian 8-byte blocks (byte-wise tail) rather than single
 /// bytes: the classic form is one serially-dependent multiply per
 /// byte, which on ~100KB sources was a measurable slice of the
@@ -95,8 +95,8 @@ uint64_t fnv1a(const std::string &S) {
 }
 
 /// Option fingerprints. Budget pointers are deliberately excluded:
-/// the session threads its own budget in at compute time and treats
-/// budget changes as destructive invalidations instead.
+/// the session threads its own budget in at compute time and drops
+/// its analyses on a budget change instead.
 std::string digest(const PTAOptions &O) {
   std::string D = "objsens=";
   D += O.ObjSensContainers ? '1' : '0';
@@ -163,88 +163,55 @@ void AnalysisSession::bumpFrom(SessionStage S) {
     ++Epochs[I];
 }
 
-void AnalysisSession::purgeAnalyses() {
-  counters(SessionStage::Slice).Invalidated += SliceCache.size();
-  counters(SessionStage::Engine).Invalidated += EngineCache.size();
-  counters(SessionStage::SDGBuild).Invalidated += SdgCache.size();
-  counters(SessionStage::ModRef).Invalidated += ModRefCache.size();
-  counters(SessionStage::PTA).Invalidated += PtaCache.size();
-  // Bottom-up: engines reference SDGs, mod-ref references PTA.
-  SliceCache.clear();
-  EngineCache.clear();
-  SdgCache.clear();
-  // Summaries are keyed by SDG identity and a later graph may reuse a
-  // freed one's address.
-  Summaries.clear();
-  ModRefCache.clear();
-  PtaCache.clear();
-  TaintedPta.clear();
-  TaintedModRef.clear();
-  TaintedSdg.clear();
-  TaintedSlices.clear();
-  PendingPtaBytes.clear();
-  PendingMrBytes.clear();
-  PendingLayerKey.clear();
-  // No artifact holds retired-body pointers anymore.
-  RetiredBodyStore.clear();
-}
-
-//===----------------------------------------------------------------------===//
-// Tainted-artifact eviction (retry-on-next-request)
-//===----------------------------------------------------------------------===//
-
-void AnalysisSession::evictSdgCone(const std::string &Key) {
-  for (auto It = SliceCache.begin(); It != SliceCache.end();) {
-    if (std::get<0>(It->first) == Key) {
-      ++counters(SessionStage::Slice).Invalidated;
-      TaintedSlices.erase(It->first);
-      It = SliceCache.erase(It);
-    } else {
-      ++It;
-    }
+void AnalysisSession::drop(SessionStage S) {
+  auto Drop = [&](SessionStage At, auto &Artifact) {
+    if (S > At)
+      return false;
+    if (Artifact)
+      ++counters(At).Invalidated;
+    Artifact.reset();
+    return true;
+  };
+  if (S <= SessionStage::Slice) {
+    counters(SessionStage::Slice).Invalidated += SliceCache.size();
+    SliceCache.clear();
+    TaintedSlices.clear();
   }
-  counters(SessionStage::Engine).Invalidated += EngineCache.erase(Key);
-  counters(SessionStage::SDGBuild).Invalidated += SdgCache.erase(Key);
-  TaintedSdg.erase(Key);
-  // Summaries are keyed by SDG identity; a recomputed graph may reuse
-  // the evicted one's address, so drop them wholesale. Only runs on
-  // fault-tainted paths — the clean hot path never gets here.
-  Summaries.clear();
-}
-
-void AnalysisSession::evictModRefEntry(const std::string &Key) {
-  // Context-sensitive SDGs hold references into the mod-ref artifact:
-  // every SDG of this PTA cone goes too.
-  for (auto It = SdgCache.begin(); It != SdgCache.end();) {
-    if (It->first.compare(0, Key.size(), Key) == 0) {
-      std::string SdgK = It->first;
-      ++It;
-      evictSdgCone(SdgK);
-    } else {
-      ++It;
-    }
+  Drop(SessionStage::Engine, Engine);
+  if (Drop(SessionStage::SDGBuild, Graph)) {
+    SdgTainted = false;
+    // Summaries are keyed by SDG identity and a later graph may reuse
+    // a freed one's address.
+    Summaries.clear();
   }
-  counters(SessionStage::ModRef).Invalidated += ModRefCache.erase(Key);
-  TaintedModRef.erase(Key);
-}
-
-void AnalysisSession::evictPtaCone(const std::string &Key) {
-  evictModRefEntry(Key);
-  counters(SessionStage::PTA).Invalidated += PtaCache.erase(Key);
-  TaintedPta.erase(Key);
+  if (Drop(SessionStage::ModRef, MR)) {
+    ModRefTainted = false;
+    PendingMrBytes.clear();
+  }
+  if (Drop(SessionStage::PTA, Pta)) {
+    PtaTainted = false;
+    PendingPtaBytes.clear();
+    // No artifact holds retired-body pointers anymore.
+    RetiredBodyStore.clear();
+  }
+  if (S == SessionStage::Compile) {
+    if (CompileAttempted)
+      ++counters(SessionStage::Compile).Invalidated;
+    Prog.reset();
+    CompileAttempted = false;
+  }
 }
 
 void AnalysisSession::healTainted() {
-  // Bottom-up over the cones; each evict erases its own taint mark,
-  // so the loops drain.
-  while (!TaintedPta.empty())
-    evictPtaCone(*TaintedPta.begin());
-  while (!TaintedModRef.empty())
-    evictModRefEntry(*TaintedModRef.begin());
-  while (!TaintedSdg.empty())
-    evictSdgCone(*TaintedSdg.begin());
+  // The highest tainted stage's drop takes the ones below it along.
+  if (PtaTainted)
+    drop(SessionStage::PTA);
+  else if (ModRefTainted)
+    drop(SessionStage::ModRef);
+  else if (SdgTainted)
+    drop(SessionStage::SDGBuild);
   if (!TaintedSlices.empty()) {
-    for (const SliceKey &K : TaintedSlices)
+    for (const SliceQuery::Key &K : TaintedSlices)
       if (SliceCache.erase(K))
         ++counters(SessionStage::Slice).Invalidated;
     TaintedSlices.clear();
@@ -256,7 +223,7 @@ void AnalysisSession::healTainted() {
 /// RAII re-entrancy guard on the public accessors: fault-tainted
 /// artifacts heal exactly once, when the OUTERMOST accessor of a
 /// request enters — before any raw artifact pointer is handed out.
-/// An eviction from a nested call would free memory the outer frames
+/// A drop from a nested call would free memory the outer frames
 /// of the same request still dereference (use-after-free caught by
 /// the ASan chaos run). Artifacts tainted DURING the request stay
 /// served until its end — downstream artifacts hold references into
@@ -270,20 +237,12 @@ struct AnalysisSession::RequestScope {
   AnalysisSession &S;
 };
 
-void AnalysisSession::purgeAll() {
-  purgeAnalyses();
-  if (CompileAttempted)
-    ++counters(SessionStage::Compile).Invalidated;
-  Prog.reset();
-  CompileAttempted = false;
-}
-
 void AnalysisSession::setSource(std::string NewSource) {
   if (IncrementalEnabled && trySetSourceIncremental(NewSource))
     return;
   Source = std::move(NewSource);
   SourceDigest = fnv1a(Source);
-  purgeAll();
+  drop(SessionStage::Compile);
   bumpFrom(SessionStage::Compile);
 }
 
@@ -310,7 +269,7 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   IncrementalCompileResult CR = applyIncrementalCompile(*Prog, D);
   if (!CR.Applied)
     // A mid-apply failure (CR.RetiredBodies non-empty) left the
-    // program mutated; the cold path's purge discards it.
+    // program mutated; the cold path's drop discards it.
     return Cold(CR.Reason);
   ++CC.Misses;
   CC.Seconds += secondsSince(T0);
@@ -320,12 +279,16 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
       D.TotalFunctions - std::min<std::size_t>(D.TotalFunctions,
                                                CR.DirtyMethods.size());
 
-  // Keys straddle the digest change: extract under the old, re-insert
-  // under the new.
-  const std::string OldPtaKey = ptaKey();
   Source = NewSource;
   SourceDigest = fnv1a(Source);
-  const std::string NewPtaKey = ptaKey();
+
+  // A fault-tainted artifact is dropped rather than updated in place
+  // (carrying it through would lose the heal-on-next-request
+  // guarantee). The SDG and everything below it are stale against the
+  // new source: it is never updated in place, and the next sdg()
+  // builds it cold from the updated points-to (and mod-ref).
+  healTainted();
+  drop(SessionStage::SDGBuild);
 
   // Keep the dead IR alive: retained artifacts still reference the
   // retired instructions (the PTA object table's allocation sites) as
@@ -344,127 +307,63 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
       Req.DeadLocals.insert(L.get());
   }
 
-  // Extract the current-option artifacts (tainted ones stay behind
-  // and die with the purge below — carrying a fault-tainted artifact
-  // through an in-place update would lose the heal-on-next-request
-  // guarantee).
-  std::unique_ptr<PointsToResult> Pta;
-  std::unique_ptr<ModRefResult> MR;
-  if (auto It = PtaCache.find(OldPtaKey);
-      It != PtaCache.end() && !TaintedPta.count(OldPtaKey)) {
-    Pta = std::move(It->second);
-    PtaCache.erase(It);
-  }
-  if (auto It = ModRefCache.find(OldPtaKey);
-      It != ModRefCache.end() && !TaintedModRef.count(OldPtaKey)) {
-    MR = std::move(It->second);
-    ModRefCache.erase(It);
-  }
-  // Everything else — other option variants, every SDG, engines,
-  // slices, summaries — is stale against the new source. The SDG is
-  // never updated in place: the next sdg() builds it cold from the
-  // updated points-to (and mod-ref).
-  counters(SessionStage::Slice).Invalidated += SliceCache.size();
-  SliceCache.clear();
-  TaintedSlices.clear();
-  counters(SessionStage::Engine).Invalidated += EngineCache.size();
-  EngineCache.clear();
-  counters(SessionStage::SDGBuild).Invalidated += SdgCache.size();
-  SdgCache.clear();
-  TaintedSdg.clear();
-  counters(SessionStage::ModRef).Invalidated += ModRefCache.size();
-  ModRefCache.clear();
-  TaintedModRef.clear();
-  counters(SessionStage::PTA).Invalidated += PtaCache.size();
-  PtaCache.clear();
-  TaintedPta.clear();
-  Summaries.clear();
-
   // Stage updates, each with transparent per-stage cold fallback: a
   // declined/faulted update drops that artifact and its dependents,
   // and the next accessor recomputes them cold. No-edit reloads
-  // (zero dirty bodies) re-key points-to and mod-ref verbatim.
+  // (zero dirty bodies) keep points-to and mod-ref verbatim.
   const bool NeedUpdates = !CR.DirtyMethods.empty();
   std::vector<Method *> Affected;
-  PointsToResult *LivePta = nullptr;
   auto StageFallback = [&](const char *Stage, const std::string &Why,
                            SessionStage S) {
     ++IncStats.StageFallbacks;
     IncStats.LastFallbackReason = std::string(Stage) + ": " + Why;
-    ++counters(S).Invalidated;
+    drop(S);
   };
-  // Deferred snapshot payloads carry across a no-edit reload by
-  // re-keying (their facts are unchanged); a real edit cannot patch
-  // serialized bytes, so they drop and the next accessor rebuilds
-  // cold — the same outcome as a decoded snapshot layer declining
-  // its in-place update.
-  if (PendingLayerKey == OldPtaKey &&
-      (!PendingPtaBytes.empty() || !PendingMrBytes.empty())) {
-    if (!NeedUpdates) {
-      PendingLayerKey = NewPtaKey;
-    } else {
-      PendingPtaBytes.clear();
-      PendingMrBytes.clear();
-      PendingLayerKey.clear();
-      StageFallback("pta", "snapshot layer predates the edit",
-                    SessionStage::PTA);
+  // Deferred snapshot payloads carry across a no-edit reload (their
+  // facts are unchanged); a real edit cannot patch serialized bytes,
+  // so they drop (counted as one invalidated points-to layer) and the
+  // next accessor rebuilds cold — the same outcome as a decoded
+  // snapshot layer declining its in-place update.
+  if (NeedUpdates && (!PendingPtaBytes.empty() || !PendingMrBytes.empty())) {
+    ++counters(SessionStage::PTA).Invalidated;
+    StageFallback("pta", "snapshot layer predates the edit",
+                  Pta ? SessionStage::ModRef : SessionStage::PTA);
+  }
+  if (Pta && NeedUpdates) {
+    StageCounters &PC = counters(SessionStage::PTA);
+    auto TP = std::chrono::steady_clock::now();
+    try {
+      PTAUpdateResult U = Pta->applyIncrementalUpdate(Req);
+      PC.Seconds += secondsSince(TP);
+      if (U.Applied)
+        Affected = std::move(U.AffectedMethods);
+      else
+        StageFallback("pta", U.Reason, SessionStage::PTA);
+    } catch (const std::exception &E) {
+      PC.Seconds += secondsSince(TP);
+      StageFallback("pta", E.what(), SessionStage::PTA);
     }
   }
   if (Pta) {
-    bool Keep = true;
-    if (NeedUpdates) {
-      StageCounters &PC = counters(SessionStage::PTA);
-      auto TP = std::chrono::steady_clock::now();
-      try {
-        PTAUpdateResult U = Pta->applyIncrementalUpdate(Req);
-        PC.Seconds += secondsSince(TP);
-        if (U.Applied) {
-          Affected = std::move(U.AffectedMethods);
-        } else {
-          StageFallback("pta", U.Reason, SessionStage::PTA);
-          Keep = false;
-        }
-      } catch (const std::exception &E) {
-        PC.Seconds += secondsSince(TP);
-        StageFallback("pta", E.what(), SessionStage::PTA);
-        Keep = false;
-      }
-    }
-    if (Keep) {
-      ++IncStats.PtaUpdates;
-      ++counters(SessionStage::PTA).Hits;
-      LivePta = Pta.get();
-      PtaCache.emplace(NewPtaKey, std::move(Pta));
-    } else {
-      Pta.reset();
+    ++IncStats.PtaUpdates;
+    ++counters(SessionStage::PTA).Hits;
+  }
+  if (MR && NeedUpdates) {
+    StageCounters &MC = counters(SessionStage::ModRef);
+    auto TM = std::chrono::steady_clock::now();
+    try {
+      bool Applied = MR->updateIncremental(Affected);
+      MC.Seconds += secondsSince(TM);
+      if (!Applied)
+        StageFallback("modref", "update declined", SessionStage::ModRef);
+    } catch (const std::exception &E) {
+      MC.Seconds += secondsSince(TM);
+      StageFallback("modref", E.what(), SessionStage::ModRef);
     }
   }
   if (MR) {
-    bool Keep = LivePta != nullptr; // Mod-ref references the PTA result.
-    if (!Keep) {
-      ++counters(SessionStage::ModRef).Invalidated;
-    } else if (NeedUpdates) {
-      StageCounters &MC = counters(SessionStage::ModRef);
-      auto TM = std::chrono::steady_clock::now();
-      try {
-        if (!MR->updateIncremental(Affected)) {
-          StageFallback("modref", "update declined", SessionStage::ModRef);
-          Keep = false;
-        }
-        MC.Seconds += secondsSince(TM);
-      } catch (const std::exception &E) {
-        MC.Seconds += secondsSince(TM);
-        StageFallback("modref", E.what(), SessionStage::ModRef);
-        Keep = false;
-      }
-    }
-    if (Keep) {
-      ++IncStats.ModRefUpdates;
-      ++counters(SessionStage::ModRef).Hits;
-      ModRefCache.emplace(NewPtaKey, std::move(MR));
-    } else {
-      MR.reset();
-    }
+    ++IncStats.ModRefUpdates;
+    ++counters(SessionStage::ModRef).Hits;
   }
   bumpFrom(SessionStage::Compile);
   return true;
@@ -474,6 +373,7 @@ void AnalysisSession::setPTAOptions(const PTAOptions &O) {
   if (digest(O) == digest(CurPta))
     return;
   CurPta = O;
+  drop(SessionStage::PTA);
   bumpFrom(SessionStage::PTA);
 }
 
@@ -481,6 +381,7 @@ void AnalysisSession::setSDGOptions(const SDGOptions &O) {
   if (digest(O) == digest(CurSdg))
     return;
   CurSdg = O;
+  drop(SessionStage::SDGBuild);
   bumpFrom(SessionStage::SDGBuild);
 }
 
@@ -488,24 +389,13 @@ void AnalysisSession::setBudget(const AnalysisBudget *B) {
   if (B == Budget)
     return;
   Budget = B;
-  purgeAnalyses();
+  drop(SessionStage::PTA);
   bumpFrom(SessionStage::PTA);
 }
 
 //===----------------------------------------------------------------------===//
-// Keys
+// Snapshot cache key
 //===----------------------------------------------------------------------===//
-
-std::string AnalysisSession::ptaKey() const {
-  char Buf[32];
-  snprintf(Buf, sizeof(Buf), "%016llx|",
-           static_cast<unsigned long long>(SourceDigest));
-  return Buf + digest(CurPta);
-}
-
-std::string AnalysisSession::sdgKey() const {
-  return ptaKey() + "|" + digest(CurSdg);
-}
 
 std::string AnalysisSession::snapshotCacheKey() const {
   const uint64_t OptDigest =
@@ -638,14 +528,13 @@ Status AnalysisSession::loadSnapshot(const std::string &Path) {
     if (!R.atEnd())
       throw SerializeError("trailing bytes after last section");
 
-    purgeAll();
+    drop(SessionStage::Compile);
     Diag = std::make_unique<DiagnosticEngine>();
     Prog = std::move(NewProg);
     CompileAttempted = true;
-    SdgCache.emplace(sdgKey(), std::move(NewSdg));
+    Graph = std::move(NewSdg);
     PendingPtaBytes = std::move(PtaBytes);
     PendingMrBytes = std::move(MrBytes);
-    PendingLayerKey = ptaKey();
     bumpFrom(SessionStage::Compile);
     ++SnapStats.Loads;
     LastErr = Status::ok();
@@ -668,7 +557,12 @@ bool AnalysisSession::tryLoadFromCacheDir() {
     return false;
   }
   ++SnapStats.CacheHits;
-  return loadSnapshot(File.string()).isOk();
+  if (!loadSnapshot(File.string()).isOk())
+    return false;
+  // Eviction goes by modification time; a hit makes the entry the
+  // most recently used. Best-effort: a read-only cache still serves.
+  fs::last_write_time(File, fs::file_time_type::clock::now(), EC);
+  return true;
 }
 
 Status AnalysisSession::saveToCacheDir() {
@@ -680,7 +574,8 @@ Status AnalysisSession::saveToCacheDir() {
   Status S = saveSnapshot((fs::path(CacheDir) / snapshotCacheKey()).string());
   if (!S.isOk())
     return S;
-  // LRU retention: keep the newest MaxCacheDirEntries snapshots.
+  // LRU retention: keep the MaxCacheDirEntries most recently saved or
+  // loaded snapshots.
   std::vector<std::pair<fs::file_time_type, fs::path>> Entries;
   for (const auto &E : fs::directory_iterator(CacheDir, EC)) {
     if (E.path().extension() != ".tslsnap")
@@ -733,16 +628,14 @@ PointsToResult *AnalysisSession::pointsTo() {
   if (!P)
     return nullptr;
   StageCounters &C = counters(SessionStage::PTA);
-  std::string Key = ptaKey();
-  auto It = PtaCache.find(Key);
-  if (It != PtaCache.end()) {
+  if (Pta) {
     ++C.Hits;
-    return It->second.get();
+    return Pta.get();
   }
   // Deferred snapshot layer: CRC-verified at load, decoded only now
   // that a query needs points-to facts. Counted as a hit — the warm
   // start provided the artifact; this is just when it materializes.
-  if (!PendingPtaBytes.empty() && PendingLayerKey == Key) {
+  if (!PendingPtaBytes.empty()) {
     std::vector<uint8_t> Bytes = std::move(PendingPtaBytes);
     PendingPtaBytes.clear();
     try {
@@ -751,7 +644,8 @@ PointsToResult *AnalysisSession::pointsTo() {
       if (!Rd.atEnd())
         throw SerializeError("trailing bytes in points-to section");
       ++C.Hits;
-      return PtaCache.emplace(Key, std::move(Dec)).first->second.get();
+      Pta = std::move(Dec);
+      return Pta.get();
     } catch (const std::exception &E) {
       ++SnapStats.Fallbacks;
       SnapStats.LastFallbackReason =
@@ -768,11 +662,9 @@ PointsToResult *AnalysisSession::pointsTo() {
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr; // Failure recorded in lastError(); nothing cached.
-  PointsToResult *Out =
-      PtaCache.emplace(Key, std::move(*R)).first->second.get();
-  if (Tainted)
-    TaintedPta.insert(Key);
-  return Out;
+  Pta = std::move(*R);
+  PtaTainted = Tainted;
+  return Pta.get();
 }
 
 ModRefResult *AnalysisSession::modRef() {
@@ -781,14 +673,12 @@ ModRefResult *AnalysisSession::modRef() {
   if (!PTA)
     return nullptr;
   StageCounters &C = counters(SessionStage::ModRef);
-  std::string Key = ptaKey();
-  auto It = ModRefCache.find(Key);
-  if (It != ModRefCache.end()) {
+  if (MR) {
     ++C.Hits;
-    return It->second.get();
+    return MR.get();
   }
   // Deferred snapshot layer, same contract as the points-to one.
-  if (!PendingMrBytes.empty() && PendingLayerKey == Key) {
+  if (!PendingMrBytes.empty()) {
     std::vector<uint8_t> Bytes = std::move(PendingMrBytes);
     PendingMrBytes.clear();
     try {
@@ -798,7 +688,8 @@ ModRefResult *AnalysisSession::modRef() {
       if (!Rd.atEnd())
         throw SerializeError("trailing bytes in mod-ref section");
       ++C.Hits;
-      return ModRefCache.emplace(Key, std::move(Dec)).first->second.get();
+      MR = std::move(Dec);
+      return MR.get();
     } catch (const std::exception &E) {
       ++SnapStats.Fallbacks;
       SnapStats.LastFallbackReason =
@@ -816,11 +707,9 @@ ModRefResult *AnalysisSession::modRef() {
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr;
-  ModRefResult *Out =
-      ModRefCache.emplace(Key, std::move(*R)).first->second.get();
-  if (Tainted)
-    TaintedModRef.insert(Key);
-  return Out;
+  MR = std::move(*R);
+  ModRefTainted = Tainted;
+  return MR.get();
 }
 
 SDG *AnalysisSession::sdg() {
@@ -831,20 +720,17 @@ SDG *AnalysisSession::sdg() {
   if (!program())
     return nullptr;
   StageCounters &C = counters(SessionStage::SDGBuild);
-  std::string Key = sdgKey();
-  auto It = SdgCache.find(Key);
-  if (It != SdgCache.end()) {
+  if (Graph) {
     ++C.Hits;
-    return It->second.get();
+    return Graph.get();
   }
   PointsToResult *PTA = pointsTo();
   if (!PTA)
     return nullptr;
   // The context-sensitive representation needs mod-ref; computing it
-  // through the session keeps it cached for the next CS graph of the
-  // same PTA cone.
-  ModRefResult *MR = CurSdg.ContextSensitive ? modRef() : nullptr;
-  if (CurSdg.ContextSensitive && !MR)
+  // through the session keeps it cached for the next CS graph.
+  ModRefResult *ModRef = CurSdg.ContextSensitive ? modRef() : nullptr;
+  if (CurSdg.ContextSensitive && !ModRef)
     return nullptr; // Mod-ref failed; lastError() explains.
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
@@ -852,14 +738,14 @@ SDG *AnalysisSession::sdg() {
   Opts.Budget = Budget;
   bool Tainted = false;
   auto R = computeStage("sdg", Budget, LastErr, StageFailures, StageRetries,
-                        Tainted, [&] { return buildSDG(*Prog, *PTA, MR, Opts); });
+                        Tainted,
+                        [&] { return buildSDG(*Prog, *PTA, ModRef, Opts); });
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr;
-  SDG *Out = SdgCache.emplace(Key, std::move(*R)).first->second.get();
-  if (Tainted)
-    TaintedSdg.insert(Key);
-  return Out;
+  Graph = std::move(*R);
+  SdgTainted = Tainted;
+  return Graph.get();
 }
 
 SliceEngine *AnalysisSession::engine() {
@@ -868,10 +754,9 @@ SliceEngine *AnalysisSession::engine() {
   if (!G)
     return nullptr;
   StageCounters &C = counters(SessionStage::Engine);
-  auto It = EngineCache.find(sdgKey());
-  if (It != EngineCache.end()) {
+  if (Engine) {
     ++C.Hits;
-    return It->second.get();
+    return Engine.get();
   }
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
@@ -883,7 +768,8 @@ SliceEngine *AnalysisSession::engine() {
   if (!R)
     return nullptr;
   // Engine construction has no fault points — no taint tracking here.
-  return EngineCache.emplace(sdgKey(), std::move(*R)).first->second.get();
+  Engine = std::move(*R);
+  return Engine.get();
 }
 
 const SliceAnswer *AnalysisSession::slice(const SliceQuery &Q) {
@@ -909,7 +795,7 @@ const SliceAnswer *AnalysisSession::slice(const SliceQuery &Q) {
   if (NeedsPta && !PTA)
     return nullptr;
   StageCounters &C = counters(SessionStage::Slice);
-  SliceKey Key{sdgKey(), Q.key()};
+  SliceQuery::Key Key = Q.key();
   auto It = SliceCache.find(Key);
   if (It != SliceCache.end()) {
     ++C.Hits;
@@ -945,55 +831,17 @@ const SliceResult *AnalysisSession::sliceBackwardCached(const Instr *Seed,
 }
 
 //===----------------------------------------------------------------------===//
-// Status-returning boundary accessors
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Null artifact -> the session's recorded Status (never Ok: fall back
-/// to a generic Internal if a path forgot to record one).
-Status errorOr(const Status &Err, const char *What) {
-  if (!Err.isOk())
-    return Err;
-  return Status(StatusCode::Internal, std::string(What) + " unavailable");
-}
-
-} // namespace
-
-Expected<Program *> AnalysisSession::programChecked() {
-  if (Program *P = program())
-    return P;
-  return errorOr(LastErr, "program");
-}
-
-Expected<SDG *> AnalysisSession::sdgChecked() {
-  if (SDG *G = sdg())
-    return G;
-  return errorOr(LastErr, "sdg");
-}
-
-Expected<const SliceAnswer *>
-AnalysisSession::sliceChecked(const SliceQuery &Q) {
-  if (const SliceAnswer *A = slice(Q))
-    return A;
-  return errorOr(LastErr, "slice");
-}
-
-//===----------------------------------------------------------------------===//
 // Governance and telemetry
 //===----------------------------------------------------------------------===//
 
 PipelineStatus AnalysisSession::status() {
   PipelineStatus Status;
-  auto PtaIt = PtaCache.find(ptaKey());
-  if (PtaIt != PtaCache.end())
-    Status.add(PtaIt->second->report());
-  auto MrIt = ModRefCache.find(ptaKey());
-  if (MrIt != ModRefCache.end() && CurSdg.ContextSensitive)
-    Status.add(MrIt->second->report());
-  auto SdgIt = SdgCache.find(sdgKey());
-  if (SdgIt != SdgCache.end())
-    Status.add(SdgIt->second->report());
+  if (Pta)
+    Status.add(Pta->report());
+  if (MR && CurSdg.ContextSensitive)
+    Status.add(MR->report());
+  if (Graph)
+    Status.add(Graph->report());
   return Status;
 }
 

@@ -14,28 +14,28 @@
 /// The paper's workflow is session-shaped — a developer holds one
 /// program open and issues many slice queries, expansions, and
 /// re-queries against the same underlying analyses — so every
-/// artifact is computed lazily, memoized, and keyed by
-/// (source digest, upstream artifact, per-stage options):
+/// artifact is computed lazily and memoized. Each stage holds exactly
+/// one artifact, built for the current source and options:
 ///
 ///  - Requesting an artifact computes exactly its missing ancestors;
 ///    repeated requests return the identical object.
-///  - Changing a stage's options re-keys that stage and its downstream
-///    cone only (a CI -> CS switch reuses the IR and the points-to
-///    result), and the previous variant stays warm: switching back is
-///    a cache hit, which is what lets one session serve an eval
-///    workload's thin/traditional/NoObjSens/CS-ablation tables from
-///    one compile + one PTA per option set.
-///  - Replacing the source (or the budget) destroys the affected
-///    cone; per-stage epoch counters record every such invalidation,
-///    so clients can assert exactly which artifacts a change
-///    discarded.
+///  - Changing a stage's options drops that stage and its downstream
+///    cone only (a CI -> CS switch keeps the program and the points-to
+///    result, same pointers). Nothing else is retained: switching back
+///    rebuilds the dropped stages. A caller that needs two option
+///    variants alive at once holds one session per variant, as the
+///    eval drivers do.
+///  - Replacing the source (or the budget) drops the affected cone.
+///    Every drop is counted per stage (CacheInvalidated), and
+///    per-stage epoch counters record every input change, so clients
+///    can assert exactly which artifacts a change discarded.
 ///
 /// Governance is threaded through unchanged: the session's
 /// AnalysisBudget is installed into every stage's options at compute
 /// time, so a budgeted session degrades byte-for-byte like the
-/// one-shot pipeline (see tests/session_test.cpp). Because a cached
-/// artifact embeds the budget outcome it was computed under, changing
-/// the budget is a destructive invalidation rather than a re-key.
+/// one-shot pipeline (see tests/session_test.cpp). A cached artifact
+/// embeds the budget outcome it was computed under, so changing the
+/// budget drops every analysis artifact.
 ///
 /// Threading: a session is confined to one thread. The SliceEngine it
 /// hands out fans batches across its own worker pool over the
@@ -65,7 +65,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace tsl {
@@ -140,19 +139,21 @@ public:
   };
   const IncrementalStats &incrementalStats() const { return IncStats; }
 
-  /// Changes the pointer-analysis options: re-keys PTA and everything
-  /// below it (mod-ref, SDG, engine, slices). The Budget field of \p O
-  /// is ignored — the session's own budget is threaded in at compute
-  /// time. A no-op when the options are unchanged.
+  /// Changes the pointer-analysis options: drops PTA and everything
+  /// below it (mod-ref, SDG, engine, slices); the program survives.
+  /// The Budget field of \p O is ignored — the session's own budget is
+  /// threaded in at compute time. A no-op when the options are
+  /// unchanged.
   void setPTAOptions(const PTAOptions &O);
 
-  /// Changes the SDG options: re-keys the SDG, engine, and slices.
-  /// The Budget field of \p O is ignored, as in setPTAOptions.
+  /// Changes the SDG options: drops the SDG, engine, and slices; the
+  /// program, points-to and mod-ref survive. The Budget field of \p O
+  /// is ignored, as in setPTAOptions.
   void setSDGOptions(const SDGOptions &O);
 
   /// Installs (or clears) the resource budget threaded into every
   /// analysis stage. Cached analysis artifacts embed the budget
-  /// outcome they were computed under, so this destroys the PTA cone
+  /// outcome they were computed under, so this drops the PTA cone
   /// (the compiled program survives: compilation is ungoverned).
   void setBudget(const AnalysisBudget *B);
 
@@ -160,7 +161,7 @@ public:
   /// (including the calling one) the shared pool offers to the
   /// SliceEngine's batch fan-out. Points-to, mod-ref and the SDG build
   /// sequentially. 0 means hardware concurrency; 1 runs batches inline
-  /// with no pool at all. Unlike the option setters this re-keys
+  /// with no pool at all. Unlike the option setters this drops
   /// NOTHING — batch answers are byte-identical for every thread
   /// count, so a cached artifact stays valid across setThreads calls
   /// (asserted by the determinism tests). Pools already handed to
@@ -213,12 +214,6 @@ public:
   /// failure Status after a null return.
   const Status &lastError() const { return LastErr; }
 
-  /// Status-returning boundary accessors: the artifact, or the Status
-  /// explaining the null. Same memoization as the raw accessors.
-  Expected<Program *> programChecked();
-  Expected<SDG *> sdgChecked();
-  Expected<const SliceAnswer *> sliceChecked(const SliceQuery &Q);
-
   /// Failure-isolation telemetry: stage computations that exhausted
   /// their retries, and individual retry attempts performed.
   uint64_t stageFailures() const { return StageFailures; }
@@ -237,7 +232,7 @@ public:
   // Memoized whole-query slicing
   //===------------------------------------------------------------------===//
 
-  /// Answers \p Q with SliceEngine::run, memoized per (graph, query),
+  /// Answers \p Q with SliceEngine::run, memoized per query,
   /// under the session's budget, threads and summary cache; \p Q's
   /// context sensitivity must match the SDG options. Null (see
   /// lastError()) when a stage failed or \p Q is ill-formed.
@@ -299,13 +294,15 @@ public:
   void setCacheDir(std::string Dir) { CacheDir = std::move(Dir); }
 
   /// Cache-dir lookup for the current (source, options, version) key:
-  /// true when a cached snapshot existed AND loaded. A miss, or a hit
-  /// that fails to load, returns false with the session untouched.
-  /// No-op (false) when no cache dir is set.
+  /// true when a cached snapshot existed AND loaded. A hit refreshes
+  /// the file's modification time, so eviction is least recently used.
+  /// A miss, or a hit that fails to load, returns false with the
+  /// session untouched. No-op (false) when no cache dir is set.
   bool tryLoadFromCacheDir();
 
   /// Saves the current pipeline into the cache dir under its content
-  /// key, then evicts the oldest entries beyond the retention cap.
+  /// key, then evicts the least recently saved or loaded entries
+  /// beyond the retention cap.
   /// No-op when no cache dir is set.
   Status saveToCacheDir();
 
@@ -317,7 +314,7 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Invalidation epoch of \p S: bumped every time an input change
-  /// invalidates (destroys or re-keys) the stage's current artifact.
+  /// invalidates the stage's current artifact.
   uint64_t epoch(SessionStage S) const {
     return Epochs[static_cast<unsigned>(S)];
   }
@@ -345,35 +342,28 @@ private:
     double Seconds = 0;
   };
 
-  /// Memo key of a whole slice query. The SDG key pins the upstream
-  /// cone (source digest, PTA options, SDG options); the seed pointers
-  /// are stable while the program artifact lives, which the key's SDG
-  /// entry guarantees.
-  using SliceKey = std::pair<std::string, SliceQuery::Key>;
-
   StageCounters &counters(SessionStage S) {
     return Counters[static_cast<unsigned>(S)];
   }
   void bumpFrom(SessionStage S);
-  void purgeAnalyses(); ///< Destroys PTA..Slice entries (not the program).
-  void purgeAll();      ///< Destroys everything including the program.
+
+  /// Drops the artifact of stage \p S and of every stage below it,
+  /// bottom-up (downstream artifacts hold references into upstream
+  /// ones), counting each dropped artifact as invalidated. Dropping
+  /// PTA also discards the deferred snapshot layers and the retired
+  /// bodies; dropping Compile forgets the compile attempt. The one
+  /// invalidation path: input changes, taint healing, incremental
+  /// fallbacks and snapshot loads all go through it.
+  void drop(SessionStage S);
 
   /// The incremental setSource() fast path. Returns true when the
-  /// edit was absorbed (program patched in place, artifact caches
-  /// re-keyed, stage updates applied or individually dropped); false
-  /// means the caller must run the cold path — including when a
-  /// mid-apply failure left the program mutated, which the cold
-  /// path's purge then discards.
+  /// edit was absorbed (program patched in place, stage updates
+  /// applied or individually dropped); false means the caller must
+  /// run the cold path — including when a mid-apply failure left the
+  /// program mutated, which the cold path's drop then discards.
   bool trySetSourceIncremental(const std::string &NewSource);
 
-  /// Tainted-artifact eviction (retry-on-next-request). Downstream
-  /// artifacts hold references into upstream ones, so eviction always
-  /// cascades down the cone, bottom-up.
-  void evictPtaCone(const std::string &Key);    ///< PTA + everything below.
-  void evictModRefEntry(const std::string &Key);///< ModRef + SDG cone below.
-  void evictSdgCone(const std::string &Key);    ///< SDG/engine/slices.
-
-  /// Evicts every fault-tainted artifact (with its downstream cone)
+  /// Drops every fault-tainted artifact (with its downstream cone)
   /// so the request about to run recomputes them clean. Runs ONLY at
   /// the outermost public accessor of a request (see RequestScope):
   /// a nested stage call (sdg -> modRef -> pointsTo) must never free
@@ -381,9 +371,6 @@ private:
   void healTainted();
   struct RequestScope;
   unsigned RequestDepth = 0;
-
-  std::string ptaKey() const;
-  std::string sdgKey() const;
 
   /// Content-addressed cache file name: source digest + a hash of the
   /// option digests and the snapshot format version.
@@ -397,33 +384,34 @@ private:
   const AnalysisBudget *Budget = nullptr;
   unsigned Threads = 1;
 
-  // --- shared worker pools. Declared before the artifact stores:
+  // --- shared worker pools. Declared before the artifacts:
   // cached SliceEngines hold a pointer to the pool they were built
   // with, so pools must be destroyed after them. setThreads never
   // destroys a pool mid-session — a resize just makes the next pool()
   // call append a fresh one, and retired pools idle until teardown.
   std::vector<std::unique_ptr<ThreadPool>> Pools;
 
-  // --- artifact stores. Declaration order is lifetime order: every
-  // downstream artifact holds references into its upstream (ModRef
-  // into PTA, SDG into the Program, SliceEngine into its SDG), so the
-  // members are destroyed bottom-up (reverse declaration order) and
-  // the purge helpers clear them in the same bottom-up order.
+  // --- artifacts, one per stage. Declaration order is lifetime
+  // order: every downstream artifact holds references into its
+  // upstream (ModRef into PTA, SDG into the Program, SliceEngine into
+  // its SDG), so the members are destroyed bottom-up (reverse
+  // declaration order) and drop() clears them in the same order.
   std::unique_ptr<DiagnosticEngine> Diag;
   /// Bodies detached by incremental recompiles. Retained analysis
   /// artifacts still hold the old Instr*/Local* addresses (e.g. the
   /// PTA object table's allocation sites), so the storage must outlive
-  /// them: declared above the artifact stores, cleared only when the
-  /// analyses purge. Never dereferenced after retraction — only
-  /// compared as keys.
+  /// them: declared above the artifacts, cleared only when PTA drops.
+  /// Never dereferenced after retraction — only compared as keys.
   std::vector<Method::DetachedBody> RetiredBodyStore;
   std::unique_ptr<Program> Prog;
   bool CompileAttempted = false;
-  std::map<std::string, std::unique_ptr<PointsToResult>> PtaCache;
-  std::map<std::string, std::unique_ptr<ModRefResult>> ModRefCache;
-  std::map<std::string, std::unique_ptr<SDG>> SdgCache;
-  std::map<std::string, std::unique_ptr<SliceEngine>> EngineCache;
-  std::map<SliceKey, SliceAnswer> SliceCache;
+  std::unique_ptr<PointsToResult> Pta;
+  std::unique_ptr<ModRefResult> MR;
+  std::unique_ptr<SDG> Graph;
+  std::unique_ptr<SliceEngine> Engine;
+  /// Answers of the current SDG. The seed pointers are stable while
+  /// the program lives, which outlives every answer.
+  std::map<SliceQuery::Key, SliceAnswer> SliceCache;
   SummaryCache Summaries;
 
   // --- deferred snapshot layers. A warm start installs the decoded
@@ -431,21 +419,18 @@ private:
   // stashes the CRC-verified points-to and mod-ref section payloads
   // here undecoded; pointsTo()/modRef() decode on first demand and
   // fall back to the cold computation if a payload is structurally
-  // malformed. PendingLayerKey pins the bytes to the ptaKey() at
-  // load time, so any source or option change strands them and the
-  // purge helpers discard them.
+  // malformed. Any input change that drops PTA discards them.
   std::vector<uint8_t> PendingPtaBytes;
   std::vector<uint8_t> PendingMrBytes;
-  std::string PendingLayerKey;
 
-  // --- failure isolation. Tainted keys name cached artifacts that
-  // were computed while an injected fault fired: still sound (served
-  // for the request that computed them) but evicted and recomputed on
-  // the next request, so a cleared fault heals the session.
-  std::set<std::string> TaintedPta;
-  std::set<std::string> TaintedModRef;
-  std::set<std::string> TaintedSdg;
-  std::set<SliceKey> TaintedSlices;
+  // --- failure isolation. A tainted artifact was computed while an
+  // injected fault fired: still sound (served for the request that
+  // computed it) but dropped and recomputed on the next request, so a
+  // cleared fault heals the session.
+  bool PtaTainted = false;
+  bool ModRefTainted = false;
+  bool SdgTainted = false;
+  std::set<SliceQuery::Key> TaintedSlices;
   Status LastErr;
 
   // --- telemetry

@@ -22,23 +22,6 @@ std::string hex64(uint64_t V) {
   return S;
 }
 
-/// The diagnostics rendering of a compile failure, one line per
-/// diagnostic, user-file line numbers (the runtime prefix subtracted)
-/// — the same shape the CLI prints, with "<source>" for the file.
-std::string renderDiagnostics(const DiagnosticEngine &Diag,
-                              uint32_t LineOffset) {
-  std::string Out;
-  for (const Diagnostic &D : Diag.diagnostics()) {
-    SourceLoc Loc = D.Loc;
-    if (Loc.Line > LineOffset)
-      Loc.Line -= LineOffset;
-    Out += "<source>:" + Loc.str() + ": error: " + D.Message + "\n";
-  }
-  if (Out.empty())
-    Out = "<source>: error: compilation failed\n";
-  return Out;
-}
-
 } // namespace
 
 std::string SessionRegistry::workloadDigest(const std::string &Source,
@@ -55,8 +38,9 @@ void SessionRegistry::refreshWarmPointers(WarmSession &E) {
   E.CompileErrors.clear();
   E.StageError.clear();
   if (!E.Prog) {
-    E.CompileErrors =
-        renderDiagnostics(E.S->diagnostics(), E.LineOffset);
+    E.CompileErrors = E.S->diagnostics().render("<source>", E.LineOffset);
+    if (E.CompileErrors.empty())
+      E.CompileErrors = "<source>: error: compilation failed\n";
     return;
   }
   E.Graph = E.S->sdg();

@@ -31,3 +31,15 @@ std::string DiagnosticEngine::str() const {
   }
   return Out;
 }
+
+std::string DiagnosticEngine::render(const std::string &File,
+                                     unsigned LineOffset) const {
+  std::string Out;
+  for (const Diagnostic &D : Diags) {
+    SourceLoc Loc = D.Loc;
+    if (Loc.Line > LineOffset)
+      Loc.Line -= LineOffset;
+    Out += File + ":" + Loc.str() + ": error: " + D.Message + "\n";
+  }
+  return Out;
+}

@@ -73,6 +73,12 @@ public:
   /// failure messages and tool output.
   std::string str() const;
 
+  /// Renders every diagnostic as "File:line:col: error: message", one
+  /// per line, with the \p LineOffset lines the tools prepend to the
+  /// user's file (the runtime library) subtracted from the line
+  /// numbers: the compile-failure report of the CLI and the daemon.
+  std::string render(const std::string &File, unsigned LineOffset) const;
+
 private:
   std::vector<Diagnostic> Diags;
   unsigned NumErrors = 0;

@@ -60,6 +60,7 @@ struct Compiled {
   Program *P = nullptr;
   PointsToResult *PTA = nullptr;
   SDG *CI = nullptr;
+  std::unique_ptr<SDG> CSGraph;
   SDG *CS = nullptr;
 };
 
@@ -73,11 +74,11 @@ Compiled compile(const std::string &Source, bool WithCS = false) {
   C.PTA = C.S->pointsTo();
   C.CI = C.S->sdg();
   if (WithCS) {
+    // A session holds one graph: the CS one is built beside it.
     SDGOptions CSOpts;
     CSOpts.ContextSensitive = true;
-    C.S->setSDGOptions(CSOpts);
-    C.CS = C.S->sdg();
-    C.S->setSDGOptions(SDGOptions());
+    C.CSGraph = buildSDG(*C.P, *C.PTA, C.S->modRef(), CSOpts);
+    C.CS = C.CSGraph.get();
   }
   return C;
 }

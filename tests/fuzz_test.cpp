@@ -9,7 +9,7 @@
 //
 //   - no input crashes any stage;
 //   - a failing compile produces at least one located diagnostic and
-//     a structured Status from the checked boundary;
+//     a structured Status in the session's lastError();
 //   - a successful compile flows through every downstream stage
 //     without an exception escaping a boundary.
 //
@@ -45,8 +45,8 @@ TEST(Fuzz, SeededSourcesDriveTheFullPipelineWithoutCrashing) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
 
     AnalysisSession S(Src);
-    Expected<Program *> P = S.programChecked();
-    if (!P.ok()) {
+    Program *P = S.program();
+    if (!P) {
       // A rejected input must explain itself: a structured Status and
       // at least one diagnostic.
       EXPECT_FALSE(S.lastError().isOk());
@@ -57,20 +57,20 @@ TEST(Fuzz, SeededSourcesDriveTheFullPipelineWithoutCrashing) {
     ++Compiled;
 
     // Drive every downstream stage; no input may crash any of them.
-    Expected<SDG *> G = S.sdgChecked();
-    ASSERT_TRUE(G.ok()) << G.status().str();
+    ASSERT_NE(S.sdg(), nullptr) << S.lastError().str();
     const Instr *Seed2 = nullptr;
-    for (const auto &M : (*P)->methods())
+    for (const auto &M : P->methods())
       for (const auto &BB : M->blocks())
         for (const auto &I : BB->instrs())
           if (I->loc().Line)
             Seed2 = I.get();
     if (!Seed2)
       continue;
-    Expected<const SliceAnswer *> Slice =
-        S.sliceChecked(SliceQuery::backward({Seed2}, SliceMode::Thin));
-    ASSERT_TRUE(Slice.ok()) << Slice.status().str();
-    EXPECT_TRUE((*Slice)->Results.front().complete());
+    const SliceAnswer *Slice =
+        S.slice(SliceQuery::backward({Seed2}, SliceMode::Thin));
+    ASSERT_NE(Slice, nullptr) << S.lastError().str();
+    EXPECT_TRUE(S.lastError().isOk());
+    EXPECT_TRUE(Slice->Results.front().complete());
   }
   // The generator must produce both healthy and broken inputs, or the
   // smoke test is vacuous.

@@ -14,6 +14,7 @@
 #include "eval/Experiments.h"
 #include "eval/Workload.h"
 #include "pipeline/Session.h"
+#include "sdg/SDG.h"
 #include "slicer/Engine.h"
 #include "slicer/Expansion.h"
 #include "slicer/Slicer.h"
@@ -31,12 +32,16 @@ using namespace tsl;
 
 namespace {
 
-/// One evaluation program with both graph variants warm.
+/// One evaluation program with both graph variants warm. The session
+/// holds the context-insensitive graph; a session holds one graph at a
+/// time, so the context-sensitive one is built beside it from the
+/// session's program, points-to and mod-ref.
 struct Subject {
   std::unique_ptr<AnalysisSession> S;
   Program *P = nullptr;
   PointsToResult *PTA = nullptr;
   SDG *CI = nullptr;
+  std::unique_ptr<SDG> CSGraph;
   SDG *CS = nullptr;
   /// (seed, chop sources) per evaluation case on this program.
   std::vector<std::pair<const Instr *, std::vector<const Instr *>>> Seeds;
@@ -64,9 +69,9 @@ std::map<std::string, Subject> &subjects() {
           return;
         Sub.PTA = Sub.S->pointsTo();
         Sub.CI = Sub.S->sdg();
-        Sub.S->setSDGOptions(sdgOptions(true));
-        Sub.CS = Sub.S->sdg();
-        Sub.S->setSDGOptions(sdgOptions(false));
+        Sub.CSGraph = buildSDG(*Sub.P, *Sub.PTA, Sub.S->modRef(),
+                               sdgOptions(true));
+        Sub.CS = Sub.CSGraph.get();
       }
       if (!Sub.P)
         return;
@@ -231,14 +236,36 @@ TEST(Query, SessionSliceMatchesRunAndMemoizes) {
     EXPECT_EQ(Sub.S->slice(Q), Got) << Q.label() << ": not memoized";
   }
 
+  // A CI -> CS switch keeps the program and the points-to run (same
+  // objects) and drops the CI graph; switching back rebuilds it, and
+  // both drops are counted.
+  auto SdgDropped = [&] {
+    return Sub.S->stageReports()[static_cast<unsigned>(SessionStage::SDGBuild)]
+        .CacheInvalidated;
+  };
+  const uint64_t DroppedBefore = SdgDropped();
   Sub.S->setSDGOptions(sdgOptions(true));
+  EXPECT_EQ(SdgDropped(), DroppedBefore + 1);
   SliceQuery CSQ = SliceQuery::backward({Seed}, SliceMode::Thin, true);
   const SliceAnswer *CS = Sub.S->slice(CSQ);
-  Sub.S->setSDGOptions(sdgOptions(false));
   ASSERT_NE(CS, nullptr);
+  EXPECT_EQ(Sub.S->program(), Sub.P);
+  EXPECT_EQ(Sub.S->pointsTo(), Sub.PTA);
   expectIdentical(CS->Results.front(),
                   TabulationSlicer(*Sub.CS, SliceMode::Thin).slice(Seed),
                   "session/cs");
+  Sub.S->setSDGOptions(sdgOptions(false));
+  EXPECT_EQ(SdgDropped(), DroppedBefore + 2);
+  Sub.CI = Sub.S->sdg();
+  ASSERT_NE(Sub.CI, nullptr);
+  EXPECT_EQ(Sub.S->program(), Sub.P);
+  EXPECT_EQ(Sub.S->pointsTo(), Sub.PTA);
+  const SliceAnswer *Back =
+      Sub.S->slice(SliceQuery::backward({Seed}, SliceMode::Thin));
+  ASSERT_NE(Back, nullptr);
+  expectIdentical(Back->Results.front(),
+                  sliceBackward(*Sub.CI, Seed, SliceMode::Thin),
+                  "session/ci-again");
 }
 
 TEST(Query, LabelNamesTheShape) {

@@ -2,9 +2,10 @@
 //
 // The pipeline-layer contract (pipeline/Session.h): artifact identity
 // on repeated requests, invalidation of exactly the downstream cone on
-// option changes (with warm retention of the previous variant), a full
-// reset on source replacement, and budget degradation identical to the
-// hand-built one-shot pipeline. The suite carries the "pipeline" ctest
+// option changes (one artifact per stage: the upstream ones survive,
+// switching back rebuilds the cone), a full reset on source
+// replacement, and budget degradation identical to the hand-built
+// one-shot pipeline. The suite carries the "pipeline" ctest
 // label: like "engine", it runs under the TSL_SANITIZE=address and
 // TSL_SANITIZE=thread trees (session-owned engines fan batches across
 // worker pools over graphs the session keeps warm).
@@ -143,61 +144,82 @@ TEST(Session, SliceQueriesAreMemoizedPerSeedAndMode) {
 // (b) Option changes invalidate exactly the downstream cone
 //===----------------------------------------------------------------------===//
 
-TEST(Session, PtaOptionChangeKeepsTheProgramAndRetainsBothVariants) {
+TEST(Session, PtaOptionChangeKeepsTheProgramAndDropsItsCone) {
   AnalysisSession S(Source);
   Program *P = S.program();
   ASSERT_NE(P, nullptr) << S.diagnostics().str();
-  PointsToResult *Obj = S.pointsTo();
-  SDG *ObjG = S.sdg();
+  ASSERT_NE(S.pointsTo(), nullptr);
+  ASSERT_NE(S.sdg(), nullptr);
   uint64_t CompileEpoch = S.epoch(SessionStage::Compile);
   uint64_t PtaEpoch = S.epoch(SessionStage::PTA);
   uint64_t SliceEpoch = S.epoch(SessionStage::Slice);
 
   S.setPTAOptions(noObjOptions());
-  // Downstream cone bumped, compile untouched.
+  // Downstream cone bumped and dropped, compile untouched.
   EXPECT_EQ(S.epoch(SessionStage::Compile), CompileEpoch);
   EXPECT_EQ(S.epoch(SessionStage::PTA), PtaEpoch + 1);
   EXPECT_EQ(S.epoch(SessionStage::Slice), SliceEpoch + 1);
+  EXPECT_EQ(invalidatedOf(S, SessionStage::Compile), 0u);
+  EXPECT_EQ(invalidatedOf(S, SessionStage::PTA), 1u);
+  EXPECT_EQ(invalidatedOf(S, SessionStage::SDGBuild), 1u);
 
-  // The program is reused; the PTA and SDG are new variants.
+  // The program is the same object; PTA and SDG are built for the new
+  // options.
   EXPECT_EQ(S.program(), P);
-  PointsToResult *NoObj = S.pointsTo();
-  EXPECT_NE(NoObj, Obj);
-  EXPECT_NE(S.sdg(), ObjG);
-
-  // Re-keying retains the old variant: switching back is a cache hit,
-  // not a rebuild, and nothing was destroyed along the way.
-  S.setPTAOptions(PTAOptions());
-  EXPECT_EQ(S.pointsTo(), Obj);
-  EXPECT_EQ(S.sdg(), ObjG);
+  ASSERT_NE(S.pointsTo(), nullptr);
+  ASSERT_NE(S.sdg(), nullptr);
   EXPECT_EQ(missesOf(S, SessionStage::PTA), 2u);
-  EXPECT_EQ(invalidatedOf(S, SessionStage::PTA), 0u);
+
+  // The session holds one variant: switching back rebuilds the cone
+  // (counted as invalidated) and keeps the program again.
+  S.setPTAOptions(PTAOptions());
+  EXPECT_EQ(invalidatedOf(S, SessionStage::PTA), 2u);
+  EXPECT_EQ(invalidatedOf(S, SessionStage::SDGBuild), 2u);
+  EXPECT_EQ(S.program(), P);
+  ASSERT_NE(S.pointsTo(), nullptr);
+  ASSERT_NE(S.sdg(), nullptr);
+  EXPECT_EQ(missesOf(S, SessionStage::Compile), 1u);
+  EXPECT_EQ(missesOf(S, SessionStage::PTA), 3u);
+  EXPECT_EQ(missesOf(S, SessionStage::SDGBuild), 3u);
 }
 
 TEST(Session, SdgOptionChangeReusesThePointsToRun) {
   AnalysisSession S(Source);
-  ASSERT_NE(S.program(), nullptr) << S.diagnostics().str();
+  Program *P = S.program();
+  ASSERT_NE(P, nullptr) << S.diagnostics().str();
   PointsToResult *Pta = S.pointsTo();
-  SDG *CI = S.sdg();
+  ASSERT_NE(S.sdg(), nullptr);
   uint64_t PtaEpoch = S.epoch(SessionStage::PTA);
   uint64_t SdgEpoch = S.epoch(SessionStage::SDGBuild);
 
   // CI -> CS: the points-to run (and its epoch) survive; only the
-  // SDG..Slice cone re-keys.
+  // SDG..Slice cone drops.
   S.setSDGOptions(csOptions());
   EXPECT_EQ(S.epoch(SessionStage::PTA), PtaEpoch);
   EXPECT_EQ(S.epoch(SessionStage::SDGBuild), SdgEpoch + 1);
+  EXPECT_EQ(invalidatedOf(S, SessionStage::PTA), 0u);
+  EXPECT_EQ(invalidatedOf(S, SessionStage::SDGBuild), 1u);
   SDG *CS = S.sdg();
   ASSERT_NE(CS, nullptr);
-  EXPECT_NE(CS, CI);
   EXPECT_GT(CS->numHeapParamNodes(), 0u);
   EXPECT_EQ(S.pointsTo(), Pta);
+  ModRefResult *MR = S.modRef();
   EXPECT_EQ(missesOf(S, SessionStage::PTA), 1u);
 
-  // And back: the CI graph is still warm.
+  // And back: the CI graph is rebuilt (the CS one counted dropped);
+  // program, points-to and mod-ref are the same objects.
   S.setSDGOptions(SDGOptions());
-  EXPECT_EQ(S.sdg(), CI);
-  EXPECT_EQ(missesOf(S, SessionStage::SDGBuild), 2u);
+  EXPECT_EQ(invalidatedOf(S, SessionStage::SDGBuild), 2u);
+  SDG *CI = S.sdg();
+  ASSERT_NE(CI, nullptr);
+  EXPECT_EQ(CI->numHeapParamNodes(), 0u);
+  EXPECT_EQ(S.program(), P);
+  EXPECT_EQ(S.pointsTo(), Pta);
+  EXPECT_EQ(S.modRef(), MR);
+  EXPECT_EQ(missesOf(S, SessionStage::PTA), 1u);
+  EXPECT_EQ(missesOf(S, SessionStage::ModRef), 1u);
+  EXPECT_EQ(missesOf(S, SessionStage::SDGBuild), 3u);
+  EXPECT_EQ(invalidatedOf(S, SessionStage::ModRef), 0u);
 }
 
 TEST(Session, NoOpOptionSetDoesNotInvalidate) {
@@ -520,8 +542,7 @@ TEST(Session, PersistentStageCrashFailsWithStatusAndCachesNothing) {
 
   // Downstream accessors propagate the failure instead of crashing.
   EXPECT_EQ(S.sdg(), nullptr);
-  Expected<SDG *> G = S.sdgChecked();
-  EXPECT_FALSE(G.ok());
+  EXPECT_EQ(S.lastError().code(), StatusCode::FaultInjected);
 
   // Once the fault clears, the SAME session heals with no reset.
   FaultInjector::instance().reset();
@@ -596,40 +617,38 @@ TEST(Session, CheckedAccessorsReportStructuredStatus) {
   InjectorGuard Guard;
   AnalysisSession S(Source);
   // Caller error: a null seed is InvalidArgument, not a crash.
-  Expected<const SliceAnswer *> Bad =
-      S.sliceChecked(SliceQuery::backward({nullptr}, SliceMode::Thin));
-  EXPECT_FALSE(Bad.ok());
-  EXPECT_EQ(Bad.status().code(), StatusCode::InvalidArgument);
+  EXPECT_EQ(S.slice(SliceQuery::backward({nullptr}, SliceMode::Thin)),
+            nullptr);
+  EXPECT_EQ(S.lastError().code(), StatusCode::InvalidArgument);
 
-  Expected<Program *> P = S.programChecked();
-  ASSERT_TRUE(P.ok());
+  Program *P = S.program();
+  ASSERT_NE(P, nullptr);
+  EXPECT_TRUE(S.lastError().isOk());
   // So is a query whose shape combines exclusive fields, or whose
   // context sensitivity differs from the session's SDG options.
-  SliceQuery Conflicting =
-      SliceQuery::backward({anySeed(**P)}, SliceMode::Thin);
+  SliceQuery Conflicting = SliceQuery::backward({anySeed(*P)}, SliceMode::Thin);
   Conflicting.Forward = true;
   Conflicting.Expand = true;
-  EXPECT_EQ(S.sliceChecked(Conflicting).status().code(),
-            StatusCode::InvalidArgument);
-  EXPECT_EQ(S.sliceChecked(SliceQuery::backward({anySeed(**P)},
-                                                SliceMode::Thin,
-                                                /*ContextSensitive=*/true))
-                .status()
-                .code(),
-            StatusCode::InvalidArgument);
+  EXPECT_EQ(S.slice(Conflicting), nullptr);
+  EXPECT_EQ(S.lastError().code(), StatusCode::InvalidArgument);
+  EXPECT_EQ(S.slice(SliceQuery::backward({anySeed(*P)}, SliceMode::Thin,
+                                         /*ContextSensitive=*/true)),
+            nullptr);
+  EXPECT_EQ(S.lastError().code(), StatusCode::InvalidArgument);
 
-  Expected<const SliceAnswer *> Good =
-      S.sliceChecked(SliceQuery::backward({anySeed(**P)}, SliceMode::Thin));
-  ASSERT_TRUE(Good.ok()) << Good.status().str();
-  EXPECT_TRUE((*Good)->Results.front().complete());
+  const SliceAnswer *Good =
+      S.slice(SliceQuery::backward({anySeed(*P)}, SliceMode::Thin));
+  ASSERT_NE(Good, nullptr) << S.lastError().str();
+  EXPECT_TRUE(S.lastError().isOk());
+  EXPECT_TRUE(Good->Results.front().complete());
 
   // A compile failure surfaces as a ParseError/SemaError Status.
   S.setSource("def main() { var x = }");
-  Expected<Program *> BadP = S.programChecked();
-  EXPECT_FALSE(BadP.ok());
-  EXPECT_TRUE(BadP.status().code() == StatusCode::ParseError ||
-              BadP.status().code() == StatusCode::SemaError);
-  EXPECT_FALSE(BadP.status().message().empty());
+  EXPECT_EQ(S.program(), nullptr);
+  const Status &BadP = S.lastError();
+  EXPECT_TRUE(BadP.code() == StatusCode::ParseError ||
+              BadP.code() == StatusCode::SemaError);
+  EXPECT_FALSE(BadP.message().empty());
 }
 
 TEST(Session, StatsStringReportsFailureIsolationTelemetry) {

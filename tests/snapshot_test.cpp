@@ -28,8 +28,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -605,4 +607,52 @@ TEST(SnapshotCacheDir, EvictionKeepsTheNewestEntries) {
                     "); }\n"};
   S.setCacheDir(Dir.Path);
   EXPECT_TRUE(S.tryLoadFromCacheDir());
+}
+
+// Eviction is least recently used, not first in, first out: a hit
+// makes its entry the newest, so a snapshot every daemon restart loads
+// outlives newer entries nobody reads.
+TEST(SnapshotCacheDir, EvictionSparesTheRecentlyLoadedEntry) {
+  CacheDirGuard Dir(tempPath("tsl_snapshot_cache_lru"));
+  const std::size_t Max = AnalysisSession::MaxCacheDirEntries;
+  auto SourceOf = [](std::size_t I) {
+    return "def main() { print(" + std::to_string(I + 1) + "); }\n";
+  };
+
+  // Fill the cache to its cap. Each entry is dated one minute after
+  // the previous one, so the order does not hang on the file system's
+  // timestamp granularity.
+  const auto Base = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  std::set<fs::path> Seen;
+  for (std::size_t I = 0; I != Max; ++I) {
+    AnalysisSession S{SourceOf(I)};
+    S.setCacheDir(Dir.Path);
+    ASSERT_TRUE(S.saveToCacheDir().isOk()) << S.lastError().str();
+    for (const auto &E : fs::directory_iterator(Dir.Path))
+      if (Seen.insert(E.path()).second)
+        fs::last_write_time(E.path(), Base + std::chrono::minutes(I));
+  }
+  ASSERT_EQ(Dir.entries(), Max);
+
+  // Load the oldest entry, then save one more.
+  {
+    AnalysisSession S{SourceOf(0)};
+    S.setCacheDir(Dir.Path);
+    ASSERT_TRUE(S.tryLoadFromCacheDir());
+  }
+  {
+    AnalysisSession S{SourceOf(Max)};
+    S.setCacheDir(Dir.Path);
+    ASSERT_TRUE(S.saveToCacheDir().isOk()) << S.lastError().str();
+    EXPECT_EQ(S.snapshotStats().CacheEvictions, 1u);
+  }
+  EXPECT_EQ(Dir.entries(), Max);
+
+  // The loaded entry survived; the oldest one nobody loaded went.
+  AnalysisSession Hit{SourceOf(0)};
+  Hit.setCacheDir(Dir.Path);
+  EXPECT_TRUE(Hit.tryLoadFromCacheDir());
+  AnalysisSession Evicted{SourceOf(1)};
+  Evicted.setCacheDir(Dir.Path);
+  EXPECT_FALSE(Evicted.tryLoadFromCacheDir());
 }

@@ -21,6 +21,7 @@ struct Fixture {
   Program *P = nullptr;
   PointsToResult *PTA = nullptr;
   ModRefResult *MR = nullptr;
+  std::unique_ptr<SDG> CSGraph;
   SDG *CS = nullptr;
   SDG *CI = nullptr;
 
@@ -32,11 +33,11 @@ struct Fixture {
       return;
     PTA = S->pointsTo();
     MR = S->modRef();
+    // A session holds one graph: the CS one is built beside it.
     SDGOptions CSOpts;
     CSOpts.ContextSensitive = true;
-    S->setSDGOptions(CSOpts);
-    CS = S->sdg();
-    S->setSDGOptions(SDGOptions());
+    CSGraph = buildSDG(*P, *PTA, MR, CSOpts);
+    CS = CSGraph.get();
     CI = S->sdg();
   }
 

@@ -454,13 +454,8 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
         CurFile = Arg;
         Session.setSource(std::move(Src));
         if (!Session.program())
-          for (const Diagnostic &D : Session.diagnostics().diagnostics()) {
-            SourceLoc Loc = D.Loc;
-            if (Loc.Line > LineOffset)
-              Loc.Line -= LineOffset;
-            fprintf(stderr, "%s:%s: error: %s\n", CurFile.c_str(),
-                    Loc.str().c_str(), D.Message.c_str());
-          }
+          fputs(Session.diagnostics().render(CurFile, LineOffset).c_str(),
+                stderr);
         continue;
       }
       if (Cmd == "save" || Cmd == "load") {
@@ -785,13 +780,8 @@ int runTool(int argc, char **argv) {
   if (!P) {
     // Report user-file positions (the runtime prefix is an
     // implementation detail).
-    for (const Diagnostic &D : Session.diagnostics().diagnostics()) {
-      SourceLoc Loc = D.Loc;
-      if (Loc.Line > LineOffset)
-        Loc.Line -= LineOffset;
-      fprintf(stderr, "%s:%s: error: %s\n", Opts.File.c_str(),
-              Loc.str().c_str(), D.Message.c_str());
-    }
+    fputs(Session.diagnostics().render(Opts.File, LineOffset).c_str(),
+          stderr);
     return 1;
   }
 
