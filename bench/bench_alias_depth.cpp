@@ -14,6 +14,7 @@
 #include "eval/Workload.h"
 #include "pipeline/Session.h"
 #include "slicer/Expansion.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 
 #include "BenchGuard.h"
@@ -49,7 +50,7 @@ Built &builtOnce() {
       Out.P = Out.S->program();
       Out.PTA = Out.S->pointsTo();
       Out.G = Out.S->sdg();
-      Out.Seed = instrAtLine(*Out.P, Case.Prog.markerLine(Case.SeedMarker));
+      Out.Seed = seedAtLine(*Out.P, Case.Prog.markerLine(Case.SeedMarker));
       Out.BugLine = Case.Prog.markerLine(Case.DesiredMarkers.front());
     }
     return Out;

@@ -19,6 +19,7 @@
 #include "eval/Experiments.h"
 #include "eval/Workload.h"
 #include "pipeline/Session.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 
 #include "BenchGuard.h"
@@ -46,7 +47,7 @@ Built &builtOnce() {
     WorkloadProgram W = padWorkload(debuggingCases().front().Prog, "SB", 8, 6);
     Out.S = std::make_unique<AnalysisSession>(W.Source);
     Out.G = Out.S->sdg();
-    Out.Seed = instrAtLine(*Out.S->program(), W.markerLine("n1-seed"));
+    Out.Seed = seedAtLine(*Out.S->program(), W.markerLine("n1-seed"));
     return Out;
   }();
   return B;

@@ -33,6 +33,7 @@
 #include "slicer/Engine.h"
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
+#include "support/ThreadPool.h"
 
 #include "BenchGuard.h"
 
@@ -110,17 +111,18 @@ BENCHMARK(BM_SeqCSR)->Unit(benchmark::kMillisecond);
 /// The CI fan-out batch, warm condensation; Arg = worker count.
 void BM_Batch(benchmark::State &State) {
   Built &B = ciFanOut();
-  SliceEngine Engine(*B.G);
-  BatchOptions Opts;
-  Opts.Jobs = static_cast<unsigned>(State.range(0));
-  Engine.sliceBackwardBatch(B.Seeds, Opts); // warm
+  ThreadPool Pool(static_cast<unsigned>(State.range(0)));
+  SliceEngine Engine(*B.G, &Pool);
+  SliceQuery Q = SliceQuery::backward(B.Seeds, SliceMode::Thin);
+  Q.Jobs = static_cast<unsigned>(State.range(0));
+  const BatchStats St = Engine.run(Q).Stats; // warm
   for (auto _ : State) {
-    auto R = Engine.sliceBackwardBatch(B.Seeds, Opts);
+    auto R = Engine.run(Q);
     benchmark::DoNotOptimize(R);
   }
   State.counters["seeds"] = static_cast<double>(B.Seeds.size());
-  State.counters["unique"] = Engine.stats().UniqueQueries;
-  State.counters["workers"] = Engine.stats().Workers;
+  State.counters["unique"] = St.UniqueQueries;
+  State.counters["workers"] = St.Workers;
 }
 BENCHMARK(BM_Batch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
@@ -147,19 +149,20 @@ BENCHMARK(BM_BatchCS_ColdSummaries)->Unit(benchmark::kMillisecond);
 /// on the pool; Arg = worker count.
 void BM_BatchCS_WarmSummaries(benchmark::State &State) {
   Built &B = csFanOut();
-  SliceEngine Engine(*B.G);
+  ThreadPool Pool(static_cast<unsigned>(State.range(0)));
+  SliceEngine Engine(*B.G, &Pool);
   SummaryCache Cache;
-  BatchOptions Opts;
-  Opts.ContextSensitive = true;
-  Opts.Jobs = static_cast<unsigned>(State.range(0));
-  Opts.Summaries = &Cache;
-  Engine.sliceBackwardBatch(B.Seeds, Opts); // warm
+  SliceQuery Q = SliceQuery::backward(B.Seeds, SliceMode::Thin,
+                                      /*ContextSensitive=*/true);
+  Q.Jobs = static_cast<unsigned>(State.range(0));
+  Q.Summaries = &Cache;
+  const unsigned Workers = Engine.run(Q).Stats.Workers; // warm
   for (auto _ : State) {
-    auto R = Engine.sliceBackwardBatch(B.Seeds, Opts);
+    auto R = Engine.run(Q);
     benchmark::DoNotOptimize(R);
   }
   State.counters["seeds"] = static_cast<double>(B.Seeds.size());
-  State.counters["workers"] = Engine.stats().Workers;
+  State.counters["workers"] = Workers;
   State.counters["cache_hits"] = static_cast<double>(Cache.hits());
 }
 BENCHMARK(BM_BatchCS_WarmSummaries)

@@ -19,6 +19,7 @@
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 #include "slicer/Inspection.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 
 #include <cstdio>
@@ -48,7 +49,7 @@ int main() {
   std::unique_ptr<PointsToResult> PTA = runPointsTo(*P);
   std::unique_ptr<SDG> G = buildSDG(*P, *PTA, nullptr);
 
-  const Instr *Seed = instrAtLine(*P, W.markerLine("seed"));
+  const Instr *Seed = seedAtLine(*P, W.markerLine("seed"));
   SliceResult Thin = sliceBackward(*G, Seed, SliceMode::Thin);
   SliceResult Trad = sliceBackward(*G, Seed, SliceMode::Traditional);
 

@@ -16,6 +16,7 @@
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 #include "slicer/Expansion.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 
 #include <cstdio>
@@ -37,7 +38,7 @@ int main() {
   // Step 1: the exception at `throw` has no incoming value flow; the
   // user inspects the code and thin-slices from the conditional's
   // operand instead (paper Sec. 4.2).
-  const Instr *OpenRead = instrAtLine(*P, W.markerLine("readopen"));
+  const Instr *OpenRead = seedAtLine(*P, W.markerLine("readopen"));
   SliceResult Thin = sliceBackward(*G, OpenRead, SliceMode::Thin);
   printf("thin slice from `var open = f.isOpen()` (%u statements):\n%s\n",
          Thin.sizeStmts(), Thin.str().c_str());
@@ -56,7 +57,7 @@ int main() {
          "isOpen(); the bug is the close through the alias\n\n");
 
   // Step 3 (Q2): the throw's controlling conditional.
-  const Instr *Throw = instrAtLine(*P, W.markerLine("seed"));
+  const Instr *Throw = seedAtLine(*P, W.markerLine("seed"));
   printf("controlling conditionals of the throw:\n");
   for (const Instr *C : Exp.controlExplainers(Throw))
     printf("  line %u: %s\n", C->loc().Line, C->str(*P).c_str());

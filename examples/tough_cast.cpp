@@ -13,6 +13,7 @@
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 #include "slicer/Expansion.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 
 #include <cstdio>
@@ -42,7 +43,7 @@ int main() {
   for (const Instr *C : Exp.controlExplainers(Cast))
     printf("  line %u: %s\n", C->loc().Line, C->str(*P).c_str());
 
-  const Instr *OpRead = instrAtLine(*P, W.markerLine("opread"));
+  const Instr *OpRead = seedAtLine(*P, W.markerLine("opread"));
   SliceResult Thin = sliceBackward(*G, OpRead, SliceMode::Thin);
   printf("\nthin slice from `var op = n.op` (%u statements):\n%s\n",
          Thin.sizeStmts(), Thin.str().c_str());

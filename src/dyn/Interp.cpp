@@ -103,8 +103,7 @@ class Interp {
 public:
   Interp(const Program &P, const InterpOptions &Opts)
       : P(P), Opts(Opts), CH(P),
-        StepGate(Opts.Budget, "interp.step",
-                 Opts.Budget ? Opts.Budget->MaxInterpSteps : 0),
+        StepGate(Opts.Budget, "interp.step", /*StepCap=*/0),
         OutGate(Opts.Budget, "interp.output", Opts.MaxOutputBytes) {}
 
   InterpResult run();

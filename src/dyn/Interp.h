@@ -47,8 +47,9 @@ struct InterpOptions {
   /// Record the dynamic dependence trace (costs memory per step, up to
   /// a fixed cap of trace instances).
   bool TraceDeps = false;
-  /// Optional shared analysis budget: adds MaxInterpSteps and the
-  /// wall-clock deadline on top of the limits above.
+  /// Optional shared analysis budget: adds the wall-clock deadline and
+  /// watchdog cancellation on top of the limits above (MaxSteps is
+  /// the one step cap).
   const AnalysisBudget *Budget = nullptr;
 };
 

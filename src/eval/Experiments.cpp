@@ -6,8 +6,10 @@
 #include "pipeline/Session.h"
 #include "slicer/Engine.h"
 #include "slicer/Inspection.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
@@ -81,7 +83,7 @@ InspectionQuery makeQuery(const Program &P, const WorkloadProgram &W,
                           const std::vector<std::string> &Pivots,
                           bool ExpandAlias) {
   InspectionQuery Q;
-  Q.Seed = instrAtLine(P, W.markerLine(SeedMarker));
+  Q.Seed = seedAtLine(P, W.markerLine(SeedMarker));
   Q.Mode = Mode;
   Q.Desired = desiredLines(P, W, Desired);
   Q.ChargedControlDeps = NumControl;
@@ -91,7 +93,7 @@ InspectionQuery makeQuery(const Program &P, const WorkloadProgram &W,
     // branch on that line.
     const Instr *I = branchAtLine(P, Line);
     if (!I)
-      I = instrAtLine(P, Line);
+      I = seedAtLine(P, Line);
     if (I)
       Q.ControlPivots.push_back(I);
   }
@@ -242,7 +244,7 @@ tsl::runDebuggingExperiment(InspectionStrategy Strategy) {
     AnalysisSession &NoObj = sessionFor(Case.Prog, /*ObjSens=*/false);
     Program &P = *S.program();
     SliceSizes.push_back(
-        {&S, instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker)),
+        {&S, seedAtLine(P, Case.Prog.markerLine(Case.SeedMarker)),
          Rows.size()});
     InspectionRow Row;
     Row.Id = Case.Id;
@@ -302,7 +304,7 @@ tsl::runToughCastExperiment(InspectionStrategy Strategy) {
     auto SeedIn = [&](const Program &P) {
       const Instr *Seed = nullptr;
       if (!Case.SeedMarker.empty())
-        Seed = instrAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
+        Seed = seedAtLine(P, Case.Prog.markerLine(Case.SeedMarker));
       if (!Seed)
         Seed = castAtLine(P, Case.Prog.markerLine(Case.CastMarker));
       return Seed;
@@ -378,7 +380,7 @@ tsl::runScalability(const std::vector<unsigned> &PadSizes) {
     Row.CIBuildMs = msSince(T1);
     Row.SDGStmts = CI->numStmtNodes();
 
-    const Instr *Seed = instrAtLine(*P, W.markerLine("n1-seed"));
+    const Instr *Seed = seedAtLine(*P, W.markerLine("n1-seed"));
     auto T2 = std::chrono::steady_clock::now();
     SliceResult Thin = sliceBackward(*CI, Seed, SliceMode::Thin);
     Row.ThinSliceMs = msSince(T2);
@@ -439,12 +441,12 @@ std::vector<AblationRow> tsl::runContextAblation() {
     Program &P = *S.program();
     SDG &CI = *S.sdg();
     SliceResult CISlice =
-        *S.sliceBackwardCached(instrAtLine(P, SeedLine),
+        *S.sliceBackwardCached(seedAtLine(P, SeedLine),
                                SliceMode::Traditional);
     AnalysisSession &CSS =
         sessionFor(Case.Prog, /*ObjSens=*/true, /*ContextSensitive=*/true);
     SliceResult CSSlice =
-        *CSS.sliceBackwardCached(instrAtLine(*CSS.program(), SeedLine),
+        *CSS.sliceBackwardCached(seedAtLine(*CSS.program(), SeedLine),
                                  SliceMode::Traditional);
 
     AblationRow Row;
@@ -513,10 +515,11 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
   ThroughputRow Row;
   Row.Seeds = static_cast<unsigned>(Seeds.size());
 
-  SliceEngine Engine(G);
-  BatchOptions Opts;
-  Opts.Mode = Mode;
-  Opts.Jobs = Jobs;
+  // The engine never creates threads; a Jobs == 1 pool spawns none.
+  ThreadPool Pool(Jobs);
+  SliceEngine Engine(G, &Pool);
+  SliceQuery Q = SliceQuery::backward(Seeds, Mode);
+  Q.Jobs = Jobs;
 
   // One untimed warmup pass per configuration: the first traversal
   // faults the graph into cache and the engine builds its reusable
@@ -524,7 +527,7 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
   // the queries/sec comparison is about (every path warms equally).
   for (const Instr *Seed : Seeds)
     sliceBackward(G, Seed, Mode);
-  Engine.sliceBackwardBatch(Seeds, Opts);
+  Row.UniqueSeeds = Engine.run(Q).Stats.UniqueQueries;
 
   // Several timed passes per configuration, run as contiguous blocks
   // (all sequential passes, then all batch passes) and keeping each
@@ -544,10 +547,9 @@ ThroughputRow tsl::runSliceThroughput(const SDG &G,
   }
   for (int P = 0; P != Passes; ++P) {
     auto T2 = std::chrono::steady_clock::now();
-    Engine.sliceBackwardBatch(Seeds, Opts);
+    Engine.run(Q);
     Row.BatchMs = std::min(Row.BatchMs, msSince(T2));
   }
-  Row.UniqueSeeds = Engine.stats().UniqueQueries;
   Row.Speedup = Row.BatchMs > 0 ? Row.SeqMs / Row.BatchMs : 0;
   return Row;
 }

@@ -42,16 +42,6 @@ WorkloadProgram tsl::makeWorkload(const std::string &Name,
   return W;
 }
 
-const Instr *tsl::instrAtLine(const Program &P, unsigned Line) {
-  const Instr *Last = nullptr;
-  for (const auto &M : P.methods())
-    for (const auto &BB : M->blocks())
-      for (const auto &I : BB->instrs())
-        if (I->loc().Line == Line)
-          Last = I.get();
-  return Last;
-}
-
 const CastInstr *tsl::castAtLine(const Program &P, unsigned Line) {
   for (const auto &M : P.methods())
     for (const auto &BB : M->blocks())

@@ -49,10 +49,6 @@ WorkloadProgram makeWorkload(const std::string &Name,
                              const std::string &Body,
                              bool IncludeRuntime = true);
 
-/// The last instruction whose source line is \p Line (the statement's
-/// top-level operation in lowering order), or null.
-const Instr *instrAtLine(const Program &P, unsigned Line);
-
 /// The cast instruction at \p Line, or null.
 const CastInstr *castAtLine(const Program &P, unsigned Line);
 

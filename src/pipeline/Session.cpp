@@ -809,10 +809,7 @@ const SliceAnswer *AnalysisSession::slice(const SliceQuery &Q) {
   Run.Summaries = CurSdg.ContextSensitive ? &Summaries : nullptr;
   bool Tainted = false;
   auto R = computeStage("slice", Budget, LastErr, StageFailures, StageRetries,
-                        Tainted, [&] {
-                          // Braced init: run() is sequenced before stats().
-                          return SliceAnswer{E->run(Run, PTA), E->stats()};
-                        });
+                        Tainted, [&] { return E->run(Run, PTA); });
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr;

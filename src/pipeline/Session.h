@@ -38,9 +38,10 @@
 /// budget drops every analysis artifact.
 ///
 /// Threading: a session is confined to one thread. The SliceEngine it
-/// hands out fans batches across its own worker pool over the
-/// immutable SDG; that reuse is exercised under TSan by the
-/// `pipeline` ctest label.
+/// hands out is reentrant and fans batches across the session's pool
+/// over the immutable SDG, so other threads may query it while the
+/// session is left alone (the daemon's readers do); that reuse is
+/// exercised under TSan by the `pipeline` ctest label.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,12 +85,6 @@ constexpr unsigned NumSessionStages = 6;
 
 /// Short printable stage name ("compile", "pta", ...).
 const char *sessionStageName(SessionStage S);
-
-/// A memoized query answer and the engine statistics of its run.
-struct SliceAnswer {
-  std::vector<SliceResult> Results;
-  BatchStats Stats;
-};
 
 /// A memoized, invalidation-aware analysis pipeline over one source
 /// program. See the file comment for the caching model.

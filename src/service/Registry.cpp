@@ -34,7 +34,7 @@ std::string SessionRegistry::workloadDigest(const std::string &Source,
 
 void SessionRegistry::refreshWarmPointers(WarmSession &E) {
   E.Prog = E.S->program();
-  E.Graph = nullptr;
+  E.Engine = nullptr;
   E.CompileErrors.clear();
   E.StageError.clear();
   if (!E.Prog) {
@@ -43,8 +43,8 @@ void SessionRegistry::refreshWarmPointers(WarmSession &E) {
       E.CompileErrors = "<source>: error: compilation failed\n";
     return;
   }
-  E.Graph = E.S->sdg();
-  if (!E.Graph)
+  E.Engine = E.S->engine();
+  if (!E.Engine)
     E.StageError = E.S->lastError().str();
 }
 
@@ -118,13 +118,13 @@ SessionRegistry::acquire(const std::string &Source, bool CS,
 
     // Populate the snapshot cache for the next daemon generation.
     // Best-effort: an unwritable cache dir must not fail the load.
-    if (!Warm && !O.CacheDir.empty() && E->Prog && E->Graph)
+    if (!Warm && !O.CacheDir.empty() && E->Prog && E->Engine)
       (void)E->S->saveToCacheDir();
   } catch (const std::exception &Ex) {
     // Session construction itself must not take the daemon down; the
     // entry records the failure and every query on it reports it.
     E->Prog = nullptr;
-    E->Graph = nullptr;
+    E->Engine = nullptr;
     E->StageError = std::string("session warm-up failed: ") + Ex.what();
   }
   E->Mu.unlock();

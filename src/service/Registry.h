@@ -14,16 +14,17 @@
 ///
 /// Concurrency model: an AnalysisSession is single-threaded by
 /// contract, so each registry entry carries a reader/writer lock plus
-/// a set of *warm pointers* (Program, SDG) captured after warm-up.
+/// a set of *warm pointers* (Program, SliceEngine) captured after
+/// warm-up and after every edit.
 ///
 ///  - Mutating requests (load, edit, stats — anything that touches
 ///    session accessors, which memoize) hold the entry's lock
 ///    exclusively.
 ///  - Slice requests hold it shared and never call into the session:
-///    they read the warm pointers and run SliceEngine::run on a
-///    request-local engine over the SDG, which is immutable and safe
-///    for concurrent traversal (the batch engine's workers rely on the
-///    same guarantee). Context-sensitive queries go through the
+///    they read the warm pointers and run the session's own engine,
+///    which is reentrant over an immutable SDG (see slicer/Engine.h),
+///    so its condensation cache serves every reader until the next
+///    edit drops the engine. Context-sensitive queries go through the
 ///    session's SummaryCache, which is itself thread-safe.
 ///
 /// This is what lets N clients slice one warm session in parallel
@@ -63,9 +64,9 @@ struct WarmSession {
   /// Warm pointers, captured under the exclusive lock that built (or
   /// edited) the session; readers use ONLY these. Null Prog means the
   /// source does not compile (CompileErrors carries the rendered
-  /// diagnostics).
+  /// diagnostics). Engine is the session's engine over its SDG.
   Program *Prog = nullptr;
-  SDG *Graph = nullptr;
+  SliceEngine *Engine = nullptr;
   std::string CompileErrors;
   /// Non-empty when the program compiled but a downstream stage
   /// failed (crashed and exhausted its retries): the lastError() text

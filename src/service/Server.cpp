@@ -281,7 +281,7 @@ ServiceResponse SliceServer::handleLoad(const ServiceRequest &Req) {
   std::shared_lock<std::shared_mutex> L(E->Mu);
   if (!E->Prog)
     return {ServiceStatus::Error, E->Id, E->CompileErrors};
-  if (!E->Graph)
+  if (!E->Engine)
     return {ServiceStatus::Internal, E->Id, E->StageError};
   return {ServiceStatus::Ok, E->Id, Note};
 }
@@ -311,27 +311,11 @@ bool entryUsable(const WarmSession &E, ServiceResponse &Resp) {
                                     : E.CompileErrors};
     return false;
   }
-  if (!E.Graph) {
+  if (!E.Engine) {
     Resp = {ServiceStatus::Internal, "", E.StageError};
     return false;
   }
   return true;
-}
-
-/// The seed statement at requested user line \p UserLine, or null with
-/// the BadRequest answer in \p Resp. Caller must hold the entry's lock.
-const Instr *seedFor(const WarmSession &E, uint32_t UserLine,
-                     ServiceResponse &Resp) {
-  unsigned AbsLine = absoluteUserLine(UserLine, E.LineOffset);
-  if (!AbsLine) {
-    Resp = {ServiceStatus::BadRequest, "", lineOutOfRangeMessage(UserLine)};
-    return nullptr;
-  }
-  const Instr *Seed = seedAtLine(*E.Prog, AbsLine);
-  if (!Seed)
-    Resp = {ServiceStatus::BadRequest, "",
-            noStatementMessage(*E.Prog, UserLine, E.LineOffset)};
-  return Seed;
 }
 
 } // namespace
@@ -357,34 +341,34 @@ ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
     Lines.assign(1, Req.Lines.empty() ? 0 : Req.Lines.front());
   SliceQuery Q = SliceQuery::backward({}, Req.Mode, E->ContextSensitive);
   for (uint32_t UserLine : Lines) {
-    const Instr *Seed = seedFor(*E, UserLine, Bad);
+    Expected<const Instr *> Seed =
+        seedForUserLine(*E->Prog, UserLine, E->LineOffset);
     if (!Seed)
-      return Bad;
-    Q.Seeds.push_back(Seed);
+      return {ServiceStatus::BadRequest, "", Seed.status().message()};
+    Q.Seeds.push_back(*Seed);
   }
 
   RequestBudget RB(O.RequestBudgetMs);
   Q.Budget = RB.B;
   // A batch runs inline on this request's lane (the request fan-out IS
-  // the parallelism) on a request-local engine. The session's
-  // SummaryCache is thread-safe; the exclusive edit path clears it with
-  // a graph.
+  // the parallelism) on the session's engine, which is reentrant. The
+  // session's SummaryCache is thread-safe; the exclusive edit path
+  // clears it with a graph.
   Q.Jobs = 1;
   Q.Summaries = E->ContextSensitive ? &E->S->summaries() : nullptr;
-  SliceEngine Engine(*E->Graph, nullptr);
-  std::vector<SliceResult> Results = Engine.run(Q);
+  std::vector<SliceResult> Results = E->Engine->run(Q).Results;
 
   ServiceResponse Resp;
-  const std::string What = Q.label();
-  for (std::size_t I = 0; I != Results.size(); ++I) {
-    if (Batch)
-      Resp.Body += "=== seed line " + std::to_string(Lines[I]) + " ===\n";
-    Resp.Body += renderSliceReport(Results[I], What, Lines[I], E->LineOffset);
-    if (!Results[I].complete() && Resp.Code == ServiceStatus::Ok) {
+  Resp.Body = Batch ? renderSliceBatch(Results, Q.label(), Lines,
+                                       E->LineOffset)
+                    : renderSliceReport(Results.front(), Q.label(),
+                                        Lines.front(), E->LineOffset);
+  for (const SliceResult &R : Results)
+    if (!R.complete()) {
       Resp.Code = ServiceStatus::Degraded;
-      Resp.Detail = Results[I].degradedReason();
+      Resp.Detail = R.degradedReason();
+      break;
     }
-  }
   return Resp;
 }
 
@@ -415,7 +399,7 @@ ServiceResponse SliceServer::handleEdit(const ServiceRequest &Req) {
   SessionRegistry::refreshWarmPointers(*E);
   if (!E->Prog)
     return {ServiceStatus::Error, E->Id, E->CompileErrors};
-  if (!E->Graph)
+  if (!E->Engine)
     return {ServiceStatus::Internal, E->Id, E->StageError};
   bool Incremental = E->S->incrementalStats().Applied > AppliedBefore;
   return {ServiceStatus::Ok, E->Id,

@@ -25,8 +25,9 @@
 ///    overload degrades into client backoff, never into unbounded
 ///    memory growth.
 ///  - One slice handler: a Slice or BatchSlice frame is one SliceQuery
-///    run by SliceEngine::run on a request-local engine; the two differ
-///    only in the `=== seed line N ===` headers of a batch body.
+///    run by the warm session's SliceEngine (one reentrant engine per
+///    warm graph, shared by every reader); the two differ only in the
+///    `=== seed line N ===` headers of a batch body.
 ///  - Per-request deadlines: a --request-budget-ms daemon option arms
 ///    a per-request AnalysisBudget whose gates (BudgetGate /
 ///    SharedBudgetGate in the batch engine) degrade the slice soundly;
@@ -64,8 +65,9 @@ struct ServerOptions {
   unsigned Threads = 0;
 
   /// Passed to each warm session's AnalysisSession::setThreads. The
-  /// daemon's slices run on request-local engines with one job, so
-  /// this only shows in the `parallelism:` stats line.
+  /// daemon's slices run inline on their request's lane, so above 1
+  /// this only starts the session pool's N-1 workers, which stay idle,
+  /// and shows in the `parallelism:` stats line.
   unsigned AnalysisThreads = 1;
 
   /// In-flight request bound: the (N+1)-th concurrent request is

@@ -7,6 +7,7 @@
 #include "support/BitSet.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -171,21 +172,22 @@ SliceEngine::SliceEngine(const SDG &G, ThreadPool *Pool) : G(G), Pool(Pool) {}
 SliceEngine::~SliceEngine() = default;
 
 std::shared_ptr<const BatchCondensation>
-SliceEngine::condensationFor(EdgeKindMask Mask) {
+SliceEngine::condensationFor(EdgeKindMask Mask, bool &Reused) const {
+  // Held across the build: concurrent batches on one mask wait for
+  // the first one's condensation instead of building their own.
   std::lock_guard<std::mutex> L(CondMu);
   auto It = CondCache.find(Mask);
-  if (It != CondCache.end()) {
-    Stats.CondensationReused = true;
+  Reused = It != CondCache.end();
+  if (Reused)
     return It->second;
-  }
   auto C = std::make_shared<const BatchCondensation>(
       condense(G, edgeKindRuns(Mask)));
   CondCache.emplace(Mask, C);
   return C;
 }
 
-std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
-                                          const PointsToResult *PTA) {
+SliceAnswer SliceEngine::run(const SliceQuery &Q,
+                             const PointsToResult *PTA) const {
   if (auto [A, B] = Q.conflict(); A)
     throw std::invalid_argument(std::string("slice query combines ") + A +
                                 " with " + B);
@@ -195,11 +197,12 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
   if ((Q.Expand || Q.AliasDepth) && !PTA)
     throw std::invalid_argument(Q.label() + " needs the points-to result");
   if (Q.Seeds.size() != 1)
-    return sliceBackwardBatch(Q.Seeds, Q);
+    return batch(Q.Seeds, Q);
 
-  Stats = {/*Queries=*/1, /*UniqueQueries=*/1, /*Workers=*/1};
+  SliceAnswer A;
+  A.Stats = {/*Queries=*/1, /*UniqueQueries=*/1, /*Workers=*/1};
   const Instr *Seed = Q.Seeds.front();
-  std::vector<SliceResult> Out;
+  std::vector<SliceResult> &Out = A.Results;
   if (Q.ChopSink) {
     SliceResult Fwd = sliceForward(G, Seed, Q.Mode, Q.Budget);
     SliceResult Bwd = sliceBackward(G, Q.ChopSink, Q.Mode, Q.Budget);
@@ -219,18 +222,24 @@ std::vector<SliceResult> SliceEngine::run(const SliceQuery &Q,
                            : Exp.thinSliceWithAliasDepth(Seed, Q.AliasDepth));
   } else if (Q.ContextSensitive) {
     TabulationSlicer Tab(G, Q.Mode, Q.Budget, Q.Summaries);
-    Stats.SummariesReused = Tab.summariesFromCache();
+    A.Stats.SummariesReused = Tab.summariesFromCache();
     Out.push_back(Tab.slice(Seed));
   } else {
     Out.push_back(sliceBackward(G, Seed, Q.Mode, Q.Budget));
   }
-  return Out;
+  return A;
 }
 
 std::vector<SliceResult>
 SliceEngine::sliceBackwardBatch(const std::vector<const Instr *> &Seeds,
-                                const BatchOptions &Opts) {
-  Stats = BatchStats();
+                                const BatchOptions &Opts) const {
+  return batch(Seeds, Opts).Results;
+}
+
+SliceAnswer SliceEngine::batch(const std::vector<const Instr *> &Seeds,
+                               const BatchOptions &Opts) const {
+  SliceAnswer A;
+  BatchStats &Stats = A.Stats;
   Stats.Queries = static_cast<unsigned>(Seeds.size());
 
   // Deduplicate seeds by their expanded node set: textually different
@@ -265,13 +274,12 @@ SliceEngine::sliceBackwardBatch(const std::vector<const Instr *> &Seeds,
   // gate is cancelled so sibling queries stop burning work for a
   // batch that already failed.
   auto FailAll = [&](const std::string &Why) {
-    std::vector<SliceResult> Results;
-    Results.reserve(Seeds.size());
+    A.Results.reserve(Seeds.size());
     for (std::size_t I = 0; I != Seeds.size(); ++I) {
-      Results.emplace_back(&G, BitSet(G.numNodes()));
-      Results.back().markDegraded(Why);
+      A.Results.emplace_back(&G, BitSet(G.numNodes()));
+      A.Results.back().markDegraded(Why);
     }
-    return Results;
+    return A;
   };
 
   std::optional<TabulationSlicer> Tab;
@@ -281,7 +289,8 @@ SliceEngine::sliceBackwardBatch(const std::vector<const Instr *> &Seeds,
       Tab.emplace(G, Opts.Mode, Opts.Budget, Opts.Summaries);
       Stats.SummariesReused = Tab->summariesFromCache();
     } else {
-      Cond = condensationFor(sliceEdgeMask(Opts.Mode));
+      Cond = condensationFor(sliceEdgeMask(Opts.Mode),
+                             Stats.CondensationReused);
     }
   } catch (const std::exception &E) {
     return FailAll(std::string("exception:") + E.what());
@@ -293,14 +302,12 @@ SliceEngine::sliceBackwardBatch(const std::vector<const Instr *> &Seeds,
       LanesPerChunk;
   const std::size_t NumItems = Tab ? Unique.size() : NumChunks;
 
-  unsigned Workers =
+  // The engine never creates threads: no pool, one worker.
+  const unsigned Jobs =
       Opts.Jobs ? Opts.Jobs : std::thread::hardware_concurrency();
-  if (Workers == 0)
-    Workers = 1;
-  if (Workers > NumItems)
-    Workers = static_cast<unsigned>(NumItems);
-  if (Workers == 0)
-    Workers = 1;
+  const unsigned Workers =
+      std::max(1u, std::min({Jobs, Pool ? Pool->concurrency() : 1u,
+                             static_cast<unsigned>(NumItems)}));
   Stats.Workers = Workers;
 
   // CI chunk: plant each lane's seed nodes, sweep the components in
@@ -387,30 +394,21 @@ SliceEngine::sliceBackwardBatch(const std::vector<const Instr *> &Seeds,
   };
 
   if (Workers <= 1) {
-    // Single-worker batches run inline: no pool is consulted or
-    // created, no thread is spawned, no task is queued.
+    // Single-worker batches run inline: the pool is not consulted, no
+    // task is queued.
     for (unsigned I = 0; I != NumItems; ++I)
       RunItem(I);
   } else {
-    ThreadPool *TP = Pool;
-    if (!TP) {
-      if (!OwnedPool || OwnedPool->concurrency() < Workers)
-        OwnedPool = std::make_unique<ThreadPool>(Workers);
-      TP = OwnedPool.get();
-    }
-    if (TP->concurrency() < Workers)
-      Stats.Workers = Workers = TP->concurrency();
     // Every item must produce a SliceResult (degraded once the gate
     // trips), so cancellation happens inside RunItem, never by
     // skipping items.
-    TP->parallelFor(
+    Pool->parallelFor(
         NumItems,
         [&](std::size_t I) { RunItem(static_cast<unsigned>(I)); }, Workers);
   }
 
-  std::vector<SliceResult> Results;
-  Results.reserve(Seeds.size());
+  A.Results.reserve(Seeds.size());
   for (std::size_t I = 0; I != Seeds.size(); ++I)
-    Results.push_back(*UniqueResults[QueryOf[I]]);
-  return Results;
+    A.Results.push_back(*UniqueResults[QueryOf[I]]);
+  return A;
 }

@@ -27,20 +27,23 @@
 /// once per batch and optionally reusing it across batches through a
 /// SummaryCache.
 ///
-/// Threading model: the SDG is immutable and read
-/// concurrently without locking. Everything that touches process
-/// globals (TabulationSlicer construction, SharedBudgetGate
-/// construction — both reach the FaultInjector) and the condensation
-/// cache happens on the calling thread before workers start. Workers
-/// share one SharedBudgetGate, so an AnalysisBudget passed to a batch
-/// governs the batch's *total* slicing work; per-query results are
-/// otherwise identical to the single-seed entry points.
+/// Threading model: the engine is reentrant. The SDG is immutable and
+/// read concurrently without locking; run() keeps its statistics in
+/// the answer it returns, and the only engine state it changes is the
+/// mutex-guarded condensation cache, so any number of threads may call
+/// run() on one engine at once (the daemon does, one engine per warm
+/// graph). Within one call, everything that touches process globals
+/// (TabulationSlicer construction, SharedBudgetGate construction —
+/// both reach the FaultInjector) and the condensation cache happens
+/// on the calling thread before workers start. Workers share one
+/// SharedBudgetGate, so an AnalysisBudget passed to a batch governs
+/// the batch's *total* slicing work; per-query results are otherwise
+/// identical to the single-seed entry points.
 ///
-/// Work fans out on a shared ThreadPool (see support/ThreadPool.h):
-/// either one handed in at construction (the session threads its pool
-/// through every stage) or a lazily created engine-owned pool. A
-/// single-worker batch never touches a pool at all — it runs inline
-/// on the calling thread, and no pool is created for it.
+/// The engine never creates threads. Work fans out on the ThreadPool
+/// handed in at construction (see support/ThreadPool.h; the session
+/// threads its pool through); without one, or for a single work item,
+/// a batch runs inline on the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,8 +72,8 @@ struct BatchOptions {
   /// been built with SDGOptions::ContextSensitive).
   bool ContextSensitive = false;
   /// Worker threads; 0 means std::thread::hardware_concurrency().
-  /// Clamped to the number of work items; 1 runs inline without
-  /// spawning.
+  /// Clamped to the number of work items and to the engine's pool
+  /// (no pool: 1); 1 runs inline.
   unsigned Jobs = 0;
   /// Optional batch-wide budget (MaxSlicePops caps the *total* pops
   /// across all queries of the batch; see SharedBudgetGate).
@@ -131,33 +134,35 @@ struct BatchStats {
   bool CondensationReused = false; ///< CI condensation came from the cache.
 };
 
+/// One query's answer: a SliceResult per seed (one for the other
+/// shapes) and the statistics of the run that produced it.
+struct SliceAnswer {
+  std::vector<SliceResult> Results;
+  BatchStats Stats;
+};
+
 /// The SCC condensation of one mode-masked SDG subgraph (defined in
 /// Engine.cpp); cached per edge mask inside the engine.
 struct BatchCondensation;
 
-/// Slice-query engine over one SDG. run() and sliceBackwardBatch() may
-/// be called repeatedly (stats describe the most recent query; the
-/// condensation cache carries over).
+/// Slice-query engine over one SDG. Reentrant: see the file comment.
+/// The condensation cache carries over between calls.
 class SliceEngine {
 public:
   /// \p Pool, when non-null, is the shared worker pool batches fan
   /// out on (not owned; must outlive the engine). With a null pool
-  /// the engine lazily creates its own the first time a batch asks
-  /// for more than one worker.
+  /// every batch runs inline.
   explicit SliceEngine(const SDG &G, ThreadPool *Pool = nullptr);
   ~SliceEngine();
 
-  /// The pool batches currently fan out on: the one injected at
-  /// construction, the lazily created owned pool, or null when no
-  /// multi-worker batch has run yet (the single-worker path never
-  /// creates one — see tests/engine_test.cpp).
-  const ThreadPool *pool() const { return Pool ? Pool : OwnedPool.get(); }
+  /// The pool batches fan out on, or null.
+  const ThreadPool *pool() const { return Pool; }
 
   /// Answers \p Q (\p PTA is needed by the expansion shapes only). A
   /// single seed throws where its primitive throws; a batch never does.
   /// An ill-formed query throws std::invalid_argument.
-  std::vector<SliceResult> run(const SliceQuery &Q,
-                               const PointsToResult *PTA = nullptr);
+  SliceAnswer run(const SliceQuery &Q,
+                  const PointsToResult *PTA = nullptr) const;
 
   /// Backward-slices every seed, returning results in seed order.
   /// Results are identical to calling sliceBackward() /
@@ -165,20 +170,23 @@ public:
   /// accounting, see BatchOptions::Budget).
   std::vector<SliceResult>
   sliceBackwardBatch(const std::vector<const Instr *> &Seeds,
-                     const BatchOptions &Opts = {});
-
-  const BatchStats &stats() const { return Stats; }
+                     const BatchOptions &Opts = {}) const;
 
 private:
-  /// Condensation for \p Mask, building and caching it on a miss.
-  std::shared_ptr<const BatchCondensation> condensationFor(EdgeKindMask Mask);
+  /// The batch behind run() and sliceBackwardBatch().
+  SliceAnswer batch(const std::vector<const Instr *> &Seeds,
+                    const BatchOptions &Opts) const;
+
+  /// Condensation for \p Mask, building and caching it on a miss;
+  /// \p Reused reports a hit.
+  std::shared_ptr<const BatchCondensation>
+  condensationFor(EdgeKindMask Mask, bool &Reused) const;
 
   const SDG &G;
   ThreadPool *Pool = nullptr;
-  std::unique_ptr<ThreadPool> OwnedPool;
-  BatchStats Stats;
-  std::mutex CondMu;
-  std::map<EdgeKindMask, std::shared_ptr<const BatchCondensation>> CondCache;
+  mutable std::mutex CondMu;
+  mutable std::map<EdgeKindMask, std::shared_ptr<const BatchCondensation>>
+      CondCache;
 };
 
 } // namespace tsl

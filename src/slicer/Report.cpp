@@ -110,16 +110,6 @@ const Instr *tsl::seedAtLine(const Program &P, unsigned Line) {
   return Last;
 }
 
-unsigned tsl::absoluteUserLine(unsigned UserLine, unsigned LineOffset) {
-  if (UserLine == 0 || UserLine > ~0u - LineOffset)
-    return 0;
-  return UserLine + LineOffset;
-}
-
-std::string tsl::lineOutOfRangeMessage(unsigned UserLine) {
-  return "line " + std::to_string(UserLine) + " is out of range";
-}
-
 std::string tsl::renderSliceReport(const SliceResult &Slice,
                                    const std::string &What, unsigned UserLine,
                                    unsigned LineOffset) {
@@ -139,14 +129,28 @@ std::string tsl::renderSliceReport(const SliceResult &Slice,
   return Out;
 }
 
+std::string tsl::renderSliceBatch(const std::vector<SliceResult> &Results,
+                                  const std::string &What,
+                                  const std::vector<unsigned> &UserLines,
+                                  unsigned LineOffset) {
+  std::string Out;
+  for (std::size_t I = 0; I != Results.size(); ++I) {
+    Out += "=== seed line " + std::to_string(UserLines[I]) + " ===\n";
+    Out += renderSliceReport(Results[I], What, UserLines[I], LineOffset);
+  }
+  return Out;
+}
+
 const char *tsl::sliceKindName(SliceMode Mode, bool ContextSensitive) {
   if (ContextSensitive)
     return "context-sensitive slice";
   return Mode == SliceMode::Thin ? "thin slice" : "traditional slice";
 }
 
-std::string tsl::noStatementMessage(const Program &P, unsigned UserLine,
-                                    unsigned LineOffset) {
+/// "no statement at line N" with the nearest user-file statement
+/// lines suggested when any exist.
+static std::string noStatementMessage(const Program &P, unsigned UserLine,
+                                      unsigned LineOffset) {
   unsigned AbsLine = UserLine + LineOffset;
   unsigned Below = 0, Above = ~0u;
   for (const auto &M : P.methods())
@@ -172,4 +176,17 @@ std::string tsl::noStatementMessage(const Program &P, unsigned UserLine,
   if (!Near.empty())
     Msg += " (nearest statement lines: " + Near + ")";
   return Msg;
+}
+
+Expected<const Instr *> tsl::seedForUserLine(const Program &P,
+                                             unsigned UserLine,
+                                             unsigned LineOffset) {
+  // Line 0, and lines whose absolute line would wrap into the prefix.
+  if (UserLine == 0 || UserLine > ~0u - LineOffset)
+    return Status(StatusCode::InvalidArgument,
+                  "line " + std::to_string(UserLine) + " is out of range");
+  if (const Instr *Seed = seedAtLine(P, UserLine + LineOffset))
+    return Seed;
+  return Status(StatusCode::NotFound,
+                noStatementMessage(P, UserLine, LineOffset));
 }

@@ -18,6 +18,7 @@
 #define THINSLICER_SLICER_REPORT_H
 
 #include "slicer/Slicer.h"
+#include "support/Status.h"
 
 #include <string>
 #include <vector>
@@ -71,14 +72,16 @@ SliceNarration narrateSlice(const SliceResult &Slice, const Instr *Seed,
 /// convention every tool entry point uses.
 const Instr *seedAtLine(const Program &P, unsigned Line);
 
-/// The absolute line of user-file line \p UserLine below a
-/// \p LineOffset-line runtime prefix, or 0 when \p UserLine is 0 or
-/// the sum would wrap around 32 bits (into the runtime prefix). Every
-/// "slice from line N" entry point checks this before seedAtLine.
-unsigned absoluteUserLine(unsigned UserLine, unsigned LineOffset);
-
-/// "line N is out of range": why absoluteUserLine rejected \p UserLine.
-std::string lineOutOfRangeMessage(unsigned UserLine);
+/// The seed of every "slice from line N" entry point: the seedAtLine
+/// statement of user-file line \p UserLine below a \p LineOffset-line
+/// runtime prefix. Fails with InvalidArgument "line N is out of range"
+/// when \p UserLine is 0 or its absolute line would wrap around 32
+/// bits (into the prefix), and with NotFound "no statement at line N"
+/// plus the nearest user-file statement lines, when any exist, when
+/// the line carries no statement. Messages have no trailing newline
+/// and no "error: " prefix: callers decide the severity framing.
+Expected<const Instr *> seedForUserLine(const Program &P, unsigned UserLine,
+                                        unsigned LineOffset);
 
 /// The standard report of one backward slice: a "<What> from line
 /// <UserLine>: S statements, L source lines" header plus one indented
@@ -88,15 +91,17 @@ std::string renderSliceReport(const SliceResult &Slice,
                               const std::string &What, unsigned UserLine,
                               unsigned LineOffset);
 
+/// The body of a batch answer: renderSliceReport of each result under
+/// a "=== seed line N ===" header, in seed order (\p UserLines[I] is
+/// the line of \p Results[I]).
+std::string renderSliceBatch(const std::vector<SliceResult> &Results,
+                             const std::string &What,
+                             const std::vector<unsigned> &UserLines,
+                             unsigned LineOffset);
+
 /// The display name of a slice flavor: "context-sensitive slice" when
 /// \p ContextSensitive, otherwise "thin slice" / "traditional slice".
 const char *sliceKindName(SliceMode Mode, bool ContextSensitive);
-
-/// "no statement at line N" with the nearest user-file statement
-/// lines suggested when any exist (no trailing newline, no "error: "
-/// prefix — callers decide the severity framing).
-std::string noStatementMessage(const Program &P, unsigned UserLine,
-                               unsigned LineOffset);
 
 } // namespace tsl
 

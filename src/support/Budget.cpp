@@ -23,7 +23,6 @@ AnalysisBudget &AnalysisBudget::operator=(const AnalysisBudget &O) {
   MaxSdgEdges = O.MaxSdgEdges;
   MaxSlicePops = O.MaxSlicePops;
   MaxExpansionRounds = O.MaxExpansionRounds;
-  MaxInterpSteps = O.MaxInterpSteps;
   Start = O.Start;
   Started = O.Started;
   CancelFlag.store(O.cancelled(), std::memory_order_release);

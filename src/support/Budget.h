@@ -68,7 +68,6 @@ struct AnalysisBudget {
   uint64_t MaxSdgEdges = 0;
   uint64_t MaxSlicePops = 0;       ///< Slice/tabulation worklist pops.
   uint64_t MaxExpansionRounds = 0; ///< Thin-expansion fixpoint rounds.
-  uint64_t MaxInterpSteps = 0;     ///< Interpreter step cap.
 
   AnalysisBudget() = default;
   /// Copies carry the limits and the current cancel state (the flag

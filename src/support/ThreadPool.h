@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The fork-join pool behind the batched slice engine (one per
-/// analysis session, or one owned by a standalone SliceEngine). Its
+/// analysis session, or one a caller of a standalone SliceEngine
+/// constructs; the engine itself never creates threads). Its
 /// only operation is parallelFor: a fixed set of workers joins the
 /// caller on one index range at a time, taking indices from a shared
 /// atomic cursor. The analyses themselves — points-to, mod-ref, SDG

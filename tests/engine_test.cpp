@@ -6,8 +6,9 @@
 // both slice modes) must produce statement-identical results to the
 // single-seed reference slicers — the edge-record BFS referenceSlice
 // or sliceBackward for CI, TabulationSlicer::slice for CS — plus unit coverage of
-// dedup, the per-mode condensation cache, and batch-wide budget
-// degradation (a step cap, and a watchdog cancel seen on every lane).
+// dedup, the per-mode condensation cache, batch-wide budget
+// degradation (a step cap, and a watchdog cancel seen on every lane),
+// and concurrent callers sharing one engine.
 // These tests carry the "engine" ctest label and are the set the TSan
 // tree runs.
 
@@ -19,8 +20,10 @@
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 #include "slicer/Engine.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace tsl;
@@ -92,6 +96,18 @@ void expectIdentical(const SliceResult &Got, const SliceResult &Want,
       << What << ": statement lists differ";
 }
 
+/// The backward batch of \p Seeds under \p Opts, through run() so the
+/// answer carries its statistics (two or more seeds, or none, take
+/// the batch path).
+SliceAnswer runBatch(const SliceEngine &E,
+                     const std::vector<const Instr *> &Seeds,
+                     const BatchOptions &Opts = {}) {
+  SliceQuery Q;
+  static_cast<BatchOptions &>(Q) = Opts;
+  Q.Seeds = Seeds;
+  return E.run(Q);
+}
+
 std::string tag(const char *Case, SliceMode Mode, unsigned Jobs,
                 std::size_t Seed) {
   return std::string(Case) + (Mode == SliceMode::Thin ? "/thin" : "/trad") +
@@ -117,7 +133,7 @@ TEST(Engine, DifferentialEvalCases) {
       It = Programs.emplace(Prog.Name, compile(Prog.Source)).first;
     if (!It->second.P)
       return;
-    const Instr *Seed = instrAtLine(*It->second.P, Prog.markerLine(Marker));
+    const Instr *Seed = seedAtLine(*It->second.P, Prog.markerLine(Marker));
     if (Seed)
       SeedsOf[Prog.Name].push_back(Seed);
   };
@@ -130,7 +146,8 @@ TEST(Engine, DifferentialEvalCases) {
 
   for (auto &[Name, Seeds] : SeedsOf) {
     const Compiled &C = Programs.at(Name);
-    SliceEngine Engine(*C.CI);
+    ThreadPool Pool(4);
+    SliceEngine Engine(*C.CI, &Pool);
     for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
       // Per-seed reference slices, computed once per mode.
       std::vector<SliceResult> Ref;
@@ -162,7 +179,8 @@ TEST(Engine, DifferentialGeneratedSeedsCI) {
   std::vector<const Instr *> Seeds = collectSliceSeeds(*C.P, 50);
   ASSERT_EQ(Seeds.size(), 50u);
 
-  SliceEngine Engine(*C.CI);
+  ThreadPool Pool(4);
+  SliceEngine Engine(*C.CI, &Pool);
   for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
     std::vector<SliceResult> Ref;
     for (const Instr *Seed : Seeds)
@@ -171,9 +189,10 @@ TEST(Engine, DifferentialGeneratedSeedsCI) {
       BatchOptions Opts;
       Opts.Mode = Mode;
       Opts.Jobs = Jobs;
-      std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+      SliceAnswer A = runBatch(Engine, Seeds, Opts);
+      const std::vector<SliceResult> &Got = A.Results;
       ASSERT_EQ(Got.size(), Seeds.size());
-      EXPECT_EQ(Engine.stats().Queries, 50u);
+      EXPECT_EQ(A.Stats.Queries, 50u);
       for (std::size_t I = 0; I != Seeds.size(); ++I)
         expectIdentical(Got[I], Ref[I], tag("generated", Mode, Jobs, I));
     }
@@ -196,7 +215,8 @@ TEST(Engine, DifferentialMultiChunkCI) {
   std::vector<const Instr *> Seeds = collectSliceSeeds(*C.P, 200);
   ASSERT_EQ(Seeds.size(), 200u);
 
-  SliceEngine Engine(*C.CI);
+  ThreadPool Pool(4);
+  SliceEngine Engine(*C.CI, &Pool);
   for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
     std::vector<SliceResult> Ref;
     for (const Instr *Seed : Seeds)
@@ -205,11 +225,12 @@ TEST(Engine, DifferentialMultiChunkCI) {
       BatchOptions Opts;
       Opts.Mode = Mode;
       Opts.Jobs = Jobs;
-      std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+      SliceAnswer A = runBatch(Engine, Seeds, Opts);
+      const std::vector<SliceResult> &Got = A.Results;
       ASSERT_EQ(Got.size(), Seeds.size());
-      EXPECT_GT(Engine.stats().UniqueQueries, 128u); // >= 3 chunks.
+      EXPECT_GT(A.Stats.UniqueQueries, 128u); // >= 3 chunks.
       if (Jobs > 1) {
-        EXPECT_GT(Engine.stats().Workers, 1u);
+        EXPECT_GT(A.Stats.Workers, 1u);
       }
       for (std::size_t I = 0; I != Seeds.size(); ++I)
         expectIdentical(Got[I], Ref[I], tag("multi-chunk", Mode, Jobs, I));
@@ -223,9 +244,10 @@ TEST(Engine, DifferentialMultiChunkCI) {
   BatchOptions Opts;
   Opts.Jobs = 4;
   Opts.Budget = &Cancelled;
-  std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+  SliceAnswer A = runBatch(Engine, Seeds, Opts);
+  const std::vector<SliceResult> &Got = A.Results;
   ASSERT_EQ(Got.size(), Seeds.size());
-  EXPECT_GT(Engine.stats().Workers, 1u);
+  EXPECT_GT(A.Stats.Workers, 1u);
   for (std::size_t I = 0; I != Got.size(); ++I) {
     EXPECT_FALSE(Got[I].complete()) << "seed " << I;
     EXPECT_EQ(Got[I].degradedReason(), "watchdog") << "seed " << I;
@@ -242,7 +264,8 @@ TEST(Engine, DifferentialContextSensitive) {
   std::vector<const Instr *> Seeds = collectSliceSeeds(*C.P, 50);
   ASSERT_FALSE(Seeds.empty());
 
-  SliceEngine Engine(*C.CS);
+  ThreadPool Pool(4);
+  SliceEngine Engine(*C.CS, &Pool);
   SummaryCache Cache;
   for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
     TabulationSlicer Ref(*C.CS, Mode);
@@ -257,9 +280,10 @@ TEST(Engine, DifferentialContextSensitive) {
         Opts.ContextSensitive = true;
         Opts.Jobs = Jobs;
         Opts.Summaries = &Cache;
-        std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds, Opts);
+        SliceAnswer A = runBatch(Engine, Seeds, Opts);
+        const std::vector<SliceResult> &Got = A.Results;
         ASSERT_EQ(Got.size(), Seeds.size());
-        EXPECT_EQ(Engine.stats().SummariesReused, !First);
+        EXPECT_EQ(A.Stats.SummariesReused, !First);
         First = false;
         for (std::size_t I = 0; I != Seeds.size(); ++I)
           expectIdentical(Got[I], Want[I],
@@ -287,17 +311,18 @@ def main() {
 }
 )");
   ASSERT_NE(C.P, nullptr);
-  const Instr *A = instrAtLine(*C.P, 5); // print(a)
-  const Instr *B = instrAtLine(*C.P, 6); // print(b)
+  const Instr *A = seedAtLine(*C.P, 5); // print(a)
+  const Instr *B = seedAtLine(*C.P, 6); // print(b)
   ASSERT_NE(A, nullptr);
   ASSERT_NE(B, nullptr);
 
   SliceEngine Engine(*C.CI);
   std::vector<const Instr *> Seeds{A, B, A, A, B};
-  std::vector<SliceResult> Got = Engine.sliceBackwardBatch(Seeds);
+  SliceAnswer Answer = runBatch(Engine, Seeds);
+  const std::vector<SliceResult> &Got = Answer.Results;
   ASSERT_EQ(Got.size(), 5u);
-  EXPECT_EQ(Engine.stats().Queries, 5u);
-  EXPECT_EQ(Engine.stats().UniqueQueries, 2u);
+  EXPECT_EQ(Answer.Stats.Queries, 5u);
+  EXPECT_EQ(Answer.Stats.UniqueQueries, 2u);
   // Duplicate positions carry the unique query's result.
   EXPECT_TRUE(Got[0].nodeSet() == Got[2].nodeSet());
   EXPECT_TRUE(Got[0].nodeSet() == Got[3].nodeSet());
@@ -312,9 +337,11 @@ TEST(Engine, EmptyBatch) {
   Compiled C = compile("def main() { print(1); }");
   ASSERT_NE(C.P, nullptr);
   SliceEngine Engine(*C.CI);
+  SliceAnswer A = runBatch(Engine, {});
+  EXPECT_TRUE(A.Results.empty());
+  EXPECT_EQ(A.Stats.Queries, 0u);
+  EXPECT_EQ(A.Stats.UniqueQueries, 0u);
   EXPECT_TRUE(Engine.sliceBackwardBatch({}).empty());
-  EXPECT_EQ(Engine.stats().Queries, 0u);
-  EXPECT_EQ(Engine.stats().UniqueQueries, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -330,30 +357,29 @@ def main() {
 }
 )");
   ASSERT_NE(C.P, nullptr);
-  const Instr *Seed = instrAtLine(*C.P, 5);
+  const Instr *Seed = seedAtLine(*C.P, 5);
   ASSERT_NE(Seed, nullptr);
   SliceEngine Engine(*C.CI);
+  // Two copies of the seed: run() answers one seed with the
+  // single-seed slicer, two (one unique) with a batch.
+  const std::vector<const Instr *> Seeds{Seed, Seed};
 
   BatchOptions Thin;
-  Engine.sliceBackwardBatch({Seed}, Thin);
-  EXPECT_FALSE(Engine.stats().CondensationReused);
-  Engine.sliceBackwardBatch({Seed}, Thin);
-  EXPECT_TRUE(Engine.stats().CondensationReused);
+  EXPECT_FALSE(runBatch(Engine, Seeds, Thin).Stats.CondensationReused);
+  EXPECT_TRUE(runBatch(Engine, Seeds, Thin).Stats.CondensationReused);
 
   // A different mode masks a different subgraph: its first batch
   // builds, its second reuses.
   BatchOptions Trad;
   Trad.Mode = SliceMode::Traditional;
-  Engine.sliceBackwardBatch({Seed}, Trad);
-  EXPECT_FALSE(Engine.stats().CondensationReused);
-  Engine.sliceBackwardBatch({Seed}, Trad);
-  EXPECT_TRUE(Engine.stats().CondensationReused);
+  EXPECT_FALSE(runBatch(Engine, Seeds, Trad).Stats.CondensationReused);
+  EXPECT_TRUE(runBatch(Engine, Seeds, Trad).Stats.CondensationReused);
 
   // Switching back reuses the first mode's condensation: one engine
   // keeps one per mask.
-  std::vector<SliceResult> Got = Engine.sliceBackwardBatch({Seed}, Thin);
-  EXPECT_TRUE(Engine.stats().CondensationReused);
-  expectIdentical(Got.front(),
+  SliceAnswer A = runBatch(Engine, Seeds, Thin);
+  EXPECT_TRUE(A.Stats.CondensationReused);
+  expectIdentical(A.Results.front(),
                   referenceSlice(*C.CI, Seed, SliceMode::Thin),
                   "reused-condensation");
 }
@@ -395,4 +421,68 @@ TEST(Engine, BatchBudgetDegradesSoundly) {
     });
   }
   EXPECT_TRUE(AnyDegraded);
+}
+
+//===----------------------------------------------------------------------===//
+// Reentrancy
+//===----------------------------------------------------------------------===//
+
+// One engine, many callers: threads run CI batches in both modes, a
+// CS batch and single seeds on one engine at once (the daemon's
+// shape). Every answer equals the same query run alone, and each edge
+// mask is condensed exactly once: one CI batch per mode reports a
+// fresh condensation, every other one reuses it.
+TEST(Engine, ConcurrentCallersShareOneEngine) {
+  WorkloadProgram W =
+      padWorkload(debuggingCases().front().Prog, "EC", /*PadClasses=*/3,
+                  /*MethodsPerClass=*/4);
+  Compiled C = compile(W.Source, /*WithCS=*/true);
+  ASSERT_NE(C.P, nullptr);
+  std::vector<const Instr *> Seeds = collectSliceSeeds(*C.P, 40);
+  ASSERT_GT(Seeds.size(), 2u);
+
+  SummaryCache Summaries;
+  std::vector<SliceQuery> Queries;
+  for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional})
+    for (unsigned Jobs : {1u, 2u, 1u}) {
+      Queries.push_back(SliceQuery::backward(Seeds, Mode));
+      Queries.back().Jobs = Jobs;
+    }
+  SliceQuery CSBatch =
+      SliceQuery::backward(Seeds, SliceMode::Thin, /*ContextSensitive=*/true);
+  CSBatch.Summaries = &Summaries;
+  Queries.push_back(CSBatch);
+  Queries.push_back(SliceQuery::backward({Seeds[1]}, SliceMode::Thin));
+  Queries.push_back(SliceQuery::backward({Seeds[2]}, SliceMode::Traditional,
+                                         /*ContextSensitive=*/true));
+
+  // Sequential answers, each from a fresh engine.
+  std::vector<SliceAnswer> Want;
+  for (const SliceQuery &Q : Queries)
+    Want.push_back(SliceEngine(*C.CS).run(Q));
+
+  ThreadPool Pool(2);
+  const SliceEngine Engine(*C.CS, &Pool);
+  std::vector<SliceAnswer> Got(Queries.size());
+  std::vector<std::thread> Threads;
+  for (std::size_t I = 0; I != Queries.size(); ++I)
+    Threads.emplace_back([&, I] { Got[I] = Engine.run(Queries[I]); });
+  for (std::thread &T : Threads)
+    T.join();
+
+  std::map<SliceMode, unsigned> Built;
+  for (std::size_t I = 0; I != Queries.size(); ++I) {
+    ASSERT_EQ(Got[I].Results.size(), Want[I].Results.size()) << I;
+    for (std::size_t R = 0; R != Got[I].Results.size(); ++R)
+      expectIdentical(Got[I].Results[R], Want[I].Results[R],
+                      tag("concurrent", Queries[I].Mode, Queries[I].Jobs, R) +
+                          "/query" + std::to_string(I));
+    EXPECT_EQ(Got[I].Stats.Queries, Queries[I].Seeds.size()) << I;
+    const bool CIBatch =
+        Queries[I].Seeds.size() > 1 && !Queries[I].ContextSensitive;
+    if (CIBatch && !Got[I].Stats.CondensationReused)
+      ++Built[Queries[I].Mode];
+  }
+  EXPECT_EQ(Built[SliceMode::Thin], 1u);
+  EXPECT_EQ(Built[SliceMode::Traditional], 1u);
 }

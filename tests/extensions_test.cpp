@@ -51,7 +51,7 @@ struct Fixture {
   SliceResult chop(const Instr *Source, const Instr *Sink) {
     SliceQuery Q = SliceQuery::backward({Source}, SliceMode::Thin);
     Q.ChopSink = Sink;
-    return SliceEngine(*G).run(Q).front();
+    return SliceEngine(*G).run(Q).Results.front();
   }
 };
 

@@ -17,6 +17,7 @@
 #include "sdg/SDG.h"
 #include "slicer/Expansion.h"
 #include "slicer/Inspection.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
 
@@ -48,7 +49,7 @@ struct Pipeline {
   const Instr *at(const std::string &Marker) const {
     unsigned Line = W.markerLine(Marker);
     EXPECT_NE(Line, 0u) << "unknown marker " << Marker;
-    const Instr *I = instrAtLine(*P, Line);
+    const Instr *I = seedAtLine(*P, Line);
     EXPECT_NE(I, nullptr) << "no instruction at marker " << Marker;
     return I;
   }

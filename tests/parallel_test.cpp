@@ -19,6 +19,7 @@
 #include "sdg/SDGDot.h"
 #include "slicer/Engine.h"
 #include "slicer/Slicer.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -150,9 +151,9 @@ TEST(ParallelDeterminism, ContextSensitiveSdgIsByteIdentical) {
   }
 }
 
-// A one-item batch must never touch a pool: no pool is created, no
-// thread spawned, whatever Jobs says (the engine clamps workers to
-// the item count and runs inline).
+// The engine never creates threads: without a pool every batch runs
+// inline whatever Jobs says, and with one a one-item batch still runs
+// inline (the engine clamps workers to the item count).
 TEST(ParallelEngine, SingleItemBatchSpawnsNoPool) {
   DiagnosticEngine Diag;
   const std::string Source = generateRandomProgram(3);
@@ -164,29 +165,33 @@ TEST(ParallelEngine, SingleItemBatchSpawnsNoPool) {
   std::vector<const Instr *> Seeds = printSeeds(*P);
   ASSERT_FALSE(Seeds.empty());
 
-  SliceEngine E(*G);
-  ASSERT_EQ(E.pool(), nullptr);
-  BatchOptions BO;
-  BO.Jobs = 8; // Eight requested; one item -> inline, still no pool.
-  E.sliceBackwardBatch({Seeds.front()}, BO);
-  EXPECT_EQ(E.pool(), nullptr);
-  EXPECT_EQ(E.stats().Workers, 1u);
+  // Two copies of one seed: a batch (run() answers a lone seed with
+  // the single-seed slicer) of one work item.
+  ThreadPool Pool(8);
+  SliceEngine E(*G, &Pool);
+  EXPECT_EQ(E.pool(), &Pool);
+  SliceQuery Q = SliceQuery::backward({Seeds.front(), Seeds.front()},
+                                      SliceMode::Thin);
+  Q.Jobs = 8; // Eight requested; one item -> inline.
+  EXPECT_EQ(E.run(Q).Stats.Workers, 1u);
 
   // The control making the assertion above meaningful: a batch with
-  // more than one work item at Jobs > 1 does create a pool. CI mode
-  // chunks 64 queries per item, so use the context-sensitive engine,
-  // where every unique seed is its own item.
+  // more than one work item at Jobs > 1 fans out on the pool, and
+  // only on a pool. CI mode chunks 64 queries per item, so use the
+  // context-sensitive engine, where every unique seed is its own item.
   if (Seeds.size() > 1) {
     ModRefResult MR(*P, *PTA);
     SDGOptions SO;
     SO.ContextSensitive = true;
     std::unique_ptr<SDG> CSG = buildSDG(*P, *PTA, &MR, SO);
-    SliceEngine CSE(*CSG);
-    BO.ContextSensitive = true;
-    BO.Jobs = 2;
-    CSE.sliceBackwardBatch(Seeds, BO);
-    ASSERT_GT(CSE.stats().UniqueQueries, 1u);
-    EXPECT_NE(CSE.pool(), nullptr);
+    Q = SliceQuery::backward(Seeds, SliceMode::Thin, /*ContextSensitive=*/true);
+    Q.Jobs = 2;
+    SliceAnswer Pooled = SliceEngine(*CSG, &Pool).run(Q);
+    ASSERT_GT(Pooled.Stats.UniqueQueries, 1u);
+    EXPECT_EQ(Pooled.Stats.Workers, 2u);
+    SliceEngine Inline(*CSG);
+    EXPECT_EQ(Inline.pool(), nullptr);
+    EXPECT_EQ(Inline.run(Q).Stats.Workers, 1u);
   }
 }
 

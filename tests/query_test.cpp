@@ -17,6 +17,7 @@
 #include "sdg/SDG.h"
 #include "slicer/Engine.h"
 #include "slicer/Expansion.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 #include "slicer/Tabulation.h"
 
@@ -75,12 +76,12 @@ std::map<std::string, Subject> &subjects() {
       }
       if (!Sub.P)
         return;
-      const Instr *SeedI = instrAtLine(*Sub.P, Prog.markerLine(Seed));
+      const Instr *SeedI = seedAtLine(*Sub.P, Prog.markerLine(Seed));
       if (!SeedI)
         return;
       std::vector<const Instr *> Sources;
       for (const std::string &M : Desired)
-        if (const Instr *I = instrAtLine(*Sub.P, Prog.markerLine(M)))
+        if (const Instr *I = seedAtLine(*Sub.P, Prog.markerLine(M)))
           Sources.push_back(I);
       Sub.Seeds.push_back({SeedI, Sources});
     };
@@ -104,7 +105,7 @@ void expectIdentical(const SliceResult &Got, const SliceResult &Want,
 /// run(Q) on \p E, which must return exactly one result.
 SliceResult runOne(SliceEngine &E, const SliceQuery &Q,
                    const PointsToResult *PTA = nullptr) {
-  std::vector<SliceResult> R = E.run(Q, PTA);
+  std::vector<SliceResult> R = E.run(Q, PTA).Results;
   EXPECT_EQ(R.size(), 1u);
   return R.front();
 }
@@ -185,8 +186,9 @@ TEST(Query, SeveralSeedsMatchTheBatchAndTheSingleSeedSlicers) {
       SliceEngine Engine(G);
       for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
         SliceQuery Q = SliceQuery::backward(Seeds, Mode, CS);
-        std::vector<SliceResult> Got = Engine.run(Q);
-        EXPECT_EQ(Engine.stats().Queries, Seeds.size());
+        SliceAnswer A = Engine.run(Q);
+        const std::vector<SliceResult> &Got = A.Results;
+        EXPECT_EQ(A.Stats.Queries, Seeds.size());
         std::vector<SliceResult> Batch =
             SliceEngine(G).sliceBackwardBatch(Seeds, Q);
         ASSERT_EQ(Got.size(), Seeds.size()) << Name;
@@ -228,7 +230,7 @@ TEST(Query, SessionSliceMatchesRunAndMemoizes) {
   for (const SliceQuery &Q : Shapes) {
     const SliceAnswer *Got = Sub.S->slice(Q);
     ASSERT_NE(Got, nullptr) << Q.label() << ": " << Sub.S->lastError().str();
-    std::vector<SliceResult> Want = Engine.run(Q, Sub.PTA);
+    std::vector<SliceResult> Want = Engine.run(Q, Sub.PTA).Results;
     ASSERT_EQ(Got->Results.size(), Want.size()) << Q.label();
     for (std::size_t I = 0; I != Want.size(); ++I)
       expectIdentical(Got->Results[I], Want[I], Q.label());

@@ -11,6 +11,7 @@
 #include "lang/Lower.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 
 #include <gtest/gtest.h>
@@ -467,7 +468,7 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
   WorkloadProgram W = makeFigure1();
   std::unique_ptr<Program> P = compileWorkload(W);
   ASSERT_TRUE(P);
-  const Instr *Seed = instrAtLine(*P, W.markerLine("seed"));
+  const Instr *Seed = seedAtLine(*P, W.markerLine("seed"));
   ASSERT_TRUE(Seed);
 
   // Unfaulted references.
@@ -492,7 +493,7 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
     FI.reset();
     AnalysisSession Ref{std::string(kIncFaultEditedSrc)};
     ASSERT_TRUE(Ref.program());
-    const Instr *RS = instrAtLine(*Ref.program(), kIncFaultSeedLine);
+    const Instr *RS = seedAtLine(*Ref.program(), kIncFaultSeedLine);
     ASSERT_TRUE(RS);
     const SliceResult *R = Ref.sliceBackwardCached(RS, SliceMode::Thin);
     ASSERT_TRUE(R);
@@ -552,14 +553,14 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
       if (Point == "modref.update") {
         ASSERT_TRUE(S.modRef()); // put the artifact on the update path
       }
-      const Instr *WarmSeed = instrAtLine(*S.program(), kIncFaultSeedLine);
+      const Instr *WarmSeed = seedAtLine(*S.program(), kIncFaultSeedLine);
       ASSERT_TRUE(WarmSeed);
       ASSERT_TRUE(S.sliceBackwardCached(WarmSeed, SliceMode::Thin));
       S.setSource(kIncFaultEditedSrc); // the armed fault fires in here
       EXPECT_EQ(S.incrementalStats().Applied, 1u) << Point;
       EXPECT_GE(S.incrementalStats().StageFallbacks, 1u) << Point;
       ASSERT_TRUE(S.program());
-      const Instr *EditSeed = instrAtLine(*S.program(), kIncFaultSeedLine);
+      const Instr *EditSeed = seedAtLine(*S.program(), kIncFaultSeedLine);
       ASSERT_TRUE(EditSeed);
       const SliceResult *R = S.sliceBackwardCached(EditSeed, SliceMode::Thin);
       ASSERT_TRUE(R) << Point << ": " << S.lastError().str();
@@ -583,13 +584,13 @@ TEST(PipelineExhaustion, EveryFaultPointFiresWithSoundDegradation) {
       EXPECT_NE(S.snapshotStats().LastFallbackReason.find("fault"),
                 std::string::npos);
       ASSERT_TRUE(S.program());
-      const Instr *SSeed = instrAtLine(*S.program(), kIncFaultSeedLine);
+      const Instr *SSeed = seedAtLine(*S.program(), kIncFaultSeedLine);
       ASSERT_TRUE(SSeed);
       const SliceResult *R = S.sliceBackwardCached(SSeed, SliceMode::Thin);
       ASSERT_TRUE(R) << S.lastError().str();
       AnalysisSession Cold{std::string(kIncFaultWarmSrc)};
       ASSERT_TRUE(Cold.program());
-      const Instr *CSeed = instrAtLine(*Cold.program(), kIncFaultSeedLine);
+      const Instr *CSeed = seedAtLine(*Cold.program(), kIncFaultSeedLine);
       const SliceResult *CR = Cold.sliceBackwardCached(CSeed, SliceMode::Thin);
       ASSERT_TRUE(CR);
       EXPECT_EQ(stmtPositions(*R), stmtPositions(*CR));
@@ -645,15 +646,18 @@ def main() {
   EXPECT_NE(R2.Error.find("output limit exceeded"), std::string::npos);
   EXPECT_LE(R2.Output.size(), 13u);
 
+  // The budgeted interpreter stops at its step gate: the interp.step
+  // fault point fires at the gate's 500th poll.
+  FaultInjector::instance().arm("interp.step", 500);
   AnalysisBudget B;
-  B.MaxInterpSteps = 500;
   InterpOptions Budgeted;
   Budgeted.Budget = &B;
   InterpResult R3 = interpret(*P, Budgeted);
+  FaultInjector::instance().reset();
   EXPECT_TRUE(R3.HitLimit);
-  EXPECT_NE(R3.Error.find("interpreter budget exhausted"),
+  EXPECT_NE(R3.Error.find("interpreter budget exhausted (fault:interp.step)"),
             std::string::npos);
-  EXPECT_LE(R3.Steps, 501u);
+  EXPECT_EQ(R3.Steps, 500u);
 }
 
 // Chops inherit degradation from either constituent slice and stay
@@ -665,18 +669,18 @@ TEST(PipelineExhaustion, BudgetedChopIsSubset) {
   ASSERT_TRUE(P);
   std::unique_ptr<PointsToResult> PTA = runPointsTo(*P);
   std::unique_ptr<SDG> G = buildSDG(*P, *PTA, nullptr);
-  const Instr *Src = instrAtLine(*P, W.markerLine("add"));
-  const Instr *Snk = instrAtLine(*P, W.markerLine("seed"));
+  const Instr *Src = seedAtLine(*P, W.markerLine("add"));
+  const Instr *Snk = seedAtLine(*P, W.markerLine("seed"));
   ASSERT_TRUE(Src && Snk);
 
   SliceQuery Q = SliceQuery::backward({Src}, SliceMode::Thin);
   Q.ChopSink = Snk;
   SliceEngine Engine(*G);
-  SliceResult Full = Engine.run(Q).front();
+  SliceResult Full = Engine.run(Q).Results.front();
   AnalysisBudget Tight;
   Tight.MaxSlicePops = 3;
   Q.Budget = &Tight;
-  SliceResult Budgeted = Engine.run(Q).front();
+  SliceResult Budgeted = Engine.run(Q).Results.front();
   BitSet Extra = Budgeted.nodeSet();
   Extra.subtract(Full.nodeSet());
   EXPECT_EQ(Extra.count(), 0u);
@@ -712,7 +716,7 @@ void expectSoundDecline(const std::vector<char> &Bytes, const char *Tag,
   EXPECT_FALSE(S.snapshotStats().LastFallbackReason.empty()) << Tag;
   EXPECT_NE(S.statsString().find("last_fallback:"), std::string::npos) << Tag;
   ASSERT_TRUE(S.program()) << Tag;
-  const Instr *Seed = instrAtLine(*S.program(), kIncFaultSeedLine);
+  const Instr *Seed = seedAtLine(*S.program(), kIncFaultSeedLine);
   ASSERT_TRUE(Seed) << Tag;
   const SliceResult *R = S.sliceBackwardCached(Seed, SliceMode::Thin);
   ASSERT_TRUE(R) << Tag << ": " << S.lastError().str();
@@ -743,7 +747,7 @@ TEST(SnapshotRobustness, CorruptSnapshotsDeclineSoundly) {
   {
     AnalysisSession Cold{std::string(kIncFaultWarmSrc)};
     ASSERT_TRUE(Cold.program());
-    const Instr *Seed = instrAtLine(*Cold.program(), kIncFaultSeedLine);
+    const Instr *Seed = seedAtLine(*Cold.program(), kIncFaultSeedLine);
     ASSERT_TRUE(Seed);
     const SliceResult *R = Cold.sliceBackwardCached(Seed, SliceMode::Thin);
     ASSERT_TRUE(R);
@@ -802,7 +806,7 @@ TEST(SnapshotRobustness, CorruptSnapshotsDeclineSoundly) {
     AnalysisSession S{std::string(kIncFaultWarmSrc)};
     EXPECT_TRUE(S.loadSnapshot(Snap).isOk());
     EXPECT_EQ(S.snapshotStats().Loads, 1u);
-    const Instr *Seed = instrAtLine(*S.program(), kIncFaultSeedLine);
+    const Instr *Seed = seedAtLine(*S.program(), kIncFaultSeedLine);
     ASSERT_TRUE(Seed);
     const SliceResult *R = S.sliceBackwardCached(Seed, SliceMode::Thin);
     ASSERT_TRUE(R);

@@ -123,7 +123,7 @@ std::string expectedRun(AnalysisSession &S, const std::vector<uint32_t> &Lines,
   Q.Summaries = &S.summaries();
   for (uint32_t Line : Lines)
     Q.Seeds.push_back(seedAtLine(*S.program(), Line + LineOffset));
-  std::vector<SliceResult> Results = SliceEngine(*S.sdg()).run(Q);
+  std::vector<SliceResult> Results = SliceEngine(*S.sdg()).run(Q).Results;
   std::string Out;
   for (std::size_t I = 0; I != Results.size(); ++I) {
     if (Batch)
@@ -787,40 +787,49 @@ std::string runCapture(const std::string &Cmd, int *ExitCode = nullptr) {
   return Output;
 }
 
-TEST(ServiceBinaryTest, ConnectModeMatchesInProcessAndSigtermDrains) {
-  // Tests run from build/tests; the tools live next door.
-  const char *Daemon = "../tools/thinsliced";
-  const char *Tool = "../tools/thinslice";
-  std::string SockPath = uniqueSockPath();
-  std::string Program = "/tmp/tsl-svc-prog-" +
-                        std::to_string(::getpid()) + ".tsj";
-  {
-    std::ofstream Out(Program);
-    Out << kProgram;
-  }
+// Tests run from build/tests; the tools live next door.
+const char *const DaemonBinary = "../tools/thinsliced";
+const char *const ToolBinary = "../tools/thinslice";
 
+/// Forks a thinsliced on \p SockPath and waits for its socket: the pid,
+/// or -1 when it never bound.
+pid_t startDaemon(const std::string &SockPath) {
   pid_t Pid = fork();
-  ASSERT_GE(Pid, 0);
   if (Pid == 0) {
-    execl(Daemon, Daemon, "--socket", SockPath.c_str(),
+    execl(DaemonBinary, DaemonBinary, "--socket", SockPath.c_str(),
           static_cast<char *>(nullptr));
     _exit(127);
   }
   // Wait for the readiness socket (the daemon prints a line too, but
   // the socket file is what connects can race on).
-  bool Up = false;
-  for (int I = 0; I != 100 && !Up; ++I) {
+  for (int I = 0; I != 100 && Pid > 0; ++I) {
     struct stat St;
-    Up = ::stat(SockPath.c_str(), &St) == 0;
-    if (!Up)
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (::stat(SockPath.c_str(), &St) == 0)
+      return Pid;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  ASSERT_TRUE(Up) << "daemon never bound " << SockPath;
+  return -1;
+}
+
+/// Writes \p Text to a fresh file under /tmp named after \p Stem.
+std::string writeTemp(const std::string &Stem, const std::string &Text) {
+  std::string Path =
+      "/tmp/tsl-svc-" + Stem + "-" + std::to_string(::getpid());
+  std::ofstream(Path) << Text;
+  return Path;
+}
+
+TEST(ServiceBinaryTest, ConnectModeMatchesInProcessAndSigtermDrains) {
+  std::string SockPath = uniqueSockPath();
+  std::string Program = writeTemp("prog.tsj", kProgram);
+  pid_t Pid = startDaemon(SockPath);
+  ASSERT_GT(Pid, 0) << "daemon never bound " << SockPath;
 
   int LocalRc = -1, RemoteRc = -1;
-  std::string Local =
-      runCapture(std::string(Tool) + " " + Program + " --line 6", &LocalRc);
-  std::string Remote = runCapture(std::string(Tool) + " " + Program +
+  std::string Local = runCapture(std::string(ToolBinary) + " " + Program +
+                                     " --line 6",
+                                 &LocalRc);
+  std::string Remote = runCapture(std::string(ToolBinary) + " " + Program +
                                       " --connect " + SockPath + " --line 6",
                                   &RemoteRc);
   EXPECT_EQ(LocalRc, 0);
@@ -839,12 +848,61 @@ TEST(ServiceBinaryTest, ConnectModeMatchesInProcessAndSigtermDrains) {
   ::unlink(Program.c_str());
 }
 
+// --connect --seeds and --connect --interactive print what the
+// in-process tool prints, with its exit codes: for a seeds file of
+// good lines, for one that adds an out-of-range and a no-statement
+// line, and for a REPL script mixing slices, a mode switch and bad
+// lines. The one difference is the in-process batch's closing
+// "batch: N queries (U unique) on W workers" line, which describes
+// the local run and has no remote counterpart.
+TEST(ServiceBinaryTest, ConnectSeedsAndReplMatchInProcess) {
+  std::string SockPath = uniqueSockPath();
+  std::string Program = writeTemp("seeds-prog.tsj", kProgram);
+  std::string Good = writeTemp("seeds-good", "6\n# comment\n14\n6\n");
+  std::string Mixed = writeTemp("seeds-mixed", "6\n4294967295\n40\n");
+  std::string Script =
+      writeTemp("repl", "slice 6\nmode trad\nslice 14\nslice 40\n"
+                        "slice 4294967295\nmode thin\nslice 9\nquit\n");
+  pid_t Pid = startDaemon(SockPath);
+  ASSERT_GT(Pid, 0) << "daemon never bound " << SockPath;
+
+  const std::string Base = std::string(ToolBinary) + " " + Program;
+  for (const std::string &Args :
+       {" --seeds " + Good, " --seeds " + Good + " --mode trad",
+        " --seeds " + Mixed, " --interactive < " + Script}) {
+    int LocalRc = -1, RemoteRc = -1;
+    std::string Local = runCapture(Base + Args, &LocalRc);
+    std::string Remote =
+        runCapture(Base + " --connect " + SockPath + Args, &RemoteRc);
+    if (Args.find(Good) != std::string::npos) {
+      const std::size_t Tail = Local.rfind("batch: 3 queries (2 unique)");
+      ASSERT_NE(Tail, std::string::npos) << Local;
+      Local.erase(Tail);
+    }
+    EXPECT_EQ(Remote, Local) << Args;
+    EXPECT_EQ(RemoteRc, LocalRc) << Args;
+    if (Args.find(Mixed) != std::string::npos) {
+      EXPECT_EQ(LocalRc, 2) << Args; // Out of range outranks no statement.
+    } else {
+      EXPECT_EQ(LocalRc, 0) << Args;
+      EXPECT_NE(Local.find(" slice from line 6:"), std::string::npos)
+          << Args;
+    }
+  }
+
+  ASSERT_EQ(::kill(Pid, SIGTERM), 0);
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+  for (const std::string &F : {Program, Good, Mixed, Script})
+    ::unlink(F.c_str());
+}
+
 TEST(ServiceBinaryTest, ThreadCountsAbove32BitsAreUsageErrorsBeforeBind) {
   // 2^32 + 1 and 2^32 used to truncate to 1 request thread and to 0
   // ("auto") analysis threads. Both must now be rejected with exit 2
   // before the socket is bound. `timeout` turns a daemon that wrongly
   // starts serving into a failure instead of a hang.
-  const char *Daemon = "../tools/thinsliced";
+  const char *Daemon = DaemonBinary;
   for (const char *Flag :
        {"--threads 4294967297", "--analysis-threads 4294967296"}) {
     std::string SockPath = uniqueSockPath();

@@ -20,6 +20,7 @@
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
 #include "slicer/Engine.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 #include "support/Budget.h"
 
@@ -123,7 +124,7 @@ TEST(Session, RepeatedRequestsReturnTheIdenticalArtifact) {
 TEST(Session, SliceQueriesAreMemoizedPerSeedAndMode) {
   AnalysisSession S(Source);
   ASSERT_NE(S.program(), nullptr) << S.diagnostics().str();
-  const Instr *Seed = instrAtLine(*S.program(), 12); // print(got.v)
+  const Instr *Seed = seedAtLine(*S.program(), 12); // print(got.v)
   ASSERT_NE(Seed, nullptr);
 
   const SliceResult *R1 = S.sliceBackwardCached(Seed, SliceMode::Thin);
@@ -242,7 +243,7 @@ TEST(Session, SourceReplacementDestroysEveryArtifact) {
   ASSERT_NE(S.program(), nullptr) << S.diagnostics().str();
   S.sdg();
   S.engine();
-  const Instr *Seed = instrAtLine(*S.program(), 12);
+  const Instr *Seed = seedAtLine(*S.program(), 12);
   S.sliceBackwardCached(Seed, SliceMode::Thin);
 
   uint64_t Epochs[NumSessionStages];
@@ -280,7 +281,7 @@ TEST(Session, CompileFailureIsMemoizedAndRecoverable) {
 
   S.setSource("def main() { print(1); }");
   ASSERT_NE(S.program(), nullptr) << S.diagnostics().str();
-  const Instr *Seed = instrAtLine(*S.program(), 1);
+  const Instr *Seed = seedAtLine(*S.program(), 1);
   ASSERT_NE(Seed, nullptr);
   EXPECT_NE(S.sliceBackwardCached(Seed, SliceMode::Thin), nullptr);
 }
@@ -347,7 +348,7 @@ TEST(Session, BudgetedSliceDegradesLikeOneShot) {
   SDGOptions SO;
   SO.Budget = &B;
   std::unique_ptr<SDG> G = buildSDG(*P, *PTA, nullptr, SO);
-  const Instr *SeedOne = instrAtLine(*P, 12);
+  const Instr *SeedOne = seedAtLine(*P, 12);
   ASSERT_NE(SeedOne, nullptr);
   SliceResult OneShot = sliceBackward(*G, SeedOne, SliceMode::Thin, &B);
   ASSERT_FALSE(OneShot.complete());
@@ -355,7 +356,7 @@ TEST(Session, BudgetedSliceDegradesLikeOneShot) {
   AnalysisSession S(Source);
   S.setBudget(&B);
   ASSERT_NE(S.program(), nullptr) << S.diagnostics().str();
-  const Instr *SeedSess = instrAtLine(*S.program(), 12);
+  const Instr *SeedSess = seedAtLine(*S.program(), 12);
   const SliceResult *Sess = S.sliceBackwardCached(SeedSess, SliceMode::Thin);
   ASSERT_NE(Sess, nullptr);
   EXPECT_EQ(Sess->complete(), OneShot.complete());
@@ -369,9 +370,9 @@ TEST(Session, BudgetedSliceDegradesLikeOneShot) {
   BO.Mode = SliceMode::Thin;
   BO.Budget = &B;
   std::vector<SliceResult> Batch =
-      Eng.sliceBackwardBatch({SeedOne, instrAtLine(*P, 11)}, BO);
+      Eng.sliceBackwardBatch({SeedOne, seedAtLine(*P, 11)}, BO);
   const SliceAnswer *Answer = S.slice(SliceQuery::backward(
-      {SeedSess, instrAtLine(*S.program(), 11)}, SliceMode::Thin));
+      {SeedSess, seedAtLine(*S.program(), 11)}, SliceMode::Thin));
   ASSERT_NE(Answer, nullptr);
   const std::vector<SliceResult> *SessBatch = &Answer->Results;
   ASSERT_EQ(SessBatch->size(), Batch.size());
@@ -423,6 +424,7 @@ TEST(Session, MultiWorkerBatchesOnOneWarmSession) {
       padWorkload(debuggingCases().front().Prog, "SS", /*PadClasses=*/2,
                   /*MethodsPerClass=*/4);
   AnalysisSession S(W.Source);
+  S.setThreads(4); // The engine fans out on the session's pool.
   ASSERT_NE(S.program(), nullptr) << S.diagnostics().str();
   std::vector<const Instr *> Seeds = collectSliceSeeds(*S.program(), 16);
   ASSERT_FALSE(Seeds.empty());

@@ -14,6 +14,7 @@
 #include "ir/Verifier.h"
 #include "lang/Lower.h"
 #include "pta/PointsTo.h"
+#include "slicer/Report.h"
 
 #include <gtest/gtest.h>
 
@@ -31,11 +32,11 @@ TEST(Workloads, AllBugProgramsCompileAndVerify) {
     auto V = verifyProgram(*P);
     EXPECT_TRUE(V.empty()) << Case.Id << ": " << V.front();
     // Seed and desired markers resolve to statements.
-    EXPECT_NE(instrAtLine(*P, Case.Prog.markerLine(Case.SeedMarker)),
+    EXPECT_NE(seedAtLine(*P, Case.Prog.markerLine(Case.SeedMarker)),
               nullptr)
         << Case.Id;
     for (const std::string &Marker : Case.DesiredMarkers)
-      EXPECT_NE(instrAtLine(*P, Case.Prog.markerLine(Marker)), nullptr)
+      EXPECT_NE(seedAtLine(*P, Case.Prog.markerLine(Marker)), nullptr)
           << Case.Id << " marker " << Marker;
   }
 }

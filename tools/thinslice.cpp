@@ -317,23 +317,16 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
 /// its seed statement. Returns 0 with \p Seed set, or reports why there
 /// is none and returns the exit code: 2 for a line out of range, 1 for
 /// a line without statements (the message suggests the nearest lines
-/// that carry one). The messages are the shared ones in
-/// slicer/Report.h, so the CLI, REPL, and daemon agree on them.
+/// that carry one). The seed and the messages come from
+/// seedForUserLine, so the CLI, REPL, and daemon agree on them.
 int resolveSeed(const Program &P, unsigned UserLine, unsigned LineOffset,
                 const Instr *&Seed) {
-  Seed = nullptr;
-  unsigned AbsLine = absoluteUserLine(UserLine, LineOffset);
-  if (!AbsLine) {
-    fprintf(stderr, "error: %s\n", lineOutOfRangeMessage(UserLine).c_str());
-    return 2;
-  }
-  Seed = seedAtLine(P, AbsLine);
-  if (!Seed) {
-    fprintf(stderr, "error: %s\n",
-            noStatementMessage(P, UserLine, LineOffset).c_str());
-    return 1;
-  }
-  return 0;
+  Expected<const Instr *> Found = seedForUserLine(P, UserLine, LineOffset);
+  Seed = Found ? *Found : nullptr;
+  if (Found)
+    return 0;
+  fprintf(stderr, "error: %s\n", Found.status().message().c_str());
+  return Found.status().code() == StatusCode::InvalidArgument ? 2 : 1;
 }
 
 /// Reads a seeds file: one user-file line number per line, blank lines
@@ -937,13 +930,10 @@ int runTool(int argc, char **argv) {
       const SliceAnswer *Batch = Session.slice(Q);
       if (!Batch)
         return StageFailed("slice");
-      for (std::size_t I = 0; I != Batch->Results.size(); ++I) {
-        printf("=== seed line %u ===\n", SeedUserLines[I]);
-        fputs(renderSliceReport(Batch->Results[I], Q.label(),
-                                SeedUserLines[I], LineOffset)
-                  .c_str(),
-              stdout);
-      }
+      fputs(renderSliceBatch(Batch->Results, Q.label(), SeedUserLines,
+                             LineOffset)
+                .c_str(),
+            stdout);
       const BatchStats &St = Batch->Stats;
       printf("batch: %u queries (%u unique) on %u worker%s\n", St.Queries,
              St.UniqueQueries, St.Workers, St.Workers == 1 ? "" : "s");
