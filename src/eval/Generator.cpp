@@ -239,7 +239,8 @@ std::string tsl::generateRandomProgram(uint64_t Seed) {
   // Classes with an int field, a string field, and an Object field,
   // plus simple accessor logic.
   for (unsigned C = 0; C != NumClasses; ++C) {
-    std::string Name = "R" + num(C);
+    std::string Name = "R";
+    Name += num(C);
     S += "class " + Name + " {\n";
     S += "  var num: int;\n";
     S += "  var tag: string;\n";

@@ -13,7 +13,9 @@ std::string tsl::printMethod(const Program &P, const Method &M) {
   Out += M.returnType()->isClass()
              ? P.strings().str(M.returnType()->classDef()->name())
              : M.returnType()->str();
-  Out += " " + M.qualifiedName(P.strings()) + " {\n";
+  Out += ' ';
+  Out += M.qualifiedName(P.strings());
+  Out += " {\n";
   for (const auto &BB : M.blocks()) {
     Out += "bb" + std::to_string(BB->id());
     if (BB.get() == M.entry())

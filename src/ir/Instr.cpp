@@ -10,10 +10,14 @@ using namespace tsl;
 
 static std::string localName(const Program &P, const Local *L) {
   std::string Out = P.strings().str(L->baseName());
-  if (Out.empty())
-    Out = "t" + std::to_string(L->id());
-  if (L->version())
-    Out += "." + std::to_string(L->version());
+  if (Out.empty()) {
+    Out = 't';
+    Out += std::to_string(L->id());
+  }
+  if (L->version()) {
+    Out += '.';
+    Out += std::to_string(L->version());
+  }
   return Out;
 }
 
@@ -176,8 +180,10 @@ std::string Instr::str(const Program &P) const {
     break;
   }
   case InstrKind::Cast:
-    Out += "(" + typeName(S, cast<CastInstr>(this)->targetType()) + ") " +
-           Op(0);
+    Out += '(';
+    Out += typeName(S, cast<CastInstr>(this)->targetType());
+    Out += ") ";
+    Out += Op(0);
     break;
   case InstrKind::InstanceOf:
     Out += Op(0) + " instanceof " +

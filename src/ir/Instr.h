@@ -97,6 +97,11 @@ public:
   unsigned id() const { return Id; }
   void setId(unsigned NewId) { Id = NewId; }
 
+  /// Index of this instruction's line among its method's distinct
+  /// lines; set by LineTable::indexMethod().
+  unsigned lineRank() const { return LineRank; }
+  void setLineRank(unsigned R) { LineRank = R; }
+
   Local *dest() const { return Dest; }
   void setDest(Local *L) { Dest = L; }
 
@@ -140,6 +145,7 @@ private:
   SourceLoc Loc;
   BasicBlock *Parent = nullptr;
   unsigned Id = ~0u;
+  unsigned LineRank = ~0u;
 };
 
 //===----------------------------------------------------------------------===//

@@ -187,8 +187,3 @@ Field *Program::addField(Symbol Name, const Type *Ty, ClassDef *Owner,
   Owner->addField(F);
   return F;
 }
-
-void Program::renumberAll() {
-  for (const auto &M : Methods)
-    M->renumber();
-}

@@ -16,6 +16,7 @@
 #ifndef THINSLICER_IR_PROGRAM_H
 #define THINSLICER_IR_PROGRAM_H
 
+#include "ir/LineTable.h"
 #include "ir/Types.h"
 #include "support/SourceLoc.h"
 #include "support/StringTable.h"
@@ -273,8 +274,11 @@ public:
   Method *mainMethod() const { return Main; }
   void setMainMethod(Method *M) { Main = M; }
 
-  /// Renumbers all method bodies.
-  void renumberAll();
+  /// The source-line index of the method bodies (ir/LineTable.h). The
+  /// passes that make or move bodies keep it current: lowering, the
+  /// snapshot decoder and the incremental compiler.
+  const LineTable &lineTable() const { return Lines; }
+  LineTable &lineTable() { return Lines; }
 
 private:
   StringTable Strings;
@@ -284,6 +288,7 @@ private:
   std::vector<std::unique_ptr<Field>> Fields;
   ClassDef *ObjectClass = nullptr;
   Method *Main = nullptr;
+  LineTable Lines;
 };
 
 //===----------------------------------------------------------------------===//

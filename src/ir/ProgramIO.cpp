@@ -622,7 +622,7 @@ std::unique_ptr<Program> tsl::decodeProgram(ByteReader &R) {
   }
 
   // 5. Bodies. addLocal/addBlock assign ids sequentially, and append
-  // order + renumberAll reproduce instruction ids.
+  // order + renumber reproduce instruction ids.
   for (uint64_t Mi = 0; Mi != NumMethods; ++Mi) {
     Method &M = *P->methods()[Mi];
     uint64_t NumLocals = R.vu64();
@@ -653,8 +653,9 @@ std::unique_ptr<Program> tsl::decodeProgram(ByteReader &R) {
       M.setEntry(M.blocks()[EntryId - 1].get());
     }
     M.setSSA(R.u8() != 0);
+    M.renumber();
+    P->lineTable().indexMethod(M);
   }
-
-  P->renumberAll();
+  P->lineTable().link(*P);
   return P;
 }

@@ -238,8 +238,3 @@ void tsl::buildSSA(Program &P, Method &M) {
     return;
   SSABuilder(P, M).run();
 }
-
-void tsl::buildSSAAll(Program &P) {
-  for (const auto &M : P.methods())
-    buildSSA(P, *M);
-}

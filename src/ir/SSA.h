@@ -26,9 +26,6 @@ class Program;
 /// locals so each has a unique definition. Renumbers the method.
 void buildSSA(Program &P, Method &M);
 
-/// Runs buildSSA on every method with a body.
-void buildSSAAll(Program &P);
-
 } // namespace tsl
 
 #endif // THINSLICER_IR_SSA_H

@@ -574,6 +574,11 @@ long SourceDiff::shiftForOldLine(unsigned OldLine) const {
   return Delta;
 }
 
+bool SourceDiff::shiftsLines() const {
+  return std::any_of(Steps.begin(), Steps.end(),
+                     [](const auto &Step) { return Step.second != 0; });
+}
+
 SourceDiff tsl::diffThinJSource(std::string_view OldSrc,
                                 std::string_view NewSrc, ScanCache *Cache) {
   auto Fail = [](const std::string &Why) {

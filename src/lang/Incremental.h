@@ -109,6 +109,10 @@ struct SourceDiff {
   /// locations) and for lines before the first edit.
   long shiftForOldLine(unsigned OldLine) const;
 
+  /// True when the edit moves some retained line: a body grew or
+  /// shrank by whole lines.
+  bool shiftsLines() const;
+
   /// Internal form of the shift map: sorted (OldLineThreshold,
   /// CumulativeDelta) steps — the delta applies to old lines strictly
   /// greater than the threshold.

@@ -1319,8 +1319,13 @@ std::unique_ptr<Program> Lowering::run() {
   selectMain();
   if (Diag.errorCount() != EntryErrors)
     return nullptr;
-  P->renumberAll();
-  buildSSAAll(*P);
+  LineTable &Lines = P->lineTable();
+  for (const auto &M : P->methods()) {
+    M->renumber();
+    buildSSA(*P, *M);
+    Lines.indexMethod(*M);
+  }
+  Lines.link(*P);
   return std::move(P);
 }
 
@@ -1677,25 +1682,31 @@ tsl::applyIncrementalCompile(Program &P, const SourceDiff &Diff) {
     }
   }
 
-  // Shift retained source locations of unchanged bodies past edits
-  // that grew or shrank a body's line count.
-  if (!Diff.Steps.empty()) {
+  // An edit that moved no line re-indexes only the relowered bodies.
+  // Otherwise retained source locations of unchanged bodies shift past
+  // edits that grew or shrank a body's line count, and every body is
+  // re-indexed in the same loop.
+  LineTable &Lines = P.lineTable();
+  if (!Diff.shiftsLines()) {
+    Lines.patch(R.DirtyMethods);
+  } else {
     std::unordered_set<const Method *> DirtySet(R.DirtyMethods.begin(),
                                                 R.DirtyMethods.end());
     for (const auto &MP : P.methods()) {
-      if (DirtySet.count(MP.get()))
-        continue;
-      for (Instr *I : MP->instrs()) {
-        SourceLoc L = I->loc();
-        if (L.Line == 0)
-          continue;
-        long D = Diff.shiftForOldLine(L.Line);
-        if (D)
-          I->setLoc(SourceLoc(static_cast<uint32_t>(
-                                  static_cast<long>(L.Line) + D),
-                              L.Col));
-      }
+      if (!DirtySet.count(MP.get()))
+        for (Instr *I : MP->instrs()) {
+          SourceLoc L = I->loc();
+          if (L.Line == 0)
+            continue;
+          long D = Diff.shiftForOldLine(L.Line);
+          if (D)
+            I->setLoc(SourceLoc(static_cast<uint32_t>(
+                                    static_cast<long>(L.Line) + D),
+                                L.Col));
+        }
+      Lines.indexMethod(*MP);
     }
+    Lines.link(P);
   }
   R.Applied = true;
   return R;

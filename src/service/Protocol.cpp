@@ -26,6 +26,8 @@ const char *tsl::serviceStatusName(ServiceStatus S) {
     return "internal";
   case ServiceStatus::Retry:
     return "retry";
+  case ServiceStatus::NotFound:
+    return "not-found";
   }
   return "?";
 }
@@ -188,6 +190,7 @@ Status tsl::decodeResponse(const std::vector<uint8_t> &Payload,
     case ServiceStatus::Degraded:
     case ServiceStatus::Internal:
     case ServiceStatus::Retry:
+    case ServiceStatus::NotFound:
       break;
     default:
       return badFrame("unknown status code " + std::to_string(Code));

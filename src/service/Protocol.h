@@ -63,7 +63,8 @@ enum class ServiceMsg : uint8_t {
   Shutdown = 8,     ///< Ask the daemon to drain and exit.
 };
 
-/// Response status codes: the thinslice exit codes, plus Retry.
+/// Response status codes: the thinslice exit codes, plus Retry and
+/// NotFound (which the tool maps to exit 1).
 enum class ServiceStatus : uint8_t {
   Ok = 0,         ///< Complete result.
   Error = 1,      ///< File/compile error (diagnostics in Detail).
@@ -71,6 +72,7 @@ enum class ServiceStatus : uint8_t {
   Degraded = 3,   ///< Sound but budget-degraded result.
   Internal = 5,   ///< A stage crashed and exhausted its retries.
   Retry = 6,      ///< Overloaded or draining: back off and resend.
+  NotFound = 7,   ///< A requested line carries no statement.
 };
 
 const char *serviceStatusName(ServiceStatus S);

@@ -339,14 +339,26 @@ ServiceResponse SliceServer::handleSlice(const ServiceRequest &Req) {
   std::vector<uint32_t> Lines = Req.Lines;
   if (!Batch)
     Lines.assign(1, Req.Lines.empty() ? 0 : Req.Lines.front());
+  // Every line is resolved before any answer, as in process: the reply
+  // names each bad line, one per Detail line, and a line out of range
+  // (BadRequest) outranks a line without statements (NotFound).
   SliceQuery Q = SliceQuery::backward({}, Req.Mode, E->ContextSensitive);
+  ServiceResponse Unresolved{ServiceStatus::NotFound, "", ""};
   for (uint32_t UserLine : Lines) {
     Expected<const Instr *> Seed =
         seedForUserLine(*E->Prog, UserLine, E->LineOffset);
-    if (!Seed)
-      return {ServiceStatus::BadRequest, "", Seed.status().message()};
-    Q.Seeds.push_back(*Seed);
+    if (Seed) {
+      Q.Seeds.push_back(*Seed);
+      continue;
+    }
+    if (Seed.status().code() != StatusCode::NotFound)
+      Unresolved.Code = ServiceStatus::BadRequest;
+    if (!Unresolved.Detail.empty())
+      Unresolved.Detail += '\n';
+    Unresolved.Detail += Seed.status().message();
   }
+  if (!Unresolved.Detail.empty())
+    return Unresolved;
 
   RequestBudget RB(O.RequestBudgetMs);
   Q.Budget = RB.B;

@@ -5,7 +5,9 @@
 #include "ir/Program.h"
 #include "support/BitSet.h"
 
-#include <algorithm>
+#include <cassert>
+#include <charconv>
+#include <cstring>
 #include <deque>
 #include <set>
 
@@ -101,31 +103,105 @@ std::string SliceNarration::str(unsigned LineOffset) const {
 //===----------------------------------------------------------------------===//
 
 const Instr *tsl::seedAtLine(const Program &P, unsigned Line) {
-  const Instr *Last = nullptr;
-  for (const auto &M : P.methods())
-    for (const auto &BB : M->blocks())
-      for (const auto &I : BB->instrs())
-        if (I->loc().Line == Line)
-          Last = I.get();
-  return Last;
+  return P.lineTable().lastAt(Line);
 }
+
+namespace {
+
+void appendUnsigned(std::string &Out, std::size_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+std::size_t numDigits(std::size_t V) {
+  std::size_t N = 1;
+  for (; V >= 10; V /= 10)
+    ++N;
+  return N;
+}
+
+/// renderSliceReport's text for one slice, laid out before it is
+/// written: the qualified name of each run of same-method lines is
+/// built once, and a capacity that bounds the text closely is known, so
+/// a caller allocates its buffer once.
+class SliceReport {
+public:
+  SliceReport(const SliceResult &Slice, const std::string &What,
+              unsigned UserLine, unsigned LineOffset)
+      : Slice(Slice), What(What), UserLine(UserLine), LineOffset(LineOffset) {
+    const Program &P = Slice.graph().program();
+    const std::vector<SourceLine> &Lines = Slice.sourceLines();
+    Capacity = What.size() + std::strlen(" from line ") + numDigits(UserLine) +
+               std::strlen(": ") + numDigits(Slice.sizeStmts()) +
+               std::strlen(" statements, ") + numDigits(Lines.size()) +
+               std::strlen(" source lines\n");
+    for (std::size_t Begin = 0, End; Begin != Lines.size(); Begin = End) {
+      End = Begin + 1;
+      while (End != Lines.size() && Lines[End].M == Lines[Begin].M)
+        ++End;
+      RunNames.push_back(Lines[Begin].M->qualifiedName(P.strings()));
+      // Each line is "  Name:N\n", plus " [runtime]" inside the prefix.
+      // Lines ascend within a run, so its last line has the most digits
+      // and only a run that starts inside the prefix can carry the tag.
+      const std::size_t PerLine =
+          2 + RunNames.back().size() + 1 + numDigits(Lines[End - 1].Line) +
+          1 + (Lines[Begin].Line <= LineOffset ? std::strlen(" [runtime]") : 0);
+      Capacity += (End - Begin) * PerLine;
+    }
+  }
+
+  /// At least the length of the text appendTo() writes.
+  std::size_t capacity() const { return Capacity; }
+
+  void appendTo(std::string &Out) const {
+    const std::size_t Begin = Out.size();
+    const std::vector<SourceLine> &Lines = Slice.sourceLines();
+    Out += What;
+    Out += " from line ";
+    appendUnsigned(Out, UserLine);
+    Out += ": ";
+    appendUnsigned(Out, Slice.sizeStmts());
+    Out += " statements, ";
+    appendUnsigned(Out, Lines.size());
+    Out += " source lines\n";
+    std::size_t Run = 0;
+    for (std::size_t I = 0; I != Lines.size(); ++I) {
+      const SourceLine &L = Lines[I];
+      Run += I && L.M != Lines[I - 1].M;
+      Out += "  ";
+      Out += RunNames[Run];
+      Out += ':';
+      appendUnsigned(Out, shown(L.Line));
+      if (L.Line <= LineOffset)
+        Out += " [runtime]";
+      Out += '\n';
+    }
+    assert(Out.size() - Begin <= Capacity && "report capacity too small");
+    (void)Begin;
+  }
+
+private:
+  /// Lines above the runtime prefix are shown relative to it.
+  unsigned shown(unsigned Line) const {
+    return Line > LineOffset ? Line - LineOffset : Line;
+  }
+
+  const SliceResult &Slice;
+  const std::string &What;
+  unsigned UserLine, LineOffset;
+  std::vector<std::string> RunNames;
+  std::size_t Capacity = 0;
+};
+
+} // namespace
 
 std::string tsl::renderSliceReport(const SliceResult &Slice,
                                    const std::string &What, unsigned UserLine,
                                    unsigned LineOffset) {
-  const Program &P = Slice.graph().program();
-  std::string Out = What + " from line " + std::to_string(UserLine) + ": " +
-                    std::to_string(Slice.sizeStmts()) + " statements, " +
-                    std::to_string(Slice.sourceLines().size()) +
-                    " source lines\n";
-  for (const SourceLine &L : Slice.sourceLines()) {
-    unsigned Shown = L.Line > LineOffset ? L.Line - LineOffset : L.Line;
-    Out += "  " + L.M->qualifiedName(P.strings()) + ":" +
-           std::to_string(Shown);
-    if (L.Line <= LineOffset)
-      Out += " [runtime]";
-    Out += "\n";
-  }
+  const SliceReport Report(Slice, What, UserLine, LineOffset);
+  std::string Out;
+  Out.reserve(Report.capacity());
+  Report.appendTo(Out);
   return Out;
 }
 
@@ -133,10 +209,21 @@ std::string tsl::renderSliceBatch(const std::vector<SliceResult> &Results,
                                   const std::string &What,
                                   const std::vector<unsigned> &UserLines,
                                   unsigned LineOffset) {
-  std::string Out;
+  std::vector<SliceReport> Reports;
+  Reports.reserve(Results.size());
+  std::size_t Size = 0;
   for (std::size_t I = 0; I != Results.size(); ++I) {
-    Out += "=== seed line " + std::to_string(UserLines[I]) + " ===\n";
-    Out += renderSliceReport(Results[I], What, UserLines[I], LineOffset);
+    Reports.emplace_back(Results[I], What, UserLines[I], LineOffset);
+    Size += std::strlen("=== seed line ") + numDigits(UserLines[I]) +
+            std::strlen(" ===\n") + Reports.back().capacity();
+  }
+  std::string Out;
+  Out.reserve(Size);
+  for (std::size_t I = 0; I != Results.size(); ++I) {
+    Out += "=== seed line ";
+    appendUnsigned(Out, UserLines[I]);
+    Out += " ===\n";
+    Reports[I].appendTo(Out);
   }
   return Out;
 }
@@ -151,23 +238,14 @@ const char *tsl::sliceKindName(SliceMode Mode, bool ContextSensitive) {
 /// lines suggested when any exist.
 static std::string noStatementMessage(const Program &P, unsigned UserLine,
                                       unsigned LineOffset) {
-  unsigned AbsLine = UserLine + LineOffset;
-  unsigned Below = 0, Above = ~0u;
-  for (const auto &M : P.methods())
-    for (const auto &BB : M->blocks())
-      for (const auto &I : BB->instrs()) {
-        unsigned L = I->loc().Line;
-        if (L <= LineOffset) // Runtime-library prefix.
-          continue;
-        if (L < AbsLine)
-          Below = std::max(Below, L);
-        else if (L > AbsLine)
-          Above = std::min(Above, L);
-      }
+  const LineTable &T = P.lineTable();
+  const unsigned AbsLine = UserLine + LineOffset;
+  const unsigned Below = T.lineBelow(AbsLine, LineOffset);
+  const unsigned Above = T.lineAbove(AbsLine);
   std::string Near;
   if (Below)
     Near += std::to_string(Below - LineOffset);
-  if (Above != ~0u) {
+  if (Above) {
     if (!Near.empty())
       Near += ", ";
     Near += std::to_string(Above - LineOffset);

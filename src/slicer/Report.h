@@ -69,7 +69,8 @@ SliceNarration narrateSlice(const SliceResult &Slice, const Instr *Seed,
 /// The statement carrying source line \p Line (absolute, i.e. after
 /// any runtime-library prefix), or null. When several statements share
 /// the line, the last one in program order is returned — the seed
-/// convention every tool entry point uses.
+/// convention every tool entry point uses. A lookup in the program's
+/// line table (ir/LineTable.h).
 const Instr *seedAtLine(const Program &P, unsigned Line);
 
 /// The seed of every "slice from line N" entry point: the seedAtLine

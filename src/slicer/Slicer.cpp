@@ -2,7 +2,9 @@
 
 #include "slicer/Slicer.h"
 
-#include <algorithm>
+#include "ir/Program.h"
+
+#include <cassert>
 #include <optional>
 #include <unordered_set>
 
@@ -47,20 +49,45 @@ const std::vector<const Instr *> &SliceResult::statements() const {
 const std::vector<SourceLine> &SliceResult::sourceLines() const {
   if (LinesValid)
     return CachedLines;
-  CachedLines.clear();
+  // The program's line table ranks (method id, line) densely, so
+  // marking ranks and reading them back in ascending order both
+  // deduplicates and sorts.
+  const Program &P = G->program();
+  const LineTable &T = P.lineTable();
+  BitSet Ranks(T.numRanks());
+  unsigned Stmts = 0;
   Nodes.forEach([&](unsigned Node) {
     const SDGNode &N = G->node(Node);
-    if (N.isSourceStmt() && N.I->loc().isValid())
-      CachedLines.push_back({N.M, N.I->loc().Line});
+    if (!N.isSourceStmt())
+      return;
+    ++Stmts;
+    if (N.I->loc().isValid()) {
+      const unsigned Rank = T.rank(N.M->id(), N.I->lineRank());
+      assert(T.lineOfRank(N.M->id(), Rank) == N.I->loc().Line &&
+             "instruction not indexed in its program's line table");
+      Ranks.insert(Rank);
+    }
   });
-  std::sort(CachedLines.begin(), CachedLines.end());
-  CachedLines.erase(std::unique(CachedLines.begin(), CachedLines.end()),
-                    CachedLines.end());
+  CachedLines.clear();
+  CachedLines.reserve(Ranks.count());
+  const Method *RunM = nullptr;
+  unsigned MethodId = 0, End = 0;
+  Ranks.forEach([&](unsigned Rank) {
+    if (Rank >= End) {
+      MethodId = T.methodOfRank(Rank);
+      End = T.rankEnd(MethodId);
+      RunM = P.methods()[MethodId].get();
+    }
+    CachedLines.push_back({RunM, T.lineOfRank(MethodId, Rank)});
+  });
+  CachedStmtCount = Stmts;
   LinesValid = true;
   return CachedLines;
 }
 
 unsigned SliceResult::sizeStmts() const {
+  if (LinesValid)
+    return CachedStmtCount;
   unsigned N = 0;
   Nodes.forEach([&](unsigned Node) { N += G->node(Node).isSourceStmt(); });
   return N;
@@ -74,7 +101,10 @@ std::string SliceResult::str() const {
     if (!N.isSourceStmt())
       return;
     Out += N.M->qualifiedName(P.strings());
-    Out += ":" + std::to_string(N.I->loc().Line) + ": " + N.I->str(P);
+    Out += ':';
+    Out += std::to_string(N.I->loc().Line);
+    Out += ": ";
+    Out += N.I->str(P);
     if (N.K == SDGNodeKind::ScalarActualIn)
       Out += "  [actual #" + std::to_string(N.Part) + "]";
     Out += "\n";

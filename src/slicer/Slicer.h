@@ -94,13 +94,14 @@ public:
   /// call; the reference stays valid until the result is mutated.
   const std::vector<const Instr *> &statements() const;
 
-  /// Distinct source lines of the statements (sorted), skipping
-  /// compiler-synthesized instructions without positions. Cached like
-  /// statements().
+  /// Distinct source lines of the statements, in (method id, line)
+  /// order, skipping compiler-synthesized instructions without
+  /// positions. Read from the program's line table: no scan, no sort.
+  /// Cached like statements().
   const std::vector<SourceLine> &sourceLines() const;
 
   /// Number of statement nodes in the slice (the paper's slice-size
-  /// metric).
+  /// metric). Counted by the sourceLines() walk once that ran.
   unsigned sizeStmts() const;
 
   /// Merges \p Other into this slice (both must share the SDG). A
@@ -140,6 +141,7 @@ private:
   std::string Reason;
   mutable std::vector<const Instr *> CachedStmts;
   mutable std::vector<SourceLine> CachedLines;
+  mutable unsigned CachedStmtCount = 0;
   mutable bool StmtsValid = false;
   mutable bool LinesValid = false;
 };

@@ -18,8 +18,10 @@ static const char *kindName(DiagKind Kind) {
 
 std::string Diagnostic::str() const {
   std::string Pos = Loc.str();
-  if (hasRange())
-    Pos += "-" + End.str();
+  if (hasRange()) {
+    Pos += '-';
+    Pos += End.str();
+  }
   return Pos + ": " + kindName(Kind) + ": " + Message;
 }
 

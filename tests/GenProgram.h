@@ -30,17 +30,35 @@ struct Rng {
   uint64_t operator()(uint64_t N) { return next() % N; }
 };
 
+/// "<Prefix><N>", built by appending: GCC 12 at -O3 misreports
+/// operator+(const char *, std::string &&) under -Wrestrict.
+inline std::string named(const char *Prefix, uint64_t N) {
+  std::string S = Prefix;
+  S += std::to_string(N);
+  return S;
+}
+
 /// A random expression over the in-scope int variables in \p Scope.
+
 inline std::string genExpr(Rng &R, const std::vector<unsigned> &Scope,
                            unsigned Depth) {
   if (Depth == 0 || R(3) == 0) {
     if (!Scope.empty() && R(2))
-      return "v" + std::to_string(Scope[R(Scope.size())]);
+      return named("v", Scope[R(Scope.size())]);
     return std::to_string(R(100));
   }
   const char *Ops[] = {" + ", " - ", " * "};
-  return "(" + genExpr(R, Scope, Depth - 1) + Ops[R(3)] +
-         genExpr(R, Scope, Depth - 1) + ")";
+  // Right operand first: the order GCC evaluated the operator+ chain
+  // this replaces in, so every seed still generates the same program.
+  const std::string Rhs = genExpr(R, Scope, Depth - 1);
+  const char *Op = Ops[R(3)];
+  const std::string Lhs = genExpr(R, Scope, Depth - 1);
+  std::string Out = "(";
+  Out += Lhs;
+  Out += Op;
+  Out += Rhs;
+  Out += ')';
+  return Out;
 }
 
 /// A random statement list. \p Scope is the list of variable names
@@ -149,8 +167,8 @@ inline std::string genHeapProgram(Rng &R) {
   for (unsigned N = 6 + R(14); N; --N) {
     // Draw every operand first, in declaration order: the evaluation
     // order of a chain of operator+ calls is unspecified.
-    const std::string X = "o" + std::to_string(R(NumObjs));
-    const std::string Y = "o" + std::to_string(R(NumObjs));
+    const std::string X = named("o", R(NumObjs));
+    const std::string Y = named("o", R(NumObjs));
     const std::string K = std::to_string(R(100));
     const std::string Idx = std::to_string(R(3));
     const std::string Int = "  var v" + std::to_string(NextInt++) + " = ";

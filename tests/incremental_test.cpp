@@ -24,6 +24,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "LineOracle.h"
 #include "eval/Experiments.h"
 #include "eval/Workload.h"
 #include "ir/Program.h"
@@ -322,6 +323,7 @@ std::vector<const Instr *> printSeeds(const Program &P) {
 }
 
 std::string renderSlice(const SliceResult &R, const Program &P) {
+  EXPECT_TRUE(R.sourceLines() == lineoracle::sortedSourceLines(R));
   std::string Out = std::to_string(R.sizeStmts()) + "|";
   for (const SourceLine &L : R.sourceLines()) {
     Out += L.M->qualifiedName(P.strings());
@@ -336,12 +338,15 @@ std::string renderSlice(const SliceResult &R, const Program &P) {
 /// points-to and mod-ref signatures, thin and traditional slices from
 /// every print statement, and one context-sensitive thin slice (the
 /// CS graph always rebuilds, but from the incrementally-updated
-/// points-to and mod-ref artifacts).
+/// points-to and mod-ref artifacts). Checks on the way that the
+/// program's line table, patched or rebuilt by the edit, answers every
+/// seed lookup as a whole-program scan does.
 std::string sessionSignature(AnalysisSession &S) {
   Program *P = S.program();
   EXPECT_NE(P, nullptr) << S.diagnostics().str();
   if (!P)
     return "<compile failed>";
+  lineoracle::expectSeedLookupMatchesScan(*P, 0, "session");
   std::ostringstream OS;
   OS << ptaSignature(*P, *S.pointsTo());
   OS << modrefSignature(*P, *S.pointsTo(), *S.modRef());

@@ -1,5 +1,8 @@
 //===-- report_test.cpp - Slice narration unit tests ----------------------------==//
 
+#include "LineOracle.h"
+#include "eval/Experiments.h"
+#include "eval/Runtime.h"
 #include "eval/Workload.h"
 #include "lang/Lower.h"
 #include "pipeline/Session.h"
@@ -137,9 +140,9 @@ TEST(Report, NarrationCoversTheThinSliceLines) {
     Narrated.insert(Step.Node);
   EXPECT_TRUE(Narrated == Slice.nodeSet());
   // The buggy line is narrated.
-  EXPECT_NE(Story.str().find(
-                ":" + std::to_string(W.markerLine("bug"))),
-            std::string::npos);
+  std::string BugLine = ":";
+  BugLine += std::to_string(W.markerLine("bug"));
+  EXPECT_NE(Story.str().find(BugLine), std::string::npos);
 }
 
 TEST(Report, ContextSensitiveNarrationStaysInsideTheSlice) {
@@ -181,5 +184,110 @@ TEST(Report, ContextSensitiveNarrationStaysInsideTheSlice) {
             << "marker line " << Line << " narrates line "
             << N.I->loc().Line << " outside its slice";
       }
+    }
+}
+
+namespace {
+
+/// The 36 evaluation workloads: Table 2's debugging cases, then Table
+/// 3's tough casts.
+std::vector<std::pair<std::string, WorkloadProgram>> evaluationWorkloads() {
+  std::vector<std::pair<std::string, WorkloadProgram>> Out;
+  for (BugCase &C : debuggingCases())
+    Out.emplace_back(C.Id, std::move(C.Prog));
+  for (CastCase &C : toughCastCases())
+    Out.emplace_back(C.Id, std::move(C.Prog));
+  return Out;
+}
+
+} // namespace
+
+// The line table answers every seed lookup as the whole-program scan
+// did, no-statement messages included, on every line of the 36
+// workloads and of a pad-100 program, below the runtime prefix and
+// with no prefix at all.
+TEST(Report, SeedLookupMatchesScanOnEveryLine) {
+  auto Workloads = evaluationWorkloads();
+  ASSERT_EQ(Workloads.size(), 36u);
+  Workloads.emplace_back(
+      "pad-100", padWorkload(debuggingCases().front().Prog, "BS", 100, 6));
+  for (const auto &[Id, W] : Workloads) {
+    DiagnosticEngine Diag;
+    std::unique_ptr<Program> P = compileThinJ(W.Source, Diag);
+    ASSERT_TRUE(P) << Id << ": " << Diag.str();
+    lineoracle::expectSeedLookupMatchesScan(*P, runtimeLibraryLines(), Id);
+    lineoracle::expectSeedLookupMatchesScan(*P, 0, Id);
+  }
+}
+
+// sourceLines() reads (method, line) ranks back in table order; it
+// must equal the sort-based list on every marker line's slice: thin
+// and traditional, context-insensitive and context-sensitive.
+TEST(Report, SourceLinesMatchSortedReferenceOnMarkerLines) {
+  unsigned Markers = 0;
+  for (const auto &[Id, W] : evaluationWorkloads()) {
+    AnalysisSession S(W.Source);
+    ASSERT_NE(S.program(), nullptr) << Id << ": " << S.diagnostics().str();
+    for (bool CS : {false, true}) {
+      SDGOptions Opts;
+      Opts.ContextSensitive = CS;
+      S.setSDGOptions(Opts);
+      for (const auto &[Name, Line] : W.Markers) {
+        Markers += !CS;
+        const Instr *Seed = seedAtLine(*S.program(), Line);
+        ASSERT_NE(Seed, nullptr) << Id << " " << Name;
+        for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
+          const SliceAnswer *A =
+              S.slice(SliceQuery::backward({Seed}, Mode, CS));
+          ASSERT_NE(A, nullptr) << Id << " " << Name;
+          const SliceResult &R = A->Results.front();
+          EXPECT_TRUE(R.sourceLines() == lineoracle::sortedSourceLines(R))
+              << Id << " marker " << Name << (CS ? " cs " : " ci ")
+              << (Mode == SliceMode::Thin ? "thin" : "trad");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Markers, 918u);
+}
+
+// LineTable::patch when a dirty body's line set changes without any
+// line moving: a line the body leaves falls back to the previous
+// method on it, a line it enters goes to the highest method id on it,
+// and the rank bases after it move. Two methods share line 2, so b
+// (the later method) owns it until its body leaves for main's line.
+TEST(Report, LineTablePatchFollowsDirtyLineSets) {
+  Fixture F("def a(): int { return 1; }\n"
+            "def b(): int { return 2; } def c(): int { return 3; }\n"
+            "def main() {\n"
+            "  print(a() + b() + c());\n"
+            "}\n");
+  ASSERT_NE(F.P, nullptr);
+  Program &P = *F.P;
+  lineoracle::expectSeedLookupMatchesScan(P, 0, "before");
+  Method *B = nullptr;
+  for (const auto &M : P.methods())
+    if (P.strings().str(M->name()) == "b")
+      B = M.get();
+  ASSERT_NE(B, nullptr);
+  for (Instr *I : B->instrs())
+    if (I->loc().isValid())
+      I->setLoc(SourceLoc(4, 1));
+  P.lineTable().patch({B});
+  lineoracle::expectSeedLookupMatchesScan(P, 0, "b moved to line 4");
+  for (Instr *I : B->instrs())
+    if (I->loc().isValid())
+      I->setLoc(SourceLoc(2, 1));
+  P.lineTable().patch({B});
+  lineoracle::expectSeedLookupMatchesScan(P, 0, "b back on line 2");
+
+  // Ranks follow the patched line sets: every positioned statement's
+  // rank reads back its own (method, line).
+  const LineTable &T = P.lineTable();
+  for (const auto &M : P.methods())
+    for (const Instr *I : M->instrs()) {
+      const unsigned Rank = T.rank(M->id(), I->lineRank());
+      EXPECT_EQ(T.methodOfRank(Rank), M->id());
+      EXPECT_EQ(T.lineOfRank(M->id(), Rank), I->loc().Line);
     }
 }

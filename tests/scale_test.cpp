@@ -251,3 +251,32 @@ TEST(Scale, PaddingLiteralEditWorkIsEditSized) {
       << "pad-25 " << Small.TwoBodyDiffTokens << " vs pad-100 "
       << Large.TwoBodyDiffTokens;
 }
+
+// perfbench's edit-slice edit moves no line, so the line table patches
+// only the relowered body: it rewrites the same number of entries at
+// pad-25 and at pad-100. Re-indexing every body, or rebuilding the
+// line -> method map, would write about 4x as many at pad-100.
+TEST(Scale, PaddingLiteralEditPatchesLineTableEditSized) {
+  auto EntriesWritten = [](unsigned Pad) -> uint64_t {
+    const WorkloadProgram W =
+        padWorkload(debuggingCases().front().Prog, "BS", Pad, 6);
+    const std::string Needle = "    var acc = x + 1;\n";
+    const std::size_t Pos =
+        W.Source.find(Needle, W.Source.find("class PadBS"));
+    EXPECT_NE(Pos, std::string::npos);
+    std::string Edited = W.Source;
+    Edited.replace(Pos, Needle.size(), "    var acc = x + 4242;\n");
+    AnalysisSession S{std::string(W.Source)};
+    S.setIncremental(true);
+    EXPECT_NE(S.program(), nullptr) << S.diagnostics().str();
+    const uint64_t Before = S.program()->lineTable().entriesWritten();
+    S.setSource(Edited);
+    EXPECT_EQ(S.incrementalStats().Applied, 1u)
+        << S.incrementalStats().LastFallbackReason;
+    return S.program()->lineTable().entriesWritten() - Before;
+  };
+  const uint64_t Small = EntriesWritten(25);
+  const uint64_t Large = EntriesWritten(100);
+  EXPECT_GT(Small, 0u);
+  EXPECT_EQ(Large, Small);
+}

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -269,7 +270,11 @@ TEST_F(ServiceTest, CompileFailureIsReportedAndQueryable) {
   EXPECT_EQ(Slice.Code, ServiceStatus::Error);
 }
 
-TEST_F(ServiceTest, UnknownSessionAndMissingSeedAreBadRequests) {
+// An unknown session and an out-of-range line are bad requests; a line
+// without statements is NotFound, which the tool maps to exit 1 as its
+// in-process paths do. A batch names every bad line, one per line of
+// Detail, and a line out of range outranks a missing statement.
+TEST_F(ServiceTest, UnknownSessionIsBadRequestAndMissingSeedIsNotFound) {
   startServer();
   ServiceClient C;
   connect(C);
@@ -280,8 +285,19 @@ TEST_F(ServiceTest, UnknownSessionAndMissingSeedAreBadRequests) {
 
   std::string Id = loadDefault(C);
   ASSERT_TRUE(C.slice(Id, 9999, SliceMode::Thin, Resp).isOk());
-  EXPECT_EQ(Resp.Code, ServiceStatus::BadRequest);
-  EXPECT_NE(Resp.Detail.find("no statement at line 9999"), std::string::npos);
+  EXPECT_EQ(Resp.Code, ServiceStatus::NotFound);
+  EXPECT_EQ(Resp.Detail.find("no statement at line 9999"), 0u);
+  ASSERT_TRUE(C.batchSlice(Id, {6, 9998, 9999}, SliceMode::Thin, Resp).isOk());
+  EXPECT_EQ(Resp.Code, ServiceStatus::NotFound);
+  EXPECT_EQ(Resp.Detail.find("no statement at line 9998"), 0u);
+  EXPECT_NE(Resp.Detail.find("\nno statement at line 9999"),
+            std::string::npos);
+
+  // The code survives the wire codec.
+  ServiceResponse Decoded;
+  ASSERT_TRUE(decodeResponse(encodeResponse(Resp), Decoded).isOk());
+  EXPECT_EQ(Decoded.Code, ServiceStatus::NotFound);
+  EXPECT_STREQ(serviceStatusName(Decoded.Code), "not-found");
 
   // Line 0 and lines whose absolute line would wrap around 32 bits
   // (into the runtime prefix) never seed a statement.
@@ -292,6 +308,10 @@ TEST_F(ServiceTest, UnknownSessionAndMissingSeedAreBadRequests) {
     EXPECT_EQ(Resp.Code, ServiceStatus::BadRequest) << Line;
     EXPECT_NE(Resp.Detail.find(Want), std::string::npos) << Resp.Detail;
     ASSERT_TRUE(C.batchSlice(Id, {6, Line}, SliceMode::Thin, Resp).isOk());
+    EXPECT_EQ(Resp.Code, ServiceStatus::BadRequest) << Line;
+    EXPECT_NE(Resp.Detail.find(Want), std::string::npos) << Resp.Detail;
+    ASSERT_TRUE(
+        C.batchSlice(Id, {9999, Line}, SliceMode::Thin, Resp).isOk());
     EXPECT_EQ(Resp.Code, ServiceStatus::BadRequest) << Line;
     EXPECT_NE(Resp.Detail.find(Want), std::string::npos) << Resp.Detail;
   }
@@ -773,9 +793,12 @@ TEST_F(ServiceTest, DrainFinishesInFlightRequestsBeforeExiting) {
 //===----------------------------------------------------------------------===//
 
 /// Captures stdout of \p Cmd (cli_test's popen pattern).
-std::string runCapture(const std::string &Cmd, int *ExitCode = nullptr) {
+/// Runs \p Cmd and returns its stdout; its exit code goes to
+/// \p ExitCode and, when \p StderrPath is set, its stderr to that file.
+std::string runCapture(const std::string &Cmd, int *ExitCode = nullptr,
+                       const std::string &StderrPath = "/dev/null") {
   std::string Output;
-  FILE *Pipe = popen((Cmd + " 2>/dev/null").c_str(), "r");
+  FILE *Pipe = popen((Cmd + " 2>" + StderrPath).c_str(), "r");
   if (!Pipe)
     return Output;
   char Buf[512];
@@ -819,6 +842,12 @@ std::string writeTemp(const std::string &Stem, const std::string &Text) {
   return Path;
 }
 
+/// The whole text of the file at \p Path.
+std::string fileContents(const std::string &Path) {
+  std::ifstream In(Path);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
 TEST(ServiceBinaryTest, ConnectModeMatchesInProcessAndSigtermDrains) {
   std::string SockPath = uniqueSockPath();
   std::string Program = writeTemp("prog.tsj", kProgram);
@@ -851,15 +880,18 @@ TEST(ServiceBinaryTest, ConnectModeMatchesInProcessAndSigtermDrains) {
 // --connect --seeds and --connect --interactive print what the
 // in-process tool prints, with its exit codes: for a seeds file of
 // good lines, for one that adds an out-of-range and a no-statement
-// line, and for a REPL script mixing slices, a mode switch and bad
-// lines. The one difference is the in-process batch's closing
-// "batch: N queries (U unique) on W workers" line, which describes
-// the local run and has no remote counterpart.
+// line, for a good and a no-statement line (exit 1, like --line 40),
+// and for a REPL script mixing slices, a mode switch and bad lines.
+// One-shot runs also print the same stderr. The one difference is
+// the in-process batch's closing "batch: N queries (U unique) on W
+// workers" line, which describes the local run and has no remote
+// counterpart.
 TEST(ServiceBinaryTest, ConnectSeedsAndReplMatchInProcess) {
   std::string SockPath = uniqueSockPath();
   std::string Program = writeTemp("seeds-prog.tsj", kProgram);
   std::string Good = writeTemp("seeds-good", "6\n# comment\n14\n6\n");
   std::string Mixed = writeTemp("seeds-mixed", "6\n4294967295\n40\n");
+  std::string Missing = writeTemp("seeds-missing", "6\n40\n");
   std::string Script =
       writeTemp("repl", "slice 6\nmode trad\nslice 14\nslice 40\n"
                         "slice 4294967295\nmode thin\nslice 9\nquit\n");
@@ -867,13 +899,16 @@ TEST(ServiceBinaryTest, ConnectSeedsAndReplMatchInProcess) {
   ASSERT_GT(Pid, 0) << "daemon never bound " << SockPath;
 
   const std::string Base = std::string(ToolBinary) + " " + Program;
+  const std::string LocalErr = writeTemp("seeds-local-err", "");
+  const std::string RemoteErr = writeTemp("seeds-remote-err", "");
   for (const std::string &Args :
        {" --seeds " + Good, " --seeds " + Good + " --mode trad",
-        " --seeds " + Mixed, " --interactive < " + Script}) {
+        " --seeds " + Mixed, " --seeds " + Missing, std::string(" --line 40"),
+        " --interactive < " + Script}) {
     int LocalRc = -1, RemoteRc = -1;
-    std::string Local = runCapture(Base + Args, &LocalRc);
-    std::string Remote =
-        runCapture(Base + " --connect " + SockPath + Args, &RemoteRc);
+    std::string Local = runCapture(Base + Args, &LocalRc, LocalErr);
+    std::string Remote = runCapture(Base + " --connect " + SockPath + Args,
+                                    &RemoteRc, RemoteErr);
     if (Args.find(Good) != std::string::npos) {
       const std::size_t Tail = Local.rfind("batch: 3 queries (2 unique)");
       ASSERT_NE(Tail, std::string::npos) << Local;
@@ -881,8 +916,21 @@ TEST(ServiceBinaryTest, ConnectSeedsAndReplMatchInProcess) {
     }
     EXPECT_EQ(Remote, Local) << Args;
     EXPECT_EQ(RemoteRc, LocalRc) << Args;
+    // Errors name the same lines in the same words (the REPL's remote
+    // transcript differs in framing, so only one-shot runs compare).
+    if (Args.find("--interactive") == std::string::npos) {
+      EXPECT_EQ(fileContents(RemoteErr), fileContents(LocalErr)) << Args;
+    }
     if (Args.find(Mixed) != std::string::npos) {
       EXPECT_EQ(LocalRc, 2) << Args; // Out of range outranks no statement.
+    } else if (Args.find(Missing) != std::string::npos ||
+               Args.find("--line 40") != std::string::npos) {
+      EXPECT_EQ(LocalRc, 1) << Args; // No statement at line 40.
+      EXPECT_NE(fileContents(LocalErr).find(
+                    "error: no statement at line 40 (nearest statement "
+                    "lines: "),
+                std::string::npos)
+          << fileContents(LocalErr);
     } else {
       EXPECT_EQ(LocalRc, 0) << Args;
       EXPECT_NE(Local.find(" slice from line 6:"), std::string::npos)
@@ -893,7 +941,8 @@ TEST(ServiceBinaryTest, ConnectSeedsAndReplMatchInProcess) {
   ASSERT_EQ(::kill(Pid, SIGTERM), 0);
   int Status = 0;
   ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
-  for (const std::string &F : {Program, Good, Mixed, Script})
+  for (const std::string &F :
+       {Program, Good, Mixed, Missing, Script, LocalErr, RemoteErr})
     ::unlink(F.c_str());
 }
 

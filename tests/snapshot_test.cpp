@@ -17,7 +17,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "LineOracle.h"
+#include "eval/Experiments.h"
+#include "eval/Runtime.h"
+#include "eval/Workload.h"
 #include "ir/Program.h"
+#include "ir/ProgramIO.h"
+#include "lang/Lower.h"
 #include "modref/ModRef.h"
 #include "pipeline/Session.h"
 #include "pta/PointsTo.h"
@@ -168,6 +174,7 @@ std::string sessionSignature(AnalysisSession &S) {
   EXPECT_NE(P, nullptr) << S.diagnostics().str();
   if (!P)
     return "<compile failed>";
+  lineoracle::expectSeedLookupMatchesScan(*P, 0, "session");
   std::ostringstream OS;
   OS << ptaSignature(*P, *S.pointsTo());
   OS << modrefSignature(*P, *S.modRef());
@@ -414,6 +421,30 @@ constexpr const char *TwoCallsSource =
     "def main() { print(id(1)); print(id(2)); }\n";
 
 } // namespace
+
+// A decoded program carries a line table equal to the scan's answers:
+// the decoder indexes each body as it renumbers it.
+TEST(SnapshotDecode, DecodedProgramLineTableMatchesScan) {
+  std::vector<std::pair<std::string, WorkloadProgram>> Workloads;
+  for (BugCase &C : debuggingCases())
+    Workloads.emplace_back(C.Id, std::move(C.Prog));
+  for (CastCase &C : toughCastCases())
+    Workloads.emplace_back(C.Id, std::move(C.Prog));
+  Workloads.emplace_back(
+      "pad-100", padWorkload(debuggingCases().front().Prog, "BS", 100, 6));
+  for (const auto &[Id, W] : Workloads) {
+    DiagnosticEngine Diag;
+    std::unique_ptr<Program> P = compileThinJ(W.Source, Diag);
+    ASSERT_TRUE(P) << Id << ": " << Diag.str();
+    ByteWriter Out;
+    encodeProgram(*P, Out);
+    ByteReader In(Out.buffer());
+    std::unique_ptr<Program> Decoded = decodeProgram(In);
+    ASSERT_TRUE(Decoded) << Id;
+    lineoracle::expectSeedLookupMatchesScan(*Decoded, runtimeLibraryLines(),
+                                            Id);
+  }
+}
 
 TEST(SnapshotDecode, RepeatedSdgEdgeIsRejected) {
   AnalysisSession S{"def main() { print(1); }\n"};

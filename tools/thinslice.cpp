@@ -524,9 +524,11 @@ int runInteractive(AnalysisSession &Session, const CliOptions &Opts,
 }
 
 /// Maps a daemon response code onto the tool's exit-code taxonomy.
-/// ServiceStatus deliberately reuses the exit-code numbers (plus 6 for
-/// RETRY), so this is the identity.
-int exitCodeFor(ServiceStatus Code) { return static_cast<int>(Code); }
+/// ServiceStatus reuses the exit-code numbers (plus 6 for RETRY), except
+/// NotFound: a line without statements exits 1, as in process.
+int exitCodeFor(ServiceStatus Code) {
+  return Code == ServiceStatus::NotFound ? 1 : static_cast<int>(Code);
+}
 
 /// Prints a non-Ok daemon response the way the in-process paths print
 /// the equivalent local failure, and returns the exit code.
@@ -542,6 +544,15 @@ int reportRemoteFailure(const ServiceResponse &Resp) {
     fprintf(stderr, "error: server busy, back off and retry (%s)\n",
             Resp.Detail.c_str());
     break;
+  case ServiceStatus::BadRequest:
+  case ServiceStatus::NotFound: {
+    // A slice request names each line it could not resolve on a line
+    // of its own, as the in-process tool reports each bad seed.
+    std::istringstream Problems(Resp.Detail);
+    for (std::string Problem; std::getline(Problems, Problem);)
+      fprintf(stderr, "error: %s\n", Problem.c_str());
+    break;
+  }
   default:
     fprintf(stderr, "error: %s\n", Resp.Detail.c_str());
     break;
