@@ -4,9 +4,9 @@
 // from an on-disk snapshot answers its first slice query >= 5x faster
 // than a process that rebuilds the pad-12 workload cold. Both
 // configurations pay session construction and the slice itself; the
-// warm path pays deserialization (decode-by-replay of the program,
-// points-to row tables, mod-ref rows, and the SDG) instead of the
-// compile/PTA/mod-ref/SDG pipeline.
+// warm path pays deserialization (decode-by-replay of the program and
+// the SDG, the only sections a snapshot holds) instead of the
+// compile/PTA/SDG pipeline.
 //
 //   ./bench/bench_snapshot
 //   ./bench/bench_snapshot --benchmark_out=BENCH_snapshot.json

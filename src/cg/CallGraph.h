@@ -131,9 +131,8 @@ private:
   std::vector<bool> reachedFrom(unsigned EntryNode) const;
 
   // All indices are dense-id keyed (method ids, denseInstrKey of call
-  // sites) rather than pointer keyed, so a graph decoded from a
-  // snapshot replays into identical index state — see the dense
-  // identity note in ir/Program.h.
+  // sites) rather than pointer keyed — see the dense identity note in
+  // ir/Program.h.
   std::vector<MethodCtx> Nodes;
   std::vector<CallEdge> Edges;
   /// Insertion rank of each Edges entry (ascending; ranks of removed

@@ -698,9 +698,9 @@ private:
 
 /// 64-bit dense key of one instruction: owner method id in the high
 /// word, method-local (renumbered) instruction id in the low word.
-/// The pointer-free identity serialized analysis layers (cg/, pta/,
-/// modref/, sdg/) key their maps by instead of Instr* — see the dense
-/// identity note in ir/Program.h. Valid after Method::renumber().
+/// The pointer-free identity the SDG codec writes and cg/ keys its
+/// maps by instead of Instr* — see the dense identity note in
+/// ir/Program.h. Valid after Method::renumber().
 inline uint64_t denseInstrKey(const Instr *I) {
   return (static_cast<uint64_t>(I->parent()->parent()->id()) << 32) |
          I->id();

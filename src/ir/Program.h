@@ -72,8 +72,6 @@ public:
   bool isTemp() const { return IsTemp; }
 
   /// Program-wide id of the owning method, set by Method::addLocal.
-  /// Together with id() it forms the dense key serialized analysis
-  /// layers use in place of Local* (see denseLocalKey below).
   unsigned ownerMethodId() const { return OwnerMethodId; }
   void setOwnerMethodId(unsigned MId) { OwnerMethodId = MId; }
 
@@ -295,18 +293,12 @@ private:
 // Dense identity keys
 //===----------------------------------------------------------------------===//
 //
-// Serialized analysis layers (pta/, modref/, sdg/, cg/) key their maps
-// by these program-derived integers instead of raw pointers, so a
-// decoded artifact can reconstruct identity against a decoded Program
-// (DESIGN.md section 14). Method, class, and field ids are
-// program-wide; instruction and local ids are method-local, so their
-// dense keys pair them with the owning method's id.
-
-/// 64-bit dense key of one local: owner method id in the high word,
-/// method-local id in the low word.
-inline uint64_t denseLocalKey(const Local *L) {
-  return (static_cast<uint64_t>(L->ownerMethodId()) << 32) | L->id();
-}
+// The SDG codec writes program-derived integers instead of raw
+// pointers, so a decoded graph reconstructs identity against a decoded
+// Program (DESIGN.md section 14); the call graph and mod-ref key their
+// maps by the same ids. Method, class, and field ids are program-wide;
+// instruction ids are method-local, so their dense key (denseInstrKey
+// in ir/Instr.h) pairs them with the owning method's id.
 
 } // namespace tsl
 

@@ -16,12 +16,6 @@ Method *tsl::methodForId(const Program &P, uint32_t Id) {
   return P.methods()[Id].get();
 }
 
-Field *tsl::fieldForId(const Program &P, uint32_t Id) {
-  if (Id >= P.fields().size())
-    throw SerializeError("field id out of range");
-  return P.fields()[Id].get();
-}
-
 const Instr *tsl::instrForKey(const Program &P, uint64_t Key) {
   Method *M = methodForId(P, static_cast<uint32_t>(Key >> 32));
   uint32_t IId = static_cast<uint32_t>(Key);
@@ -30,19 +24,20 @@ const Instr *tsl::instrForKey(const Program &P, uint64_t Key) {
   return M->instrs()[IId];
 }
 
-Local *tsl::localForKey(const Program &P, uint64_t Key) {
-  Method *M = methodForId(P, static_cast<uint32_t>(Key >> 32));
-  uint32_t LId = static_cast<uint32_t>(Key);
-  if (LId >= M->locals().size())
-    throw SerializeError("local id out of range");
-  return M->locals()[LId].get();
+namespace {
+
+Field *fieldForId(const Program &P, uint32_t Id) {
+  if (Id >= P.fields().size())
+    throw SerializeError("field id out of range");
+  return P.fields()[Id].get();
 }
 
 //===----------------------------------------------------------------------===//
-// Type codec
+// Type codec: primitive kinds inline, class types by class id, array
+// types by recursive element. A null type is written as 0xFF.
 //===----------------------------------------------------------------------===//
 
-void tsl::encodeType(const Type *Ty, ByteWriter &W) {
+void encodeType(const Type *Ty, ByteWriter &W) {
   if (!Ty) {
     W.u8(0xFF);
     return;
@@ -54,7 +49,7 @@ void tsl::encodeType(const Type *Ty, ByteWriter &W) {
     encodeType(Ty->element(), W);
 }
 
-const Type *tsl::decodeType(ByteReader &R, const Program &P) {
+const Type *decodeType(ByteReader &R, const Program &P) {
   uint8_t K = R.u8();
   if (K == 0xFF)
     return nullptr;
@@ -80,6 +75,8 @@ const Type *tsl::decodeType(ByteReader &R, const Program &P) {
   }
   throw SerializeError("unknown type kind");
 }
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Instruction codec

@@ -10,11 +10,11 @@
 /// program through the same Program/Method mutation API lowering
 /// uses, in the same order the encoder walked it, so every dense id
 /// (class, field, method, local, block, instruction) is reproduced
-/// exactly — which is what lets every downstream layer serialize
-/// itself as dense ids alone.
+/// exactly — which is what lets the SDG serialize itself as dense ids
+/// alone.
 ///
-/// Also exports the structural Type codec and the dense-key lookup
-/// helpers the pta/modref/sdg decoders resolve identities with.
+/// Also exports the dense-key lookup helpers the SDG decoder resolves
+/// identities with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,24 +38,13 @@ void encodeProgram(const Program &P, ByteWriter &W);
 /// identical to the encoded program: every dense id round-trips.
 std::unique_ptr<Program> decodeProgram(ByteReader &R);
 
-/// Structural type codec: primitive kinds inline, class types by
-/// class id, array types by recursive element. \p Ty may be null.
-void encodeType(const Type *Ty, ByteWriter &W);
-const Type *decodeType(ByteReader &R, const Program &P);
-
 /// Resolves a denseInstrKey() against \p P (method id in the high
 /// word, renumbered instruction id in the low word). Throws
 /// SerializeError when either id is out of range.
 const Instr *instrForKey(const Program &P, uint64_t Key);
 
-/// Resolves a denseLocalKey() against \p P.
-Local *localForKey(const Program &P, uint64_t Key);
-
 /// Resolves a program-wide method id; throws when out of range.
 Method *methodForId(const Program &P, uint32_t Id);
-
-/// Resolves a program-wide field id; throws when out of range.
-Field *fieldForId(const Program &P, uint32_t Id);
 
 } // namespace tsl
 

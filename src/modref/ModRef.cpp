@@ -2,10 +2,7 @@
 
 #include "modref/ModRef.h"
 
-#include "ir/ProgramIO.h"
-
 #include <algorithm>
-#include <map>
 
 using namespace tsl;
 
@@ -135,8 +132,8 @@ ModRefResult::ModRefResult(const Program &P, const PointsToResult &PTAIn,
 
   // Direct effects, sequential in method order: getPartition interns
   // partition ids in first-seen order, so this scan fixes the id
-  // space every downstream consumer (and every serialized artifact)
-  // depends on. The per-method copies feed the incremental path.
+  // space every downstream consumer depends on. The per-method copies
+  // feed the incremental path.
   std::vector<SparseBitSet> DirectMod(NumM), DirectRef(NumM);
   for (unsigned I = 0; I != NumM; ++I) {
     collectDirect(Reachable[I], PTA, DirectMod[I], DirectRef[I]);
@@ -362,81 +359,6 @@ const SparseBitSet &ModRefResult::modOf(const Method *M) const {
 const SparseBitSet &ModRefResult::refOf(const Method *M) const {
   auto It = Ref.find(M->id());
   return It == Ref.end() ? EmptySet : It->second;
-}
-
-//===----------------------------------------------------------------------===//
-// Snapshot codec
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Per-method rows in ascending method-id order so the encoding is
-/// canonical regardless of unordered_map iteration order.
-void putRows(tsl::ByteWriter &W,
-             const std::unordered_map<uint32_t, tsl::SparseBitSet> &Rows) {
-  std::map<uint32_t, const tsl::SparseBitSet *> Sorted;
-  for (const auto &[MId, Bits] : Rows)
-    Sorted.emplace(MId, &Bits);
-  W.vu64(Sorted.size());
-  for (const auto &[MId, Bits] : Sorted) {
-    W.vu32(MId);
-    W.bitset(*Bits);
-  }
-}
-
-void getRows(tsl::ByteReader &R, const tsl::Program &P,
-             std::unordered_map<uint32_t, tsl::SparseBitSet> &Rows) {
-  const uint64_t N = R.vu64();
-  for (uint64_t I = 0; I != N; ++I) {
-    const uint32_t MId = R.vu32();
-    (void)tsl::methodForId(P, MId); // Range check.
-    if (!Rows.emplace(MId, R.bitset()).second)
-      throw tsl::SerializeError("duplicate mod/ref row");
-  }
-}
-
-} // namespace
-
-void ModRefResult::encode(ByteWriter &W) const {
-  putReport(W, Report);
-  W.vu64(Partitions.size());
-  for (const HeapPartition &Part : Partitions) {
-    W.u8(static_cast<uint8_t>(Part.K));
-    W.vu32(Part.Obj);
-    W.vu32(Part.F ? Part.F->id() + 1 : 0);
-  }
-  putRows(W, Mod);
-  putRows(W, Ref);
-  putRows(W, DirectModM);
-  putRows(W, DirectRefM);
-}
-
-std::unique_ptr<ModRefResult>
-ModRefResult::decode(ByteReader &R, const Program &P,
-                     const PointsToResult &PTA) {
-  std::unique_ptr<ModRefResult> MR(new ModRefResult(DecodeTag{}, PTA));
-  MR->Report = getReport(R);
-  const uint64_t NumParts = R.vu64();
-  for (uint64_t I = 0; I != NumParts; ++I) {
-    const uint8_t K = R.u8();
-    if (K > static_cast<uint8_t>(HeapPartition::Kind::Static))
-      throw SerializeError("unknown partition kind");
-    const auto Kind = static_cast<HeapPartition::Kind>(K);
-    const unsigned Obj = R.vu32();
-    const uint32_t FRef = R.vu32();
-    const Field *F = FRef ? fieldForId(P, FRef - 1) : nullptr;
-    if ((Kind == HeapPartition::Kind::ArrayElem) != (F == nullptr))
-      throw SerializeError("partition kind/field mismatch");
-    const unsigned Id = static_cast<unsigned>(MR->Partitions.size());
-    if (!MR->PartIndex.emplace(partKey(Kind, Obj, F), Id).second)
-      throw SerializeError("duplicate heap partition");
-    MR->Partitions.push_back({Kind, Obj, F, Id});
-  }
-  getRows(R, P, MR->Mod);
-  getRows(R, P, MR->Ref);
-  getRows(R, P, MR->DirectModM);
-  getRows(R, P, MR->DirectRefM);
-  return MR;
 }
 
 std::string ModRefResult::partitionName(unsigned Id, const Program &P) const {

@@ -23,7 +23,6 @@
 #include "ir/Program.h"
 #include "pta/PointsTo.h"
 #include "support/Budget.h"
-#include "support/Serialize.h"
 #include "support/SparseBitSet.h"
 
 #include <memory>
@@ -88,25 +87,7 @@ public:
   /// "modref.update" fault fired): the caller must rebuild cold.
   bool updateIncremental(const std::vector<Method *> &AffectedMethods);
 
-  /// Serializes the result: report, partition table (in id order),
-  /// and the transitive and direct per-method rows keyed by dense
-  /// method id (sorted, so the encoding is canonical).
-  void encode(ByteWriter &W) const;
-
-  /// Rebuilds a result from \p R without running the analysis. Field
-  /// pointers in the partition table resolve through \p P; \p PTA
-  /// must be the points-to result decoded from the same snapshot
-  /// (partitionsOf and updateIncremental consult it). Throws
-  /// SerializeError on malformed input.
-  static std::unique_ptr<ModRefResult>
-  decode(ByteReader &R, const Program &P, const PointsToResult &PTA);
-
 private:
-  /// Decode-side tag constructor: binds the PTA reference and leaves
-  /// every table empty for decode() to fill.
-  struct DecodeTag {};
-  ModRefResult(DecodeTag, const PointsToResult &PTA) : PTA(PTA) {}
-
   unsigned getPartition(HeapPartition::Kind K, unsigned Obj, const Field *F);
   void collectDirect(const Method *M, const PointsToResult &PTA,
                      SparseBitSet &Mod, SparseBitSet &Ref);
@@ -119,9 +100,7 @@ private:
 
   std::vector<HeapPartition> Partitions;
   std::unordered_map<uint64_t, unsigned> PartIndex;
-  // Rows are keyed by dense method id, not Method*: a decoded result
-  // replays into identical map state, and no raw pointer is part of
-  // any serialized layer's identity (see ir/Program.h).
+  // Rows are keyed by dense method id, not Method* (see ir/Program.h).
   std::unordered_map<uint32_t, SparseBitSet> Mod, Ref;
   /// Per-method direct (non-transitive) effects, kept so the
   /// incremental path can re-scan only affected methods.

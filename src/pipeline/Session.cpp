@@ -4,7 +4,6 @@
 
 #include "ir/ProgramIO.h"
 #include "lang/Incremental.h"
-#include "pta/Snapshot.h"
 #include "support/Watchdog.h"
 
 #include <algorithm>
@@ -184,13 +183,10 @@ void AnalysisSession::drop(SessionStage S) {
     // a freed one's address.
     Summaries.clear();
   }
-  if (Drop(SessionStage::ModRef, MR)) {
+  if (Drop(SessionStage::ModRef, MR))
     ModRefTainted = false;
-    PendingMrBytes.clear();
-  }
   if (Drop(SessionStage::PTA, Pta)) {
     PtaTainted = false;
-    PendingPtaBytes.clear();
     // No artifact holds retired-body pointers anymore.
     RetiredBodyStore.clear();
   }
@@ -319,16 +315,6 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
     IncStats.LastFallbackReason = std::string(Stage) + ": " + Why;
     drop(S);
   };
-  // Deferred snapshot payloads carry across a no-edit reload (their
-  // facts are unchanged); a real edit cannot patch serialized bytes,
-  // so they drop (counted as one invalidated points-to layer) and the
-  // next accessor rebuilds cold — the same outcome as a decoded
-  // snapshot layer declining its in-place update.
-  if (NeedUpdates && (!PendingPtaBytes.empty() || !PendingMrBytes.empty())) {
-    ++counters(SessionStage::PTA).Invalidated;
-    StageFallback("pta", "snapshot layer predates the edit",
-                  Pta ? SessionStage::ModRef : SessionStage::PTA);
-  }
   if (Pta && NeedUpdates) {
     StageCounters &PC = counters(SessionStage::PTA);
     auto TP = std::chrono::steady_clock::now();
@@ -416,19 +402,19 @@ Status AnalysisSession::saveSnapshot(const std::string &Path) {
   if (Budget)
     return Status(StatusCode::ResourceExhausted,
                   "snapshot: budgeted sessions are not serializable");
+  RequestScope Scope(*this);
   Program *P = program();
-  if (!P)
-    return LastErr;
-  PointsToResult *PTA = pointsTo();
-  ModRefResult *MR = PTA ? modRef() : nullptr;
-  SDG *G = MR ? sdg() : nullptr;
-  if (!PTA || !MR || !G)
+  SDG *G = P ? sdg() : nullptr;
+  if (!G)
     return LastErr;
   // Degraded facts embed a budget/fault outcome a warm start could
-  // not attribute; decline rather than persist them.
+  // not attribute; decline rather than persist them. The SDG was built
+  // from the points-to (and, context-sensitive, mod-ref) artifacts the
+  // session holds, so a degraded one of those declines too.
   for (const StageReport *Rep :
-       {&PTA->report(), &MR->report(), &G->report()})
-    if (Rep->Status != StageStatus::Complete)
+       {Pta ? &Pta->report() : nullptr, MR ? &MR->report() : nullptr,
+        &G->report()})
+    if (Rep && Rep->Status != StageStatus::Complete)
       return Status(StatusCode::ResourceExhausted,
                     "snapshot: degraded " + Rep->Stage +
                         " artifact is not serializable");
@@ -443,12 +429,6 @@ Status AnalysisSession::saveSnapshot(const std::string &Path) {
   W.endSection();
   W.beginSection(SnapshotSection::Program);
   encodeProgram(*P, W);
-  W.endSection();
-  W.beginSection(SnapshotSection::Pta);
-  encodePointsTo(*PTA, *P, W);
-  W.endSection();
-  W.beginSection(SnapshotSection::ModRef);
-  MR->encode(W);
   W.endSection();
   W.beginSection(SnapshotSection::Sdg);
   G->encode(W);
@@ -510,19 +490,12 @@ Status AnalysisSession::loadSnapshot(const std::string &Path) {
       return Fallback(StatusCode::InvalidArgument, "option digest mismatch");
 
     // Decode the program and SDG into temporaries; the session is
-    // only touched after they validated. The points-to and mod-ref
-    // sections are framed and CRC-checked here too, but their
-    // payloads are stashed undecoded: the first slice query after a
-    // warm start runs on the SDG alone, so deferring the other two
-    // layers takes their decode off the load-to-slice path.
-    // pointsTo()/modRef() materialize them on demand and rebuild
-    // cold if a payload is structurally malformed.
+    // only touched after they validated. Points-to and mod-ref are not
+    // in the file: every slice runs on the SDG alone, and the first
+    // query that reads either (an expansion, a CS graph build, an
+    // edit) computes it from the decoded program.
     ByteReader ProgR = R.section(SnapshotSection::Program);
     std::unique_ptr<Program> NewProg = decodeProgram(ProgR);
-    ByteReader PtaR = R.section(SnapshotSection::Pta);
-    std::vector<uint8_t> PtaBytes = PtaR.take();
-    ByteReader MrR = R.section(SnapshotSection::ModRef);
-    std::vector<uint8_t> MrBytes = MrR.take();
     ByteReader SdgR = R.section(SnapshotSection::Sdg);
     std::unique_ptr<SDG> NewSdg = SDG::decode(SdgR, *NewProg);
     if (!R.atEnd())
@@ -533,8 +506,6 @@ Status AnalysisSession::loadSnapshot(const std::string &Path) {
     Prog = std::move(NewProg);
     CompileAttempted = true;
     Graph = std::move(NewSdg);
-    PendingPtaBytes = std::move(PtaBytes);
-    PendingMrBytes = std::move(MrBytes);
     bumpFrom(SessionStage::Compile);
     ++SnapStats.Loads;
     LastErr = Status::ok();
@@ -632,26 +603,6 @@ PointsToResult *AnalysisSession::pointsTo() {
     ++C.Hits;
     return Pta.get();
   }
-  // Deferred snapshot layer: CRC-verified at load, decoded only now
-  // that a query needs points-to facts. Counted as a hit — the warm
-  // start provided the artifact; this is just when it materializes.
-  if (!PendingPtaBytes.empty()) {
-    std::vector<uint8_t> Bytes = std::move(PendingPtaBytes);
-    PendingPtaBytes.clear();
-    try {
-      ByteReader Rd(Bytes);
-      std::unique_ptr<PointsToResult> Dec = decodePointsTo(Rd, *P);
-      if (!Rd.atEnd())
-        throw SerializeError("trailing bytes in points-to section");
-      ++C.Hits;
-      Pta = std::move(Dec);
-      return Pta.get();
-    } catch (const std::exception &E) {
-      ++SnapStats.Fallbacks;
-      SnapStats.LastFallbackReason =
-          std::string("deferred points-to decode: ") + E.what();
-    }
-  }
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
   PTAOptions Opts = CurPta;
@@ -677,25 +628,6 @@ ModRefResult *AnalysisSession::modRef() {
     ++C.Hits;
     return MR.get();
   }
-  // Deferred snapshot layer, same contract as the points-to one.
-  if (!PendingMrBytes.empty()) {
-    std::vector<uint8_t> Bytes = std::move(PendingMrBytes);
-    PendingMrBytes.clear();
-    try {
-      ByteReader Rd(Bytes);
-      std::unique_ptr<ModRefResult> Dec =
-          ModRefResult::decode(Rd, *Prog, *PTA);
-      if (!Rd.atEnd())
-        throw SerializeError("trailing bytes in mod-ref section");
-      ++C.Hits;
-      MR = std::move(Dec);
-      return MR.get();
-    } catch (const std::exception &E) {
-      ++SnapStats.Fallbacks;
-      SnapStats.LastFallbackReason =
-          std::string("deferred mod-ref decode: ") + E.what();
-    }
-  }
   ++C.Misses;
   auto T0 = std::chrono::steady_clock::now();
   bool Tainted = false;
@@ -715,8 +647,7 @@ ModRefResult *AnalysisSession::modRef() {
 SDG *AnalysisSession::sdg() {
   RequestScope Scope(*this);
   // Cache first, upstream second: a cached graph (in particular a
-  // warm-started one) answers without forcing the points-to layer
-  // to materialize.
+  // warm-started one) answers without computing points-to.
   if (!program())
     return nullptr;
   StageCounters &C = counters(SessionStage::SDGBuild);
@@ -789,7 +720,7 @@ const SliceAnswer *AnalysisSession::slice(const SliceQuery &Q) {
   if (!E)
     return nullptr;
   // Only expansions read points-to: a plain slice after a snapshot
-  // load leaves the deferred points-to payload undecoded.
+  // load computes none.
   const bool NeedsPta = Q.Expand || Q.AliasDepth;
   PointsToResult *PTA = NeedsPta ? pointsTo() : nullptr;
   if (NeedsPta && !PTA)

@@ -238,13 +238,13 @@ public:
 
   //===------------------------------------------------------------------===//
   // Persistent snapshots (DESIGN.md section 14). A snapshot is the
-  // pointer-free serialization of the whole warm pipeline — program,
-  // points-to, mod-ref, SDG — keyed by (source digest, option
-  // digests, format version). loadSnapshot() is byte-identical to a
-  // cold rebuild for every query, and composes with everything the
-  // session supports: an incremental edit after a warm start answers
-  // exactly like cold-then-edit (stages whose in-place update
-  // declines rebuild cold, which is always sound).
+  // pointer-free serialization of the program and the SDG, keyed by
+  // (source digest, option digests, format version). A session
+  // warm-started by loadSnapshot() answers every query byte-identically
+  // to a cold rebuild, and composes with everything the session
+  // supports: points-to and mod-ref are not in the file, so the first
+  // query that reads them (an expansion, a CS graph build, an edit)
+  // computes them cold from the decoded program.
   //===------------------------------------------------------------------===//
 
   /// Snapshot/cache-dir telemetry, rendered as the `snapshot:` line
@@ -260,28 +260,26 @@ public:
   };
   const SnapshotStats &snapshotStats() const { return SnapStats; }
 
-  /// Serializes the current pipeline to \p Path. Computes any missing
-  /// artifact first (program, points-to, mod-ref, SDG). Declines —
-  /// returning the reason, writing nothing — for budgeted sessions
-  /// and degraded artifacts: their facts embed a budget outcome a
-  /// warm start could not reproduce.
+  /// Serializes the program and the SDG to \p Path, building whichever
+  /// is missing first (sdg() computes the upstream stages it needs).
+  /// Declines — returning the reason, writing nothing — for budgeted
+  /// sessions and for a degraded points-to, mod-ref or SDG the session
+  /// holds: their facts embed a budget outcome a warm start could not
+  /// reproduce.
   Status saveSnapshot(const std::string &Path);
 
   /// Warm-starts the session from \p Path: verifies magic, format
   /// version, per-section CRCs, and that the snapshot's source and
   /// option digests match the session's current inputs, then decodes
-  /// the program and the SDG into temporaries and installs them only
-  /// on full success. The points-to and mod-ref payloads — already
-  /// CRC-verified — are kept undecoded and materialize on the first
-  /// query that needs them, so the common warm-start query (a slice,
-  /// which runs on the SDG alone) skips their decode cost entirely.
+  /// the program and the SDG into temporaries and installs them, and
+  /// nothing else, only on full success. Every slice runs on the SDG
+  /// alone; pointsTo() and modRef() compute cold from the decoded
+  /// program when first asked, as after a source change.
   /// ANY failure — unreadable file, version mismatch, stale digest,
   /// corruption, an injected "snapshot.load" fault — leaves the
   /// session untouched and still fully functional (the next accessor
   /// computes cold), records the fallback reason in snapshotStats(),
-  /// and returns a non-ok Status; a CRC-valid but structurally
-  /// malformed deferred payload does the same at first access.
-  /// Never throws.
+  /// and returns a non-ok Status. Never throws.
   Status loadSnapshot(const std::string &Path);
 
   /// Enables content-addressed snapshot caching under \p Dir (empty
@@ -345,8 +343,8 @@ private:
   /// Drops the artifact of stage \p S and of every stage below it,
   /// bottom-up (downstream artifacts hold references into upstream
   /// ones), counting each dropped artifact as invalidated. Dropping
-  /// PTA also discards the deferred snapshot layers and the retired
-  /// bodies; dropping Compile forgets the compile attempt. The one
+  /// PTA also discards the retired bodies; dropping Compile forgets
+  /// the compile attempt. The one
   /// invalidation path: input changes, taint healing, incremental
   /// fallbacks and snapshot loads all go through it.
   void drop(SessionStage S);
@@ -408,15 +406,6 @@ private:
   /// the program lives, which outlives every answer.
   std::map<SliceQuery::Key, SliceAnswer> SliceCache;
   SummaryCache Summaries;
-
-  // --- deferred snapshot layers. A warm start installs the decoded
-  // program and SDG eagerly (the first slice query needs them) but
-  // stashes the CRC-verified points-to and mod-ref section payloads
-  // here undecoded; pointsTo()/modRef() decode on first demand and
-  // fall back to the cold computation if a payload is structurally
-  // malformed. Any input change that drops PTA discards them.
-  std::vector<uint8_t> PendingPtaBytes;
-  std::vector<uint8_t> PendingMrBytes;
 
   // --- failure isolation. A tainted artifact was computed while an
   // injected fault fired: still sound (served for the request that

@@ -198,11 +198,9 @@ public:
   /// be proven exact: a retracted node was merged into a collapsed
   /// cycle, a retracted allocation defines a cloning context, a
   /// constraint premise shrank (its derived edges may be stale), or an
-  /// edit left stale unreachable call-graph nodes. The default
-  /// implementation never applies.
-  virtual PTAUpdateResult applyIncrementalUpdate(const PTAUpdateRequest &) {
-    return {false, "incremental update not supported by this result", {}};
-  }
+  /// edit left stale unreachable call-graph nodes.
+  virtual PTAUpdateResult
+  applyIncrementalUpdate(const PTAUpdateRequest &Req) = 0;
 };
 
 /// Runs the analysis from \p P's main method. \p P must be in SSA form.

@@ -79,10 +79,20 @@ SessionRegistry::acquire(const std::string &Source, bool CS,
   E->LastUsed.store(Tick.fetch_add(1) + 1, std::memory_order_relaxed);
 
   if (!Fresh) {
-    // Warmed by us earlier or by a concurrent creator; taking the
-    // shared lock waits out any in-flight warm-up.
-    std::shared_lock<std::shared_mutex> L(E->Mu);
     Note = "cached";
+    {
+      // Warmed by us earlier or by a concurrent creator; taking the
+      // shared lock waits out any in-flight warm-up.
+      std::shared_lock<std::shared_mutex> L(E->Mu);
+      if (!Incremental || !E->S || E->S->incremental())
+        return E;
+    }
+    // This load asks for incremental edits the entry does not have
+    // yet: turn them on. Answers never depend on the flag, only the
+    // cost of later edits does.
+    std::unique_lock<std::shared_mutex> L(E->Mu);
+    if (E->S)
+      E->S->setIncremental(true);
     return E;
   }
 

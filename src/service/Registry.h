@@ -92,10 +92,11 @@ public:
   explicit SessionRegistry(Options O) : O(std::move(O)) {}
 
   /// Gets or creates the warm session for (\p Source, \p CS,
-  /// \p LineOffset). A fresh session is warmed end-to-end — compile,
-  /// points-to, SDG — trying the snapshot cache dir (and then
-  /// \p SnapshotPath, when non-empty) for a warm start first.
-  /// \p Note receives "cached", "cold", or "warm:<how>" plus any
+  /// \p LineOffset). A fresh session is warmed end-to-end — compile
+  /// through the SDG — trying the snapshot cache dir (and then
+  /// \p SnapshotPath, when non-empty) for a warm start first. A cached
+  /// entry gets incremental edits turned on when \p Incremental asks
+  /// for them; a load never turns them off. \p Note receives "cached", "cold", or "warm:<how>" plus any
   /// fallback reason. Always returns an entry; a compile failure is
   /// recorded in the entry, not an absence.
   std::shared_ptr<WarmSession> acquire(const std::string &Source, bool CS,

@@ -127,26 +127,16 @@ void ByteWriter::endSection() {
     Buf[SectionStart + 12 + I] = static_cast<uint8_t>(Crc >> (8 * I));
 }
 
-void tsl::putDouble(ByteWriter &W, double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  W.u64(Bits);
-}
-
-double tsl::getDouble(ByteReader &R) {
-  uint64_t Bits = R.u64();
-  double V;
-  std::memcpy(&V, &Bits, sizeof(V));
-  return V;
-}
-
 void tsl::putReport(ByteWriter &W, const StageReport &Rep) {
   W.str(Rep.Stage);
   W.u8(static_cast<uint8_t>(Rep.Status));
   W.str(Rep.Reason);
   W.str(Rep.Fallback);
   W.vu64(Rep.StepsUsed);
-  putDouble(W, Rep.Seconds);
+  // Bit-exact: the IEEE 754 bit pattern as a u64.
+  uint64_t Bits;
+  std::memcpy(&Bits, &Rep.Seconds, sizeof(Bits));
+  W.u64(Bits);
 }
 
 StageReport tsl::getReport(ByteReader &R) {
@@ -159,7 +149,8 @@ StageReport tsl::getReport(ByteReader &R) {
   Rep.Reason = R.str();
   Rep.Fallback = R.str();
   Rep.StepsUsed = R.vu64();
-  Rep.Seconds = getDouble(R);
+  const uint64_t Bits = R.u64();
+  std::memcpy(&Rep.Seconds, &Bits, sizeof(Bits));
   return Rep;
 }
 

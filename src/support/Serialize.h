@@ -42,15 +42,13 @@ constexpr uint32_t TSL_SNAPSHOT_MAGIC = 0x534C5354u;
 /// Snapshot format version. Bump on ANY layout change to ANY section
 /// (new field, reordered field, changed codec): readers reject other
 /// versions and the session falls back to a cold rebuild.
-constexpr uint32_t TSL_SNAPSHOT_VERSION = 2;
+constexpr uint32_t TSL_SNAPSHOT_VERSION = 3;
 
 /// Section tags, in file order.
 enum class SnapshotSection : uint32_t {
   Meta = 1,    ///< Digests the cache key is made of.
   Program = 2, ///< Strings, types, classes, fields, methods, bodies.
-  Pta = 3,     ///< Objects, points-to rows, call graph, casts, stats.
-  ModRef = 4,  ///< Heap partitions and per-method mod/ref rows.
-  Sdg = 5,     ///< Nodes and kind-tagged edges (CSR is re-derived).
+  Sdg = 3,     ///< Nodes and kind-tagged edges (CSR is re-derived).
 };
 
 /// Raised by any decode-side primitive on overrun, bad magic, bad
@@ -199,15 +197,6 @@ public:
   std::size_t remaining() const { return static_cast<std::size_t>(End - P); }
   bool atEnd() const { return P == End; }
 
-  /// Copies the unread remainder out as an owned buffer and consumes
-  /// it (used to stash a CRC-verified section payload for deferred
-  /// decoding).
-  std::vector<uint8_t> take() {
-    std::vector<uint8_t> V(P, End);
-    P = End;
-    return V;
-  }
-
 private:
   void need(std::size_t N) const {
     if (static_cast<std::size_t>(End - P) < N)
@@ -219,10 +208,6 @@ private:
 };
 
 struct StageReport;
-
-/// Bit-exact double codec (IEEE 754 bit pattern as u64).
-void putDouble(ByteWriter &W, double V);
-double getDouble(ByteReader &R);
 
 /// StageReport codec shared by the layer codecs. Writes the six
 /// artifact fields only — the cache telemetry counters are session

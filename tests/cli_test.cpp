@@ -658,6 +658,28 @@ TEST_F(CliTest, WarmStartSliceIsIdenticalToCold) {
   EXPECT_NE(Warm.find("thin slice from line 15"), std::string::npos) << Warm;
 }
 
+// A snapshot holds the program and the SDG only, and slices run on the
+// SDG: after a warm start the REPL answers thin and traditional slices
+// without computing points-to or mod-ref.
+TEST_F(CliTest, WarmStartSlicesComputeNeitherPointsToNorModRef) {
+  const std::string Snap = Program + ".lazy.tslsnap";
+  int Status = 0;
+  std::string Saved = run("--save-snapshot " + Snap, &Status);
+  ASSERT_EQ(exitCode(Status), 0) << Saved;
+  std::string Out;
+  Status = runInteractive(Program,
+                          "slice 15\\nmode trad\\nslice 15\\nstats\\n",
+                          "--interactive --load-snapshot " + Snap, Out);
+  remove(Snap.c_str());
+  EXPECT_EQ(exitCode(Status), 0) << Out;
+  EXPECT_NE(Out.find("thin slice from line 15"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("traditional slice from line 15"), std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("loads=1"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("pta: hits=0 misses=0"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("modref: hits=0 misses=0"), std::string::npos) << Out;
+}
+
 TEST_F(CliTest, LoadFromMissingSnapshotFallsBackCold) {
   int Status = 0;
   std::string Out =

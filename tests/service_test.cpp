@@ -610,6 +610,33 @@ TEST_F(ServiceTest, EditWithoutIncrementalRebuildsCold) {
   EXPECT_EQ(Edit.Detail, "cold rebuild");
 }
 
+// A load that asks for incremental edits gets them even when an
+// earlier plain load of the same workload created the warm session.
+TEST_F(ServiceTest, LaterIncrementalLoadTurnsIncrementalEditsOn) {
+  startServer();
+  ServiceClient C;
+  connect(C);
+  std::string Plain = loadDefault(C, /*CS=*/false, /*Incremental=*/false);
+  ServiceResponse Load;
+  ASSERT_TRUE(C.loadSource(fullSource(kProgram), false, runtimeLibraryLines(),
+                           /*Incremental=*/true, Load)
+                  .isOk());
+  ASSERT_EQ(Load.Code, ServiceStatus::Ok) << Load.Detail;
+  EXPECT_EQ(Load.Body, Plain);
+  EXPECT_EQ(Load.Detail, "cached");
+
+  ServiceResponse Edit;
+  ASSERT_TRUE(C.edit(Load.Body, fullSource(kProgramEdited), Edit).isOk());
+  ASSERT_EQ(Edit.Code, ServiceStatus::Ok) << Edit.Detail;
+  EXPECT_EQ(Edit.Detail, "incremental");
+
+  ServiceResponse After;
+  ASSERT_TRUE(C.slice(Load.Body, 6, SliceMode::Thin, After).isOk());
+  ASSERT_EQ(After.Code, ServiceStatus::Ok);
+  EXPECT_EQ(After.Body, expectedSlice(fullSource(kProgramEdited), 6,
+                                      SliceMode::Thin, false));
+}
+
 TEST_F(ServiceTest, EditToBrokenSourceReportsAndRecovers) {
   startServer();
   ServiceClient C;

@@ -8,7 +8,10 @@
 // canonical artifact signatures (points-to, mod-ref, rendered
 // slices), and checks that warm-start composes with incremental
 // edits and with the content-addressed cache directory
-// (hit/miss/evict).
+// (hit/miss/evict). A snapshot holds the program and the SDG only:
+// the lazy-layer tests check that no slice after a load computes
+// points-to or mod-ref, and that the queries reading points-to
+// compute it once.
 //
 // The suite carries the "snapshot" ctest label: the
 // TSL_SANITIZE=address and TSL_SANITIZE=thread trees run it
@@ -28,6 +31,7 @@
 #include "pipeline/Session.h"
 #include "pta/PointsTo.h"
 #include "sdg/SDG.h"
+#include "slicer/Report.h"
 #include "slicer/Slicer.h"
 #include "support/Budget.h"
 
@@ -210,6 +214,22 @@ void applyOptions(AnalysisSession &S, bool CS, unsigned Threads) {
   S.setSDGOptions(SO);
 }
 
+/// Memoization counters of stage \p Stage: {hits, misses}.
+std::pair<uint64_t, uint64_t> stageCounts(const AnalysisSession &S,
+                                          SessionStage Stage) {
+  const StageReport R = S.stageReports()[static_cast<unsigned>(Stage)];
+  return {R.CacheHits, R.CacheMisses};
+}
+
+/// Hits and misses of every artifact stage (compile through the SDG).
+std::vector<std::pair<uint64_t, uint64_t>>
+artifactCounts(const AnalysisSession &S) {
+  return {stageCounts(S, SessionStage::Compile),
+          stageCounts(S, SessionStage::PTA),
+          stageCounts(S, SessionStage::ModRef),
+          stageCounts(S, SessionStage::SDGBuild)};
+}
+
 } // namespace
 
 TEST_P(SnapshotDifferential, LoadIsByteIdenticalToColdRebuild) {
@@ -261,7 +281,17 @@ TEST_P(SnapshotDifferential, ResaveOfLoadedSessionIsByteIdentical) {
   AnalysisSession Warm{std::string(BaseSource)};
   applyOptions(Warm, CS, Threads);
   ASSERT_TRUE(Warm.loadSnapshot(SnapA).isOk());
+  // The load installed everything the file holds: the resave computes
+  // nothing (every stage of it is a cache hit or untouched).
+  const auto Before = artifactCounts(Warm);
   ASSERT_TRUE(Warm.saveSnapshot(SnapB).isOk()) << Warm.lastError().str();
+  const auto After = artifactCounts(Warm);
+  for (std::size_t I = 0; I != After.size(); ++I)
+    EXPECT_EQ(After[I].second, Before[I].second) << "stage " << I;
+  EXPECT_EQ(stageCounts(Warm, SessionStage::PTA),
+            std::make_pair(uint64_t(0), uint64_t(0)));
+  EXPECT_EQ(stageCounts(Warm, SessionStage::ModRef),
+            std::make_pair(uint64_t(0), uint64_t(0)));
 
   EXPECT_EQ(readBytes(SnapA), readBytes(SnapB));
   fs::remove(SnapA);
@@ -276,12 +306,145 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(Info.param));
     });
 
+// Every slice after a warm start runs on the loaded SDG: thin,
+// traditional, a batch and a narration leave points-to and mod-ref
+// uncomputed, and answer like a cold session.
+TEST_P(SnapshotDifferential, PlainQueriesAfterLoadComputeNeitherLayer) {
+  const bool CS = std::get<0>(GetParam());
+  const unsigned Threads = std::get<1>(GetParam());
+  const std::string Snap = tempPath(
+      std::string("tsl_snapshot_plain_") + (CS ? "cs" : "ci") +
+      std::to_string(Threads) + ".tslsnap");
+
+  AnalysisSession Saver{std::string(BaseSource)};
+  applyOptions(Saver, CS, Threads);
+  ASSERT_TRUE(Saver.saveSnapshot(Snap).isOk()) << Saver.lastError().str();
+
+  auto Answers = [&](AnalysisSession &S) {
+    Program *P = S.program();
+    EXPECT_NE(P, nullptr);
+    if (!P)
+      return std::string("<compile failed>");
+    const std::vector<const Instr *> Seeds = printSeeds(*P);
+    std::string Out;
+    for (SliceMode Mode : {SliceMode::Thin, SliceMode::Traditional}) {
+      for (const Instr *Seed : Seeds) {
+        const SliceResult *R = S.sliceBackwardCached(Seed, Mode);
+        EXPECT_NE(R, nullptr) << S.lastError().str();
+        if (!R)
+          continue;
+        Out += renderSlice(*R, *P) + "\n";
+        Out += narrateSlice(*R, Seed, Mode).str(0);
+      }
+      const SliceAnswer *Batch =
+          S.slice(SliceQuery::backward(Seeds, Mode, CS));
+      EXPECT_NE(Batch, nullptr) << S.lastError().str();
+      if (Batch)
+        for (const SliceResult &R : Batch->Results)
+          Out += "batch " + renderSlice(R, *P) + "\n";
+    }
+    return Out;
+  };
+
+  AnalysisSession Cold{std::string(BaseSource)};
+  applyOptions(Cold, CS, Threads);
+  const std::string Reference = Answers(Cold);
+
+  AnalysisSession Warm{std::string(BaseSource)};
+  applyOptions(Warm, CS, Threads);
+  ASSERT_TRUE(Warm.loadSnapshot(Snap).isOk());
+  EXPECT_EQ(Answers(Warm), Reference);
+  const auto None = std::make_pair(uint64_t(0), uint64_t(0));
+  EXPECT_EQ(stageCounts(Warm, SessionStage::PTA), None);
+  EXPECT_EQ(stageCounts(Warm, SessionStage::ModRef), None);
+  EXPECT_EQ(stageCounts(Warm, SessionStage::SDGBuild).second, 0u);
+  fs::remove(Snap);
+}
+
+// An expansion reads points-to: after a warm start the first one
+// computes it, once, from the decoded program, and every answer equals
+// a cold session's.
+TEST(SnapshotLazyLayers, ExpansionAfterLoadComputesPointsToOnce) {
+  const std::string Snap = tempPath("tsl_snapshot_expand.tslsnap");
+  AnalysisSession Saver{std::string(BaseSource)};
+  ASSERT_TRUE(Saver.saveSnapshot(Snap).isOk()) << Saver.lastError().str();
+
+  auto Expansions = [](AnalysisSession &S) {
+    Program *P = S.program();
+    EXPECT_NE(P, nullptr);
+    if (!P)
+      return std::string("<compile failed>");
+    std::string Out;
+    for (const Instr *Seed : printSeeds(*P))
+      for (unsigned Depth : {1u, 2u, 0u}) {
+        SliceQuery Q = SliceQuery::backward({Seed}, SliceMode::Thin);
+        if (Depth)
+          Q.AliasDepth = Depth;
+        else
+          Q.Expand = true;
+        const SliceAnswer *A = S.slice(Q);
+        EXPECT_NE(A, nullptr) << S.lastError().str();
+        Out += A ? renderSlice(A->Results.front(), *P) + "\n" : "<null>\n";
+      }
+    return Out;
+  };
+
+  AnalysisSession Cold{std::string(BaseSource)};
+  const std::string Reference = Expansions(Cold);
+
+  AnalysisSession Warm{std::string(BaseSource)};
+  ASSERT_TRUE(Warm.loadSnapshot(Snap).isOk());
+  EXPECT_EQ(Expansions(Warm), Reference);
+  EXPECT_EQ(stageCounts(Warm, SessionStage::PTA).second, 1u);
+  EXPECT_EQ(stageCounts(Warm, SessionStage::ModRef),
+            std::make_pair(uint64_t(0), uint64_t(0)));
+  EXPECT_EQ(stageCounts(Warm, SessionStage::SDGBuild).second, 0u);
+  fs::remove(Snap);
+}
+
+// Slicing never reads mod-ref without a CS graph, so saving a
+// context-insensitive session leaves it uncomputed.
+TEST(SnapshotLazyLayers, ContextInsensitiveSaveLeavesModRefUncomputed) {
+  const std::string Snap = tempPath("tsl_snapshot_ci_modref.tslsnap");
+  AnalysisSession S{std::string(BaseSource)};
+  ASSERT_TRUE(S.saveSnapshot(Snap).isOk()) << S.lastError().str();
+  EXPECT_EQ(stageCounts(S, SessionStage::ModRef),
+            std::make_pair(uint64_t(0), uint64_t(0)));
+  EXPECT_EQ(stageCounts(S, SessionStage::PTA).second, 1u);
+  EXPECT_EQ(stageCounts(S, SessionStage::SDGBuild).second, 1u);
+  fs::remove(Snap);
+}
+
+// The file is the header and exactly three sections: Meta, Program
+// and Sdg, in that order.
+TEST(SnapshotFormat, FileHoldsMetaProgramAndSdgOnly) {
+  for (bool CS : {false, true}) {
+    const std::string Snap = tempPath("tsl_snapshot_sections.tslsnap");
+    AnalysisSession S{std::string(BaseSource)};
+    applyOptions(S, CS, 1);
+    ASSERT_TRUE(S.saveSnapshot(Snap).isOk()) << S.lastError().str();
+    const std::string Bytes = readBytes(Snap);
+    ByteReader R(reinterpret_cast<const uint8_t *>(Bytes.data()),
+                 Bytes.size());
+    EXPECT_EQ(R.u32(), TSL_SNAPSHOT_MAGIC);
+    EXPECT_EQ(R.u32(), TSL_SNAPSHOT_VERSION);
+    EXPECT_EQ(TSL_SNAPSHOT_VERSION, 3u);
+    EXPECT_NO_THROW({
+      R.section(SnapshotSection::Meta);
+      R.section(SnapshotSection::Program);
+      R.section(SnapshotSection::Sdg);
+    }) << (CS ? "CS" : "CI");
+    EXPECT_TRUE(R.atEnd()) << (CS ? "CS" : "CI");
+    fs::remove(Snap);
+  }
+}
+
 TEST(SnapshotIncremental, LoadThenEditEqualsColdThenEdit) {
   // Warm-start composes with the incremental layer: a session that
   // loads a snapshot and then applies a body edit answers exactly
   // like a session that built cold and applied the same edit (the
-  // snapshot's pure-lookup points-to declines in-place update and
-  // rebuilds cold — soundness first).
+  // loaded session holds no points-to to update, so the edit takes
+  // no stage fallback and the next query computes it cold).
   const std::string Snap = tempPath("tsl_snapshot_edit.tslsnap");
   const std::string Edited =
       replaced(BaseSource, "  c.v = x;", "  var d = c;\n  d.v = x + 1 - 1;");
@@ -299,6 +462,8 @@ TEST(SnapshotIncremental, LoadThenEditEqualsColdThenEdit) {
   Warm.setIncremental(true);
   ASSERT_TRUE(Warm.loadSnapshot(Snap).isOk());
   Warm.setSource(Edited);
+  EXPECT_EQ(Warm.incrementalStats().Applied, 1u);
+  EXPECT_EQ(Warm.incrementalStats().StageFallbacks, 0u);
   EXPECT_EQ(sessionSignature(Warm), Reference);
 
   // And against a fully cold session on the edited source.
@@ -308,16 +473,16 @@ TEST(SnapshotIncremental, LoadThenEditEqualsColdThenEdit) {
 }
 
 TEST(SnapshotVersion, PreviousFormatIsRefusedAndRebuiltCold) {
-  // Version 1 snapshots carried a compile-options digest in the Meta
-  // section. A file with that version number is refused by the version
-  // check before any section is read, and the session answers cold.
-  const std::string Snap = tempPath("tsl_snapshot_v1.tslsnap");
+  // Version 2 snapshots also carried points-to and mod-ref sections. A
+  // file with that version number is refused by the version check
+  // before any section is read, and the session answers cold.
+  const std::string Snap = tempPath("tsl_snapshot_v2.tslsnap");
   AnalysisSession Saver{std::string(BaseSource)};
   ASSERT_TRUE(Saver.saveSnapshot(Snap).isOk()) << Saver.lastError().str();
   std::string Bytes = readBytes(Snap);
   ASSERT_GE(Bytes.size(), 8u);
   // Bytes 4..7 hold the little-endian format version.
-  Bytes[4] = 1;
+  Bytes[4] = 2;
   Bytes[5] = Bytes[6] = Bytes[7] = 0;
   std::ofstream(Snap, std::ios::binary | std::ios::trunc) << Bytes;
 
@@ -325,7 +490,7 @@ TEST(SnapshotVersion, PreviousFormatIsRefusedAndRebuiltCold) {
   Status L = S.loadSnapshot(Snap);
   EXPECT_FALSE(L.isOk());
   EXPECT_EQ(S.snapshotStats().LastFallbackReason,
-            "format version 1 != " + std::to_string(TSL_SNAPSHOT_VERSION));
+            "format version 2 != " + std::to_string(TSL_SNAPSHOT_VERSION));
   EXPECT_EQ(S.snapshotStats().Loads, 0u);
   AnalysisSession Cold{std::string(BaseSource)};
   EXPECT_EQ(sessionSignature(S), sessionSignature(Cold));

@@ -868,29 +868,44 @@ int runTool(int argc, char **argv) {
     return 5;
   };
 
-  PointsToResult *PTA = Session.pointsTo();
-  if (!PTA)
-    return StageFailed("points-to");
+  // --stats prints after the query (so it counts it) but takes its
+  // inventory now. Each request may heal a fault-tainted artifact, so
+  // every count is read right after the request that returned it; the
+  // slice carries its own graph.
+  char Inventory[256] = "";
 
-  if (Opts.PtaStats)
-    printf("%s", PTA->stats().str().c_str());
+  // Only the outputs that print points-to facts request them here: a
+  // slice runs on the SDG alone (--expand and --alias-depth pull
+  // points-to through slice()), so a warm start computes neither
+  // points-to nor mod-ref.
+  if (Opts.PtaStats || Opts.Stats) {
+    PointsToResult *PTA = Session.pointsTo();
+    if (!PTA)
+      return StageFailed("points-to");
+    if (Opts.PtaStats)
+      printf("%s", PTA->stats().str().c_str());
+    snprintf(Inventory, sizeof(Inventory),
+             "classes: %zu, reachable methods: %zu, cg nodes: %zu\n",
+             P->classes().size(), PTA->callGraph().reachableMethods().size(),
+             PTA->callGraph().nodes().size());
+  }
 
-  if (Opts.Query.ContextSensitive && !Session.modRef())
-    return StageFailed("mod-ref");
   SDG *G = Session.sdg();
-  if (!G)
-    return StageFailed("sdg");
+  if (!G) {
+    // sdg() stops at the first upstream stage that fails; ask for
+    // each in turn to name it.
+    if (!Session.pointsTo())
+      return StageFailed("points-to");
+    if (Opts.Query.ContextSensitive && !Session.modRef())
+      return StageFailed("mod-ref");
+    if (!(G = Session.sdg()))
+      return StageFailed("sdg");
+  }
 
-  // --stats prints after the query (so it counts it) but takes this
-  // now: the query may heal a fault-tainted artifact, so no pointer
-  // above is used once it ran; the slice carries its own graph.
-  char Inventory[256];
-  snprintf(Inventory, sizeof(Inventory),
-           "classes: %zu, reachable methods: %zu, cg nodes: %zu\n"
+  const std::size_t Taken = strlen(Inventory);
+  snprintf(Inventory + Taken, sizeof(Inventory) - Taken,
            "sdg: %u statements, %u heap-param nodes, %u edges\n",
-           P->classes().size(), PTA->callGraph().reachableMethods().size(),
-           PTA->callGraph().nodes().size(), G->numStmtNodes(),
-           G->numHeapParamNodes(), G->numEdges());
+           G->numStmtNodes(), G->numHeapParamNodes(), G->numEdges());
 
   // Governed runs report per-stage status and map degradation onto the
   // exit code; ungoverned runs keep the historical 0/1/2 codes and
