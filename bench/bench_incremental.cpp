@@ -194,6 +194,7 @@ void BM_EditToSlicePad400PaddingLiteral(benchmark::State &State) {
   AnalysisSession S{std::string(Edits.source())};
   S.setIncremental(true);
   benchmark::DoNotOptimize(S.sdg());
+  const uint64_t ColdShapes = S.sdgShapes().derived();
   unsigned I = 0;
   for (auto _ : State) {
     const unsigned Line = Edits.next(I++);
@@ -205,6 +206,11 @@ void BM_EditToSlicePad400PaddingLiteral(benchmark::State &State) {
   const AnalysisSession::IncrementalStats &IS = S.incrementalStats();
   State.counters["cold_fallbacks"] = static_cast<double>(IS.ColdFallbacks);
   State.counters["stage_fallbacks"] = static_cast<double>(IS.StageFallbacks);
+  // SDG method shapes each rebuild derived: 1 when every body the edit
+  // left alone kept its shape.
+  State.counters["shapes_derived_per_edit"] =
+      static_cast<double>(S.sdgShapes().derived() - ColdShapes) /
+      static_cast<double>(I ? I : 1);
 }
 BENCHMARK(BM_EditToSlicePad400PaddingLiteral)
     ->Unit(benchmark::kMillisecond)

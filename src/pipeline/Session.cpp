@@ -195,6 +195,9 @@ void AnalysisSession::drop(SessionStage S) {
       ++counters(SessionStage::Compile).Invalidated;
     Prog.reset();
     CompileAttempted = false;
+    // The program is being replaced (a cold setSource, a snapshot or
+    // cache-dir load): every shape describes a body of the old one.
+    SdgShapes.clear();
   }
 }
 
@@ -263,10 +266,13 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
 
   StageCounters &CC = counters(SessionStage::Compile);
   IncrementalCompileResult CR = applyIncrementalCompile(*Prog, D);
-  if (!CR.Applied)
+  if (!CR.Applied) {
     // A mid-apply failure (CR.RetiredBodies non-empty) left the
-    // program mutated; the cold path's drop discards it.
+    // program mutated; the cold path's drop discards it. Its shapes
+    // go now, before anything could build from them.
+    SdgShapes.clear();
     return Cold(CR.Reason);
+  }
   ++CC.Misses;
   CC.Seconds += secondsSince(T0);
   ++IncStats.Applied;
@@ -282,9 +288,12 @@ bool AnalysisSession::trySetSourceIncremental(const std::string &NewSource) {
   // (carrying it through would lose the heal-on-next-request
   // guarantee). The SDG and everything below it are stale against the
   // new source: it is never updated in place, and the next sdg()
-  // builds it cold from the updated points-to (and mod-ref).
+  // builds it from the updated points-to (and mod-ref).
   healTainted();
   drop(SessionStage::SDGBuild);
+  // The relowered bodies' shapes are stale; every other body is the
+  // same object it was, so its shape stays.
+  SdgShapes.invalidate(CR.DirtyMethods);
 
   // Keep the dead IR alive: retained artifacts still reference the
   // retired instructions (the PTA object table's allocation sites) as
@@ -670,7 +679,10 @@ SDG *AnalysisSession::sdg() {
   bool Tainted = false;
   auto R = computeStage("sdg", Budget, LastErr, StageFailures, StageRetries,
                         Tainted,
-                        [&] { return buildSDG(*Prog, *PTA, ModRef, Opts); });
+                        [&] {
+                          return buildSDG(*Prog, *PTA, ModRef, Opts,
+                                          &SdgShapes);
+                        });
   C.Seconds += secondsSince(T0);
   if (!R)
     return nullptr;

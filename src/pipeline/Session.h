@@ -108,7 +108,8 @@ public:
   /// points-to facts, and re-scan mod-ref for affected methods —
   /// falling back to the cold path (per stage or entirely) whenever an
   /// update declines. The SDG is never patched: the next sdg() builds
-  /// it cold from the updated points-to. Either way the resulting
+  /// it from the updated points-to, reusing the method shapes of every
+  /// body the edit left alone (sdgShapes()). Either way the resulting
   /// artifacts answer every query as a cold rebuild of the new source
   /// would (see DESIGN.md section 13).
   void setSource(std::string Source);
@@ -222,6 +223,12 @@ public:
   /// sensitive slicing (keyed internally by graph and mode; cleared
   /// whenever the session drops an SDG).
   SummaryCache &summaries() { return Summaries; }
+
+  /// The method shapes the session's SDG builds share (sdg/SDG.h):
+  /// kept across edits and option switches, forgotten per relowered
+  /// body and whenever the program is replaced. Its counters tell how
+  /// many shapes the builds derived and reused.
+  const SDGShapeCache &sdgShapes() const { return SdgShapes; }
 
   //===------------------------------------------------------------------===//
   // Memoized whole-query slicing
@@ -344,7 +351,7 @@ private:
   /// bottom-up (downstream artifacts hold references into upstream
   /// ones), counting each dropped artifact as invalidated. Dropping
   /// PTA also discards the retired bodies; dropping Compile forgets
-  /// the compile attempt. The one
+  /// the compile attempt and the SDG method shapes. The one
   /// invalidation path: input changes, taint healing, incremental
   /// fallbacks and snapshot loads all go through it.
   void drop(SessionStage S);
@@ -400,6 +407,11 @@ private:
   bool CompileAttempted = false;
   std::unique_ptr<PointsToResult> Pta;
   std::unique_ptr<ModRefResult> MR;
+  /// Per-method SDG facts of the current program, beside it rather
+  /// than in the SDG stage: they outlive every graph built from them.
+  /// Never keyed by the Program address, which a later program can
+  /// reuse; cleared explicitly wherever the program is replaced.
+  SDGShapeCache SdgShapes;
   std::unique_ptr<SDG> Graph;
   std::unique_ptr<SliceEngine> Engine;
   /// Answers of the current SDG. The seed pointers are stable while

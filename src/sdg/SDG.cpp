@@ -6,6 +6,7 @@
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <tuple>
 #include <unordered_map>
@@ -67,41 +68,33 @@ void SDG::buildCSR() {
   const std::size_t Slots = Nodes.size() * NK;
 
   // Counting sort of the edge list into kind-partitioned CSR rows, in
-  // both directions. Within one (node, kind) segment edges keep
-  // ascending edge-id order, so the layout is deterministic.
-  InOff.assign(Slots + 1, 0);
-  OutOff.assign(Slots + 1, 0);
-  for (const SDGEdge &E : Edges) {
-    ++InOff[std::size_t(E.To) * NK + sdgKindSlot(E.K) + 1];
-    ++OutOff[std::size_t(E.From) * NK + sdgKindSlot(E.K) + 1];
-  }
-  for (std::size_t I = 1; I <= Slots; ++I) {
+  // both directions; addEdge() already counted each (node, kind)
+  // degree at its own slot. Trailing nodes without edges get their
+  // zero degrees here. An inclusive prefix sum turns each count into
+  // the end of its segment; scattering the edges in descending id
+  // order through decrementing cursors leaves each offset at the start
+  // of its segment and the edges of a segment in ascending id order,
+  // so the layout is deterministic and needs no shift back.
+  InOff.resize(Slots + 1);
+  OutOff.resize(Slots + 1);
+  for (std::size_t I = 1; I < Slots; ++I) {
     InOff[I] += InOff[I - 1];
     OutOff[I] += OutOff[I - 1];
   }
+  InOff[Slots] = OutOff[Slots] = static_cast<unsigned>(Edges.size());
   InNbr.resize(Edges.size());
   InEdgeId.resize(Edges.size());
   OutNbr.resize(Edges.size());
   OutEdgeId.resize(Edges.size());
-  // Scatter using the offset arrays themselves as cursors (classic
-  // counting-sort trick: after the scatter InOff[s] is the END of
-  // segment s, i.e. the start of s+1, so shifting restores offsets
-  // without a cursor copy).
-  for (std::size_t EdgeId = 0; EdgeId != Edges.size(); ++EdgeId) {
+  for (std::size_t EdgeId = Edges.size(); EdgeId-- != 0;) {
     const SDGEdge &E = Edges[EdgeId];
-    unsigned InPos = InOff[std::size_t(E.To) * NK + sdgKindSlot(E.K)]++;
+    unsigned InPos = --InOff[std::size_t(E.To) * NK + sdgKindSlot(E.K)];
     InNbr[InPos] = E.From;
     InEdgeId[InPos] = static_cast<unsigned>(EdgeId);
-    unsigned OutPos = OutOff[std::size_t(E.From) * NK + sdgKindSlot(E.K)]++;
+    unsigned OutPos = --OutOff[std::size_t(E.From) * NK + sdgKindSlot(E.K)];
     OutNbr[OutPos] = E.To;
     OutEdgeId[OutPos] = static_cast<unsigned>(EdgeId);
   }
-  for (std::size_t I = Slots; I != 0; --I) {
-    InOff[I] = InOff[I - 1];
-    OutOff[I] = OutOff[I - 1];
-  }
-  InOff[0] = 0;
-  OutOff[0] = 0;
 }
 
 std::size_t SDG::countRepeatedEdges() const {
@@ -138,8 +131,9 @@ void SDG::seal() {
   buildCSR();
 
   // Statement index: a counting sort of the statement nodes by dense
-  // instruction rank. Scattering in node id order keeps each
-  // instruction's clones ascending, so nodeFor() returns the first.
+  // instruction rank, read off the statement runs. Scattering in node
+  // id order keeps each instruction's clones ascending, so nodeFor()
+  // returns the first.
   const auto &Methods = P.methods();
   MethodRank.assign(Methods.size() + 1, 0);
   for (std::size_t M = 0; M != Methods.size(); ++M)
@@ -147,30 +141,35 @@ void SDG::seal() {
         MethodRank[M] + static_cast<unsigned>(Methods[M]->instrs().size());
   const std::size_t Ranks = MethodRank.back();
   StmtCloneOff.assign(Ranks + 1, 0);
-  std::vector<unsigned> RankOf(Nodes.size());
   NumStmts = 0;
   NumHeapParams = 0;
-  std::size_t StmtNodes = 0;
   for (const SDGNode &N : Nodes) {
     NumStmts += N.isSourceStmt();
     NumHeapParams += !N.isSourceStmt() && N.K != SDGNodeKind::HeapHub;
-    if (N.isStmt()) {
-      RankOf[N.Id] = MethodRank[N.M->id()] + N.I->id();
-      ++StmtCloneOff[RankOf[N.Id] + 1];
-      ++StmtNodes;
-    }
+  }
+  std::size_t StmtNodes = 0;
+  for (const StmtRun &Run : StmtRuns) {
+    const unsigned First = MethodRank[Run.Method] + Run.FirstInstr;
+    assert(First + Run.Count <= MethodRank[Run.Method + 1] &&
+           "statement run past its method");
+    for (unsigned R = First; R != First + Run.Count; ++R)
+      ++StmtCloneOff[R + 1];
+    StmtNodes += Run.Count;
   }
   for (std::size_t R = 1; R <= Ranks; ++R)
     StmtCloneOff[R] += StmtCloneOff[R - 1];
-  // Same cursor trick as buildCSR(): scatter through the offsets, then
-  // shift them back by one.
+  // The classic counting-sort cursor trick: scatter through the offsets,
+  // then shift them back by one.
   StmtClones.resize(StmtNodes);
-  for (const SDGNode &N : Nodes)
-    if (N.isStmt())
-      StmtClones[StmtCloneOff[RankOf[N.Id]]++] = N.Id;
+  for (const StmtRun &Run : StmtRuns) {
+    const unsigned First = MethodRank[Run.Method] + Run.FirstInstr;
+    for (unsigned K = 0; K != Run.Count; ++K)
+      StmtClones[StmtCloneOff[First + K]++] = Run.FirstNode + K;
+  }
   for (std::size_t R = Ranks; R != 0; --R)
     StmtCloneOff[R] = StmtCloneOff[R - 1];
   StmtCloneOff[0] = 0;
+  StmtRuns = {};
 }
 
 //===----------------------------------------------------------------------===//
@@ -226,6 +225,7 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
         throw SerializeError("statement node outside its method");
       if (Part)
         throw SerializeError("statement node with partition");
+      G->addStmtRun(static_cast<unsigned>(N), M->id(), I->id());
     } else {
       HeapIds.emplace_back(K, heapAnchorKey(I, M), Part, Ctx);
     }
@@ -239,7 +239,7 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
   const uint64_t NumEdges = R.vu64();
   if (NumEdges > R.remaining())
     throw SerializeError("SDG edge count exceeds payload");
-  G->Edges.reserve(NumEdges);
+  G->reserve(NumNodes, NumEdges);
   for (uint64_t E = 0; E != NumEdges; ++E) {
     unsigned From = R.vu32();
     unsigned To = R.vu32();
@@ -254,7 +254,7 @@ std::unique_ptr<SDG> SDG::decode(ByteReader &R, const Program &P) {
       if (!Site)
         throw SerializeError("SDG edge site is not a call");
     }
-    G->Edges.push_back({From, To, static_cast<SDGEdgeKind>(K), Site});
+    G->addEdge(From, To, static_cast<SDGEdgeKind>(K), Site);
   }
 
   // A built graph has no repeated edge, so a payload that repeats one

@@ -45,6 +45,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace tsl {
@@ -337,8 +338,48 @@ private:
   /// asserts zero in builds without NDEBUG.
   std::size_t countRepeatedEdges() const;
 
-  /// Counting sort of the edge list into the kind-partitioned CSR
-  /// in/out adjacency.
+  /// Sizes the node and edge lists, and the degree counts, for about
+  /// \p NumNodes nodes and \p NumEdges edges.
+  void reserve(std::size_t NumNodes, std::size_t NumEdges) {
+    Nodes.reserve(NumNodes);
+    Edges.reserve(NumEdges);
+    InOff.reserve(NumNodes * NumSDGEdgeKinds + 1);
+    OutOff.reserve(NumNodes * NumSDGEdgeKinds + 1);
+  }
+
+  /// Appends an edge and counts it into its (node, kind) in- and
+  /// out-degree slots, so seal() lays out the CSR without a second
+  /// pass over the edge list. Both constructors emit through this.
+  void addEdge(unsigned From, unsigned To, SDGEdgeKind K,
+               const CallInstr *Site) {
+    Edges.push_back({From, To, K, Site});
+    const std::size_t Need =
+        (std::size_t(From > To ? From : To) + 1) * NumSDGEdgeKinds + 1;
+    if (InOff.size() < Need) {
+      InOff.resize(Need);
+      OutOff.resize(Need);
+    }
+    ++InOff[std::size_t(To) * NumSDGEdgeKinds + sdgKindSlot(K)];
+    ++OutOff[std::size_t(From) * NumSDGEdgeKinds + sdgKindSlot(K)];
+  }
+
+  /// Records statement node \p Node of local instruction \p Instr of
+  /// method \p Method, extending the last run when it continues it.
+  void addStmtRun(unsigned Node, unsigned Method, unsigned Instr,
+                  unsigned Count = 1) {
+    if (!StmtRuns.empty()) {
+      StmtRun &Last = StmtRuns.back();
+      if (Last.Method == Method && Last.FirstNode + Last.Count == Node &&
+          Last.FirstInstr + Last.Count == Instr) {
+        Last.Count += Count;
+        return;
+      }
+    }
+    StmtRuns.push_back({Node, Method, Instr, Count});
+  }
+
+  /// Prefix-sums the degrees addEdge() counted and scatters the edge
+  /// list once into the kind-partitioned CSR in/out adjacency.
   void buildCSR();
 
   IdRange rowEdges(const std::vector<unsigned> &Off,
@@ -380,6 +421,14 @@ private:
   const Program &P;
   std::vector<SDGNode> Nodes;
   std::vector<SDGEdge> Edges;
+  /// The statement nodes as runs of consecutive nodes holding
+  /// consecutive instructions of one method, in node order, so seal()
+  /// indexes them without loading an instruction. A built graph has one
+  /// run per clone. Released by seal().
+  struct StmtRun {
+    unsigned FirstNode, Method, FirstInstr, Count;
+  };
+  std::vector<StmtRun> StmtRuns;
   unsigned NumStmts = 0;
   unsigned NumHeapParams = 0;
   StageReport Report{"sdg", StageStatus::Complete, "", "", 0, 0};
@@ -390,7 +439,8 @@ private:
 
   /// Per-(node, kind) offset tables, numNodes * NumSDGEdgeKinds + 1
   /// entries: the in-edges of node n with kind k occupy
-  /// [InOff[n*NK+k], InOff[n*NK+k+1]) of InNbr/InEdgeId.
+  /// [InOff[n*NK+k], InOff[n*NK+k+1]) of InNbr/InEdgeId. Before
+  /// seal(), entry n*NK+k holds the degree addEdge() counted.
   std::vector<unsigned> InOff, OutOff;
   /// Neighbor node id per CSR slot (From for in-edges, To for
   /// out-edges) — all the BFS slicers touch.
@@ -421,12 +471,137 @@ struct SDGOptions {
   const AnalysisBudget *Budget = nullptr;
 };
 
+/// What every clone of one method contributes to an SDG that depends
+/// on the method's body alone: not on points-to, mod-ref, the clone
+/// set or the variant. Statements are named by method-local id
+/// (Instr::id()); a clone adds its Base. A view into the runs an
+/// SDGShapeCache stores, valid until that cache next derives or forgets
+/// a shape.
+struct MethodShape {
+  /// An intraprocedural edge between method-local statement ids.
+  struct LocalEdge {
+    unsigned From, To;
+    SDGEdgeKind K;
+    bool operator==(const LocalEdge &) const = default;
+  };
+  /// One heap access, in block order. Its bucket key is (class, id):
+  /// class 0 is an instance field and 1 a static field, both with the
+  /// field's id; class 2 is the array-element class with id ~0u.
+  struct HeapAccess {
+    unsigned Stmt;
+    unsigned FieldId;
+    uint8_t Class;
+    bool Store;
+    /// The base pointer; null for a static access.
+    const Local *Base;
+    bool operator==(const HeapAccess &) const = default;
+  };
+  /// One call: its statement, whether it defines a result, and its
+  /// operands, Args[FirstArg .. FirstArg + NumArgs).
+  struct CallSite {
+    unsigned Stmt;
+    unsigned FirstArg;
+    unsigned NumArgs;
+    bool HasDest;
+    bool operator==(const CallSite &) const = default;
+  };
+  /// One call operand: the formal it binds and the statement defining
+  /// it (~0u when nothing does).
+  struct CallArg {
+    unsigned FormalIdx;
+    unsigned ActualDef;
+    bool operator==(const CallArg &) const = default;
+  };
+  /// The method's intraprocedural edges, in emission order: SSA flow
+  /// dependences, then control dependences.
+  std::span<const LocalEdge> Intra;
+  /// The calls, by ascending statement.
+  std::span<const CallSite> Calls;
+  std::span<const CallArg> Args;
+  /// The Param statement of each formal index (~0u for a gap).
+  std::span<const unsigned> Formals;
+  /// The value-returning Ret terminators, in block order.
+  std::span<const unsigned> Returns;
+  std::span<const HeapAccess> Accesses;
+
+  /// Same parts, element by element.
+  bool sameAs(const MethodShape &O) const;
+};
+
+/// Method shapes kept across SDG builds of one program (DESIGN.md
+/// section 13). A shape reads only its method's body, so it stays valid
+/// while that body does: the owner forgets every shape when it replaces
+/// the program and the shapes of the bodies an edit relowers, and
+/// nothing else. Identity is the method id, never an address a later
+/// program could reuse. Points-to sets are not cached: they are looked
+/// up at every build, since an update may change them.
+///
+/// Each shape part lives in one pool per part, so the cache is a few
+/// large blocks rather than thousands of small ones: the daemon frees
+/// a session on another thread than the one that built it, and with
+/// one small block per shape part perfbench's edit-slice daemon peaked
+/// ~11 MB higher (DESIGN.md section 13). A re-derived shape appends to
+/// the pools; a build compacts them once garbage and growth slack pass
+/// an eighth of what they hold.
+class SDGShapeCache {
+public:
+  /// Forgets every shape: the program was replaced.
+  void clear();
+  /// Forgets the shapes of \p Relowered, whose bodies changed.
+  void invalidate(const std::vector<Method *> &Relowered);
+
+  /// Shapes derived from a body, and shapes a build took from the
+  /// cache instead, over the cache's lifetime (clear() keeps them).
+  uint64_t derived() const { return Derived; }
+  uint64_t reused() const { return Reused; }
+
+private:
+  friend class SDGBuilder;
+
+  /// One shape part's run in its pool.
+  struct Run {
+    uint32_t Begin = 0, Count = 0;
+  };
+  struct Entry {
+    bool Valid = false;
+    Run Intra, Calls, Args, Formals, Returns, Accesses;
+  };
+
+  bool has(unsigned MethodId) const {
+    return MethodId < Entries.size() && Entries[MethodId].Valid;
+  }
+  /// The shape of a method has() holds.
+  MethodShape view(unsigned MethodId) const;
+  /// Derives \p M's shape from its body into the pools (SDGBuilder.cpp).
+  void derive(const Method &M);
+  /// Rewrites the pools with only the valid runs, when garbage and
+  /// slack have grown past an eighth of the live parts.
+  void compactIfSparse();
+
+  /// By method id.
+  std::vector<Entry> Entries;
+  std::vector<MethodShape::LocalEdge> IntraPool;
+  std::vector<MethodShape::CallSite> CallPool;
+  std::vector<MethodShape::CallArg> ArgPool;
+  std::vector<unsigned> FormalPool, ReturnPool;
+  std::vector<MethodShape::HeapAccess> AccessPool;
+  /// Intraprocedural edges of the valid shapes (the largest part).
+  std::size_t LiveIntra = 0;
+  uint64_t Derived = 0;
+  uint64_t Reused = 0;
+};
+
 /// Builds the dependence graph (SDGBuilder.cpp), sealed into the CSR
 /// query form.
 /// \p ModRef may be null unless \p Options.ContextSensitive is set.
+/// \p Shapes, when given, supplies the method shapes derived by earlier
+/// builds of the same program and keeps the ones this build derives;
+/// without it the build derives every shape it needs. The graph is the
+/// same either way.
 std::unique_ptr<SDG> buildSDG(const Program &P, const PointsToResult &PTA,
                               const ModRefResult *ModRef,
-                              const SDGOptions &Options = {});
+                              const SDGOptions &Options = {},
+                              SDGShapeCache *Shapes = nullptr);
 
 } // namespace tsl
 

@@ -52,23 +52,6 @@ struct Clone {
   }
 };
 
-/// What every clone of one method shares, derived once per method.
-struct MethodShape {
-  /// An intraprocedural edge between method-local statement ids
-  /// (Instr::id()); a clone adds its Base to both ends.
-  struct LocalEdge {
-    unsigned From, To;
-    SDGEdgeKind K;
-  };
-  /// The method's intraprocedural edges, in emission order.
-  std::vector<LocalEdge> Intra;
-  /// The Param instruction of each formal index (null for a gap).
-  std::vector<const Instr *> Formals;
-  /// The value-returning Ret terminators, in block order.
-  std::vector<const Instr *> Returns;
-  bool Built = false;
-};
-
 /// One heap access of a clone, resolved once at collection time so
 /// the wiring does no per-edge hash lookups.
 struct Access {
@@ -84,18 +67,26 @@ struct Access {
 /// static field, or the array-element class. Accesses keep collection
 /// order (clone, block, instruction).
 struct HeapBucket {
+  std::span<const Access> Stores, Loads;
+};
+
+/// Every bucket's accesses, flat: bucket K's stores are
+/// Stores[StoreOff[K] .. StoreOff[K + 1]), and likewise its loads. K is
+/// the dense key index: instance field id, then NumFields + static
+/// field id, then 2 * NumFields for the array-element class, which is
+/// (class, id) key order (MethodShape::HeapAccess). The wiring iterates
+/// the buckets in this order, and the order decides edge insertion
+/// order AND — under a budget gate that can trip mid-loop — which
+/// accesses get precise edges before the coarse fallback takes over.
+/// Pointer-keyed unordered iteration would make both depend on
+/// allocator state, breaking the byte-identical-artifacts guarantee.
+struct HeapBuckets {
+  std::vector<unsigned> StoreOff, LoadOff;
   std::vector<Access> Stores, Loads;
 };
 
-/// Buckets keyed by (class, id): class 0 is an instance field and 1
-/// a static field, both with the dense Field::id(); class 2 is the
-/// array-element class with id ~0u. Ordered by key: the wiring
-/// iterates the buckets in this order, and the order decides edge
-/// insertion order AND — under a budget gate that can trip mid-loop —
-/// which accesses get precise edges before the coarse fallback takes
-/// over. Pointer-keyed unordered iteration would make both depend on
-/// allocator state, breaking the byte-identical-artifacts guarantee.
-using HeapBuckets = std::map<std::pair<unsigned, unsigned>, HeapBucket>;
+/// No statement: a formal index without a Param, an absent actual-in.
+constexpr unsigned None = ~0u;
 
 /// One heap endpoint of a context-sensitive method: a formal heap
 /// parameter, a writer (store, heap actual-out) or a reader (load,
@@ -111,18 +102,27 @@ struct HeapEnd {
 
 /// One SDG construction. Owns the graph until run() seals it, plus the
 /// construction-time indexes the wiring passes look nodes up by; none
-/// of them outlives the build.
+/// of them outlives the build. The method shapes live in an
+/// SDGShapeCache, the caller's or the builder's own.
 class tsl::SDGBuilder {
 public:
   SDGBuilder(const Program &P, const PointsToResult &PTA,
-             const ModRefResult *MR, const SDGOptions &Opts)
-      : PTA(PTA), MR(MR), Opts(Opts), G(new SDG(P)) {
+             const ModRefResult *MR, const SDGOptions &Opts,
+             SDGShapeCache *Shapes)
+      : P(P), PTA(PTA), MR(MR), Opts(Opts),
+        Cache(Shapes ? *Shapes : OwnShapes), G(new SDG(P)) {
     StaticPseudoObject.insert(0);
   }
 
-  std::unique_ptr<SDG> run(const Program &P);
+  std::unique_ptr<SDG> run();
 
 private:
+  unsigned addNode(SDGNodeKind K, const Instr *I, const Method *M,
+                   unsigned Part, unsigned Ctx) {
+    const auto Id = static_cast<unsigned>(G->Nodes.size());
+    G->Nodes.push_back({K, I, M, Part, Ctx, Id});
+    return Id;
+  }
   /// The parameter/hub node of one identity, added on first use.
   unsigned addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
                        const Method *M, unsigned Part, unsigned Ctx = 0);
@@ -130,7 +130,7 @@ private:
   /// asserts there are no repeats in builds without NDEBUG.
   void addEdge(unsigned From, unsigned To, SDGEdgeKind K,
                const CallInstr *Site = nullptr) {
-    G->Edges.push_back({From, To, K, Site});
+    G->addEdge(From, To, K, Site);
   }
 
   /// Context-0 heap parameter node lookup; returns -1 when absent.
@@ -142,17 +142,20 @@ private:
     return Call ? static_cast<const void *>(Call) : M;
   }
 
-  void collectClones(const Program &P, BudgetGate &Gate);
+  void collectClones(BudgetGate &Gate);
+  /// Takes the shape of every cloned method from the cache, deriving
+  /// (and caching) the missing ones.
+  void prepareShapes();
   void buildIntra(Clone &C);
   void buildScalarCallsCI();
   void buildHeapCI(BudgetGate &Gate);
   void buildScalarCallsCS(const Clone &C);
   void buildHeapCS(const Clone &C, BudgetGate &Gate);
-  HeapBuckets collectHeapAccesses() const;
+  void collectHeapAccesses();
   /// The one heap-bucket enumeration: calls \p Wire(Part, Bucket) on
   /// every bucket with both stores and loads, in key order, until it
   /// returns false. Part is the field id, or ~0u for array elements.
-  template <typename WireFn> void forEachHeapBucket(WireFn Wire) const;
+  template <typename WireFn> void forEachHeapBucket(WireFn Wire);
   /// Precise write -> read edges of one bucket; false once \p Gate
   /// trips.
   bool wireBucket(const HeapBucket &B, BudgetGate &Gate);
@@ -170,33 +173,45 @@ private:
   /// clone: the target has no body).
   void wireCallEdge(const CallInstr *Call, const Clone &Caller, int Callee);
 
-  /// The shape of \p M, derived on first use.
-  const MethodShape &shape(const Method *M);
+  /// The shape of a cloned method (prepareShapes() made it).
+  MethodShape shape(const Method *M) const {
+    assert(Cache.has(M->id()) && "shape of a method without a clone");
+    return Cache.view(M->id());
+  }
 
+  const Program &P;
   const PointsToResult &PTA;
   const ModRefResult *MR;
   SDGOptions Opts;
+  SDGShapeCache OwnShapes;
+  SDGShapeCache &Cache;
   std::unique_ptr<SDG> G;
-  /// Non-statement node identity: (kind, anchor, partition or operand
-  /// index, ctx). The anchor is the call site when there is one, else
-  /// the method, else null (the global hub). Lookup only, never
-  /// iterated, so pointer keys cannot perturb any id.
+  /// Heap parameter and hub node identity: (kind, anchor, partition,
+  /// ctx). The anchor is the call site when there is one, else the
+  /// method, else null (the global hub). Lookup only, never iterated,
+  /// so pointer keys cannot perturb any id.
   std::map<std::tuple<SDGNodeKind, const void *, unsigned, unsigned>,
            unsigned>
       HeapIndex;
+  /// Scalar actual-in nodes by call statement node: the call's
+  /// actual-ins start at ActualIns[FirstActualIn[CallNode]], one slot
+  /// per operand, None until added. A call statement node names the
+  /// call and its clone's context, the actual-in's identity.
+  std::vector<unsigned> FirstActualIn, ActualIns;
   std::vector<Clone> Clones;
   /// Clone index of each call-graph node (per-context clones), and of
   /// each method's context-0 clone (CS, merged-clone and unreachable
   /// clones); -1 where there is none.
   std::vector<int> CloneOfCGNode, CloneOfMethod;
-  /// Method shapes by method id.
-  std::vector<MethodShape> Shapes;
   /// Node-cap degradation: one clone per method instead of one per
   /// call-graph context; aliasing then uses context-merged points-to
   /// sets (a superset of every per-context set, so still sound).
   bool MergedClones = false;
   /// The base "points-to set" of every static access: object 0.
   SparseBitSet StaticPseudoObject;
+  /// Every clone's heap accesses by bucket, collected on first use.
+  HeapBuckets Buckets;
+  bool BucketsCollected = false;
   /// Heap-wiring scratch, reused across buckets. StoresByObj maps an
   /// abstract object to the bucket's stores (by index) whose base may
   /// point to it; Touched lists the objects with a non-empty entry, so
@@ -210,17 +225,78 @@ private:
   std::vector<unsigned> Writers, Readers;
 };
 
+bool MethodShape::sameAs(const MethodShape &O) const {
+  return std::ranges::equal(Intra, O.Intra) &&
+         std::ranges::equal(Calls, O.Calls) &&
+         std::ranges::equal(Args, O.Args) &&
+         std::ranges::equal(Formals, O.Formals) &&
+         std::ranges::equal(Returns, O.Returns) &&
+         std::ranges::equal(Accesses, O.Accesses);
+}
+
+void SDGShapeCache::clear() {
+  const uint64_t KeepDerived = Derived, KeepReused = Reused;
+  *this = SDGShapeCache();
+  Derived = KeepDerived;
+  Reused = KeepReused;
+}
+
+void SDGShapeCache::invalidate(const std::vector<Method *> &Relowered) {
+  for (const Method *M : Relowered)
+    if (has(M->id())) {
+      Entries[M->id()].Valid = false;
+      LiveIntra -= Entries[M->id()].Intra.Count;
+    }
+}
+
+MethodShape SDGShapeCache::view(unsigned MethodId) const {
+  const Entry &E = Entries[MethodId];
+  auto Part = [](const auto &Pool, Run R) {
+    return std::span(Pool.data() + R.Begin, R.Count);
+  };
+  return {Part(IntraPool, E.Intra),     Part(CallPool, E.Calls),
+          Part(ArgPool, E.Args),        Part(FormalPool, E.Formals),
+          Part(ReturnPool, E.Returns),  Part(AccessPool, E.Accesses)};
+}
+
+void SDGShapeCache::compactIfSparse() {
+  if (IntraPool.capacity() <= LiveIntra + LiveIntra / 8 + 1024)
+    return;
+  // Each pool is rewritten with the valid runs in method order, leaving
+  // a sixteenth of slack for the shapes later edits re-derive.
+  auto Rewrite = [&](auto &Pool, Run Entry::*Part) {
+    std::size_t Live = 0;
+    for (const Entry &E : Entries)
+      if (E.Valid)
+        Live += (E.*Part).Count;
+    std::remove_reference_t<decltype(Pool)> Fresh;
+    Fresh.reserve(Live + Live / 16);
+    for (Entry &E : Entries) {
+      if (!E.Valid)
+        continue;
+      Run &R = E.*Part;
+      const auto First = Pool.begin() + R.Begin;
+      R.Begin = static_cast<uint32_t>(Fresh.size());
+      Fresh.insert(Fresh.end(), First, First + R.Count);
+    }
+    Pool = std::move(Fresh);
+  };
+  Rewrite(IntraPool, &Entry::Intra);
+  Rewrite(CallPool, &Entry::Calls);
+  Rewrite(ArgPool, &Entry::Args);
+  Rewrite(FormalPool, &Entry::Formals);
+  Rewrite(ReturnPool, &Entry::Returns);
+  Rewrite(AccessPool, &Entry::Accesses);
+}
+
 unsigned SDGBuilder::addHeapNode(SDGNodeKind K, const Instr *CallOrNull,
                                  const Method *M, unsigned Part,
                                  unsigned Ctx) {
   auto [It, New] = HeapIndex.emplace(
       std::make_tuple(K, heapAnchor(CallOrNull, M), Part, Ctx), 0);
-  if (!New)
-    return It->second;
-  unsigned Id = static_cast<unsigned>(G->Nodes.size());
-  G->Nodes.push_back({K, CallOrNull, M, Part, Ctx, Id});
-  It->second = Id;
-  return Id;
+  if (New)
+    It->second = addNode(K, CallOrNull, M, Part, Ctx);
+  return It->second;
 }
 
 int SDGBuilder::heapNodeFor(SDGNodeKind K, const Instr *Call,
@@ -229,24 +305,42 @@ int SDGBuilder::heapNodeFor(SDGNodeKind K, const Instr *Call,
   return It == HeapIndex.end() ? -1 : static_cast<int>(It->second);
 }
 
-const MethodShape &SDGBuilder::shape(const Method *M) {
-  MethodShape &S = Shapes[M->id()];
-  if (S.Built)
-    return S;
-  S.Built = true;
-  auto Add = [&](const Instr *From, const Instr *To, SDGEdgeKind K) {
-    S.Intra.push_back({From->id(), To->id(), K});
+void SDGShapeCache::derive(const Method &M) {
+  if (M.id() >= Entries.size())
+    Entries.resize(M.id() + 1);
+  Entry &E = Entries[M.id()];
+  assert(!E.Valid && "shape derived twice");
+  // Each part is appended as one run: its pool's size before and after.
+  auto Open = [](Run &R, const auto &Pool) {
+    R.Begin = static_cast<uint32_t>(Pool.size());
   };
+  auto Close = [](Run &R, const auto &Pool) {
+    R.Count = static_cast<uint32_t>(Pool.size() - R.Begin);
+  };
+  auto Add = [&](const Instr *From, const Instr *To, SDGEdgeKind K) {
+    IntraPool.push_back({From->id(), To->id(), K});
+  };
+  Open(E.Intra, IntraPool);
+  Open(E.Calls, CallPool);
+  Open(E.Args, ArgPool);
 
   // SSA flow dependences, classified by operand role. Call operands
   // are wired through parameter edges instead (paper Sec. 5.1), with
   // the receiver of a virtual call contributing a dispatch (control)
   // dependence.
-  for (const Instr *I : M->instrs()) {
+  for (const Instr *I : M.instrs()) {
     if (const auto *Call = dyn_cast<CallInstr>(I)) {
       if (Call->isVirtual())
         if (const Instr *RecvDef = Call->receiver()->def())
           Add(RecvDef, I, SDGEdgeKind::Control);
+      CallPool.push_back(
+          {I->id(), static_cast<unsigned>(ArgPool.size() - E.Args.Begin),
+           Call->numOperands(), Call->dest() != nullptr});
+      for (unsigned OpIdx = 0; OpIdx != Call->numOperands(); ++OpIdx) {
+        const Instr *Def = Call->operand(OpIdx)->def();
+        ArgPool.push_back(
+            {Call->formalIndexOfOperand(OpIdx), Def ? Def->id() : None});
+      }
       continue;
     }
     auto KindOf = [&](unsigned OpIdx) {
@@ -271,34 +365,88 @@ const MethodShape &SDGBuilder::shape(const Method *M) {
 
   // Control dependences: every statement depends on the terminators of
   // its controlling blocks.
-  const ControlDeps CD(*M);
+  const ControlDeps CD(M);
   std::vector<const Instr *> Branches;
-  for (const auto &BB : M->blocks()) {
+  for (const auto &BB : M.blocks()) {
     Branches.clear();
     for (unsigned Controller : CD.controllers(BB->id()))
-      if (Instr *Term = M->blocks()[Controller]->terminator())
+      if (Instr *Term = M.blocks()[Controller]->terminator())
         Branches.push_back(Term);
     for (const auto &I : BB->instrs())
       for (const Instr *Br : Branches)
         Add(Br, I.get(), SDGEdgeKind::Control);
   }
+  Close(E.Intra, IntraPool);
+  Close(E.Calls, CallPool);
+  Close(E.Args, ArgPool);
 
-  if (M->entry())
-    for (const auto &I : M->entry()->instrs())
+  Open(E.Formals, FormalPool);
+  if (M.entry())
+    for (const auto &I : M.entry()->instrs())
       if (const auto *PI = dyn_cast<ParamInstr>(I.get())) {
-        if (PI->index() >= S.Formals.size())
-          S.Formals.resize(PI->index() + 1, nullptr);
-        if (!S.Formals[PI->index()])
-          S.Formals[PI->index()] = PI;
+        const std::size_t At = E.Formals.Begin + PI->index();
+        if (At >= FormalPool.size())
+          FormalPool.resize(At + 1, None);
+        if (FormalPool[At] == None)
+          FormalPool[At] = PI->id();
       }
-  for (const auto &BB : M->blocks())
+  Close(E.Formals, FormalPool);
+  Open(E.Returns, ReturnPool);
+  Open(E.Accesses, AccessPool);
+  for (const auto &BB : M.blocks()) {
     if (Instr *Term = BB->terminator())
       if (isa<RetInstr>(Term) && Term->numOperands())
-        S.Returns.push_back(Term);
-  return S;
+        ReturnPool.push_back(Term->id());
+    for (const auto &I : BB->instrs()) {
+      auto Access = [&](uint8_t Class, unsigned FieldId, bool Store,
+                        const Local *Base) {
+        AccessPool.push_back({I->id(), FieldId, Class, Store, Base});
+      };
+      if (const auto *St = dyn_cast<StoreInstr>(I.get()))
+        Access(St->isStaticAccess() ? 1 : 0, St->field()->id(), true,
+               St->base());
+      else if (const auto *L = dyn_cast<LoadInstr>(I.get()))
+        Access(L->isStaticAccess() ? 1 : 0, L->field()->id(), false,
+               L->base());
+      else if (const auto *AS = dyn_cast<ArrayStoreInstr>(I.get()))
+        Access(2, None, true, AS->array());
+      else if (const auto *AL = dyn_cast<ArrayLoadInstr>(I.get()))
+        Access(2, None, false, AL->array());
+    }
+  }
+  Close(E.Returns, ReturnPool);
+  Close(E.Accesses, AccessPool);
+  E.Valid = true;
+  LiveIntra += E.Intra.Count;
 }
 
-void SDGBuilder::collectClones(const Program &P, BudgetGate &Gate) {
+void SDGBuilder::prepareShapes() {
+  std::vector<bool> Seen(P.methods().size());
+#ifndef NDEBUG
+  SDGShapeCache Fresh;
+#endif
+  for (const Clone &C : Clones) {
+    if (Seen[C.M->id()])
+      continue;
+    Seen[C.M->id()] = true;
+    if (Cache.has(C.M->id())) {
+      ++Cache.Reused;
+#ifndef NDEBUG
+      Fresh.derive(*C.M);
+      assert(Cache.view(C.M->id()).sameAs(Fresh.view(C.M->id())) &&
+             "cached method shape is stale");
+#endif
+      continue;
+    }
+    Cache.derive(*C.M);
+    ++Cache.Derived;
+  }
+  // A builder-local cache dies with the build: nothing to compact.
+  if (&Cache != &OwnShapes)
+    Cache.compactIfSparse();
+}
+
+void SDGBuilder::collectClones(BudgetGate &Gate) {
   const CallGraph &CG = PTA.callGraph();
   CloneOfMethod.assign(P.methods().size(), -1);
   auto AddMethodClone = [&](const Method *M) {
@@ -350,11 +498,14 @@ void SDGBuilder::collectClones(const Program &P, BudgetGate &Gate) {
 void SDGBuilder::buildIntra(Clone &C) {
   C.Base = static_cast<unsigned>(G->Nodes.size());
   for (const Instr *I : C.M->instrs()) {
-    const unsigned Id = static_cast<unsigned>(G->Nodes.size());
+    [[maybe_unused]] const unsigned Id =
+        addNode(SDGNodeKind::Stmt, I, C.M, 0, C.Ctx);
     assert(Id == C.Base + I->id() && "method not renumbered");
-    G->Nodes.push_back({SDGNodeKind::Stmt, I, C.M, 0, C.Ctx, Id});
   }
-  for (const MethodShape::LocalEdge &E : shape(C.M).Intra)
+  G->addStmtRun(C.Base, C.M->id(), 0,
+                static_cast<unsigned>(C.M->instrs().size()));
+  const MethodShape S = shape(C.M);
+  for (const MethodShape::LocalEdge &E : S.Intra)
     addEdge(C.Base + E.From, C.Base + E.To, E.K);
 }
 
@@ -363,30 +514,41 @@ void SDGBuilder::wireCallEdge(const CallInstr *Call, const Clone &Caller,
   if (Callee < 0)
     return;
   const Clone &Target = Clones[Callee];
-  const MethodShape &Shape = shape(Target.M);
+  const MethodShape Shape = shape(Target.M);
+  const MethodShape CallerShape = shape(Caller.M);
+  const auto Site = std::lower_bound(
+      CallerShape.Calls.begin(), CallerShape.Calls.end(), Call->id(),
+      [](const MethodShape::CallSite &S, unsigned Id) { return S.Stmt < Id; });
+  assert(Site != CallerShape.Calls.end() && Site->Stmt == Call->id() &&
+         "call site missing from its method's shape");
+  const unsigned CallNode = Caller.Base + Site->Stmt;
 
   // Actual -> actual-in node (at the call's line) -> formal. The
   // actual-in node is shared by every target of the call, so its one
   // incoming Flow edge is added when the node is created.
-  for (unsigned OpIdx = 0; OpIdx != Call->numOperands(); ++OpIdx) {
-    const unsigned FormalIdx = Call->formalIndexOfOperand(OpIdx);
-    const Instr *Formal =
-        FormalIdx < Shape.Formals.size() ? Shape.Formals[FormalIdx] : nullptr;
-    const Instr *ActualDef = Call->operand(OpIdx)->def();
-    if (!Formal || !ActualDef)
+  for (unsigned OpIdx = 0; OpIdx != Site->NumArgs; ++OpIdx) {
+    const MethodShape::CallArg &Arg = CallerShape.Args[Site->FirstArg + OpIdx];
+    const unsigned Formal = Arg.FormalIdx < Shape.Formals.size()
+                                ? Shape.Formals[Arg.FormalIdx]
+                                : None;
+    if (Formal == None || Arg.ActualDef == None)
       continue;
-    const unsigned NewId = static_cast<unsigned>(G->Nodes.size());
-    unsigned AI = addHeapNode(SDGNodeKind::ScalarActualIn, Call, Caller.M,
-                              OpIdx, Caller.Ctx);
-    if (AI == NewId)
-      addEdge(Caller.node(ActualDef), AI, SDGEdgeKind::Flow);
-    addEdge(AI, Target.node(Formal), SDGEdgeKind::ParamIn, Call);
+    if (FirstActualIn[CallNode] == None) {
+      FirstActualIn[CallNode] = static_cast<unsigned>(ActualIns.size());
+      ActualIns.resize(ActualIns.size() + Site->NumArgs, None);
+    }
+    unsigned &AI = ActualIns[FirstActualIn[CallNode] + OpIdx];
+    if (AI == None) {
+      AI = addNode(SDGNodeKind::ScalarActualIn, Call, Caller.M, OpIdx,
+                   Caller.Ctx);
+      addEdge(Caller.Base + Arg.ActualDef, AI, SDGEdgeKind::Flow);
+    }
+    addEdge(AI, Target.Base + Formal, SDGEdgeKind::ParamIn, Call);
   }
   // Return -> call result.
-  if (Call->dest() && !Target.M->returnType()->isVoid())
-    for (const Instr *Ret : Shape.Returns)
-      addEdge(Target.node(Ret), Caller.node(Call), SDGEdgeKind::ParamOut,
-              Call);
+  if (Site->HasDest && !Target.M->returnType()->isVoid())
+    for (unsigned Ret : Shape.Returns)
+      addEdge(Target.Base + Ret, CallNode, SDGEdgeKind::ParamOut, Call);
 }
 
 void SDGBuilder::buildScalarCallsCI() {
@@ -402,19 +564,38 @@ void SDGBuilder::buildScalarCallsCI() {
 
 void SDGBuilder::buildScalarCallsCS(const Clone &C) {
   const CallGraph &CG = PTA.callGraph();
-  for (const auto &BB : C.M->blocks()) {
-    for (const auto &I : BB->instrs()) {
-      const auto *Call = dyn_cast<CallInstr>(I.get());
-      if (!Call)
-        continue;
-      for (Method *Target : CG.calleesOf(Call))
-        wireCallEdge(Call, C, CloneOfMethod[Target->id()]);
-    }
+  const MethodShape S = shape(C.M);
+  for (const MethodShape::CallSite &Site : S.Calls) {
+    const auto *Call = cast<CallInstr>(C.M->instrs()[Site.Stmt]);
+    for (Method *Target : CG.calleesOf(Call))
+      wireCallEdge(Call, C, CloneOfMethod[Target->id()]);
   }
 }
 
-HeapBuckets SDGBuilder::collectHeapAccesses() const {
-  HeapBuckets Buckets;
+void SDGBuilder::collectHeapAccesses() {
+  const auto NumFields = static_cast<unsigned>(P.fields().size());
+  const std::size_t NumKeys = 2 * std::size_t(NumFields) + 1;
+  auto KeyOf = [&](const MethodShape::HeapAccess &A) {
+    assert((A.Class == 2 || A.FieldId < NumFields) && "field id not dense");
+    return A.Class == 2 ? 2 * NumFields : A.Class * NumFields + A.FieldId;
+  };
+  // A counting sort by key: count each bucket's stores and loads, turn
+  // the counts into offsets, then place the accesses in collection
+  // order (clone, block, instruction).
+  std::vector<unsigned> &StoreOff = Buckets.StoreOff, &LoadOff = Buckets.LoadOff;
+  StoreOff.assign(NumKeys + 1, 0);
+  LoadOff.assign(NumKeys + 1, 0);
+  for (const Clone &C : Clones)
+    for (const MethodShape::HeapAccess &A : shape(C.M).Accesses)
+      ++(A.Store ? StoreOff : LoadOff)[KeyOf(A) + 1];
+  for (std::size_t K = 1; K <= NumKeys; ++K) {
+    StoreOff[K] += StoreOff[K - 1];
+    LoadOff[K] += LoadOff[K - 1];
+  }
+  Buckets.Stores.resize(StoreOff.back());
+  Buckets.Loads.resize(LoadOff.back());
+  std::vector<unsigned> StoreAt(StoreOff.begin(), StoreOff.end() - 1);
+  std::vector<unsigned> LoadAt(LoadOff.begin(), LoadOff.end() - 1);
   // In merged-clone degradation mode the per-context sets of the
   // unanalyzed context-0 clones would be empty (unsound), so aliasing
   // uses the context-merged supersets instead.
@@ -424,35 +605,33 @@ HeapBuckets SDGBuilder::collectHeapAccesses() const {
     return MergedClones ? &PTA.pointsTo(Base) : &PTA.pointsTo(Base, Ctx);
   };
   for (const Clone &C : Clones) {
-    for (const auto &BB : C.M->blocks()) {
-      for (const auto &I : BB->instrs()) {
-        auto Add = [&](std::pair<unsigned, unsigned> Key, bool Store,
-                       const Local *Base) {
-          HeapBucket &B = Buckets[Key];
-          (Store ? B.Stores : B.Loads)
-              .push_back({C.node(I.get()), Pts(Base, C.Ctx)});
-        };
-        if (const auto *S = dyn_cast<StoreInstr>(I.get()))
-          Add({S->isStaticAccess() ? 1u : 0u, S->field()->id()}, true,
-              S->base());
-        else if (const auto *L = dyn_cast<LoadInstr>(I.get()))
-          Add({L->isStaticAccess() ? 1u : 0u, L->field()->id()}, false,
-              L->base());
-        else if (const auto *AS = dyn_cast<ArrayStoreInstr>(I.get()))
-          Add({2u, ~0u}, true, AS->array());
-        else if (const auto *AL = dyn_cast<ArrayLoadInstr>(I.get()))
-          Add({2u, ~0u}, false, AL->array());
-      }
+    const MethodShape S = shape(C.M);
+    for (const MethodShape::HeapAccess &A : S.Accesses) {
+      const Access Acc{C.Base + A.Stmt, Pts(A.Base, C.Ctx)};
+      if (A.Store)
+        Buckets.Stores[StoreAt[KeyOf(A)]++] = Acc;
+      else
+        Buckets.Loads[LoadAt[KeyOf(A)]++] = Acc;
     }
   }
-  return Buckets;
+  BucketsCollected = true;
 }
 
-template <typename WireFn>
-void SDGBuilder::forEachHeapBucket(WireFn Wire) const {
-  for (const auto &[Key, B] : collectHeapAccesses())
-    if (!B.Stores.empty() && !B.Loads.empty() && !Wire(Key.second, B))
+template <typename WireFn> void SDGBuilder::forEachHeapBucket(WireFn Wire) {
+  if (!BucketsCollected)
+    collectHeapAccesses();
+  const auto NumFields = static_cast<unsigned>(P.fields().size());
+  const std::vector<unsigned> &SO = Buckets.StoreOff, &LO = Buckets.LoadOff;
+  for (unsigned Key = 0; Key + 1 != SO.size(); ++Key) {
+    if (SO[Key] == SO[Key + 1] || LO[Key] == LO[Key + 1])
+      continue;
+    const HeapBucket B{
+        std::span(Buckets.Stores).subspan(SO[Key], SO[Key + 1] - SO[Key]),
+        std::span(Buckets.Loads).subspan(LO[Key], LO[Key + 1] - LO[Key])};
+    const unsigned Part = Key == 2 * NumFields ? ~0u : Key % NumFields;
+    if (!Wire(Part, B))
       return;
+  }
 }
 
 /// Direct write -> read edges of one bucket, guarded by may-alias of
@@ -653,22 +832,29 @@ void SDGBuilder::buildHeapCS(const Clone &C, BudgetGate &Gate) {
   }
 }
 
-std::unique_ptr<SDG> SDGBuilder::run(const Program &P) {
+std::unique_ptr<SDG> SDGBuilder::run() {
   auto T0 = std::chrono::steady_clock::now();
   const AnalysisBudget *B = Opts.Budget;
   BudgetGate CloneGate(B, "sdg.clones", B ? B->MaxSdgNodes : 0);
   BudgetGate HeapGate(B, "sdg.heap", B ? B->MaxSdgEdges : 0);
 
-  collectClones(P, CloneGate);
-  Shapes.resize(P.methods().size());
-  // Every clone instruction gets one statement node: size the node
-  // list once rather than growing it.
-  std::size_t NumStmts = 0;
-  for (const Clone &C : Clones)
+  collectClones(CloneGate);
+  prepareShapes();
+  // Every clone instruction gets one statement node, every clone
+  // stamps its method's intraprocedural edges, and a call operand has
+  // at most one scalar actual-in node per clone: size the lists for
+  // that once rather than growing them.
+  std::size_t NumStmts = 0, NumIntra = 0, NumArgs = 0;
+  for (const Clone &C : Clones) {
+    const MethodShape S = shape(C.M);
     NumStmts += C.M->instrs().size();
-  G->Nodes.reserve(NumStmts);
+    NumIntra += S.Intra.size();
+    NumArgs += S.Args.size();
+  }
+  G->reserve(NumStmts + NumArgs, NumIntra);
   for (Clone &C : Clones)
     buildIntra(C);
+  FirstActualIn.assign(NumStmts, None);
   if (Opts.ContextSensitive) {
     for (const Clone &C : Clones) {
       buildScalarCallsCS(C);
@@ -735,8 +921,9 @@ std::unique_ptr<SDG> SDGBuilder::run(const Program &P) {
 std::unique_ptr<SDG> tsl::buildSDG(const Program &P,
                                    const PointsToResult &PTA,
                                    const ModRefResult *ModRef,
-                                   const SDGOptions &Options) {
+                                   const SDGOptions &Options,
+                                   SDGShapeCache *Shapes) {
   assert((!Options.ContextSensitive || ModRef) &&
          "context-sensitive SDG requires mod-ref results");
-  return SDGBuilder(P, PTA, ModRef, Options).run(P);
+  return SDGBuilder(P, PTA, ModRef, Options, Shapes).run();
 }

@@ -658,6 +658,30 @@ TEST_F(CliTest, WarmStartSliceIsIdenticalToCold) {
   EXPECT_NE(Warm.find("thin slice from line 15"), std::string::npos) << Warm;
 }
 
+// The one-shot tool tries the snapshot before it asks for the program,
+// so a warm start compiles nothing: the decoded program is the only
+// one, and the slice it answers is the cold run's, byte for byte.
+TEST_F(CliTest, WarmStartCompilesNothing) {
+  const std::string Snap = Program + ".nocompile.tslsnap";
+  int Status = 0;
+  std::string Cold = run("--line 15 --save-snapshot " + Snap, &Status);
+  ASSERT_EQ(exitCode(Status), 0) << Cold;
+  std::string Warm =
+      run("--line 15 --load-snapshot " + Snap + " --stats", &Status);
+  remove(Snap.c_str());
+  EXPECT_EQ(exitCode(Status), 0) << Warm;
+  // --stats prints its inventory and counters after the report.
+  const std::size_t StatsAt = Warm.find("classes: ");
+  ASSERT_NE(StatsAt, std::string::npos) << Warm;
+  EXPECT_EQ(Warm.substr(0, StatsAt), Cold);
+  const std::size_t CompileAt = Warm.find("  compile: hits=");
+  ASSERT_NE(CompileAt, std::string::npos) << Warm;
+  const std::string CompileLine =
+      Warm.substr(CompileAt, Warm.find('\n', CompileAt) - CompileAt);
+  EXPECT_NE(CompileLine.find(" misses=0 "), std::string::npos) << CompileLine;
+  EXPECT_NE(Warm.find("loads=1"), std::string::npos) << Warm;
+}
+
 // A snapshot holds the program and the SDG only, and slices run on the
 // SDG: after a warm start the REPL answers thin and traditional slices
 // without computing points-to or mod-ref.

@@ -34,13 +34,16 @@
 #include "sdg/SDG.h"
 #include "slicer/Slicer.h"
 #include "support/Budget.h"
+#include "support/Serialize.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace tsl;
@@ -334,11 +337,69 @@ std::string renderSlice(const SliceResult &R, const Program &P) {
   return Out;
 }
 
+/// The graph's snapshot bytes after its build report, whose build time
+/// and budget steps differ between two builds of one graph: node and
+/// edge ids, kinds, anchors, partitions, contexts and call sites.
+std::string sdgBytes(const SDG &G) {
+  ByteWriter Report, All;
+  putReport(Report, G.report());
+  G.encode(All);
+  return std::string(All.buffer().begin() + Report.size(),
+                     All.buffer().end());
+}
+
+/// The graph without its ids: every node as its identity (kind,
+/// instruction, method, partition, context) and every edge as the
+/// identities it joins, its kind and its call site, each list sorted.
+/// The context-insensitive call wiring follows the call graph's edge
+/// order, which an edit's points-to update leaves different from a
+/// cold solve's discovery order (edges of a relowered body are
+/// re-added at the end), so the scalar actual-in nodes and call edges
+/// of an edited session's graph take other ids than a cold session's.
+/// Everything else about the graph must be the same.
+std::string canonicalSdg(const SDG &G) {
+  using Identity = std::tuple<unsigned, uint64_t, unsigned, unsigned,
+                              unsigned>;
+  std::vector<Identity> Nodes;
+  for (const SDGNode &N : G.nodes())
+    Nodes.emplace_back(static_cast<unsigned>(N.K),
+                       N.I ? denseInstrKey(N.I) + 1 : 0,
+                       N.M ? N.M->id() + 1 : 0, N.Part, N.Ctx);
+  std::vector<std::tuple<Identity, Identity, unsigned, uint64_t>> Edges;
+  for (unsigned E = 0; E != G.numEdges(); ++E) {
+    const SDGEdge &Ed = G.edge(E);
+    Edges.emplace_back(Nodes[Ed.From], Nodes[Ed.To],
+                       static_cast<unsigned>(Ed.K),
+                       Ed.Site ? denseInstrKey(Ed.Site) + 1 : 0);
+  }
+  std::sort(Nodes.begin(), Nodes.end());
+  std::sort(Edges.begin(), Edges.end());
+  std::ostringstream OS;
+  auto Put = [&](const Identity &I) {
+    OS << std::get<0>(I) << ',' << std::get<1>(I) << ',' << std::get<2>(I)
+       << ',' << std::get<3>(I) << ',' << std::get<4>(I);
+  };
+  for (const Identity &I : Nodes) {
+    Put(I);
+    OS << ';';
+  }
+  OS << '|';
+  for (const auto &[From, To, K, Site] : Edges) {
+    Put(From);
+    OS << '>';
+    Put(To);
+    OS << ':' << K << '@' << Site << ';';
+  }
+  return OS.str();
+}
+
 /// The full observable surface of one session, canonically rendered:
 /// points-to and mod-ref signatures, thin and traditional slices from
-/// every print statement, and one context-sensitive thin slice (the
-/// CS graph always rebuilds, but from the incrementally-updated
-/// points-to and mod-ref artifacts). Checks on the way that the
+/// every print statement, a digest of the context-insensitive SDG
+/// without its ids (canonicalSdg), and one context-sensitive thin
+/// slice (the graphs rebuild after an edit, from the incrementally
+/// updated points-to and mod-ref artifacts and the cached method
+/// shapes). Checks on the way that the
 /// program's line table, patched or rebuilt by the edit, answers every
 /// seed lookup as a whole-program scan does.
 std::string sessionSignature(AnalysisSession &S) {
@@ -357,6 +418,12 @@ std::string sessionSignature(AnalysisSession &S) {
       OS << Seed->loc().Line << (Mode == SliceMode::Thin ? "t|" : "T|")
          << (R ? renderSlice(*R, *P) : "<null>") << "\n";
     }
+  // Edits that change a body's instruction count shift the clone
+  // bases of every later clone: the graph must still be the cold one.
+  const SDG *G = S.sdg();
+  EXPECT_NE(G, nullptr);
+  OS << "sdg|" << (G ? std::hash<std::string>()(canonicalSdg(*G)) : 0)
+     << "\n";
   SDGOptions CS;
   CS.ContextSensitive = true;
   S.setSDGOptions(CS);
@@ -518,33 +585,34 @@ TEST(IncrementalRandom, LineEditsMatchColdAtEveryStep) {
 // session's after each edit. This is where a finalize that shares a
 // node's set with a single-context local, a missed affected method,
 // or any retraction slip, would show at scale.
-TEST(IncrementalAtSize, PaddingLiteralEditsMatchColdPerContext) {
-  const WorkloadProgram W =
-      padWorkload(debuggingCases().front().Prog, "BS", 100, 6);
-  std::vector<std::string> Lines;
-  {
+namespace {
+
+/// A seeded stream of the edit perfbench's edit-slice workload makes
+/// on a padded program: each step rewrites the literal of one padding
+/// method's `var acc = x + N;` line.
+class PaddingLiteralEdits {
+public:
+  PaddingLiteralEdits(unsigned Pad, uint64_t Seed) : R(Seed) {
+    const WorkloadProgram W =
+        padWorkload(debuggingCases().front().Prog, "BS", Pad, 6);
+    Base = W.Source;
     std::istringstream In(W.Source);
     for (std::string L; std::getline(In, L);)
       Lines.push_back(L);
+    bool InPad = false;
+    for (std::size_t I = 0; I + 1 < Lines.size(); ++I) {
+      InPad |= Lines[I].rfind("class PadBS", 0) == 0;
+      if (InPad && Lines[I].rfind("  def work", 0) == 0 &&
+          Lines[I + 1].rfind("    var acc = x + ", 0) == 0)
+        Sites.push_back(I + 1);
+    }
   }
-  std::vector<std::size_t> Sites;
-  bool InPad = false;
-  for (std::size_t I = 0; I + 1 < Lines.size(); ++I) {
-    InPad |= Lines[I].rfind("class PadBS", 0) == 0;
-    if (InPad && Lines[I].rfind("  def work", 0) == 0 &&
-        Lines[I + 1].rfind("    var acc = x + ", 0) == 0)
-      Sites.push_back(I + 1);
-  }
-  ASSERT_EQ(Sites.size(), 600u);
 
-  AnalysisSession S{std::string(W.Source)};
-  S.setIncremental(true);
-  ASSERT_NE(S.pointsTo(), nullptr) << S.diagnostics().str();
-  ASSERT_NE(S.modRef(), nullptr);
+  const std::string &base() const { return Base; }
+  std::size_t sites() const { return Sites.size(); }
 
-  std::mt19937_64 R(7);
-  constexpr unsigned NumEdits = 12;
-  for (unsigned E = 0; E != NumEdits; ++E) {
+  /// The source after one more edit.
+  std::string next() {
     std::string &Line = Lines[Sites[R() % Sites.size()]];
     std::string New;
     do
@@ -554,7 +622,30 @@ TEST(IncrementalAtSize, PaddingLiteralEditsMatchColdPerContext) {
     std::string Src;
     for (const std::string &L : Lines)
       Src += L + "\n";
+    return Src;
+  }
 
+private:
+  std::mt19937_64 R;
+  std::string Base;
+  std::vector<std::string> Lines;
+  std::vector<std::size_t> Sites;
+};
+
+} // namespace
+
+TEST(IncrementalAtSize, PaddingLiteralEditsMatchColdPerContext) {
+  PaddingLiteralEdits Edits(100, 7);
+  ASSERT_EQ(Edits.sites(), 600u);
+
+  AnalysisSession S{std::string(Edits.base())};
+  S.setIncremental(true);
+  ASSERT_NE(S.pointsTo(), nullptr) << S.diagnostics().str();
+  ASSERT_NE(S.modRef(), nullptr);
+
+  constexpr unsigned NumEdits = 12;
+  for (unsigned E = 0; E != NumEdits; ++E) {
+    const std::string Src = Edits.next();
     S.setSource(Src);
     AnalysisSession Cold(Src);
     ASSERT_NE(S.pointsTo(), nullptr) << "edit " << E;
@@ -574,4 +665,66 @@ TEST(IncrementalAtSize, PaddingLiteralEditsMatchColdPerContext) {
   EXPECT_EQ(St.PtaUpdates, NumEdits) << St.LastFallbackReason;
   EXPECT_EQ(St.ModRefUpdates, NumEdits) << St.LastFallbackReason;
   EXPECT_EQ(St.StageFallbacks, 0u) << St.LastFallbackReason;
+}
+
+// The same edits, graph by graph. After every edit the session's
+// rebuilt context-insensitive SDG, made with the method shapes kept
+// across edits, is byte for byte the graph a build without them makes
+// from the same updated points-to, and it is the cold session's graph
+// but for the ids of the call wiring (canonicalSdg). Each rebuild
+// derives only the relowered body's shape. The context-sensitive graph
+// is checked once, at pad-25 with mod-ref updated in place: at pad-100
+// it has 2.1M nodes and 3.3M edges, and three of them would make this
+// the heaviest test of the suite.
+TEST(IncrementalAtSize, PaddingLiteralEditsRebuildTheColdSdg) {
+  PaddingLiteralEdits Edits(100, 7);
+  AnalysisSession S{std::string(Edits.base())};
+  S.setIncremental(true);
+  ASSERT_NE(S.sdg(), nullptr) << S.diagnostics().str();
+  const uint64_t ColdDerived = S.sdgShapes().derived();
+  EXPECT_GT(ColdDerived, 0u);
+
+  constexpr unsigned NumEdits = 12;
+  for (unsigned E = 0; E != NumEdits; ++E) {
+    const std::string Src = Edits.next();
+    S.setSource(Src);
+    AnalysisSession Cold(Src);
+    const SDG *G = S.sdg();
+    const SDG *ColdG = Cold.sdg();
+    ASSERT_NE(G, nullptr) << "edit " << E;
+    ASSERT_NE(ColdG, nullptr) << "edit " << E;
+    EXPECT_EQ(S.sdgShapes().derived(), ColdDerived + E + 1) << "edit " << E;
+    EXPECT_TRUE(sdgBytes(*G) ==
+                sdgBytes(*buildSDG(*S.program(), *S.pointsTo(), nullptr)))
+        << "edit " << E;
+    EXPECT_EQ(G->report().Status, ColdG->report().Status) << "edit " << E;
+    EXPECT_TRUE(canonicalSdg(*G) == canonicalSdg(*ColdG)) << "edit " << E;
+  }
+  const AnalysisSession::IncrementalStats &St = S.incrementalStats();
+  EXPECT_EQ(St.Applied, NumEdits) << St.LastFallbackReason;
+  EXPECT_EQ(St.StageFallbacks, 0u) << St.LastFallbackReason;
+
+  PaddingLiteralEdits Small(25, 7);
+  AnalysisSession CsS{std::string(Small.base())};
+  CsS.setIncremental(true);
+  SDGOptions CS;
+  CS.ContextSensitive = true;
+  CsS.setSDGOptions(CS);
+  ASSERT_NE(CsS.sdg(), nullptr) << CsS.diagnostics().str();
+  const std::string Src = Small.next();
+  CsS.setSource(Src);
+  EXPECT_EQ(CsS.incrementalStats().ModRefUpdates, 1u)
+      << CsS.incrementalStats().LastFallbackReason;
+  AnalysisSession Cold(Src);
+  Cold.setSDGOptions(CS);
+  const SDG *CsG = CsS.sdg();
+  const SDG *ColdCsG = Cold.sdg();
+  ASSERT_NE(CsG, nullptr);
+  ASSERT_NE(ColdCsG, nullptr);
+  EXPECT_TRUE(sdgBytes(*CsG) == sdgBytes(*buildSDG(*CsS.program(),
+                                                   *CsS.pointsTo(),
+                                                   CsS.modRef(), CS)));
+  EXPECT_TRUE(canonicalSdg(*CsG) == canonicalSdg(*ColdCsG));
+  EXPECT_EQ(CsS.incrementalStats().StageFallbacks, 0u)
+      << CsS.incrementalStats().LastFallbackReason;
 }

@@ -252,6 +252,40 @@ TEST(Scale, PaddingLiteralEditWorkIsEditSized) {
       << Large.TwoBodyDiffTokens;
 }
 
+// The SDG rebuild after perfbench's edit-slice edit derives the shape
+// of the one relowered body and reuses every other method's, at pad-25
+// and at pad-100 alike; the cold build derived one shape per method
+// with a body. Deriving every shape again (flow and control
+// dependences, the heap-access scan) would grow with the program.
+TEST(Scale, PaddingLiteralEditSdgShapesAreEditSized) {
+  auto Shapes = [](unsigned Pad) {
+    const WorkloadProgram W =
+        padWorkload(debuggingCases().front().Prog, "BS", Pad, 6);
+    const std::string Needle = "    var acc = x + 1;\n";
+    const std::size_t Pos =
+        W.Source.find(Needle, W.Source.find("class PadBS"));
+    EXPECT_NE(Pos, std::string::npos);
+    std::string Edited = W.Source;
+    Edited.replace(Pos, Needle.size(), "    var acc = x + 4242;\n");
+    AnalysisSession S{std::string(W.Source)};
+    S.setIncremental(true);
+    EXPECT_NE(S.sdg(), nullptr) << S.diagnostics().str();
+    const uint64_t Bodies = static_cast<uint64_t>(std::count_if(
+        S.program()->methods().begin(), S.program()->methods().end(),
+        [](const auto &M) { return M->entry() != nullptr; }));
+    EXPECT_EQ(S.sdgShapes().derived(), Bodies);
+    EXPECT_EQ(S.sdgShapes().reused(), 0u);
+    S.setSource(Edited);
+    EXPECT_EQ(S.incrementalStats().Applied, 1u)
+        << S.incrementalStats().LastFallbackReason;
+    EXPECT_NE(S.sdg(), nullptr);
+    EXPECT_EQ(S.sdgShapes().reused(), Bodies - 1);
+    return S.sdgShapes().derived() - Bodies;
+  };
+  EXPECT_EQ(Shapes(25), 1u);
+  EXPECT_EQ(Shapes(100), 1u);
+}
+
 // perfbench's edit-slice edit moves no line, so the line table patches
 // only the relowered body: it rewrites the same number of entries at
 // pad-25 and at pad-100. Re-indexing every body, or rebuilding the

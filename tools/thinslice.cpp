@@ -780,13 +780,29 @@ int runTool(int argc, char **argv) {
   Session.setBudget(B);
   Session.setIncremental(Opts.Incremental);
   Session.setThreads(Opts.Threads);
-  Program *P = Session.program();
-  if (!P) {
-    // Report user-file positions (the runtime prefix is an
-    // implementation detail).
-    fputs(Session.diagnostics().render(Opts.File, LineOffset).c_str(),
-          stderr);
-    return 1;
+  // Compiles (or fetches the compiled program) and reports a compile
+  // error in user-file positions (the runtime prefix is an
+  // implementation detail).
+  Program *P = nullptr;
+  auto Compile = [&] {
+    P = Session.program();
+    if (!P)
+      fputs(Session.diagnostics().render(Opts.File, LineOffset).c_str(),
+            stderr);
+    return P != nullptr;
+  };
+
+  const bool NoQuery = !Opts.Line && Opts.SeedsFile.empty() &&
+                       Opts.DotFile.empty() && !Opts.Stats &&
+                       !Opts.PtaStats && !Opts.Interactive &&
+                       Opts.SaveSnapshotFile.empty() && Opts.CacheDir.empty();
+  // --dump-ir and --run read the program before any query, and a run
+  // with no query only checks that the source compiles. Everything
+  // else compiles after the warm start below, which installs a decoded
+  // program instead when it loads.
+  if (Opts.DumpIR || Opts.Run || NoQuery) {
+    if (!Compile())
+      return 1;
   }
 
   if (Opts.DumpIR)
@@ -811,9 +827,7 @@ int runTool(int argc, char **argv) {
       return Opts.StrictBudget ? 4 : 3;
   }
 
-  if (!Opts.Line && Opts.SeedsFile.empty() && Opts.DotFile.empty() &&
-      !Opts.Stats && !Opts.PtaStats && !Opts.Interactive &&
-      Opts.SaveSnapshotFile.empty() && Opts.CacheDir.empty())
+  if (NoQuery)
     return 0;
 
   PTAOptions PtaOpts;
@@ -838,6 +852,11 @@ int runTool(int argc, char **argv) {
     if (!L.isOk())
       fprintf(stderr, "warning: %s\n", L.str().c_str());
   }
+  // A successful load installed a decoded Program (a hit, and one that
+  // replaced a program compiled above for --dump-ir or --run); after a
+  // declined one this is the cold compile.
+  if (!Compile())
+    return 1;
   if (!Opts.SaveSnapshotFile.empty()) {
     Status S = Session.saveSnapshot(Opts.SaveSnapshotFile);
     if (!S.isOk()) {
@@ -852,9 +871,6 @@ int runTool(int argc, char **argv) {
     if (!S.isOk())
       fprintf(stderr, "warning: %s\n", S.str().c_str());
   }
-  // A successful load installed a decoded Program: the pointer taken
-  // before the warm-start block is stale now.
-  P = Session.program();
 
   if (Opts.Interactive)
     return runInteractive(Session, Opts, LineOffset);
